@@ -45,7 +45,6 @@ from .heisenberg import (
     KaplanSpectrum,
     LieAlgebraVector,
     NormalizedMetric,
-    SymplecticFormJ,
     automorphism_matrix,
     bracket,
     curvature_upper_bound,

@@ -16,15 +16,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     NotHeisenbergType,
     NotInGr,
+    OddDimension,
     SameCoset,
     Singular,
 )
 from .heisenberg import (
     NormalizedMetric,
+    _symplectic_spectra,
+    _upper_cholesky,
     d_spectrum,
     is_heisenberg_type,
     symplectic_j,
@@ -32,19 +37,16 @@ from .heisenberg import (
 )
 from .lattice import DivisibilityTuple, first_minimum, first_minimum_r
 from .linalg import (
-    FLOAT,
     RATIONAL,
     DenseMatrix,
     Scalar,
     SpdMatrix,
     congruence,
     determinant,
-    eigenvalues_symmetric,
     identity,
     matrix_inverse,
     max_norm,
     scalar_to_json,
-    singular_values,
 )
 
 INEQUALITY_SLACK = 1e-9
@@ -265,12 +267,26 @@ def counterexample_family(k: int) -> SpdMatrix:
 
 
 def counterexample_spectrum(k: int) -> tuple[float, float]:
-    """Closed-form (d_1, d_2) of the k-th family member."""
-    root = math.sqrt(k * k + 4.0)
-    return (
-        math.sqrt((k * k + 2.0 - k * root) / 2.0),
-        math.sqrt((k * k + 2.0 + k * root) / 2.0),
-    )
+    """Closed-form (d_1, d_2) of the k-th family member.
+
+    d_2^2 = (k^2 + 2 + k sqrt(k^2 + 4)) / 2, and det = 1 gives d_1 = 1/d_2
+    (the closed form for d_1^2 cancels catastrophically at large k).
+    """
+    d2 = math.sqrt((k * k + 2.0 + k * math.sqrt(k * k + 4.0)) / 2.0)
+    return 1.0 / d2, d2
+
+
+def _key_inequality_sides(Y: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the key inequality for stacks of Gram matrices Y and factors G.
+
+    With Y = R^T R, the pullback G^T Y G has the factor R G, so neither
+    Gram matrix of G is ever formed.
+    """
+    R = _upper_cholesky(Y)
+    lam_max = np.linalg.eigvalsh(Y)[..., -1]
+    lhs = _symplectic_spectra(G)[..., -1] / lam_max
+    rhs = _symplectic_spectra(R @ G)[..., -1]
+    return lhs, rhs
 
 
 def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
@@ -281,15 +297,24 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     """
     if G.rows != Y.n or not G.is_square:
         raise DimensionMismatch("G must be square of the same size as Y")
-    det = determinant(G)
-    if det == 0:
+    if determinant(G) == 0:
         raise Singular("G must be invertible")
-    gram = SpdMatrix(congruence(identity(Y.n, G.mode), G))
-    lam_max = eigenvalues_symmetric(Y).values[-1]
-    lhs = d_spectrum(gram).d_max / lam_max
-    pulled = SpdMatrix(congruence(Y, G))
-    rhs = d_spectrum(pulled).d_max
-    return InequalityReport(lhs, rhs)
+    if Y.n % 2:
+        raise OddDimension("symplectic spectrum requires even size")
+    lhs, rhs = _key_inequality_sides(Y.to_numpy()[np.newaxis], G.to_numpy()[np.newaxis])
+    return InequalityReport(float(lhs[0]), float(rhs[0]))
+
+
+def _bhatia_sides(A: np.ndarray, B: np.ndarray, i1: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """s_{i1}(A) s_{N - i1 + 1}(B) and s_1(A B) for stacks of N x N factors."""
+    N = A.shape[-1]
+    sa = np.linalg.svd(A, compute_uv=False)
+    sb = np.linalg.svd(B, compute_uv=False)
+    rows = np.arange(len(i1))
+    lhs = sa[rows, i1 - 1] * sb[rows, N - i1]
+    rhs = np.linalg.svd(A @ B, compute_uv=False)[:, 0]
+    return lhs, rhs
 
 
 def verify_bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> InequalityReport:
@@ -299,14 +324,11 @@ def verify_bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> InequalityRepor
     """
     if A.rows != B.rows or A.cols != B.cols or not A.is_square:
         raise DimensionMismatch("A and B must be square of equal size")
-    N = A.rows
-    if not 1 <= i1 <= N:
+    if not 1 <= i1 <= A.rows:
         raise ValueError("index out of range")
-    sa = singular_values(A).values
-    sb = singular_values(B).values
-    lhs = sa[i1 - 1] * sb[N - i1]
-    rhs = singular_values(A @ B).values[0]
-    return InequalityReport(lhs, rhs)
+    lhs, rhs = _bhatia_sides(A.to_numpy()[np.newaxis], B.to_numpy()[np.newaxis],
+                             np.array([i1]))
+    return InequalityReport(float(lhs[0]), float(rhs[0]))
 
 
 def _in_gr(G: DenseMatrix, r: DivisibilityTuple) -> bool:
@@ -431,18 +453,14 @@ def random_symplectic_integer(n: int, seed: int, steps: int) -> DenseMatrix:
     return result
 
 
-def _random_invertible(dim: int, rng: random.Random, bound: float = 10.0) -> DenseMatrix:
-    """Float matrix with entries bounded by `bound`, kept away from singular."""
+def _draw_invertible(out: np.ndarray, rng: random.Random, bound: float = 10.0) -> None:
+    """Fill the square array `out` with entries in [-bound, bound], redrawing
+    the whole matrix until |det| > 1e-3 so it stays away from singular."""
+    dim = out.shape[0]
     while True:
-        rows = [[rng.uniform(-bound, bound) for _ in range(dim)] for _ in range(dim)]
-        m = DenseMatrix.from_rows(rows, FLOAT)
-        if abs(determinant(m)) > 1e-3:
-            return m
-
-
-def _random_gram(dim: int, rng: random.Random, bound: float = 10.0) -> SpdMatrix:
-    b = _random_invertible(dim, rng, math.sqrt(bound / dim))
-    return SpdMatrix(congruence(identity(dim, FLOAT), b))
+        out[:] = [[rng.uniform(-bound, bound) for _ in range(dim)] for _ in range(dim)]
+        if abs(np.linalg.det(out)) > 1e-3:
+            return
 
 
 @dataclass(frozen=True)
@@ -456,34 +474,43 @@ class SweepResult:
         return self.held == self.total
 
 
+def _sweep_result(lhs: np.ndarray, rhs: np.ndarray) -> SweepResult:
+    """Tally the rule of ``InequalityReport`` over stacks of both sides."""
+    holds = lhs <= rhs + INEQUALITY_SLACK * np.maximum(1.0, np.abs(rhs))
+    slack = rhs - lhs
+    return SweepResult(len(lhs), int(holds.sum()), float(slack.min(initial=math.inf)))
+
+
 def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
-    """Seeded random sweep of the key inequality in one even dimension."""
+    """Seeded random sweep of the key inequality in one even dimension.
+
+    Every sample is drawn first, in a fixed order (the factor B of the
+    Gram matrix Y = B^T B, then G), and all of them are checked as one
+    stack.
+    """
     if dim % 2:
         raise ValueError("dimension must be even")
     rng = random.Random(seed)
-    held = 0
-    worst = math.inf
-    for _ in range(samples):
-        Y = _random_gram(dim, rng)
-        G = _random_invertible(dim, rng)
-        report = verify_key_inequality(Y, G)
-        if report.holds:
-            held += 1
-        worst = min(worst, float(report.slack))
-    return SweepResult(samples, held, worst)
+    B = np.empty((samples, dim, dim))
+    G = np.empty((samples, dim, dim))
+    for i in range(samples):
+        _draw_invertible(B[i], rng, math.sqrt(10.0 / dim))
+        _draw_invertible(G[i], rng)
+    return _sweep_result(*_key_inequality_sides(np.swapaxes(B, -1, -2) @ B, G))
 
 
 def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
-    """Seeded random sweep of the k = 1 singular-value inequality."""
+    """Seeded random sweep of the k = 1 singular-value inequality.
+
+    Every sample (A, then B, then the index i1) is drawn first, and all
+    of them are checked as one stack.
+    """
     rng = random.Random(seed)
-    held = 0
-    worst = math.inf
-    for _ in range(samples):
-        A = _random_invertible(dim, rng)
-        B = _random_invertible(dim, rng)
-        i1 = rng.randrange(1, dim + 1)
-        report = verify_bhatia_k1(A, B, i1)
-        if report.holds:
-            held += 1
-        worst = min(worst, float(report.slack))
-    return SweepResult(samples, held, worst)
+    A = np.empty((samples, dim, dim))
+    B = np.empty((samples, dim, dim))
+    i1 = np.empty(samples, dtype=int)
+    for i in range(samples):
+        _draw_invertible(A[i], rng)
+        _draw_invertible(B[i], rng)
+        i1[i] = rng.randrange(1, dim + 1)
+    return _sweep_result(*_bhatia_sides(A, B, i1))

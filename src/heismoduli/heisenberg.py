@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NotOrthonormal,
+    NotPositiveDefinite,
     NotSimilitude,
     OddDimension,
     PairingFailure,
@@ -156,16 +157,6 @@ def bracket(v: LieAlgebraVector, w: LieAlgebraVector) -> LieAlgebraVector:
     a = _dot(v.x, w.y) - _dot(v.y, w.x)
     zero = tuple(0 * c for c in v.x)
     return LieAlgebraVector(zero, zero, a)
-
-
-@dataclass(frozen=True)
-class SymplecticFormJ:
-    """The standard symplectic structure [[0, Id], [-Id, 0]] on R^{2n}."""
-
-    n: int
-
-    def matrix(self, mode: str = RATIONAL) -> DenseMatrix:
-        return symplectic_j(self.n, mode)
 
 
 def symplectic_j(n: int, mode: str = RATIONAL) -> DenseMatrix:
@@ -353,37 +344,66 @@ def kaplan_matrix(m: NormalizedMetric) -> DenseMatrix:
     return DenseMatrix.from_rows(M.tolist(), FLOAT)
 
 
+def _upper_cholesky(Y: np.ndarray) -> np.ndarray:
+    """Upper-triangular factors R with Y = R^T R for a stack of Gram matrices.
+
+    Raises ``NotPositiveDefinite`` naming the first leading block whose
+    factorization fails in any member of the stack.
+    """
+    try:
+        return np.swapaxes(np.linalg.cholesky(Y), -1, -2)
+    except np.linalg.LinAlgError:
+        for j in range(1, Y.shape[-1]):
+            try:
+                np.linalg.cholesky(Y[..., :j, :j])
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(j) from None
+        raise NotPositiveDefinite(Y.shape[-1]) from None
+
+
+def _symplectic_spectra(F: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
+    """Symplectic spectra of Y = F^T F for a stack of invertible factors F.
+
+    Y^{-1} J is similar to the skew matrix K = F^{-T} J F^{-1}, whose
+    singular values are d_n, d_n, ..., d_1, d_1.  Returns an array of
+    shape (..., n) with each row ascending.  A pair whose two values
+    differ by more than ``pairing_tol`` times the largest singular value
+    of its K raises ``PairingFailure`` (numerical breakdown).
+    """
+    n = F.shape[-1] // 2
+    try:
+        inv = np.linalg.inv(F)
+    except np.linalg.LinAlgError:
+        raise Singular("factor is singular in floating point") from None
+    # with F^{-1} = [P; Q] in n-row blocks, K = P^T Q - Q^T P exactly skew
+    X = np.swapaxes(inv[..., :n, :], -1, -2) @ inv[..., n:, :]
+    s = np.linalg.svd(X - np.swapaxes(X, -1, -2), compute_uv=False)
+    hi, lo = s[..., 0::2], s[..., 1::2]
+    # mismatch is measured against the spectral scale: singular values
+    # carry absolute (not relative) roundoff of order eps * s_max
+    mismatch = np.abs(hi - lo) > pairing_tol * s[..., :1]
+    if mismatch.any():
+        idx = tuple(np.argwhere(mismatch)[0])
+        raise PairingFailure(
+            f"singular value pair {n - idx[-1]} mismatch: "
+            f"{float(lo[idx])!r} vs {float(hi[idx])!r}"
+        )
+    return ((hi + lo) / 2.0)[..., ::-1]
+
+
 def d_spectrum(Y: SpdMatrix, pairing_tol: float = PAIRING_TOL) -> KaplanSpectrum:
     """Symplectic spectrum of a Gram matrix of even size.
 
-    Diagonalizes the symmetric matrix -(Y^{-1/2} J Y^{-1/2})^2, whose
-    eigenvalues are the d_k^2 in equal pairs; consecutive sorted
-    eigenvalues are grouped in twos and a relative mismatch beyond
-    ``pairing_tol`` raises ``PairingFailure`` (numerical breakdown).
+    Factors Y = R^T R by Cholesky and takes the singular values of the
+    skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k, d_k.
+    This never squares the condition number of Y.  A pair that fails to
+    match within ``pairing_tol`` times the largest value raises
+    ``PairingFailure`` (numerical breakdown).
     """
     if Y.n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    n = Y.n // 2
-    A = Y.to_numpy()
-    w, V = np.linalg.eigh(A)
-    inv_sqrt = (V / np.sqrt(w)) @ V.T
-    J = symplectic_j(n, FLOAT).to_numpy()
-    S = inv_sqrt @ J @ inv_sqrt
-    M = -S @ S
-    mu = np.linalg.eigvalsh((M + M.T) / 2.0)
-    # mismatch is measured against the spectral scale: tiny paired
-    # eigenvalues carry absolute (not relative) roundoff, so a per-pair
-    # relative test would flag healthy inputs
-    scale = float(max(abs(mu[0]), abs(mu[-1]), 1e-300))
-    d = []
-    for k in range(n):
-        lo, hi = mu[2 * k], mu[2 * k + 1]
-        if abs(hi - lo) > pairing_tol * scale:
-            raise PairingFailure(
-                f"eigenvalue pair {k + 1} mismatch: {lo!r} vs {hi!r}"
-            )
-        d.append(math.sqrt(max((lo + hi) / 2.0, 0.0)))
-    return KaplanSpectrum(tuple(d))
+    R = _upper_cholesky(Y.to_numpy()[np.newaxis])
+    return KaplanSpectrum(tuple(_symplectic_spectra(R, pairing_tol)[0].tolist()))
 
 
 def is_heisenberg_type(m: NormalizedMetric, tol: float = 1e-8) -> bool:

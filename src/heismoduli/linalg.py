@@ -136,11 +136,6 @@ def max_norm(G: DenseMatrix | "SpdMatrix") -> Scalar:
     return max(abs(x) for r in m.entries for x in r)
 
 
-def trace(G: DenseMatrix | "SpdMatrix") -> Scalar:
-    m = _dense(G)
-    return sum(m.entries[i][i] for i in range(m.rows))
-
-
 def _asymmetry(m: DenseMatrix) -> Scalar:
     return max(
         abs(m.entries[i][j] - m.entries[j][i])
@@ -359,19 +354,6 @@ def quadratic_form(Y: DenseMatrix | SpdMatrix, a: Sequence[Scalar]) -> Scalar:
     m = _dense(Y)
     v = m.mat_vec(a)
     return sum(a[i] * v[i] for i in range(len(a)))
-
-
-def allclose(A: DenseMatrix | SpdMatrix, B: DenseMatrix | SpdMatrix,
-             rtol: float = 1e-9, atol: float = 0.0) -> bool:
-    ma, mb = _dense(A), _dense(B)
-    if (ma.rows, ma.cols) != (mb.rows, mb.cols):
-        return False
-    scale = max(float(max_norm(ma)), float(max_norm(mb)), 1.0)
-    return all(
-        abs(float(x) - float(y)) <= atol + rtol * scale
-        for rx, ry in zip(ma.entries, mb.entries)
-        for x, y in zip(rx, ry)
-    )
 
 
 # --- JSON wire format -------------------------------------------------

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import heismoduli as hm
@@ -34,6 +36,16 @@ class TestCounterexampleFamily:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             hm.counterexample_family(-1)
+
+    @pytest.mark.parametrize("k", [10**3, 10**4, 3 * 10**4])
+    def test_spectrum_closed_form_at_large_k(self, k):
+        d1, d2 = hm.counterexample_spectrum(k)
+        assert d1 * d2 == pytest.approx(1.0, rel=1e-14)  # det = 1
+        assert d2 == pytest.approx((math.sqrt(k * k + 4) + k) / 2, rel=1e-14)
+        # d_1^2 and d_2^2 are the roots of s^2 - (k^2 + 2) s + 1
+        assert d1 * d1 + d2 * d2 == pytest.approx(k * k + 2, rel=1e-14)
+        got = hm.d_spectrum(hm.counterexample_family(k)).d
+        assert got == pytest.approx((d1, d2), rel=1e-9)
 
 
 class TestMahlerCertificate:
@@ -138,6 +150,21 @@ class TestHeisenbergTypeCertificate:
         assert exc.value.index == 0
 
 
+def _replay_invertible(rng, dim, bound=10.0):
+    """The sweeps' draw, one matrix at a time: entries row by row from
+    rng.uniform, the whole matrix redrawn while |det| <= 1e-3."""
+    while True:
+        m = np.array([[rng.uniform(-bound, bound) for _ in range(dim)] for _ in range(dim)])
+        if abs(np.linalg.det(m)) > 1e-3:
+            return m
+
+
+def _assert_sweep_matches(result, reports):
+    assert result.total == len(reports)
+    assert result.held == sum(r.holds for r in reports)
+    assert result.worst_slack == pytest.approx(min(r.slack for r in reports), rel=1e-12)
+
+
 class TestKeyInequality:
     def test_identity_equality_case(self):
         rep = hm.verify_key_inequality(hm.SpdMatrix(hm.identity(2)), hm.identity(2))
@@ -168,11 +195,36 @@ class TestKeyInequality:
                 hm.SpdMatrix(hm.identity(2)), hm.DenseMatrix.from_rows([[1, 1], [1, 1]])
             )
 
+    def test_singular_in_floats_rejected(self):
+        # invertible as a rational matrix, singular once rounded to floats
+        G = hm.DenseMatrix.from_rows([[1, 1], [1, 1 + Fraction(1, 10**20)]])
+        with pytest.raises(hm.Singular):
+            hm.verify_key_inequality(hm.SpdMatrix(hm.identity(2)), G)
+
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_seeded_sweep(self, dim):
         result = hm.key_inequality_sweep(dim, 300, seed=1000 + dim)
         assert result.all_hold
         assert result.worst_slack >= -1e-9
+
+    @pytest.mark.parametrize("seed", [612177327, 3993805642])
+    def test_ill_conditioned_samples_are_solved(self, seed):
+        # each seed draws one valid but badly conditioned sample, which
+        # must be solved rather than rejected
+        result = hm.key_inequality_sweep(6, 160, seed)
+        assert result.held == result.total == 160
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_sweep_matches_sample_by_sample_replay(self, dim, seed):
+        rng = random.Random(seed)
+        reports = []
+        for _ in range(100):
+            B = _replay_invertible(rng, dim, math.sqrt(10.0 / dim))
+            G = _replay_invertible(rng, dim)
+            Y = hm.SpdMatrix.from_rows((B.T @ B).tolist(), hm.FLOAT)
+            reports.append(hm.verify_key_inequality(Y, hm.DenseMatrix.from_rows(G.tolist())))
+        _assert_sweep_matches(hm.key_inequality_sweep(dim, 100, seed), reports)
 
 
 class TestBhatiaInequality:
@@ -203,6 +255,17 @@ class TestBhatiaInequality:
     def test_seeded_sweep(self, dim):
         result = hm.bhatia_sweep(dim, 10_000, seed=77 + dim)
         assert result.all_hold
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_sweep_matches_sample_by_sample_replay(self, dim, seed):
+        rng = random.Random(seed)
+        reports = []
+        for _ in range(100):
+            A = hm.DenseMatrix.from_rows(_replay_invertible(rng, dim).tolist())
+            B = hm.DenseMatrix.from_rows(_replay_invertible(rng, dim).tolist())
+            reports.append(hm.verify_bhatia_k1(A, B, rng.randrange(1, dim + 1)))
+        _assert_sweep_matches(hm.bhatia_sweep(dim, 100, seed), reports)
 
 
 class TestSeparation:

@@ -328,16 +328,23 @@ class TestDSpectrum:
                 for k in (2 * n - 2 * j + 2, 2 * n - 2 * j + 1):
                     assert abs(d[j - 1] - s[k - 1]) <= 1e-8 * d[j - 1]
 
-    def test_pairing_guard(self, monkeypatch):
-        # inject a broken eigenvalue pair; the guard must refuse to average it
-        real = np.linalg.eigvalsh
+    @pytest.mark.parametrize("bad, pivot", [([[1, 2], [2, 1]], 2), ([[-1, 0], [0, 1]], 1)])
+    def test_factor_rejects_indefinite_stack_member(self, bad, pivot):
+        stack = np.array([np.eye(2), bad], dtype=float)
+        with pytest.raises(hm.NotPositiveDefinite) as exc:
+            hm.heisenberg._upper_cholesky(stack)
+        assert exc.value.pivot_index == pivot
 
-        def perturbed(m):
-            vals = real(m).copy()
-            vals[0] *= 0.9
+    def test_pairing_guard(self, monkeypatch):
+        # inject a broken singular-value pair; the guard must refuse to average it
+        real = np.linalg.svd
+
+        def perturbed(m, *args, **kwargs):
+            vals = real(m, *args, **kwargs).copy()
+            vals[..., 0] *= 0.9
             return vals
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
         with pytest.raises(hm.PairingFailure):
             hm.d_spectrum(hm.SpdMatrix(hm.identity(4, hm.FLOAT)))
 
