@@ -18,6 +18,7 @@ from . import compactness, heisenberg, lattice
 from .errors import EnumerationBudgetExceeded, HeisError
 from .linalg import (
     SpdMatrix,
+    determinant,
     matrix_from_json,
     matrix_to_json,
     scalar_to_json,
@@ -49,10 +50,6 @@ def _emit(payload: dict, fmt: str, text_lines):
             print(line)
 
 
-def _metric_from_payload(obj) -> heisenberg.NormalizedMetric:
-    return heisenberg.NormalizedMetric.from_json(obj)
-
-
 def _family_from_payload(obj) -> list:
     if isinstance(obj, dict) and "members" in obj:
         obj = obj["members"]
@@ -66,9 +63,7 @@ def _fmt_scalar(x) -> str:
 
 
 def cmd_invariants(args) -> int:
-    metric = _metric_from_payload(_read_payload(args.input))
-    from .linalg import determinant
-
+    metric = heisenberg.NormalizedMetric.from_json(_read_payload(args.input))
     m_r = lattice.first_minimum_r(metric.h, metric.r).value
     det_h = determinant(metric.h)
     spectrum = heisenberg.d_spectrum(metric.h)
@@ -123,7 +118,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_heis_type(args) -> int:
-    metric = _metric_from_payload(_read_payload(args.input))
+    metric = heisenberg.NormalizedMetric.from_json(_read_payload(args.input))
     verdict = heisenberg.is_heisenberg_type(metric, args.tol)
     spectrum = heisenberg.d_spectrum(metric.h)
     payload = {"heisenberg_type": verdict, "d": list(spectrum.d)}
@@ -133,7 +128,7 @@ def cmd_heis_type(args) -> int:
 
 
 def cmd_curvature_bound(args) -> int:
-    metric = _metric_from_payload(_read_payload(args.input))
+    metric = heisenberg.NormalizedMetric.from_json(_read_payload(args.input))
     bound = heisenberg.curvature_upper_bound(metric)
     _emit({"curvature_upper_bound": bound}, args.format,
           [f"curvature bound = {bound!r}"])
@@ -141,7 +136,8 @@ def cmd_curvature_bound(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    members = [_metric_from_payload(o) for o in _family_from_payload(_read_payload(args.input))]
+    members = [heisenberg.NormalizedMetric.from_json(o)
+               for o in _family_from_payload(_read_payload(args.input))]
     family = compactness.MetricFamily(tuple(members))
     interval = None
     if args.g_min is not None or args.g_max is not None:
@@ -183,12 +179,12 @@ def _certificate_lines(cert) -> list[str]:
 
 
 def cmd_counterexample(args) -> int:
+    if args.k < 0:
+        raise ValueError("k must be non-negative")
     if args.sweep:
         rows = []
         for k in range(args.k + 1):
             Y = compactness.counterexample_family(k)
-            from .linalg import determinant
-
             det = determinant(Y)
             m = lattice.first_minimum(Y).value
             d1, d2 = heisenberg.d_spectrum(Y).d

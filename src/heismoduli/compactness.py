@@ -33,7 +33,6 @@ from .heisenberg import (
     d_spectrum,
     is_heisenberg_type,
     symplectic_j,
-    symplectic_similitude_check,
 )
 from .lattice import DivisibilityTuple, first_minimum, first_minimum_r
 from .linalg import (
@@ -41,11 +40,11 @@ from .linalg import (
     DenseMatrix,
     Scalar,
     SpdMatrix,
+    _int_determinant,
     congruence,
     determinant,
     identity,
     matrix_inverse,
-    max_norm,
     scalar_to_json,
 )
 
@@ -345,8 +344,6 @@ def _in_gr(G: DenseMatrix, r: DivisibilityTuple) -> bool:
     ]
     if any(x.denominator != 1 for row in back for x in row):
         return False
-    from .lattice import _int_determinant
-
     return abs(_int_determinant([[int(x) for x in row] for row in back])) == 1
 
 
@@ -364,24 +361,17 @@ def representative_separation_check(G: DenseMatrix, H: DenseMatrix,
         raise NotInGr("G is not a scaled-conjugate unimodular matrix")
     if not _in_gr(H, r):
         raise NotInGr("H is not a scaled-conjugate unimodular matrix")
-    Gq, Hq = G.to_rational(), H.to_rational()
-    quotient = matrix_inverse(Gq) @ Hq
-    if symplectic_similitude_check(quotient) is not None:
+    # G^{-1} H is a similitude of sign eps exactly when the two pulled-back
+    # forms satisfy form(G) = eps * form(H)
+    pairs = [
+        (a, b)
+        for ra, rb in zip(pulled_back_form(G).entries, pulled_back_form(H).entries)
+        for a, b in zip(ra, rb)
+    ]
+    if all(a == b for a, b in pairs) or all(a == -b for a, b in pairs):
         raise SameCoset("G and H differ by a symplectic similitude")
-    J = symplectic_j(r.n, RATIONAL)
-    inv_g = matrix_inverse(Gq)
-    inv_h = matrix_inverse(Hq)
-    fg = congruence(J, inv_g)
-    fh = congruence(J, inv_h)
-    diff = DenseMatrix(
-        tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(fg.entries, fh.entries)
-        ),
-        RATIONAL,
-    )
     lhs = Fraction(1, r.r[-1] ** 2)
-    return InequalityReport(lhs, max_norm(diff))
+    return InequalityReport(lhs, max(abs(a - b) for a, b in pairs))
 
 
 def pulled_back_form(G: DenseMatrix) -> DenseMatrix:
@@ -481,6 +471,13 @@ def _sweep_result(lhs: np.ndarray, rhs: np.ndarray) -> SweepResult:
     return SweepResult(len(lhs), int(holds.sum()), float(slack.min(initial=math.inf)))
 
 
+def _check_sweep_size(dim: int, samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+
+
 def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     """Seeded random sweep of the key inequality in one even dimension.
 
@@ -488,6 +485,7 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     Gram matrix Y = B^T B, then G), and all of them are checked as one
     stack.
     """
+    _check_sweep_size(dim, samples)
     if dim % 2:
         raise ValueError("dimension must be even")
     rng = random.Random(seed)
@@ -505,6 +503,7 @@ def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     Every sample (A, then B, then the index i1) is drawn first, and all
     of them are checked as one stack.
     """
+    _check_sweep_size(dim, samples)
     rng = random.Random(seed)
     A = np.empty((samples, dim, dim))
     B = np.empty((samples, dim, dim))

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from .errors import EnumerationBudgetExceeded
 from .linalg import (
@@ -23,6 +22,7 @@ from .linalg import (
     DenseMatrix,
     Scalar,
     SpdMatrix,
+    _int_determinant,
     congruence,
     ldl_decompose,
     quadratic_form,
@@ -81,28 +81,6 @@ class ShortVectorResult:
         from .linalg import scalar_to_json
 
         return {"value": scalar_to_json(self.value), "witness": list(self.witness)}
-
-
-def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Bareiss determinant over the integers (exact divisions)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -271,16 +249,11 @@ def psi_r(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
     diag = r.scaling_diagonal()
     if Y.n != 2 * r.n:
         raise ValueError("Gram matrix must have size 2n for a length-n tuple")
-    if Y.mode == RATIONAL:
-        rows = [
-            [Y.entries[i][j] / Fraction(diag[i] * diag[j]) for j in range(Y.n)]
-            for i in range(Y.n)
-        ]
-    else:
-        rows = [
-            [Y.entries[i][j] / (diag[i] * diag[j]) for j in range(Y.n)]
-            for i in range(Y.n)
-        ]
+    # Fraction / int is exact, so one expression serves both modes
+    rows = [
+        [Y.entries[i][j] / (diag[i] * diag[j]) for j in range(Y.n)]
+        for i in range(Y.n)
+    ]
     return SpdMatrix.from_rows(rows, Y.mode)
 
 

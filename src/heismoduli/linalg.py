@@ -10,7 +10,8 @@ through LAPACK via numpy.  Everything exact is implemented directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -190,15 +191,18 @@ class SpdMatrix:
     """Symmetric positive definite matrix (a Gram matrix).
 
     Construction symmetrizes inputs within the slack policy and verifies
-    positivity through the exact (or float) LDL^T pivots.
+    positivity through the exact (or float) LDL^T pivots; the factor is
+    kept, so ``ldl_decompose`` never factors the same matrix again.
     """
 
     matrix: DenseMatrix
+    _ldl: tuple[DenseMatrix, tuple[Scalar, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = symmetrized(self.matrix)
-        _ldl_entries(m.entries, m.mode)  # raises NotPositiveDefinite if not in P_n
+        L, d = _ldl_entries(m.entries, m.mode)  # raises NotPositiveDefinite if not in P_n
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_ldl", (DenseMatrix(tuple(map(tuple, L)), m.mode), tuple(d)))
 
     @staticmethod
     def from_rows(rows, mode: str | None = None) -> "SpdMatrix":
@@ -260,12 +264,12 @@ class SingularSpectrum:
 def ldl_decompose(Y: SpdMatrix | DenseMatrix) -> tuple[DenseMatrix, tuple[Scalar, ...]]:
     """Factor Y = L D L^T with unit lower-triangular L and positive D.
 
-    Exact in rational mode; raises ``NotPositiveDefinite`` with the
-    1-based index of the first bad pivot otherwise.
+    Returns the factor an ``SpdMatrix`` computed when it was built; a
+    ``DenseMatrix`` is validated as ``SpdMatrix(Y)`` first.  Exact in
+    rational mode; raises ``NotPositiveDefinite`` with the 1-based index
+    of the first bad pivot otherwise.
     """
-    m = symmetrized(_dense(Y))
-    L, d = _ldl_entries(m.entries, m.mode)
-    return DenseMatrix(tuple(tuple(r) for r in L), m.mode), tuple(d)
+    return (Y if isinstance(Y, SpdMatrix) else SpdMatrix(Y))._ldl
 
 
 def eigenvalues_symmetric(Y: SpdMatrix | DenseMatrix) -> Spectrum:
@@ -284,35 +288,44 @@ def singular_values(G: DenseMatrix | SpdMatrix) -> SingularSpectrum:
     return SingularSpectrum(tuple(float(v) for v in vals))
 
 
-def _bareiss_determinant(entries) -> Fraction:
-    """Fraction-free Gaussian elimination; exact for rational entries."""
-    a = [list(r) for r in entries]
+def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Bareiss determinant over the integers (exact divisions)."""
+    a = [list(r) for r in rows]
     n = len(a)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
 
 def determinant(Y: DenseMatrix | SpdMatrix) -> Scalar:
-    """Determinant; exact Fraction in rational mode, LU-based float otherwise."""
+    """Determinant; exact Fraction in rational mode, LU-based float otherwise.
+
+    A rational matrix is cleared of denominators row by row (each row
+    times the lcm of its denominators) and goes through the integer
+    Bareiss elimination; dividing by the product of the row scales is
+    exact.
+    """
     m = _dense(Y)
     if not m.is_square:
         raise ValueError("determinant expects a square matrix")
     if m.mode == RATIONAL:
-        return _bareiss_determinant(m.entries)
+        scales = [math.lcm(*(x.denominator for x in r)) for r in m.entries]
+        rows = [[x.numerator * (s // x.denominator) for x in r]
+                for r, s in zip(m.entries, scales)]
+        return Fraction(_int_determinant(rows), math.prod(scales))
     return float(np.linalg.det(m.to_numpy()))
 
 

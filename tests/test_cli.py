@@ -196,6 +196,26 @@ class TestErrorPaths:
         code, _, _ = run(capsys, ["spectrum"], stdin=payload, monkeypatch=monkeypatch)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--dim", "0", "--samples", "5"],
+        ["--dim", "0", "--samples", "5", "--bhatia"],
+        ["--dim", "-2", "--samples", "5", "--bhatia"],
+        ["--dim", "3", "--samples", "5"],
+        ["--dim", "4", "--samples", "0"],
+        ["--dim", "4", "--samples", "0", "--bhatia"],
+        ["--dim", "4", "--samples", "-1"],
+    ])
+    def test_bad_sweep_size_exit_2(self, capsys, args):
+        code, out, err = run(capsys, ["verify-inequality", "--seed", "1", *args])
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [["--k", "-1"], ["--k", "-1", "--sweep"]])
+    def test_negative_k_exit_2(self, capsys, args):
+        code, out, err = run(capsys, ["counterexample", *args])
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, monkeypatch):

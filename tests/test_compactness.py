@@ -285,6 +285,17 @@ class TestSeparation:
                 hm.symplectic_j(2), hm.identity(4), hm.DivisibilityTuple((1, 1))
             )
 
+    def test_antisymplectic_quotient_rejected(self):
+        # G^{-1} H = diag(I, -I) pulls J back to -J, a similitude of sign -1
+        G = hm.DenseMatrix.from_rows(
+            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        )
+        H = G @ hm.DenseMatrix.from_rows(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+        )
+        with pytest.raises(hm.SameCoset):
+            hm.representative_separation_check(G, H, hm.DivisibilityTuple((1, 1)))
+
     def test_not_in_group_rejected(self):
         bad = hm.DenseMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         with pytest.raises(hm.NotInGr):

@@ -103,6 +103,18 @@ class TestFirstMinimum:
         res = hm.first_minimum(spd([[2, 1], [1, 2]]))
         assert res.to_json() == {"value": "2", "witness": [1, 0]}
 
+    def test_reuses_factor_from_construction(self, monkeypatch):
+        # the LDL^T factor is computed once, when the SpdMatrix is built;
+        # enumeration must not factor the matrix again
+        Y = spd([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
+
+        def refactor(entries, mode):
+            raise AssertionError("Gram matrix factored a second time")
+
+        monkeypatch.setattr(hm.linalg, "_ldl_entries", refactor)
+        assert hm.first_minimum(Y).value == 2
+        assert hm.minkowski_membership(Y).member
+
 
 class TestFirstMinimumScaled:
     def test_scaled_identity(self):

@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
@@ -43,6 +44,24 @@ class TestLdl:
             [[D[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
         assert (L @ Dm @ L.transpose()).entries == Y.entries
+
+    def test_factor_kept_from_construction(self):
+        Y = hm.SpdMatrix.from_rows([[4, 2], [2, 2]])
+        assert hm.ldl_decompose(Y) is hm.ldl_decompose(Y)
+
+    def test_dense_input_validated_as_spd(self):
+        L, D = hm.ldl_decompose(hm.DenseMatrix.from_rows([[4, 2], [2, 2]]))
+        assert D == (4, 1)
+        with pytest.raises(hm.NotPositiveDefinite):
+            hm.ldl_decompose(hm.DenseMatrix.from_rows([[1, 2], [2, 1]]))
+        with pytest.raises(hm.NotSymmetric):
+            hm.ldl_decompose(hm.DenseMatrix.from_rows([[1, 1], [0, 1]]))
+
+    def test_factor_does_not_affect_equality(self):
+        a = hm.SpdMatrix.from_rows([[2, 1], [1, 2]])
+        b = hm.SpdMatrix.from_rows([[2, 1], [1, 2]])
+        assert a == b and hash(a) == hash(b)
+        assert "_ldl" not in repr(a)
 
 
 class TestSymmetryPolicy:
@@ -123,7 +142,48 @@ class TestSingularValues:
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
 
 
+def _leibniz_determinant(rows):
+    """Sum over permutations of sign * product; the textbook definition."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def _square_rationals(draw):
+    n = draw(st.integers(1, 5))
+    rows = [[draw(_fractions) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "zero_pivot", "singular")))
+    if shape == "zero_pivot":
+        rows[0][0] = Fraction(0)
+    elif shape == "singular" and n > 1:
+        k = draw(_fractions)
+        rows[-1] = [k * x for x in rows[0]]
+    return rows
+
+
 class TestDeterminant:
+    @settings(max_examples=150, deadline=None)
+    @given(_square_rationals())
+    @example([[Fraction(0), Fraction(1, 2), Fraction(3)],
+              [Fraction(-2, 3), Fraction(5), Fraction(1, 7)],
+              [Fraction(4), Fraction(-1, 5), Fraction(2)]])  # zero leading pivot
+    @example([[Fraction(1, 2), Fraction(-3, 4)],
+              [Fraction(-1, 3), Fraction(1, 2)]])  # singular
+    def test_matches_leibniz(self, rows):
+        got = hm.determinant(hm.DenseMatrix.from_rows(rows, hm.RATIONAL))
+        assert isinstance(got, Fraction)
+        assert got == _leibniz_determinant(rows)
+
     def test_identity(self):
         assert hm.determinant(hm.identity(4)) == 1
 
