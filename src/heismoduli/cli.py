@@ -10,6 +10,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -253,27 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="first minimum, determinant, spectrum, curvature bound")
     common(p)
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("shortest-vector", help="first minimum with witness")
     common(p)
-    p.set_defaults(func=cmd_shortest_vector)
 
     p = sub.add_parser("reduce", help="Minkowski reduction")
     common(p)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("spectrum", help="symplectic spectrum d_1..d_n")
     common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("heis-type", help="test for constant symplectic spectrum")
     common(p)
-    p.set_defaults(func=cmd_heis_type)
 
     p = sub.add_parser("curvature-bound", help="upper bound for sectional curvature")
     common(p)
-    p.set_defaults(func=cmd_curvature_bound)
 
     p = sub.add_parser("certify", help="certificate for a family of normalized metrics")
     common(p)
@@ -284,20 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-max", type=_parse_scalar, default=None)
     p.add_argument("--heisenberg-type", action="store_true",
                    help="require constant spectrum and derive C1, C2")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("certify-torus", help="certificate for a family of Gram matrices")
     common(p)
     p.add_argument("--C0", type=_parse_scalar, default=None)
     p.add_argument("--C1", type=_parse_scalar, default=None)
-    p.set_defaults(func=cmd_certify_torus)
 
     p = sub.add_parser("counterexample", help="unit-determinant family with growing d_2")
     common(p, input_file=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sweep", action="store_true",
                    help="print (k, det, m, d1, d2) for k = 0..K")
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("verify-inequality", help="seeded random inequality sweep")
     common(p, input_file=False)
@@ -306,27 +298,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True, help="matrix size 2n")
     p.add_argument("--bhatia", action="store_true",
                    help="check the singular-value product inequality instead")
-    p.set_defaults(func=cmd_verify_inequality)
 
     p = sub.add_parser("random-symplectic", help="deterministic integer similitude")
     common(p, input_file=False)
     p.add_argument("--dim", type=int, required=True, help="matrix size 2n")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=int, default=12)
-    p.set_defaults(func=cmd_random_symplectic)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except EnumerationBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (HeisError, ValueError, KeyError, TypeError,
+    except (HeisError, ValueError, KeyError, TypeError, OverflowError,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,10 +1,10 @@
 """Exact lattice computations on Gram matrices.
 
 First minima, short-vector enumeration, membership in Minkowski's
-fundamental domain and Minkowski reduction.  In rational mode the
-enumeration interval bounds are derived exactly from the LDL^T pivots,
-so first minima are certified values; float mode applies a small
-relative slack and flags membership reports as approximate.
+fundamental domain and Minkowski reduction, all from one enumerator
+that runs in integer arithmetic on the LDL^T factor, so first minima are
+certified values.  Float inputs are converted exactly; float mode adds a
+small relative slack and flags membership reports as approximate.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class DivisibilityTuple:
     r: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(x, bool) or Fraction(x).denominator != 1 for x in self.r):
+            raise ValueError(f"divisibility tuple entries must be integers, got {self.r!r}")
         r = tuple(int(x) for x in self.r)
         if not r or any(x <= 0 for x in r):
             raise ValueError("divisibility tuple entries must be positive")
@@ -142,23 +144,56 @@ def _witness_key(a: tuple[int, ...]):
     return (tuple(abs(x) for x in reversed(a)), tuple(reversed(a)))
 
 
-def _int_interval(c: Scalar, Q: Scalar) -> tuple[int, int]:
-    """Integers t with (t + c)^2 <= Q, as an inclusive (lo, hi) range.
+def _short_vectors(Y: SpdMatrix, bound: Scalar, budget: int | None = None
+                   ) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """(Y[a], a) for every nonzero integer a with Y[a] <= bound, up to sign.
 
-    The float square root only seeds the endpoints; both are then fixed
-    up with exact comparisons, so the range is correct in rational mode.
+    Fincke-Pohst enumeration on the LDL^T factor in integers: with N, M
+    the lcms of the denominators of L and d, S = N^2 M and x_i =
+    N a_i + sum_{j>i} N L[j][i] a_j, S Y[a] = sum_i (M d_i) x_i^2.  A float
+    Y is converted exactly first (floats are dyadic rationals).  Vectors
+    have their first nonzero entry positive and come in no fixed order.
     """
-    if Q < 0:
-        return (0, -1)
-    root = math.sqrt(float(Q))
-    cf = float(c)
-    lo = math.ceil(-root - cf) - 2
-    hi = math.floor(root - cf) + 2
-    while lo <= hi and (lo + c) * (lo + c) > Q:
-        lo += 1
-    while hi >= lo and (hi + c) * (hi + c) > Q:
-        hi -= 1
-    return (lo, hi)
+    cap = _enumeration_budget(budget)
+    if Y.mode == FLOAT:
+        bound = float(bound) * (1.0 + FLOAT_SLACK)
+        Y = Y.to_rational()
+    L, d = ldl_decompose(Y)
+    L, n = L.entries, Y.n
+    N = math.lcm(*(x.denominator for row in L for x in row))
+    M = math.lcm(*(x.denominator for x in d))
+    S = N * N * M
+    Lcol = [[L[j][i].numerator * (N // L[j][i].denominator) for j in range(i + 1, n)]
+            for i in range(n)]
+    D = [x.numerator * (M // x.denominator) for x in d]
+    p, q = bound.as_integer_ratio()
+    top = S * p // q  # floor(S * bound); S Y[a] is an integer
+    a = [0] * n
+    found: list[tuple[Fraction, tuple[int, ...]]] = []
+    visited = 0
+
+    def descend(i: int, R: int, zero_tail: bool):
+        # the integers t with D_i (N t + C)^2 <= R
+        nonlocal visited
+        C = sum(x * y for x, y in zip(Lcol[i], a[i + 1:]))
+        r = math.isqrt(R // D[i])
+        lo = 0 if zero_tail else -((r + C) // N)
+        hi = (r - C) // N
+        visited += hi - lo + 1  # never negative: hi - lo >= floor(2r / N) - 1
+        if visited > cap:
+            raise EnumerationBudgetExceeded(cap)
+        for t in range(lo, hi + 1):
+            a[i] = t
+            x = N * t + C
+            if i:
+                descend(i - 1, R - D[i] * x * x, zero_tail and t == 0)
+            elif t or not zero_tail:
+                found.append((Fraction(top - R + D[0] * x * x, S), _canonical_sign(tuple(a))))
+        a[i] = 0
+
+    if top >= 0:
+        descend(n - 1, top, True)
+    return found
 
 
 def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
@@ -166,46 +201,13 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     """All nonzero integer vectors a with Y[a] <= bound, up to sign.
 
     One representative of each pair +-a is returned (first nonzero entry
-    positive), sorted canonically.  Exhaustive in rational mode; float
-    mode inflates the bound by a 1e-9 relative slack.  Raises
+    positive), sorted canonically.  Exhaustive: the enumeration runs in
+    exact integer arithmetic, and a float Y is converted exactly, its
+    bound inflated by a 1e-9 relative slack.  Raises
     ``EnumerationBudgetExceeded`` when the candidate count passes the
     cap (a sign of an adversarial input, not of a wrong answer).
     """
-    cap = _enumeration_budget(budget)
-    L, d = ldl_decompose(Y)
-    n = Y.n
-    if Y.mode == FLOAT:
-        bound = float(bound) * (1.0 + FLOAT_SLACK)
-    else:
-        bound = Fraction(bound)
-    # Y[a] = sum_i d_i (a_i + c_i)^2 with c_i = sum_{j>i} L[j][i] a_j,
-    # so coordinates are chosen from the last to the first.
-    Lcol = [[L.entries[j][i] for j in range(n)] for i in range(n)]
-    a = [0] * n
-    found: list[tuple[int, ...]] = []
-    visited = 0
-
-    def descend(i: int, remaining: Scalar, zero_tail: bool):
-        nonlocal visited
-        c = sum(Lcol[i][j] * a[j] for j in range(i + 1, n))
-        lo, hi = _int_interval(c, remaining / d[i])
-        if zero_tail:
-            lo = max(lo, 0)
-        for t in range(lo, hi + 1):
-            visited += 1
-            if visited > cap:
-                raise EnumerationBudgetExceeded(cap)
-            a[i] = t
-            zt = zero_tail and t == 0
-            if i == 0:
-                if not zt:
-                    found.append(_canonical_sign(tuple(a)))
-            else:
-                step = c + t
-                descend(i - 1, remaining - d[i] * step * step, zt)
-        a[i] = 0
-
-    descend(n - 1, bound, True)
+    found = [a for _, a in _short_vectors(Y, bound, budget)]
     found.sort(key=_witness_key)
     return found
 
@@ -215,22 +217,20 @@ def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
 
     Ties are broken by the canonical witness order (earliest-coordinate
     support, first nonzero entry positive), so results are reproducible.
+    Exact for rational Y; a float Y gets the correctly rounded minimum.
     """
-    start = min(Y.diagonal())
-    best_value = None
-    best_witness = None
-    for a in enumerate_below(Y, start, budget):
-        v = quadratic_form(Y, a)
-        if best_value is None or v < best_value:
-            best_value, best_witness = v, a
-    return ShortVectorResult(best_value, best_witness)
+    value, witness = min(_short_vectors(Y, min(Y.diagonal()), budget),
+                         key=lambda va: (va[0], _witness_key(va[1])))
+    return ShortVectorResult(float(value) if Y.mode == FLOAT else value, witness)
 
 
 def scale_by_divisibility(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
-    """Y[delta_r] = delta_r Y delta_r for the diagonal scaling delta_r."""
+    """Y[delta_r] = delta_r Y delta_r; Y itself (factor kept) when r = (1,...,1)."""
     diag = r.scaling_diagonal()
     if Y.n != 2 * r.n:
         raise ValueError("Gram matrix must have size 2n for a length-n tuple")
+    if r.r == (1,) * r.n:
+        return Y
     rows = [
         [Y.entries[i][j] * diag[i] * diag[j] for j in range(Y.n)]
         for i in range(Y.n)
@@ -261,21 +261,22 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     """Decide membership in Minkowski's fundamental domain.
 
     Conditions: y_{k,k+1} >= 0 for all k, and no integer vector a with
-    gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  The universally quantified
-    condition is decided by enumerating below the diagonal entry; exact
-    in rational mode, with a 1e-9 relative slack (and an ``approximate``
-    flag) in float mode.
+    gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Every k is decided from
+    one enumeration below the largest diagonal entry, scanned in canonical
+    order; exact in rational mode, with a 1e-9 relative slack (and an
+    ``approximate`` flag) in float mode.
     """
     n = Y.n
     approx = Y.mode == FLOAT
     for k in range(n - 1):
         if Y.entries[k][k + 1] < 0:
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None), approx)
+    diag = Y.diagonal()
+    candidates = sorted(_short_vectors(Y, max(diag), budget), key=lambda va: _witness_key(va[1]))
     for k in range(n):
-        ykk = Y.entries[k][k]
-        threshold = ykk if not approx else ykk * (1.0 - FLOAT_SLACK)
-        for a in enumerate_below(Y, ykk, budget):
-            if quadratic_form(Y, a) < threshold and math.gcd(*(abs(x) for x in a[k:])) == 1:
+        threshold = diag[k] if not approx else diag[k] * (1.0 - FLOAT_SLACK)
+        for value, a in candidates:
+            if value < threshold and math.gcd(*a[k:]) == 1:
                 return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a), approx)
     return MinkowskiReport(True, None, approx)
 
@@ -377,9 +378,9 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     for _ in range(n):
         completion = _complete_basis(cols, n)
         cap = min(quadratic_form(Y, c) for c in completion)
-        candidates = enumerate_below(Y, cap, budget)
-        candidates.sort(key=lambda a: (quadratic_form(Y, a), _witness_key(a)))
-        for a in candidates:
+        candidates = sorted(_short_vectors(Y, cap, budget),
+                            key=lambda va: (va[0], _witness_key(va[1])))
+        for _, a in candidates:
             if _extendable(cols + [a]):
                 cols.append(a)
                 break

@@ -381,6 +381,8 @@ def scalar_to_json(x: Scalar):
 
 
 def scalar_from_json(v, mode: str) -> Scalar:
+    if isinstance(v, bool):
+        raise ValueError(f"boolean {v!r} is not a scalar")
     if mode == RATIONAL:
         if _is_floatlike(v):
             raise ValueError("float scalar in a rational-mode payload")

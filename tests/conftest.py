@@ -122,3 +122,60 @@ def rational_metric(h: hm.SpdMatrix, g, r=None) -> hm.NormalizedMetric:
     if r is None:
         r = hm.DivisibilityTuple.ones(h.n // 2)
     return hm.NormalizedMetric(h, g, r)
+
+
+def witness_order(a: tuple[int, ...]):
+    """The documented canonical order: compare absolute entries from the
+    last coordinate backwards, then the signed entries the same way."""
+    return (tuple(abs(x) for x in reversed(a)), tuple(reversed(a)))
+
+
+def box_short_vectors(Y: hm.SpdMatrix, bound) -> dict[tuple[int, ...], Fraction]:
+    """{a: Y[a]} for every nonzero a with Y[a] <= bound, first nonzero entry
+    positive, by exhaustive search of the box |a_i|^2 <= bound (Y^{-1})_{ii}.
+
+    Evaluates Y[a] on the integer matrix lcm(denominators) * Y, with no
+    use of the LDL^T factor.
+    """
+    import itertools
+
+    n = Y.n
+    bound = Fraction(bound)
+    if bound < 0:
+        return {}
+    lcm = math.lcm(*(x.denominator for row in Y.entries for x in row))
+    Yi = [[int(x * lcm) for x in row] for row in Y.entries]
+    inv = hm.matrix_inverse(Y.matrix)
+    ranges = []
+    for i in range(n):
+        q = bound * inv.entries[i][i]
+        b = math.isqrt(q.numerator * q.denominator) // q.denominator
+        ranges.append(range(-b, b + 1))
+    found = {}
+    for a in itertools.product(*ranges):
+        first = next((x for x in a if x), 0)
+        if first <= 0:  # the zero vector, or the other sign of a vector kept
+            continue
+        value = Fraction(sum(a[i] * Yi[i][j] * a[j] for i in range(n) for j in range(n)), lcm)
+        if value <= bound:
+            found[a] = value
+    return found
+
+
+def brute_force_membership(Y: hm.SpdMatrix):
+    """(k, kind, witness) of the first violated Minkowski condition, or None.
+
+    Sign conditions first, then for k = 1..n the canonically first a with
+    gcd(a_k..a_n) = 1 and Y[a] < y_kk, from an exhaustive box search.
+    """
+    n = Y.n
+    for k in range(n - 1):
+        if Y.entries[k][k + 1] < 0:
+            return (k + 1, "sign", None)
+    short = box_short_vectors(Y, max(Y.diagonal()))
+    for k in range(n):
+        hits = [a for a, v in short.items()
+                if v < Y.entries[k][k] and math.gcd(*a[k:]) == 1]
+        if hits:
+            return (k + 1, "short_vector", min(hits, key=witness_order))
+    return None

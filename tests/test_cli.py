@@ -247,3 +247,66 @@ class TestSchemaRoundTrips:
         U = hm.UnimodularMatrix(tuple(tuple(r) for r in obj["unimodular"]))
         assert hm.minkowski_membership(reduced).member
         assert U.determinant() in (1, -1)
+
+
+class TestParserBuiltOnce:
+    def test_no_state_between_calls(self, capsys, monkeypatch):
+        members = json.dumps([{"h": hm.matrix_to_json(hm.identity(4)), "g": 1, "r": [1, 1]}])
+        plain = ["certify", "--C0", "1", "--C1", "1", "--C2", "2"]
+        hm.cli._parser.cache_clear()
+        first = run(capsys, plain, stdin=members, monkeypatch=monkeypatch)
+        typed = run(capsys, ["certify", "--heisenberg-type", "--C0", "1",
+                             "--g-min", "1", "--g-max", "1"],
+                    stdin=members, monkeypatch=monkeypatch)
+        again = run(capsys, plain, stdin=members, monkeypatch=monkeypatch)
+        assert first == again
+        assert first[1] != typed[1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"],
+                                      [], ["bogus"], ["counterexample"],
+                                      ["counterexample", "--k", "x"]])
+    def test_help_and_usage_match_a_fresh_parser(self, capsys, argv):
+        outs = []
+        for parse in (hm.cli.build_parser().parse_args, main, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outs.append((exc.value.code, capsys.readouterr()))
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0] == (0 if "--help" in argv else 2)
+
+    def test_replaced_command_takes_effect(self, monkeypatch):
+        main(["counterexample", "--k", "0"])  # the parser is built by now
+        calls = []
+        monkeypatch.setattr(hm.cli, "cmd_invariants", lambda args: calls.append(args) or 7)
+        assert main(["invariants", "--input", "x.json"]) == 7
+        assert calls[0].input == "x.json"
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("r", [[1.9], [1.5, 3.7], [True], [float("inf")]])
+    def test_non_integral_r_exit_2(self, capsys, monkeypatch, r):
+        payload = json.dumps({"h": hm.matrix_to_json(hm.identity(2 * len(r))), "g": 1, "r": r})
+        code, out, err = run(capsys, ["invariants"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_boolean_entry_exit_2(self, capsys, monkeypatch):
+        payload = json.dumps({"mode": "rational", "rows": 2, "cols": 2,
+                              "entries": [[True, 0], [0, 1]]})
+        code, out, err = run(capsys, ["shortest-vector"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_boolean_g_exit_2(self, capsys, monkeypatch):
+        payload = json.dumps({"h": hm.matrix_to_json(hm.identity(2)), "g": True, "r": [1]})
+        code, out, err = run(capsys, ["invariants"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_float_entry_exit_2(self, capsys, monkeypatch, value):
+        payload = json.dumps({"mode": "float", "rows": 2, "cols": 2,
+                              "entries": [[value, 0.0], [0.0, 1.0]]})
+        code, out, err = run(capsys, ["shortest-vector"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")

@@ -1,10 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import heismoduli as hm
-from conftest import brute_force_minimum, random_rational_spd, random_unimodular
+from conftest import (
+    box_short_vectors,
+    brute_force_membership,
+    brute_force_minimum,
+    random_rational_spd,
+    random_unimodular,
+    witness_order,
+)
 
 
 def spd(rows):
@@ -60,6 +70,85 @@ class TestEnumerateBelow:
         monkeypatch.setenv("HEIS_ENUM_BUDGET", "5")
         with pytest.raises(hm.EnumerationBudgetExceeded):
             hm.enumerate_below(spd([[1, 0], [0, 1]]), 100)
+
+
+@st.composite
+def _ldl_grams(draw):
+    """(Y, bound): Y = L D L^T with entries p/q, q <= 12, and a bound that is
+    an attained value Y[a] (boundary case) or Y[a] +- 1/1009 (so that the
+    integer-scaled bound is not an integer)."""
+    n = draw(st.integers(1, 4))
+
+    def frac(lo, hi):
+        q = draw(st.integers(1, 12))
+        return Fraction(draw(st.integers(lo * q, hi * q)), q)
+
+    L = [[Fraction(int(i == j)) if i <= j else frac(-1, 1) for j in range(n)]
+         for i in range(n)]
+    q = [draw(st.integers(1, 12)) for _ in range(n)]
+    D = [Fraction(draw(st.integers(max(1, qi // 2), 3 * qi)), qi) for qi in q]
+    Y = hm.SpdMatrix.from_rows(
+        [[sum(L[i][k] * D[k] * L[j][k] for k in range(n)) for j in range(n)]
+         for i in range(n)])
+    a = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any))
+    value = hm.quadratic_form(Y, a)
+    delta = draw(st.sampled_from((0, Fraction(1, 1009), Fraction(-1, 1009))))
+    return Y, max(value + delta, Fraction(0))
+
+
+class TestIntegerCore:
+    @settings(max_examples=150, deadline=None)
+    @given(_ldl_grams())
+    @example((hm.SpdMatrix.from_rows([[Fraction(1, 12)]]), Fraction(1, 3)))
+    @example((hm.SpdMatrix.from_rows([[2, 1], [1, 2]]), Fraction(2)))
+    def test_matches_box_oracle(self, case):
+        Y, bound = case
+        below_diag = box_short_vectors(Y, min(Y.diagonal()))
+        assume(len(below_diag) < 500)
+        expected = box_short_vectors(Y, bound)
+        assert hm.enumerate_below(Y, bound) == sorted(expected, key=witness_order)
+        assert dict((a, v) for v, a in hm.lattice._short_vectors(Y, bound)) == expected
+        res = hm.first_minimum(Y)
+        assert res.value == min(below_diag.values())
+        assert res.witness == min((a for a, v in below_diag.items() if v == res.value),
+                                  key=witness_order)
+
+    def test_budget_boundary(self):
+        # the smallest budgets that succeed, recorded from the Fraction-based
+        # enumerator this one replaced: the same intervals give the same
+        # node counts
+        Y = spd([[Fraction(7, 2), Fraction(1, 3), Fraction(-5, 4)],
+                 [Fraction(1, 3), Fraction(11, 6), Fraction(2, 5)],
+                 [Fraction(-5, 4), Fraction(2, 5), Fraction(29, 12)]])
+        bound = Fraction(61, 3)
+        assert len(hm.enumerate_below(Y, bound, budget=79)) == 55
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.enumerate_below(Y, bound, budget=78)
+        assert hm.first_minimum(Y, budget=6) == hm.ShortVectorResult(Fraction(11, 6), (0, 1, 0))
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.first_minimum(Y, budget=5)
+
+    def test_negative_bound_is_empty(self):
+        assert hm.enumerate_below(spd([[1, 0], [0, 1]]), -1) == []
+
+    def test_float_mode_value_is_correctly_rounded(self):
+        # weakly diagonally dominant float Grams: float evaluation of Y[a]
+        # has no cancellation, so it lands within a few ulp of the exact value
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.choice((2, 3, 4))
+            rows = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.uniform(-1, 1)
+            for i in range(n):
+                rows[i][i] = sum(abs(x) for x in rows[i]) + rng.uniform(0.01, 0.5)
+            Y = hm.SpdMatrix.from_rows(rows, hm.FLOAT)
+            res = hm.first_minimum(Y)
+            assert isinstance(res.value, float)
+            assert res.value == float(hm.quadratic_form(Y.to_rational(), res.witness))
+            q = hm.quadratic_form(Y, res.witness)
+            assert abs(res.value - q) <= 4 * math.ulp(q)
 
 
 class TestFirstMinimum:
@@ -126,6 +215,17 @@ class TestFirstMinimumScaled:
         res = hm.first_minimum_r(hm.SpdMatrix(hm.identity(4)), hm.DivisibilityTuple((1, 1)))
         assert res.value == 1
 
+    def test_trivial_tuple_reuses_factor(self, monkeypatch):
+        Y = random_rational_spd(random.Random(2), 4)
+        r = hm.DivisibilityTuple.ones(2)
+        assert hm.lattice.scale_by_divisibility(Y, r) is Y
+
+        def refactor(entries, mode):
+            raise AssertionError("Gram matrix factored a second time")
+
+        monkeypatch.setattr(hm.linalg, "_ldl_entries", refactor)
+        assert hm.first_minimum_r(Y, r) == hm.first_minimum(Y)
+
     def test_reduces_to_plain_minimum(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -184,6 +284,22 @@ class TestMinkowskiMembership:
         rep = hm.minkowski_membership(hm.SpdMatrix(hm.identity(2, hm.FLOAT)))
         assert rep.member and rep.approximate
 
+    def test_brute_force_oracle(self):
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(60):
+            n = rng.choice((2, 3))
+            Y = random_rational_spd(rng, n, box_cap=3000)
+            if rng.random() < 0.7:
+                Y = hm.SpdMatrix(hm.congruence(Y.matrix, random_unimodular(rng, n, steps=4)))
+            rep = hm.minkowski_membership(Y)
+            expected = brute_force_membership(Y)
+            got = None if rep.member else (rep.violation.k, rep.violation.kind,
+                                           rep.violation.witness)
+            assert got == expected
+            seen.add(got[1] if got else "member")
+        assert seen == {"member", "sign", "short_vector"}
+
     def test_member_minimum_is_first_diagonal(self):
         rng = random.Random(23)
         checked = 0
@@ -236,6 +352,14 @@ class TestDivisibilityTuple:
     def test_positivity(self):
         with pytest.raises(ValueError):
             hm.DivisibilityTuple((0, 1))
+
+    @pytest.mark.parametrize("entries", [(1.5, 3.7), (1.9,), (True,), (1, Fraction(3, 2))])
+    def test_non_integral_entries_rejected(self, entries):
+        with pytest.raises(ValueError):
+            hm.DivisibilityTuple(entries)
+
+    def test_integral_values_accepted(self):
+        assert hm.DivisibilityTuple((2.0, Fraction(4), "8")).r == (2, 4, 8)
 
     def test_scaling_diagonal(self):
         assert hm.DivisibilityTuple((1, 2)).scaling_diagonal() == (1, 2, 1, 1)

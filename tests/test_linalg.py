@@ -240,3 +240,12 @@ class TestJson:
         with pytest.raises(ValueError):
             hm.matrix_from_json({"mode": "rational", "rows": 2, "cols": 2,
                                  "entries": [["1", "0"]]})
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_scalar_rejected(self, mode, value):
+        with pytest.raises(ValueError):
+            hm.linalg.scalar_from_json(value, mode)
+        with pytest.raises(ValueError):
+            hm.matrix_from_json({"mode": mode, "rows": 2, "cols": 2,
+                                 "entries": [[value, 0], [0, 1]]})
