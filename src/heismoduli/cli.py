@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (HeisError, ValueError, KeyError, TypeError, OverflowError,
+    except (HeisError, ValueError, KeyError, TypeError,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

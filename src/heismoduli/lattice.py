@@ -50,7 +50,8 @@ class DivisibilityTuple:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        if any(isinstance(x, bool) or Fraction(x).denominator != 1 for x in self.r):
+        if any(isinstance(x, bool) or x in (math.inf, -math.inf) or Fraction(x).denominator != 1
+               for x in self.r):
             raise ValueError(f"divisibility tuple entries must be integers, got {self.r!r}")
         r = tuple(int(x) for x in self.r)
         if not r or any(x <= 0 for x in r):
@@ -261,20 +262,21 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     """Decide membership in Minkowski's fundamental domain.
 
     Conditions: y_{k,k+1} >= 0 for all k, and no integer vector a with
-    gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Every k is decided from
-    one enumeration below the largest diagonal entry, scanned in canonical
-    order; exact in rational mode, with a 1e-9 relative slack (and an
-    ``approximate`` flag) in float mode.
+    gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Each k scans the vectors
+    below y_{k,k} in canonical order, enumerating anew only when y_{k,k}
+    exceeds every earlier one; exact in rational mode, with a 1e-9
+    relative slack (and an ``approximate`` flag) in float mode.
     """
-    n = Y.n
     approx = Y.mode == FLOAT
-    for k in range(n - 1):
+    for k in range(Y.n - 1):
         if Y.entries[k][k + 1] < 0:
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None), approx)
-    diag = Y.diagonal()
-    candidates = sorted(_short_vectors(Y, max(diag), budget), key=lambda va: _witness_key(va[1]))
-    for k in range(n):
-        threshold = diag[k] if not approx else diag[k] * (1.0 - FLOAT_SLACK)
+    Q, bound = Y.to_rational(), 0  # one exact conversion serves every k
+    for k, ykk in enumerate(Y.diagonal()):
+        if ykk > bound:
+            bound = ykk
+            candidates = sorted(_short_vectors(Q, bound, budget), key=lambda va: _witness_key(va[1]))
+        threshold = ykk if not approx else ykk * (1.0 - FLOAT_SLACK)
         for value, a in candidates:
             if value < threshold and math.gcd(*a[k:]) == 1:
                 return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a), approx)

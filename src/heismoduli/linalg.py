@@ -177,7 +177,7 @@ def _ldl_entries(entries, mode: str):
     d = [zero] * n
     for j in range(n):
         pivot = entries[j][j] - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
-        if pivot <= 0:
+        if not pivot > 0:  # also rejects a NaN pivot
             raise NotPositiveDefinite(j + 1)
         d[j] = pivot
         for i in range(j + 1, n):
@@ -387,7 +387,13 @@ def scalar_from_json(v, mode: str) -> Scalar:
         if _is_floatlike(v):
             raise ValueError("float scalar in a rational-mode payload")
         return Fraction(str(v)) if isinstance(v, str) else Fraction(v)
-    return float(Fraction(v)) if isinstance(v, str) else float(v)
+    try:
+        x = float(Fraction(v)) if isinstance(v, str) else float(v)
+        if math.isfinite(x):
+            return x
+    except OverflowError:  # a "p/q" or decimal string past the float range
+        pass
+    raise ValueError(f"float scalar {v!r} is not finite")
 
 
 def matrix_to_json(m: DenseMatrix | SpdMatrix) -> dict:

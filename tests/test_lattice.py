@@ -284,6 +284,33 @@ class TestMinkowskiMembership:
         rep = hm.minkowski_membership(hm.SpdMatrix(hm.identity(2, hm.FLOAT)))
         assert rep.member and rep.approximate
 
+    def test_early_violation_ignores_larger_later_diagonal(self):
+        # k = 1 fails with (0, 1, 0) below y_11 = 5; an enumeration below
+        # y_33 = 10^7 would take about 1.6e7 nodes, past the default budget
+        Y = spd([[5, 2, 0], [2, 1, 0], [0, 0, 10**7]])
+        assert hm.minkowski_membership(Y).violated_condition == (1, (0, 1, 0))
+
+    @pytest.mark.parametrize("rows, smallest", [
+        ([[5, 2, 0], [2, 1, 0], [0, 0, 10**7]], 18),
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 10),
+        ([[9, 1, Fraction(1, 2)], [1, 4, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 3]], 13),
+    ])
+    def test_budget_boundary(self, rows, smallest):
+        # smallest budgets that succeed, recorded from the Fraction-based
+        # enumerator that ran one enumeration below each y_kk
+        Y = spd(rows)
+        hm.minkowski_membership(Y, budget=smallest)
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.minkowski_membership(Y, budget=smallest - 1)
+
+    def test_equal_diagonal_entries_share_one_enumeration(self, monkeypatch):
+        calls = []
+        core = hm.lattice._short_vectors
+        monkeypatch.setattr(hm.lattice, "_short_vectors",
+                            lambda *args: calls.append(args[1]) or core(*args))
+        assert hm.minkowski_membership(hm.SpdMatrix(hm.identity(3))).member
+        assert calls == [1]
+
     def test_brute_force_oracle(self):
         rng = random.Random(41)
         seen = set()
@@ -353,7 +380,8 @@ class TestDivisibilityTuple:
         with pytest.raises(ValueError):
             hm.DivisibilityTuple((0, 1))
 
-    @pytest.mark.parametrize("entries", [(1.5, 3.7), (1.9,), (True,), (1, Fraction(3, 2))])
+    @pytest.mark.parametrize("entries", [(1.5, 3.7), (1.9,), (True,), (1, Fraction(3, 2)),
+                                         (float("inf"),), (1, float("-inf")), (float("nan"),)])
     def test_non_integral_entries_rejected(self, entries):
         with pytest.raises(ValueError):
             hm.DivisibilityTuple(entries)

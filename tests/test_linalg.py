@@ -34,6 +34,13 @@ class TestLdl:
             hm.SpdMatrix.from_rows([[1, 2], [2, 1]])
         assert exc.value.pivot_index == 2
 
+    @pytest.mark.parametrize("rows, pivot", [([[math.nan, 0.0], [0.0, 1.0]], 1),
+                                             ([[1.0, 0.0], [0.0, math.nan]], 2)])
+    def test_nan_pivot_rejected(self, rows, pivot):
+        with pytest.raises(hm.NotPositiveDefinite) as exc:
+            hm.SpdMatrix.from_rows(rows, hm.FLOAT)
+        assert exc.value.pivot_index == pivot
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
     def test_reconstruction_exact(self, n, rnd):
@@ -249,3 +256,8 @@ class TestJson:
         with pytest.raises(ValueError):
             hm.matrix_from_json({"mode": mode, "rows": 2, "cols": 2,
                                  "entries": [[value, 0], [0, 1]]})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), "1e400"])
+    def test_non_finite_float_scalar_rejected(self, value):
+        with pytest.raises(ValueError):
+            hm.linalg.scalar_from_json(value, hm.FLOAT)
