@@ -18,10 +18,12 @@ from fractions import Fraction
 from . import compactness, heisenberg, lattice
 from .errors import EnumerationBudgetExceeded, HeisError
 from .linalg import (
+    RATIONAL,
     SpdMatrix,
     determinant,
     matrix_from_json,
     matrix_to_json,
+    scalar_from_json,
     scalar_to_json,
 )
 
@@ -39,8 +41,11 @@ def _read_payload(path: str | None):
 
 
 def _parse_scalar(text: str):
-    """Accept 'p/q', integers and decimal literals; keep them exact."""
-    return Fraction(text)
+    """Accept 'p/q', integers and decimal literals; keep them exact.
+
+    Raises ``ValueError`` on any other text, a zero denominator included,
+    so argparse reports it as a usage error."""
+    return scalar_from_json(text, RATIONAL)
 
 
 def _emit(payload: dict, fmt: str, text_lines):

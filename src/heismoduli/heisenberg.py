@@ -54,6 +54,11 @@ def _coerce_vector(v) -> tuple[Scalar, ...]:
     return tuple(Fraction(x) for x in v)
 
 
+def _scalar_from_json(v) -> Scalar:
+    """A JSON scalar: strings and integers are exact, anything else float."""
+    return scalar_from_json(v, RATIONAL if isinstance(v, (str, int)) else FLOAT)
+
+
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -90,13 +95,10 @@ class HeisenbergElement:
 
     @staticmethod
     def from_json(obj: dict) -> "HeisenbergElement":
-        def parse(v):
-            return Fraction(v) if isinstance(v, (str, int)) else float(v)
-
         return HeisenbergElement(
-            tuple(parse(v) for v in obj["x"]),
-            tuple(parse(v) for v in obj["y"]),
-            parse(obj["s"]),
+            tuple(_scalar_from_json(v) for v in obj["x"]),
+            tuple(_scalar_from_json(v) for v in obj["y"]),
+            _scalar_from_json(obj["s"]),
         )
 
 
@@ -311,7 +313,7 @@ class NormalizedMetric:
     @staticmethod
     def from_json(obj: dict) -> "NormalizedMetric":
         h = SpdMatrix(matrix_from_json(obj["h"]))
-        g = scalar_from_json(obj["g"], RATIONAL if isinstance(obj["g"], (str, int)) else FLOAT)
+        g = _scalar_from_json(obj["g"])
         return NormalizedMetric(h, g, DivisibilityTuple(tuple(obj["r"])))
 
 

@@ -2,7 +2,8 @@
 
 First minima, short-vector enumeration, membership in Minkowski's
 fundamental domain and Minkowski reduction, all from one enumerator
-that runs in integer arithmetic on the LDL^T factor, so first minima are
+that runs in integer arithmetic on the fraction-free LDL^T factor each
+Gram matrix keeps from its construction, so first minima are
 certified values.  Float inputs are converted exactly; float mode adds a
 small relative slack and flags membership reports as approximate.
 """
@@ -24,7 +25,6 @@ from .linalg import (
     SpdMatrix,
     _int_determinant,
     congruence,
-    ldl_decompose,
     quadratic_form,
 )
 
@@ -50,8 +50,12 @@ class DivisibilityTuple:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        if any(isinstance(x, bool) or x in (math.inf, -math.inf) or Fraction(x).denominator != 1
-               for x in self.r):
+        try:
+            integral = not any(isinstance(x, bool) or x in (math.inf, -math.inf)
+                               or Fraction(x).denominator != 1 for x in self.r)
+        except ZeroDivisionError:  # a "p/0" string
+            integral = False
+        if not integral:
             raise ValueError(f"divisibility tuple entries must be integers, got {self.r!r}")
         r = tuple(int(x) for x in self.r)
         if not r or any(x <= 0 for x in r):
@@ -149,24 +153,26 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar, budget: int | None = None
                    ) -> list[tuple[Fraction, tuple[int, ...]]]:
     """(Y[a], a) for every nonzero integer a with Y[a] <= bound, up to sign.
 
-    Fincke-Pohst enumeration on the LDL^T factor in integers: with N, M
-    the lcms of the denominators of L and d, S = N^2 M and x_i =
-    N a_i + sum_{j>i} N L[j][i] a_j, S Y[a] = sum_i (M d_i) x_i^2.  A float
-    Y is converted exactly first (floats are dyadic rationals).  Vectors
-    have their first nonzero entry positive and come in no fixed order.
+    Fincke-Pohst enumeration on the fraction-free factor (den, Delta,
+    lambda) that ``Y.integer_ldl`` keeps: with x_i = Delta_{i+1} a_i + sum_{j>i}
+    lambda_ji a_j, den Y[a] = sum_i x_i^2 / (Delta_i Delta_{i+1}), so with
+    P the lcm of the Delta_i Delta_{i+1} and S = P den, S Y[a] =
+    sum_i W_i x_i^2 for the integer weights W_i = P / (Delta_i Delta_{i+1}).
+    A float Y is converted exactly first (floats are dyadic rationals).
+    Vectors have their first nonzero entry positive and come in no fixed
+    order.
     """
     cap = _enumeration_budget(budget)
     if Y.mode == FLOAT:
         bound = float(bound) * (1.0 + FLOAT_SLACK)
         Y = Y.to_rational()
-    L, d = ldl_decompose(Y)
-    L, n = L.entries, Y.n
-    N = math.lcm(*(x.denominator for row in L for x in row))
-    M = math.lcm(*(x.denominator for x in d))
-    S = N * N * M
-    Lcol = [[L[j][i].numerator * (N // L[j][i].denominator) for j in range(i + 1, n)]
-            for i in range(n)]
-    D = [x.numerator * (M // x.denominator) for x in d]
+    den, minors, Lcol = Y.integer_ldl
+    n = Y.n
+    pairs = [minors[i] * minors[i + 1] for i in range(n)]
+    P = math.lcm(*pairs)
+    S = P * den
+    W = [P // x for x in pairs]
+    N = minors[1:]
     p, q = bound.as_integer_ratio()
     top = S * p // q  # floor(S * bound); S Y[a] is an integer
     a = [0] * n
@@ -174,22 +180,22 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     visited = 0
 
     def descend(i: int, R: int, zero_tail: bool):
-        # the integers t with D_i (N t + C)^2 <= R
+        # the integers t with W_i (Delta_{i+1} t + C)^2 <= R
         nonlocal visited
         C = sum(x * y for x, y in zip(Lcol[i], a[i + 1:]))
-        r = math.isqrt(R // D[i])
-        lo = 0 if zero_tail else -((r + C) // N)
-        hi = (r - C) // N
-        visited += hi - lo + 1  # never negative: hi - lo >= floor(2r / N) - 1
+        r, Ni = math.isqrt(R // W[i]), N[i]
+        lo = 0 if zero_tail else -((r + C) // Ni)
+        hi = (r - C) // Ni
+        visited += hi - lo + 1  # never negative: hi - lo >= floor(2r / Ni) - 1
         if visited > cap:
             raise EnumerationBudgetExceeded(cap)
         for t in range(lo, hi + 1):
             a[i] = t
-            x = N * t + C
+            x = Ni * t + C
             if i:
-                descend(i - 1, R - D[i] * x * x, zero_tail and t == 0)
+                descend(i - 1, R - W[i] * x * x, zero_tail and t == 0)
             elif t or not zero_tail:
-                found.append((Fraction(top - R + D[0] * x * x, S), _canonical_sign(tuple(a))))
+                found.append((Fraction(top - R + W[0] * x * x, S), _canonical_sign(tuple(a))))
         a[i] = 0
 
     if top >= 0:

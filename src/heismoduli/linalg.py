@@ -57,13 +57,7 @@ class DenseMatrix:
 
     @staticmethod
     def from_rows(rows, mode: str | None = None) -> "DenseMatrix":
-        entries, mode = _coerce_rows(rows, mode)
-        if not entries or not entries[0]:
-            raise ValueError("matrix must have at least one row and column")
-        ncols = len(entries[0])
-        if any(len(r) != ncols for r in entries):
-            raise ValueError("ragged rows")
-        return DenseMatrix(entries, mode)
+        return _shaped(*_coerce_rows(rows, mode))
 
     @property
     def rows(self) -> int:
@@ -110,6 +104,16 @@ class DenseMatrix:
         return DenseMatrix(rows, a.mode)
 
 
+def _shaped(entries, mode: str) -> DenseMatrix:
+    """A DenseMatrix of already coerced entries, after the shape checks."""
+    if not entries or not entries[0]:
+        raise ValueError("matrix must have at least one row and column")
+    ncols = len(entries[0])
+    if any(len(r) != ncols for r in entries):
+        raise ValueError("ragged rows")
+    return DenseMatrix(entries, mode)
+
+
 def _promote(a: DenseMatrix, b: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
     if a.mode == b.mode:
         return a, b
@@ -154,6 +158,8 @@ def symmetrized(m: DenseMatrix) -> DenseMatrix:
     """
     if not m.is_square:
         raise NotSymmetric("matrix is not square")
+    if m.entries == tuple(zip(*m.entries)):  # exactly symmetric: no differences to take
+        return m
     asym = _asymmetry(m)
     if asym == 0:
         return m
@@ -168,13 +174,11 @@ def symmetrized(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(rows, m.mode)
 
 
-def _ldl_entries(entries, mode: str):
-    """LDL^T pivoting-free factorization; raises on a nonpositive pivot."""
+def _float_ldl(entries):
+    """Float LDL^T without pivoting; raises on a nonpositive pivot."""
     n = len(entries)
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    d = [zero] * n
+    L = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    d = [0.0] * n
     for j in range(n):
         pivot = entries[j][j] - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
         if not pivot > 0:  # also rejects a NaN pivot
@@ -183,7 +187,38 @@ def _ldl_entries(entries, mode: str):
         for i in range(j + 1, n):
             s = entries[i][j] - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
             L[i][j] = s / pivot
-    return L, d
+    return DenseMatrix(tuple(map(tuple, L)), FLOAT), tuple(d)
+
+
+def _integer_ldl(entries):
+    """Fraction-free LDL^T of a symmetric rational matrix Y.
+
+    Clears all denominators with their lcm ``den`` and runs the symmetric
+    Bareiss elimination (Bareiss 1968; Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.6) on the lower triangle of A = den Y,
+    every division exact.  Returns (den, minors, columns): minors[k] is
+    the k-th leading principal minor of A (minors[0] = 1), and columns[k]
+    holds the integers lambda_ik, i > k, with L_ik = lambda_ik / minors[k+1]
+    and d_k = minors[k+1] / (minors[k] den).  A minor that is not positive
+    raises ``NotPositiveDefinite`` with its 1-based index, which is the
+    index of the first nonpositive pivot d_k.
+    """
+    n = len(entries)
+    den = math.lcm(*(x.denominator for r in entries for x in r))
+    a = [[x.numerator * (den // x.denominator) for x in r[:i + 1]] for i, r in enumerate(entries)]
+    minors, columns = [1], []
+    for k in range(n):
+        p, prev = a[k][k], minors[-1]
+        if p <= 0:
+            raise NotPositiveDefinite(k + 1)
+        minors.append(p)
+        col = [a[i][k] for i in range(k + 1, n)]
+        columns.append(tuple(col))
+        for i in range(k + 1, n):
+            row, lik = a[i], col[i - k - 1]
+            for j in range(k + 1, i + 1):
+                row[j] = (p * row[j] - lik * col[j - k - 1]) // prev
+    return den, tuple(minors), tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -191,18 +226,26 @@ class SpdMatrix:
     """Symmetric positive definite matrix (a Gram matrix).
 
     Construction symmetrizes inputs within the slack policy and verifies
-    positivity through the exact (or float) LDL^T pivots; the factor is
-    kept, so ``ldl_decompose`` never factors the same matrix again.
+    positivity through the factor it keeps: in rational mode
+    ``integer_ldl``, the fraction-free LDL^T (den, minors, columns) of
+    ``_integer_ldl`` (all leading minors positive); in float mode the
+    float LDL^T pivots, and ``integer_ldl`` is None.  ``ldl_decompose``,
+    ``determinant`` and the lattice enumerator read the kept factor, so
+    no Gram matrix is factored twice.
     """
 
     matrix: DenseMatrix
-    _ldl: tuple[DenseMatrix, tuple[Scalar, ...]] = field(init=False, repr=False, compare=False)
+    integer_ldl: tuple | None = field(init=False, repr=False, compare=False)
+    _ldl: tuple[DenseMatrix, tuple[Scalar, ...]] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = symmetrized(self.matrix)
-        L, d = _ldl_entries(m.entries, m.mode)  # raises NotPositiveDefinite if not in P_n
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_ldl", (DenseMatrix(tuple(map(tuple, L)), m.mode), tuple(d)))
+        # each raises NotPositiveDefinite if m is not in P_n
+        rational = m.mode == RATIONAL
+        object.__setattr__(self, "integer_ldl", _integer_ldl(m.entries) if rational else None)
+        object.__setattr__(self, "_ldl", None if rational else _float_ldl(m.entries))
 
     @staticmethod
     def from_rows(rows, mode: str | None = None) -> "SpdMatrix":
@@ -264,12 +307,22 @@ class SingularSpectrum:
 def ldl_decompose(Y: SpdMatrix | DenseMatrix) -> tuple[DenseMatrix, tuple[Scalar, ...]]:
     """Factor Y = L D L^T with unit lower-triangular L and positive D.
 
-    Returns the factor an ``SpdMatrix`` computed when it was built; a
-    ``DenseMatrix`` is validated as ``SpdMatrix(Y)`` first.  Exact in
-    rational mode; raises ``NotPositiveDefinite`` with the 1-based index
-    of the first bad pivot otherwise.
+    Reads the factor an ``SpdMatrix`` computed when it was built; a
+    ``DenseMatrix`` is validated as ``SpdMatrix(Y)`` first.  In rational
+    mode the exact Fractions are built from the integer factor on the
+    first call and kept, so every call returns the same object.  Raises
+    ``NotPositiveDefinite`` with the 1-based index of the first bad pivot.
     """
-    return (Y if isinstance(Y, SpdMatrix) else SpdMatrix(Y))._ldl
+    Y = Y if isinstance(Y, SpdMatrix) else SpdMatrix(Y)
+    if Y._ldl is None:
+        den, minors, columns = Y.integer_ldl
+        one, zero = Fraction(1), Fraction(0)
+        L = tuple(tuple(Fraction(columns[j][i - j - 1], minors[j + 1]) if i > j
+                        else one if i == j else zero for j in range(Y.n))
+                  for i in range(Y.n))
+        d = tuple(Fraction(minors[k + 1], minors[k] * den) for k in range(Y.n))
+        object.__setattr__(Y, "_ldl", (DenseMatrix(L, RATIONAL), d))
+    return Y._ldl
 
 
 def eigenvalues_symmetric(Y: SpdMatrix | DenseMatrix) -> Spectrum:
@@ -313,14 +366,18 @@ def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
 def determinant(Y: DenseMatrix | SpdMatrix) -> Scalar:
     """Determinant; exact Fraction in rational mode, LU-based float otherwise.
 
-    A rational matrix is cleared of denominators row by row (each row
-    times the lcm of its denominators) and goes through the integer
-    Bareiss elimination; dividing by the product of the row scales is
-    exact.
+    A rational ``SpdMatrix`` reads it off its kept factor as
+    minors[n] / den^n.  Any other rational matrix is cleared of
+    denominators row by row (each row times the lcm of its denominators)
+    and goes through the integer Bareiss elimination; dividing by the
+    product of the row scales is exact.
     """
     m = _dense(Y)
     if not m.is_square:
         raise ValueError("determinant expects a square matrix")
+    if isinstance(Y, SpdMatrix) and m.mode == RATIONAL:
+        den, minors, _ = Y.integer_ldl
+        return Fraction(minors[-1], den ** Y.n)
     if m.mode == RATIONAL:
         scales = [math.lcm(*(x.denominator for x in r)) for r in m.entries]
         rows = [[x.numerator * (s // x.denominator) for x in r]
@@ -380,15 +437,30 @@ def scalar_to_json(x: Scalar):
     return float(x)
 
 
+def _fraction_from_str(s: str) -> Fraction:
+    """Fraction(s), with plain ASCII "p", "-p" and "p/q" parsed by int().
+
+    Raises ``ValueError`` wherever ``Fraction(s)`` raises, a zero
+    denominator included.
+    """
+    num, slash, den = s.partition("/")
+    try:
+        if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"scalar {s!r} has a zero denominator") from None
+
+
 def scalar_from_json(v, mode: str) -> Scalar:
     if isinstance(v, bool):
         raise ValueError(f"boolean {v!r} is not a scalar")
     if mode == RATIONAL:
         if _is_floatlike(v):
             raise ValueError("float scalar in a rational-mode payload")
-        return Fraction(str(v)) if isinstance(v, str) else Fraction(v)
+        return _fraction_from_str(v) if isinstance(v, str) else Fraction(v)
     try:
-        x = float(Fraction(v)) if isinstance(v, str) else float(v)
+        x = float(_fraction_from_str(v)) if isinstance(v, str) else float(v)
         if math.isfinite(x):
             return x
     except OverflowError:  # a "p/q" or decimal string past the float range
@@ -413,8 +485,7 @@ def matrix_from_json(obj: dict) -> DenseMatrix:
     entries = obj["entries"]
     if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
         raise ValueError("matrix entries do not match declared shape")
-    rows = [[scalar_from_json(x, mode) for x in r] for r in entries]
-    return DenseMatrix.from_rows(rows, mode)
+    return _shaped(tuple(tuple(scalar_from_json(x, mode) for x in r) for r in entries), mode)
 
 
 def spd_from_json(obj: dict) -> SpdMatrix:

@@ -179,3 +179,23 @@ def brute_force_membership(Y: hm.SpdMatrix):
         if hits:
             return (k + 1, "short_vector", min(hits, key=witness_order))
     return None
+
+
+def fraction_ldl(entries):
+    """Reference LDL^T over the rationals, pivot by pivot in Fractions.
+
+    Returns (L, d) as lists, or raises ``NotPositiveDefinite`` with the
+    1-based index of the first pivot that is not positive.
+    """
+    n = len(entries)
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    for j in range(n):
+        pivot = entries[j][j] - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
+        if not pivot > 0:
+            raise hm.NotPositiveDefinite(j + 1)
+        d[j] = pivot
+        for i in range(j + 1, n):
+            s = entries[i][j] - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
+            L[i][j] = s / pivot
+    return L, d

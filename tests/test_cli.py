@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -310,3 +311,25 @@ class TestRejectedInputs:
         code, out, err = run(capsys, ["shortest-vector"], stdin=payload, monkeypatch=monkeypatch)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    def test_zero_denominator_entry_exit_2(self, capsys, monkeypatch):
+        payload = json.dumps({"mode": "rational", "rows": 2, "cols": 2,
+                              "entries": [["1/0", "0"], ["0", "1"]]})
+        code, out, err = run(capsys, ["shortest-vector"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_zero_denominator_r_exit_2(self, capsys, monkeypatch):
+        payload = json.dumps({"h": hm.matrix_to_json(hm.identity(2)), "g": 1, "r": ["1/0"]})
+        code, out, err = run(capsys, ["invariants"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_zero_denominator_threshold_exit_2(self, capsys, monkeypatch):
+        payload = json.dumps([hm.matrix_to_json(hm.identity(2))])
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["certify-torus", "--C0", "1/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--C0" in err and "Traceback" not in err

@@ -1,0 +1,229 @@
+"""Golden output of seeded ``heis`` runs, replayed byte for byte.
+
+``tests/data/golden_cli.json`` holds the argv, stdin, stdout and exit
+code of each case: ``invariants``, ``shortest-vector``, ``reduce``,
+``certify`` and ``certify-torus`` on rational and float Gram matrices
+of size 2 to 8, half of them in skewed bases, plus rejected inputs.
+A change that should not alter any output must leave this test
+passing.  Regenerate the file (only when an output change is intended,
+and say so in the change log) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from heismoduli.cli import main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_cli.json")
+SEED = 20261018
+
+
+def run_case(argv, stdin):
+    """(exit code, stdout) of one in-process ``heis`` run; stderr is dropped."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+# --- case generation (used only to regenerate the data file) ------------
+
+LDL_COEFFS = tuple(Fraction(p, q) for p, q in
+                   ((0, 1), (0, 1), (1, 2), (-1, 2), (1, 3), (-2, 3), (1, 1), (-1, 1)))
+LDL_PIVOTS = tuple(Fraction(p, q) for p, q in ((1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (5, 3)))
+
+
+def _unimodular(rng, n, steps):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-1, 1))
+        for row in u:  # column j += t * column i
+            row[j] += t * row[i]
+    return u
+
+
+def _congruence(y, u):
+    n = len(y)
+    yu = [[sum(y[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(u[k][i] * yu[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _rational_gram(rng, n, skewed):
+    """L D L^T with mixed denominators, optionally in a skewed basis."""
+    L = [[Fraction(int(i == j)) if i <= j else rng.choice(LDL_COEFFS) for j in range(n)]
+         for i in range(n)]
+    D = [rng.choice(LDL_PIVOTS) for _ in range(n)]
+    y = [[sum(L[i][k] * D[k] * L[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    return _congruence(y, _unimodular(rng, n, 2 * n)) if skewed else y
+
+
+def _float_gram(rng, n, skewed):
+    """B^T B + I/2 from three-digit decimals, rounded once after an exact
+    change of basis, so it is exactly symmetric."""
+    B = [[Fraction(round(rng.uniform(-1, 1), 3)) for _ in range(n)] for _ in range(n)]
+    y = [[sum(B[k][i] * B[k][j] for k in range(n)) + Fraction(int(i == j), 2)
+          for j in range(n)] for i in range(n)]
+    if skewed:
+        y = _congruence(y, _unimodular(rng, n, 2 * n))
+    return [[float(x) for x in r] for r in y]
+
+
+def _matrix_json(rows):
+    if isinstance(rows[0][0], float):
+        return {"mode": "float", "rows": len(rows), "cols": len(rows), "entries": rows}
+    return {"mode": "rational", "rows": len(rows), "cols": len(rows),
+            "entries": [[str(x) for x in r] for r in rows]}
+
+
+def _gram(rng, n, i):
+    """Alternates rational/float and plain/skewed with the case index."""
+    make = _rational_gram if i % 2 == 0 else _float_gram
+    return make(rng, n, skewed=(i // 2) % 2 == 1)
+
+
+R_TUPLES = {1: [[1], [2], [3]], 2: [[1, 1], [1, 2], [2, 4]], 3: [[1, 1, 1], [1, 1, 2]],
+            4: [[1, 1, 1, 1], [1, 1, 1, 2]]}
+
+
+def _metric_json(rng, h):
+    n = len(h) // 2
+    g = rng.choice(("1/2", "1", "3", 2, 0.75))
+    return {"h": _matrix_json(h), "g": g, "r": rng.choice(R_TUPLES[n])}
+
+
+def generate_cases():
+    rng = random.Random(SEED)
+    cases = []
+
+    def add(name, argv, payload):
+        stdin = payload if isinstance(payload, str) else json.dumps(payload)
+        cases.append({"name": name, "argv": argv, "stdin": stdin})
+
+    for i, n in enumerate(m for m in range(2, 9) for _ in range(4)):
+        fmt = ["--format", "text"] if i % 3 == 2 else []
+        add(f"shortest-vector-{n}-{i}", ["shortest-vector", *fmt], _matrix_json(_gram(rng, n, i)))
+    for i, n in enumerate(m for m in range(2, 7) for _ in range(4)):
+        add(f"reduce-{n}-{i}", ["reduce"], _matrix_json(_gram(rng, n, i)))
+    add("reduce-8-text", ["reduce", "--format", "text"], _matrix_json(_gram(rng, 8, 0)))
+    for i, n in enumerate(m for m in (1, 2, 3, 4) for _ in range(4)):
+        fmt = ["--format", "text"] if i % 4 == 3 else []
+        add(f"invariants-{2 * n}-{i}", ["invariants", *fmt],
+            _metric_json(rng, _gram(rng, 2 * n, i)))
+    for i, n in enumerate(m for m in (1, 2, 3, 4) for _ in range(3)):
+        members = [_metric_json(rng, _gram(rng, 2 * n, i)) for _ in range(rng.randint(2, 4))]
+        r = members[0]["r"]
+        for m in members:
+            m["r"] = r
+        argv = ["certify", "--C0", rng.choice(("1/100", "1", "2")),
+                "--C1", rng.choice(("1", "1000")), "--C2", rng.choice(("1.5", "100"))]
+        if i % 2:
+            argv += ["--g-min", "1/2", "--g-max", "3"]
+        if i % 3 == 2:
+            argv += ["--format", "text"]
+        add(f"certify-{2 * n}-{i}", argv, {"members": members})
+    heis_type = [{"h": _matrix_json(_congruence([[Fraction(int(a == b)) for b in range(4)]
+                                                 for a in range(4)], s)), "g": 1, "r": [1, 1]}
+                 for s in ([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
+                           [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])]
+    add("certify-heisenberg-type", ["certify", "--heisenberg-type", "--C0", "1"], heis_type)
+    for i, n in enumerate(range(2, 9)):
+        members = [_matrix_json(_gram(rng, n, i)) for _ in range(rng.randint(2, 4))]
+        argv = ["certify-torus", "--C0", rng.choice(("1/100", "1")),
+                "--C1", rng.choice(("1", "1000"))]
+        if i % 3 == 1:
+            argv += ["--format", "text"]
+        add(f"certify-torus-{n}-{i}", argv, members)
+
+    def rat(rows):
+        return {"mode": "rational", "rows": len(rows), "cols": len(rows[0]), "entries": rows}
+
+    def flt(rows):
+        return {"mode": "float", "rows": len(rows), "cols": len(rows[0]), "entries": rows}
+
+    errors = {
+        "not-positive-definite": rat([["1", "2"], ["2", "1"]]),
+        "not-positive-definite-3": rat([["2", "1", "0"], ["1", "2", "1"], ["0", "1", "1/2"]]),
+        "singular": rat([["1", "1"], ["1", "1"]]),
+        "asymmetric": rat([["1", "1"], ["0", "1"]]),
+        "asymmetric-float": flt([[1.0, 0.5], [0.25, 1.0]]),
+        "boolean-entry": rat([[True, "0"], ["0", "1"]]),
+        "float-in-rational": rat([[1.5, "0"], ["0", "1"]]),
+        "unknown-mode": {"mode": "complex", "rows": 1, "cols": 1, "entries": [["1"]]},
+        "shape-mismatch": {"mode": "rational", "rows": 2, "cols": 2, "entries": [["1", "0"]]},
+        "ragged": {"mode": "rational", "rows": 2, "cols": 2, "entries": [["1", "0"], ["1"]]},
+        "not-square": {"mode": "rational", "rows": 1, "cols": 2, "entries": [["1", "0"]]},
+        "bad-scalar": rat([["one", "0"], ["0", "1"]]),
+        "float-overflow": flt([["1e400", 0.0], [0.0, 1.0]]),
+        "missing-mode": {"rows": 1, "cols": 1, "entries": [["1"]]},
+    }
+    for name, payload in errors.items():
+        add(f"error-{name}", ["shortest-vector"], payload)
+    add("error-invalid-json", ["shortest-vector"], "{")
+    add("error-nan-entry", ["reduce"], '{"mode": "float", "rows": 2, "cols": 2, '
+                                       '"entries": [[NaN, 0.0], [0.0, 1.0]]}')
+    identity4 = rat([["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                     ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
+    add("error-odd-h", ["invariants"],
+        {"h": rat([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "g": 1, "r": [1]})
+    add("error-r-mismatch", ["invariants"], {"h": identity4, "g": 1, "r": [1]})
+    add("error-r-not-dividing", ["invariants"], {"h": identity4, "g": 1, "r": [2, 3]})
+    add("error-g-negative", ["invariants"], {"h": identity4, "g": "-1", "r": [1, 1]})
+    add("error-g-boolean", ["invariants"], {"h": identity4, "g": True, "r": [1, 1]})
+    add("error-certify-g-min-only", ["certify", "--g-min", "1"],
+        [{"h": identity4, "g": 1, "r": [1, 1]}])
+    add("error-certify-mixed-sizes", ["certify"],
+        [{"h": identity4, "g": 1, "r": [1, 1]}, {"h": rat([["1", "0"], ["0", "1"]]), "g": 1,
+                                                 "r": [1]}])
+    add("error-certify-not-a-family", ["certify"], {"h": identity4})
+    add("error-torus-empty", ["certify-torus"], [])
+    add("error-torus-mixed-sizes", ["certify-torus"], [identity4, rat([["1"]])])
+    return cases
+
+
+def regenerate(path=DATA):
+    cases = generate_cases()
+    for case in cases:
+        case["exit"], case["stdout"] = run_case(case["argv"], case["stdin"])
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump({"seed": SEED, "cases": cases}, fh, indent=1)
+        fh.write("\n")
+    return cases
+
+
+def _load():
+    with open(DATA) as fh:
+        return json.load(fh)["cases"]
+
+
+CASES = _load() if os.path.exists(DATA) else []
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_output(case):
+    assert run_case(case["argv"], case["stdin"]) == (case["exit"], case["stdout"])
+
+
+def test_data_file_present():
+    assert len(CASES) > 100
+
+
+if __name__ == "__main__":
+    cases = regenerate()
+    print(f"wrote {len(cases)} cases to {DATA}")

@@ -481,3 +481,18 @@ class TestMetricJson:
     def test_element_roundtrip(self):
         p = hm.HeisenbergElement((Fraction(1, 2),), (Fraction(3),), Fraction(-2))
         assert hm.HeisenbergElement.from_json(p.to_json()) == p
+
+    def test_element_float_coordinates(self):
+        p = hm.HeisenbergElement.from_json({"x": [0.5], "y": ["3"], "s": 2})
+        assert p == hm.HeisenbergElement((0.5,), (3.0,), 2.0)
+
+    @pytest.mark.parametrize("obj", [
+        {"x": [True], "y": ["0"], "s": "0"},
+        {"x": ["0"], "y": ["0"], "s": False},
+        {"x": [float("nan")], "y": [0.0], "s": 0.0},
+        {"x": [0.0], "y": [0.0], "s": float("inf")},
+        {"x": ["1/0"], "y": ["0"], "s": "0"},
+    ])
+    def test_element_rejects_what_every_scalar_parser_rejects(self, obj):
+        with pytest.raises(ValueError):
+            hm.HeisenbergElement.from_json(obj)

@@ -197,10 +197,10 @@ class TestFirstMinimum:
         # enumeration must not factor the matrix again
         Y = spd([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
 
-        def refactor(entries, mode):
+        def refactor(entries):
             raise AssertionError("Gram matrix factored a second time")
 
-        monkeypatch.setattr(hm.linalg, "_ldl_entries", refactor)
+        monkeypatch.setattr(hm.linalg, "_integer_ldl", refactor)
         assert hm.first_minimum(Y).value == 2
         assert hm.minkowski_membership(Y).member
 
@@ -220,10 +220,10 @@ class TestFirstMinimumScaled:
         r = hm.DivisibilityTuple.ones(2)
         assert hm.lattice.scale_by_divisibility(Y, r) is Y
 
-        def refactor(entries, mode):
+        def refactor(entries):
             raise AssertionError("Gram matrix factored a second time")
 
-        monkeypatch.setattr(hm.linalg, "_ldl_entries", refactor)
+        monkeypatch.setattr(hm.linalg, "_integer_ldl", refactor)
         assert hm.first_minimum_r(Y, r) == hm.first_minimum(Y)
 
     def test_reduces_to_plain_minimum(self):

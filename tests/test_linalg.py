@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
-from conftest import givens_orthogonal, random_rational_spd
+from conftest import fraction_ldl, givens_orthogonal, random_rational_spd
 
 
 def frac(p, q=1):
@@ -207,6 +207,139 @@ class TestDeterminant:
 
     def test_singular_exact(self):
         assert hm.determinant(hm.DenseMatrix.from_rows([[1, 2], [2, 4]])) == 0
+
+
+@st.composite
+def _symmetric_rationals(draw):
+    """Symmetric rational matrices of size 1-8 with mixed denominators:
+    Gram matrices B^T B + I/7, the same with one diagonal entry lowered
+    (positive definite or not, failing at any pivot), and raw symmetric
+    matrices."""
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(("gram", "lowered", "raw")))
+    if shape == "raw":
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = draw(_fractions)
+        return rows
+    B = [[draw(_fractions) for _ in range(n)] for _ in range(n)]
+    rows = [[sum(B[k][i] * B[k][j] for k in range(n)) + Fraction(int(i == j), 7)
+             for j in range(n)] for i in range(n)]
+    if shape == "lowered":
+        k = draw(st.integers(0, n - 1))
+        rows[k][k] -= draw(st.fractions(0, math.ceil(rows[k][k]) + 1, max_denominator=12))
+    return rows
+
+
+class TestIntegerLdl:
+    """The fraction-free factor against the Fraction LDL^T it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_symmetric_rationals())
+    def test_matches_fraction_ldl(self, rows):
+        try:
+            L_ref, d_ref = fraction_ldl(rows)
+        except hm.NotPositiveDefinite as exc:
+            with pytest.raises(hm.NotPositiveDefinite) as got:
+                hm.SpdMatrix.from_rows(rows)
+            assert got.value.pivot_index == exc.pivot_index
+            return
+        Y = hm.SpdMatrix.from_rows(rows)
+        L, d = hm.ldl_decompose(Y)
+        assert L.entries == tuple(map(tuple, L_ref))
+        assert d == tuple(d_ref)
+        assert all(type(x) is Fraction for r in L.entries for x in r)
+        assert all(type(x) is Fraction for x in d)
+        assert hm.ldl_decompose(Y) is hm.ldl_decompose(Y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_symmetric_rationals())
+    def test_determinant_from_minors(self, rows):
+        try:
+            Y = hm.SpdMatrix.from_rows(rows)
+        except hm.NotPositiveDefinite:
+            return
+        den, minors, _ = Y.integer_ldl
+        assert hm.determinant(Y) == Fraction(minors[-1], den ** Y.n)
+        assert hm.determinant(Y) == hm.determinant(Y.matrix)  # Bareiss on the dense matrix
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_fraction_ldl_each_size(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            B = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+                 for _ in range(n)]
+            rows = [[sum(B[k][i] * B[k][j] for k in range(n)) + Fraction(int(i == j), 7)
+                     for j in range(n)] for i in range(n)]
+            L, d = hm.ldl_decompose(hm.SpdMatrix.from_rows(rows))
+            L_ref, d_ref = fraction_ldl(rows)
+            assert L.entries == tuple(map(tuple, L_ref)) and d == tuple(d_ref)
+
+    def test_determinant_runs_no_elimination(self, monkeypatch):
+        Y = hm.SpdMatrix.from_rows([[frac(1, 2), frac(1, 3)], [frac(1, 3), 2]])
+
+        def eliminate(*args):
+            raise AssertionError("determinant ran an elimination")
+
+        monkeypatch.setattr(hm.linalg, "_integer_ldl", eliminate)
+        monkeypatch.setattr(hm.linalg, "_int_determinant", eliminate)
+        assert hm.determinant(Y) == frac(1) - frac(1, 9)
+
+    def test_float_matrix_has_no_integer_factor(self):
+        assert hm.SpdMatrix.from_rows([[2.0, 1.0], [1.0, 2.0]]).integer_ldl is None
+
+
+_signs = st.sampled_from(("", "", "-", "-", "+", "--", "-+"))
+_numerals = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=6),
+    st.sampled_from(("0", "00", "", "1_000", "1__0", "_1", "1_", "\uff11", "\u0663",
+                     ".5", "1.", "1.5", "1e3", "1E-2", "2.5e+1", "inf", "nan")),
+)
+
+
+@st.composite
+def _scalar_strings(draw):
+    space = st.sampled_from(("", " ", "\t", " \n"))
+    denominator = st.tuples(_signs, _numerals).map(lambda t: "/" + "".join(t))
+    tail = draw(st.one_of(st.just(""), denominator))
+    return draw(space) + draw(_signs) + draw(_numerals) + tail + draw(space)
+
+
+class TestScalarParsing:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_scalar_strings(), st.text(alphabet="0123456789-+/._ eE\uff11", max_size=8)))
+    @example("1/0")
+    @example("-1/00")
+    @example(" 1/0 ")
+    @example("3/-4")
+    @example("\uff11")
+    @example("1_000")
+    @example("-0/5")
+    def test_matches_fraction(self, s):
+        try:
+            expected = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            for mode in (hm.RATIONAL, hm.FLOAT):
+                with pytest.raises(ValueError):
+                    hm.linalg.scalar_from_json(s, mode)
+            return
+        got = hm.linalg.scalar_from_json(s, hm.RATIONAL)
+        assert type(got) is Fraction and got == expected
+        try:
+            x = float(expected)
+        except OverflowError:  # past the float range: not a finite float scalar
+            with pytest.raises(ValueError):
+                hm.linalg.scalar_from_json(s, hm.FLOAT)
+        else:
+            assert hm.linalg.scalar_from_json(s, hm.FLOAT) == x
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    def test_zero_denominator_is_value_error(self, mode):
+        with pytest.raises(ValueError):
+            hm.linalg.scalar_from_json("1/0", mode)
+        with pytest.raises(ValueError):
+            hm.matrix_from_json({"mode": mode, "rows": 1, "cols": 1, "entries": [["1/0"]]})
 
 
 class TestMaxNorm:
