@@ -1,10 +1,10 @@
 """Command-line front end: every computation on JSON inputs.
 
 Commands read a JSON payload from --input or stdin and print JSON (or
-``--format text``) to stdout.  Exit codes: 0 success or certified,
-1 computed negative verdict, 2 invalid input, 3 enumeration budget
-exceeded.  Randomized commands require an explicit --seed so output is
-byte-identical across runs.
+``--format text``) to stdout.  ``main`` returns the exit code, for
+usage errors too: 0 success or certified, 1 computed negative verdict,
+2 invalid input, 3 enumeration budget exceeded.  Randomized commands
+require an explicit --seed so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -249,13 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_file=True):
+    def common(p, input_file=True, tol=False):
         if input_file:
             p.add_argument("--input", default=None,
                            help="path to a JSON payload (default: stdin)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="relative tolerance for float comparisons")
+        if tol:  # only the commands that read args.tol take it
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="relative tolerance for float comparisons")
 
     p = sub.add_parser("invariants", help="first minimum, determinant, spectrum, curvature bound")
     common(p)
@@ -270,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("heis-type", help="test for constant symplectic spectrum")
-    common(p)
+    common(p, tol=True)
 
     p = sub.add_parser("curvature-bound", help="upper bound for sectional curvature")
     common(p)
 
     p = sub.add_parser("certify", help="certificate for a family of normalized metrics")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--C0", type=_parse_scalar, default=None)
     p.add_argument("--C1", type=_parse_scalar, default=None)
     p.add_argument("--C2", type=_parse_scalar, default=None)
@@ -319,7 +320,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse has reported
+        return exc.code
     # looked up at call time, so a replaced cmd_* function takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

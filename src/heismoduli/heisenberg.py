@@ -35,6 +35,7 @@ from .linalg import (
     DenseMatrix,
     Scalar,
     SpdMatrix,
+    _json_list,
     congruence,
     determinant,
     matrix_from_json,
@@ -96,8 +97,8 @@ class HeisenbergElement:
     @staticmethod
     def from_json(obj: dict) -> "HeisenbergElement":
         return HeisenbergElement(
-            tuple(_scalar_from_json(v) for v in obj["x"]),
-            tuple(_scalar_from_json(v) for v in obj["y"]),
+            tuple(_scalar_from_json(v) for v in _json_list(obj["x"], "x")),
+            tuple(_scalar_from_json(v) for v in _json_list(obj["y"], "y")),
             _scalar_from_json(obj["s"]),
         )
 
@@ -314,7 +315,7 @@ class NormalizedMetric:
     def from_json(obj: dict) -> "NormalizedMetric":
         h = SpdMatrix(matrix_from_json(obj["h"]))
         g = _scalar_from_json(obj["g"])
-        return NormalizedMetric(h, g, DivisibilityTuple(tuple(obj["r"])))
+        return NormalizedMetric(h, g, DivisibilityTuple(tuple(_json_list(obj["r"], "r"))))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ First minima, short-vector enumeration, membership in Minkowski's
 fundamental domain and Minkowski reduction, all from one enumerator
 that runs in integer arithmetic on the fraction-free LDL^T factor each
 Gram matrix keeps from its construction, so first minima are
-certified values.  Float inputs are converted exactly; float mode adds a
-small relative slack and flags membership reports as approximate.
+certified values in both modes.  Float mode adds a small relative
+slack to bounds and flags membership reports as approximate.
 """
 
 from __future__ import annotations
@@ -158,14 +158,13 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     lambda_ji a_j, den Y[a] = sum_i x_i^2 / (Delta_i Delta_{i+1}), so with
     P the lcm of the Delta_i Delta_{i+1} and S = P den, S Y[a] =
     sum_i W_i x_i^2 for the integer weights W_i = P / (Delta_i Delta_{i+1}).
-    A float Y is converted exactly first (floats are dyadic rationals).
+    Y[a] is exact in both modes; a float bound is inflated by FLOAT_SLACK.
     Vectors have their first nonzero entry positive and come in no fixed
     order.
     """
     cap = _enumeration_budget(budget)
     if Y.mode == FLOAT:
         bound = float(bound) * (1.0 + FLOAT_SLACK)
-        Y = Y.to_rational()
     den, minors, Lcol = Y.integer_ldl
     n = Y.n
     pairs = [minors[i] * minors[i + 1] for i in range(n)]
@@ -209,8 +208,8 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
 
     One representative of each pair +-a is returned (first nonzero entry
     positive), sorted canonically.  Exhaustive: the enumeration runs in
-    exact integer arithmetic, and a float Y is converted exactly, its
-    bound inflated by a 1e-9 relative slack.  Raises
+    exact integer arithmetic on the kept factor in both modes, a float
+    Y's bound inflated by a 1e-9 relative slack.  Raises
     ``EnumerationBudgetExceeded`` when the candidate count passes the
     cap (a sign of an adversarial input, not of a wrong answer).
     """
@@ -270,18 +269,18 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     Conditions: y_{k,k+1} >= 0 for all k, and no integer vector a with
     gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Each k scans the vectors
     below y_{k,k} in canonical order, enumerating anew only when y_{k,k}
-    exceeds every earlier one; exact in rational mode, with a 1e-9
-    relative slack (and an ``approximate`` flag) in float mode.
+    exceeds every earlier one.  Values are exact in both modes; float mode
+    compares with a 1e-9 relative slack and sets ``approximate``.
     """
     approx = Y.mode == FLOAT
     for k in range(Y.n - 1):
         if Y.entries[k][k + 1] < 0:
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None), approx)
-    Q, bound = Y.to_rational(), 0  # one exact conversion serves every k
+    bound = 0
     for k, ykk in enumerate(Y.diagonal()):
         if ykk > bound:
             bound = ykk
-            candidates = sorted(_short_vectors(Q, bound, budget), key=lambda va: _witness_key(va[1]))
+            candidates = sorted(_short_vectors(Y, bound, budget), key=lambda va: _witness_key(va[1]))
         threshold = ykk if not approx else ykk * (1.0 - FLOAT_SLACK)
         for value, a in candidates:
             if value < threshold and math.gcd(*a[k:]) == 1:

@@ -5,12 +5,14 @@ mode every entry is a :class:`fractions.Fraction`, so factorizations,
 determinants and the lattice routines built on top of them are exact.
 ``float`` mode uses double precision and backs the spectral routines
 (eigenvalues, singular values), which are approximate by nature and go
-through LAPACK via numpy.  Everything exact is implemented directly.
+through LAPACK via numpy.  Everything exact is implemented directly,
+and positive definiteness is decided exactly in both modes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -174,38 +176,29 @@ def symmetrized(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(rows, m.mode)
 
 
-def _float_ldl(entries):
-    """Float LDL^T without pivoting; raises on a nonpositive pivot."""
-    n = len(entries)
-    L = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    d = [0.0] * n
-    for j in range(n):
-        pivot = entries[j][j] - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
-        if not pivot > 0:  # also rejects a NaN pivot
-            raise NotPositiveDefinite(j + 1)
-        d[j] = pivot
-        for i in range(j + 1, n):
-            s = entries[i][j] - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
-            L[i][j] = s / pivot
-    return DenseMatrix(tuple(map(tuple, L)), FLOAT), tuple(d)
-
-
 def _integer_ldl(entries):
-    """Fraction-free LDL^T of a symmetric rational matrix Y.
+    """Fraction-free LDL^T of a symmetric matrix Y, exact also for floats.
 
-    Clears all denominators with their lcm ``den`` and runs the symmetric
-    Bareiss elimination (Bareiss 1968; Cohen, *A Course in Computational
-    Algebraic Number Theory*, 2.6) on the lower triangle of A = den Y,
-    every division exact.  Returns (den, minors, columns): minors[k] is
-    the k-th leading principal minor of A (minors[0] = 1), and columns[k]
-    holds the integers lambda_ik, i > k, with L_ik = lambda_ik / minors[k+1]
-    and d_k = minors[k+1] / (minors[k] den).  A minor that is not positive
-    raises ``NotPositiveDefinite`` with its 1-based index, which is the
-    index of the first nonpositive pivot d_k.
+    Clears all denominators with their lcm ``den`` (a float is a dyadic
+    rational) and runs the symmetric Bareiss elimination (Bareiss 1968;
+    Cohen, *A Course in Computational Algebraic Number Theory*, 2.6) on
+    the lower triangle of A = den Y, every division exact.  Returns (den,
+    minors, columns): minors[k] is the k-th leading principal minor of A
+    (minors[0] = 1), and columns[k] holds the integers lambda_ik, i > k,
+    with L_ik = lambda_ik / minors[k+1] and d_k = minors[k+1] / (minors[k] den).
+    A minor that is not positive raises ``NotPositiveDefinite`` with its
+    1-based index, the index of the first nonpositive pivot d_k; so does
+    the first row whose lower triangle holds a NaN or infinite float.
     """
     n = len(entries)
-    den = math.lcm(*(x.denominator for r in entries for x in r))
-    a = [[x.numerator * (den // x.denominator) for x in r[:i + 1]] for i, r in enumerate(entries)]
+    ratios = []
+    for i, r in enumerate(entries):
+        try:
+            ratios.append([x.as_integer_ratio() for x in r[:i + 1]])
+        except (ValueError, OverflowError):  # a NaN or infinite float
+            raise NotPositiveDefinite(i + 1) from None
+    den = math.lcm(*(q for r in ratios for _, q in r))
+    a = [[p * (den // q) for p, q in r] for r in ratios]
     minors, columns = [1], []
     for k in range(n):
         p, prev = a[k][k], minors[-1]
@@ -226,26 +219,24 @@ class SpdMatrix:
     """Symmetric positive definite matrix (a Gram matrix).
 
     Construction symmetrizes inputs within the slack policy and verifies
-    positivity through the factor it keeps: in rational mode
-    ``integer_ldl``, the fraction-free LDL^T (den, minors, columns) of
-    ``_integer_ldl`` (all leading minors positive); in float mode the
-    float LDL^T pivots, and ``integer_ldl`` is None.  ``ldl_decompose``,
+    positivity, in both modes, through the factor it keeps: ``integer_ldl``,
+    the fraction-free LDL^T (den, minors, columns) of ``_integer_ldl`` on
+    the exact entries, so a float matrix is accepted exactly when the same
+    entries as Fractions are.  ``ldl_decompose``, the rational
     ``determinant`` and the lattice enumerator read the kept factor, so
     no Gram matrix is factored twice.
     """
 
     matrix: DenseMatrix
-    integer_ldl: tuple | None = field(init=False, repr=False, compare=False)
+    integer_ldl: tuple = field(init=False, repr=False, compare=False)
     _ldl: tuple[DenseMatrix, tuple[Scalar, ...]] | None = field(
-        init=False, repr=False, compare=False)
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = symmetrized(self.matrix)
         object.__setattr__(self, "matrix", m)
-        # each raises NotPositiveDefinite if m is not in P_n
-        rational = m.mode == RATIONAL
-        object.__setattr__(self, "integer_ldl", _integer_ldl(m.entries) if rational else None)
-        object.__setattr__(self, "_ldl", None if rational else _float_ldl(m.entries))
+        # raises NotPositiveDefinite if m is not in P_n
+        object.__setattr__(self, "integer_ldl", _integer_ldl(m.entries))
 
     @staticmethod
     def from_rows(rows, mode: str | None = None) -> "SpdMatrix":
@@ -262,12 +253,6 @@ class SpdMatrix:
     @property
     def mode(self) -> str:
         return self.matrix.mode
-
-    def to_float(self) -> "SpdMatrix":
-        return SpdMatrix(self.matrix.to_float()) if self.mode == RATIONAL else self
-
-    def to_rational(self) -> "SpdMatrix":
-        return SpdMatrix(self.matrix.to_rational()) if self.mode == FLOAT else self
 
     def to_numpy(self) -> np.ndarray:
         return self.matrix.to_numpy()
@@ -308,20 +293,22 @@ def ldl_decompose(Y: SpdMatrix | DenseMatrix) -> tuple[DenseMatrix, tuple[Scalar
     """Factor Y = L D L^T with unit lower-triangular L and positive D.
 
     Reads the factor an ``SpdMatrix`` computed when it was built; a
-    ``DenseMatrix`` is validated as ``SpdMatrix(Y)`` first.  In rational
-    mode the exact Fractions are built from the integer factor on the
-    first call and kept, so every call returns the same object.  Raises
-    ``NotPositiveDefinite`` with the 1-based index of the first bad pivot.
+    ``DenseMatrix`` is validated as ``SpdMatrix(Y)`` first.  L and d are
+    built from it on the first call and kept, so every call returns the
+    same object: exact Fractions, or in float mode their correctly rounded
+    floats.  Raises ``NotPositiveDefinite`` with the 1-based index of the
+    first bad pivot.
     """
     Y = Y if isinstance(Y, SpdMatrix) else SpdMatrix(Y)
     if Y._ldl is None:
         den, minors, columns = Y.integer_ldl
-        one, zero = Fraction(1), Fraction(0)
-        L = tuple(tuple(Fraction(columns[j][i - j - 1], minors[j + 1]) if i > j
+        div = Fraction if Y.mode == RATIONAL else operator.truediv  # int / int rounds correctly
+        one, zero = div(1, 1), div(0, 1)
+        L = tuple(tuple(div(columns[j][i - j - 1], minors[j + 1]) if i > j
                         else one if i == j else zero for j in range(Y.n))
                   for i in range(Y.n))
-        d = tuple(Fraction(minors[k + 1], minors[k] * den) for k in range(Y.n))
-        object.__setattr__(Y, "_ldl", (DenseMatrix(L, RATIONAL), d))
+        d = tuple(div(minors[k + 1], minors[k] * den) for k in range(Y.n))
+        object.__setattr__(Y, "_ldl", (DenseMatrix(L, Y.mode), d))
     return Y._ldl
 
 
@@ -478,11 +465,18 @@ def matrix_to_json(m: DenseMatrix | SpdMatrix) -> dict:
     }
 
 
+def _json_list(v, what: str) -> list:
+    """v itself if it is a JSON list; a string would iterate as its characters."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(v).__name__}")
+    return v
+
+
 def matrix_from_json(obj: dict) -> DenseMatrix:
     mode = obj["mode"]
     if mode not in (RATIONAL, FLOAT):
         raise ValueError(f"unknown matrix mode {mode!r}")
-    entries = obj["entries"]
+    entries = [_json_list(r, "a matrix row") for r in _json_list(obj["entries"], "matrix entries")]
     if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
         raise ValueError("matrix entries do not match declared shape")
     return _shaped(tuple(tuple(scalar_from_json(x, mode) for x in r) for r in entries), mode)

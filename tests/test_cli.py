@@ -267,13 +267,12 @@ class TestParserBuiltOnce:
                                       [], ["bogus"], ["counterexample"],
                                       ["counterexample", "--k", "x"]])
     def test_help_and_usage_match_a_fresh_parser(self, capsys, argv):
-        outs = []
-        for parse in (hm.cli.build_parser().parse_args, main, main):
-            with pytest.raises(SystemExit) as exc:
-                parse(argv)
-            outs.append((exc.value.code, capsys.readouterr()))
-        assert outs[0] == outs[1] == outs[2]
-        assert outs[0][0] == (0 if "--help" in argv else 2)
+        with pytest.raises(SystemExit) as exc:
+            hm.cli.build_parser().parse_args(argv)
+        fresh = (exc.value.code, capsys.readouterr())
+        outs = [(main(argv), capsys.readouterr()) for _ in range(2)]
+        assert outs[0] == outs[1] == fresh
+        assert fresh[0] == (0 if "--help" in argv else 2)
 
     def test_replaced_command_takes_effect(self, monkeypatch):
         main(["counterexample", "--k", "0"])  # the parser is built by now
@@ -328,8 +327,46 @@ class TestRejectedInputs:
     def test_zero_denominator_threshold_exit_2(self, capsys, monkeypatch):
         payload = json.dumps([hm.matrix_to_json(hm.identity(2))])
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        argv = ["certify-torus", "--C0", "1/0"]
         with pytest.raises(SystemExit) as exc:
-            main(["certify-torus", "--C0", "1/0"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--C0" in err and "Traceback" not in err
+            hm.cli.build_parser().parse_args(argv)
+        fresh = (exc.value.code, capsys.readouterr())
+        assert (main(argv), capsys.readouterr()) == fresh
+        assert fresh[0] == 2
+        assert "--C0" in fresh[1].err and "Traceback" not in fresh[1].err
+
+    @pytest.mark.parametrize("n, entries", [(2, ["21", "12"]), (2, [["2", "1"], "12"]),
+                                            (1, "5")])
+    def test_string_for_list_entries_exit_2(self, capsys, monkeypatch, n, entries):
+        payload = json.dumps({"mode": "rational", "rows": n, "cols": n, "entries": entries})
+        code, out, err = run(capsys, ["shortest-vector"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_string_for_list_r_exit_2(self, capsys, monkeypatch):
+        payload = json.dumps({"h": hm.matrix_to_json(hm.identity(4)), "g": 1, "r": "12"})
+        code, out, err = run(capsys, ["invariants"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
+class TestTolOption:
+    @pytest.mark.parametrize("argv", [["invariants"], ["shortest-vector"], ["reduce"],
+                                      ["spectrum"], ["curvature-bound"], ["certify-torus"],
+                                      ["counterexample", "--k", "1"],
+                                      ["verify-inequality", "--samples", "1", "--seed", "1",
+                                       "--dim", "2"],
+                                      ["random-symplectic", "--dim", "2", "--seed", "1"]])
+    def test_rejected_where_unread(self, capsys, argv):
+        code, out, err = run(capsys, [*argv, "--tol", "0.1"])
+        assert code == 2
+        assert out == "" and "--tol" in err
+
+    @pytest.mark.parametrize("argv", [["heis-type"], ["certify", "--heisenberg-type",
+                                                      "--C0", "1"]])
+    def test_accepted_where_read(self, capsys, monkeypatch, argv):
+        members = [json.loads(identity_metric_json())]
+        payload = json.dumps(members if argv[0] == "certify" else members[0])
+        code, _, err = run(capsys, [*argv, "--tol", "0.1"], stdin=payload,
+                           monkeypatch=monkeypatch)
+        assert code == 0 and err == ""

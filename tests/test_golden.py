@@ -224,6 +224,14 @@ def test_data_file_present():
     assert len(CASES) > 100
 
 
+def test_data_matches_generator():
+    # the replayed inputs are still the ones generate_cases() would write
+    def inputs(cases):
+        return [(c["name"], c["argv"], c["stdin"]) for c in cases]
+
+    assert inputs(CASES) == inputs(generate_cases())
+
+
 if __name__ == "__main__":
     cases = regenerate()
     print(f"wrote {len(cases)} cases to {DATA}")

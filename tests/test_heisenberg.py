@@ -482,6 +482,19 @@ class TestMetricJson:
         p = hm.HeisenbergElement((Fraction(1, 2),), (Fraction(3),), Fraction(-2))
         assert hm.HeisenbergElement.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("obj", [
+        {"x": "12", "y": ["3", "4"], "s": "0"},
+        {"x": ["1", "2"], "y": "34", "s": "0"},
+    ])
+    def test_element_coordinates_must_be_lists(self, obj):
+        with pytest.raises(ValueError):
+            hm.HeisenbergElement.from_json(obj)
+
+    def test_r_must_be_a_list(self):
+        obj = {"h": hm.matrix_to_json(hm.identity(4)), "g": 1, "r": "12"}
+        with pytest.raises(ValueError):
+            hm.NormalizedMetric.from_json(obj)
+
     def test_element_float_coordinates(self):
         p = hm.HeisenbergElement.from_json({"x": [0.5], "y": ["3"], "s": 2})
         assert p == hm.HeisenbergElement((0.5,), (3.0,), 2.0)

@@ -146,7 +146,7 @@ class TestIntegerCore:
             Y = hm.SpdMatrix.from_rows(rows, hm.FLOAT)
             res = hm.first_minimum(Y)
             assert isinstance(res.value, float)
-            assert res.value == float(hm.quadratic_form(Y.to_rational(), res.witness))
+            assert res.value == float(hm.quadratic_form(Y.matrix.to_rational(), res.witness))
             q = hm.quadratic_form(Y, res.witness)
             assert abs(res.value - q) <= 4 * math.ulp(q)
 
@@ -202,6 +202,17 @@ class TestFirstMinimum:
 
         monkeypatch.setattr(hm.linalg, "_integer_ldl", refactor)
         assert hm.first_minimum(Y).value == 2
+        assert hm.minkowski_membership(Y).member
+
+
+    def test_float_gram_reuses_factor_from_construction(self, monkeypatch):
+        Y = hm.SpdMatrix.from_rows([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+
+        def refactor(entries):
+            raise AssertionError("Gram matrix factored a second time")
+
+        monkeypatch.setattr(hm.linalg, "_integer_ldl", refactor)
+        assert hm.first_minimum(Y) == hm.ShortVectorResult(2.0, (1, 0, 0))
         assert hm.minkowski_membership(Y).member
 
 

@@ -35,7 +35,10 @@ class TestLdl:
         assert exc.value.pivot_index == 2
 
     @pytest.mark.parametrize("rows, pivot", [([[math.nan, 0.0], [0.0, 1.0]], 1),
-                                             ([[1.0, 0.0], [0.0, math.nan]], 2)])
+                                             ([[1.0, 0.0], [0.0, math.nan]], 2),
+                                             ([[math.inf, 0.0], [0.0, 1.0]], 1),
+                                             ([[1.0, 0.0], [0.0, math.inf]], 2),
+                                             ([[1.0, math.inf], [math.inf, 1.0]], 2)])
     def test_nan_pivot_rejected(self, rows, pivot):
         with pytest.raises(hm.NotPositiveDefinite) as exc:
             hm.SpdMatrix.from_rows(rows, hm.FLOAT)
@@ -286,8 +289,60 @@ class TestIntegerLdl:
         monkeypatch.setattr(hm.linalg, "_int_determinant", eliminate)
         assert hm.determinant(Y) == frac(1) - frac(1, 9)
 
-    def test_float_matrix_has_no_integer_factor(self):
-        assert hm.SpdMatrix.from_rows([[2.0, 1.0], [1.0, 2.0]]).integer_ldl is None
+
+@st.composite
+def _float_grams(draw):
+    """B^T B in floats for a k x n matrix B, k <= n <= 8.  With k < n the
+    exact product is singular, so rounding puts it on either side of P_n."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    b = draw(st.lists(st.floats(-4, 4), min_size=k * n, max_size=k * n))
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = sum(b[t * n + i] * b[t * n + j] for t in range(k))
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] += draw(st.sampled_from((0.0, 2.0 ** -52, 1e-9, 0.5)))
+    return rows
+
+
+class TestFloatGram:
+    """A float SpdMatrix is decided and factored as its exact entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float_grams())
+    @example([[3.0, 19.0], [19.0, 120.33333333333333]])
+    @example([[3.0, 5.0], [5.0, 8.333333333333334]])
+    def test_decided_as_exact_entries(self, rows):
+        exact = [[Fraction(x) for x in r] for r in rows]
+        try:
+            L_ref, d_ref = fraction_ldl(exact)
+        except hm.NotPositiveDefinite as exc:
+            for mode in (hm.FLOAT, hm.RATIONAL):
+                with pytest.raises(hm.NotPositiveDefinite) as got:
+                    hm.SpdMatrix.from_rows(rows, mode)
+                assert got.value.pivot_index == exc.pivot_index
+            return
+        Y = hm.SpdMatrix.from_rows(rows, hm.FLOAT)
+        assert Y.integer_ldl == hm.SpdMatrix(Y.matrix.to_rational()).integer_ldl
+        L, d = hm.ldl_decompose(Y)
+        assert L.mode == hm.FLOAT
+        assert L.entries == tuple(tuple(float(x) for x in r) for r in L_ref)
+        assert d == tuple(float(x) for x in d_ref)
+
+    def test_not_positive_definite_rejected_at_construction(self):
+        # 3 c - 19^2 < 0 for the double c nearest 361/3
+        with pytest.raises(hm.NotPositiveDefinite) as exc:
+            hm.SpdMatrix.from_rows([[3.0, 19.0], [19.0, 120.33333333333333]])
+        assert exc.value.pivot_index == 2
+
+    def test_positive_definite_accepted(self):
+        # 3 c - 5^2 > 0 for the double c nearest 25/3; valid but skewed, so
+        # no lattice routine is called on it here
+        Y = hm.SpdMatrix.from_rows([[3.0, 5.0], [5.0, 8.333333333333334]])
+        _, minors, _ = Y.integer_ldl
+        assert all(m > 0 for m in minors)
 
 
 _signs = st.sampled_from(("", "", "-", "-", "+", "--", "-+"))
@@ -380,6 +435,12 @@ class TestJson:
         with pytest.raises(ValueError):
             hm.matrix_from_json({"mode": "rational", "rows": 2, "cols": 2,
                                  "entries": [["1", "0"]]})
+
+    @pytest.mark.parametrize("n, entries", [(2, ["21", "12"]), (2, [["2", "1"], "12"]),
+                                            (1, "5"), (2, [("2", "1"), ("1", "2")])])
+    def test_entries_and_rows_must_be_lists(self, n, entries):
+        with pytest.raises(ValueError):
+            hm.matrix_from_json({"mode": "rational", "rows": n, "cols": n, "entries": entries})
 
     @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
     @pytest.mark.parametrize("value", [True, False])
