@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DimensionMismatch,
@@ -443,14 +444,96 @@ def random_symplectic_integer(n: int, seed: int, steps: int) -> DenseMatrix:
     return result
 
 
-def _draw_invertible(out: np.ndarray, rng: random.Random, bound: float = 10.0) -> None:
-    """Fill the square array `out` with entries in [-bound, bound], redrawing
-    the whole matrix until |det| > 1e-3 so it stays away from singular."""
-    dim = out.shape[0]
-    while True:
-        out[:] = [[rng.uniform(-bound, bound) for _ in range(dim)] for _ in range(dim)]
-        if abs(np.linalg.det(out)) > 1e-3:
-            return
+# samples laid out per pass of _draw_samples: a redraw repeats at most this
+# many samples' conversion, and the pass's temporary arrays stay small
+_DRAW_WINDOW = 256
+
+
+def _words(rng: random.Random, n: int) -> np.ndarray:
+    """The generator's next n 32-bit outputs, in order.
+
+    Word i of ``getrandbits(32 n)``, counted from the least significant
+    end, is the i-th output on either byte order, so these are the words
+    that ``random()`` and ``getrandbits(k <= 32)`` would read one by one.
+    """
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
+
+
+def _draw_samples(rng: random.Random, dim: int, samples: int,
+                  bounds: Sequence[float], index: bool = False
+                  ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The sweeps' samples, exactly as ``rng`` draws them one value at a time.
+
+    A sample is one dim x dim matrix per bound b, with entries
+    ``rng.uniform(-b, b)`` row by row, each matrix redrawn while
+    |det| <= 1e-3; then, when `index` is set, ``rng.randrange(1, dim + 1)``.
+    The words are fetched in bulk and turned into values by CPython's own
+    operations: ``random()`` is ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53,
+    ``uniform(a, b)`` is a + (b - a) * random(), and each ``randrange``
+    try keeps the top bits of one word, rejected while they reach dim.
+
+    Up to ``_DRAW_WINDOW`` of the remaining samples are laid out as if
+    nothing is redrawn and their determinants taken as one stack.  The
+    matrices before the first small determinant are kept, and the layout
+    resumes from the word just after the rejected matrix.  Returns one
+    (samples, dim, dim) stack per bound and the (samples,) array of
+    indices, left unset without `index`.
+    """
+    fields = len(bounds)
+    per = 2 * dim * dim  # words per matrix, two per uniform()
+    stride = fields * per  # matrix words per sample
+    shift = 32 - dim.bit_length()
+    b = np.array(bounds)[:, None]
+    span = b - -b  # uniform(-b, b) is -b + (b - -b) * random()
+    out = np.empty((samples * fields, dim, dim))
+    picks = np.empty(samples, dtype=int)
+    # a randrange takes at most two tries per sample on average; one
+    # spare sample's words cover a redraw or two
+    words = _words(rng, samples * (stride + 3 * index) + stride)
+    i, f, s = 0, 0, 0  # first sample not done, its first field not done, its start word
+    while i < samples:
+        m = min(samples - i, _DRAW_WINDOW)
+        if index:
+            starts, drawn = np.empty(m, dtype=np.intp), np.empty(m, dtype=int)
+            for k in range(m):
+                t = s + stride
+                while t >= len(words) or words.item(t) >> shift >= dim:
+                    if t < len(words):
+                        t += 1
+                    else:
+                        words = np.concatenate((words, _words(rng, (m - k) * (stride + 3))))
+                starts[k], drawn[k], s = s, 1 + (words.item(t) >> shift), t + 1
+            # row p of this view is words[p:p + stride]; every start is below
+            # a kept try, so its row lies inside the buffer
+            w = as_strided(words, (len(words) - stride + 1, stride), words.strides * 2,
+                           writeable=False)[starts]
+        else:
+            starts = s + stride * np.arange(m)
+            if s + m * stride > len(words):
+                words = np.concatenate((words, _words(rng, s + m * stride - len(words))))
+            w = words[s:s + m * stride]
+            s += m * stride
+        w = w.reshape(m, fields, per)
+        u = (w[..., 0::2] >> 5) * 67108864.0
+        u += w[..., 1::2] >> 6
+        u *= 1.0 / 9007199254740992.0
+        u *= span
+        u -= b  # the same IEEE sum as -b + u
+        mats = u.reshape(m * fields, dim, dim)
+        bad = np.abs(np.linalg.det(mats)) <= 1e-3
+        bad[:f] = False  # fields of sample i kept by an earlier pass
+        hits = np.flatnonzero(bad)
+        first = int(hits[0]) if len(hits) else m * fields
+        out[i * fields + f:i * fields + first] = mats[f:first]
+        if index:
+            picks[i:i + first // fields] = drawn[:first // fields]
+        if first == m * fields:
+            i, f = i + m, 0
+        else:
+            # the rejected matrix's field now starts one matrix later
+            k, f = divmod(first, fields)
+            i, s = i + k, int(starts[k]) + per
+    return list(out.reshape(samples, fields, dim, dim).swapaxes(0, 1)), picks
 
 
 @dataclass(frozen=True)
@@ -481,35 +564,32 @@ def _check_sweep_size(dim: int, samples: int) -> None:
 def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     """Seeded random sweep of the key inequality in one even dimension.
 
-    Every sample is drawn first, in a fixed order (the factor B of the
-    Gram matrix Y = B^T B, then G), and all of them are checked as one
-    stack.
+    Every sample is drawn first and all of them are checked as one stack.
+    The samples are exactly those of ``random.Random(seed)`` called in
+    order: per sample the factor B of the Gram matrix Y = B^T B, entries
+    ``uniform(-b, b)`` row by row with b = sqrt(10 / dim), then G with
+    entries ``uniform(-10, 10)``, each matrix redrawn while |det| <= 1e-3.
+    The generator's words are read in bulk, not one call per entry.
     """
     _check_sweep_size(dim, samples)
     if dim % 2:
         raise ValueError("dimension must be even")
-    rng = random.Random(seed)
-    B = np.empty((samples, dim, dim))
-    G = np.empty((samples, dim, dim))
-    for i in range(samples):
-        _draw_invertible(B[i], rng, math.sqrt(10.0 / dim))
-        _draw_invertible(G[i], rng)
+    (B, G), _ = _draw_samples(random.Random(seed), dim, samples,
+                              (math.sqrt(10.0 / dim), 10.0))
     return _sweep_result(*_key_inequality_sides(np.swapaxes(B, -1, -2) @ B, G))
 
 
 def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     """Seeded random sweep of the k = 1 singular-value inequality.
 
-    Every sample (A, then B, then the index i1) is drawn first, and all
-    of them are checked as one stack.
+    Every sample is drawn first and all of them are checked as one stack.
+    The samples are exactly those of ``random.Random(seed)`` called in
+    order: per sample A, then B, entries ``uniform(-10, 10)`` row by row,
+    each matrix redrawn while |det| <= 1e-3, then the index
+    i1 = ``randrange(1, dim + 1)``.  The generator's words are read in
+    bulk, not one call per entry.
     """
     _check_sweep_size(dim, samples)
-    rng = random.Random(seed)
-    A = np.empty((samples, dim, dim))
-    B = np.empty((samples, dim, dim))
-    i1 = np.empty(samples, dtype=int)
-    for i in range(samples):
-        _draw_invertible(A[i], rng)
-        _draw_invertible(B[i], rng)
-        i1[i] = rng.randrange(1, dim + 1)
+    (A, B), i1 = _draw_samples(random.Random(seed), dim, samples, (10.0, 10.0),
+                               index=True)
     return _sweep_result(*_bhatia_sides(A, B, i1))

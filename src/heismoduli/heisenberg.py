@@ -38,6 +38,7 @@ from .linalg import (
     _json_list,
     congruence,
     determinant,
+    ldl_decompose,
     matrix_from_json,
     matrix_to_json,
     scalar_from_json,
@@ -399,13 +400,19 @@ def d_spectrum(Y: SpdMatrix, pairing_tol: float = PAIRING_TOL) -> KaplanSpectrum
 
     Factors Y = R^T R by Cholesky and takes the singular values of the
     skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k, d_k.
-    This never squares the condition number of Y.  A pair that fails to
-    match within ``pairing_tol`` times the largest value raises
-    ``PairingFailure`` (numerical breakdown).
+    This never squares the condition number of Y.  Y was decided positive
+    definite exactly when it was built, so where the float Cholesky fails
+    R = diag(sqrt(d)) L^T is read from its exact LDL^T instead.  A pair
+    that fails to match within ``pairing_tol`` times the largest value
+    raises ``PairingFailure`` (numerical breakdown).
     """
     if Y.n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    R = _upper_cholesky(Y.to_numpy()[np.newaxis])
+    try:
+        R = _upper_cholesky(Y.to_numpy()[np.newaxis])
+    except NotPositiveDefinite:
+        L, d = ldl_decompose(Y)
+        R = (np.sqrt(np.array(d, dtype=float))[:, None] * L.to_numpy().T)[np.newaxis]
     return KaplanSpectrum(tuple(_symplectic_spectra(R, pairing_tol)[0].tolist()))
 
 

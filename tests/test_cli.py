@@ -82,6 +82,13 @@ class TestSpectrumAndVectorCommands:
         d = json.loads(out)["d"]
         assert d[1] == pytest.approx(1.6180339887)
 
+    def test_spectrum_of_float_gram_past_float_cholesky(self, capsys, monkeypatch):
+        payload = json.dumps({"mode": "float", "rows": 2, "cols": 2,
+                              "entries": [[3.0, 5.0], [5.0, 8.333333333333334]]})
+        code, out, _ = run(capsys, ["spectrum"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["d"] == pytest.approx([2**24.5], rel=1e-14)
+
     def test_reduce(self, capsys, monkeypatch):
         payload = json.dumps(hm.matrix_to_json(hm.SpdMatrix.from_rows([[5, 3], [3, 2]])))
         code, out, _ = run(capsys, ["reduce"], stdin=payload, monkeypatch=monkeypatch)

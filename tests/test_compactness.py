@@ -1,12 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import random_unimodular
+from heismoduli import compactness
 
 
 def metric_family(grams, g=Fraction(1), r=(1, 1)):
@@ -159,6 +165,30 @@ def _replay_invertible(rng, dim, bound=10.0):
             return m
 
 
+def _replay_key_samples(dim, samples, seed):
+    """key_inequality_sweep's stacks B and G, drawn one value at a time."""
+    rng = random.Random(seed)
+    B, G = [], []
+    for _ in range(samples):
+        B.append(_replay_invertible(rng, dim, math.sqrt(10.0 / dim)))
+        G.append(_replay_invertible(rng, dim))
+    return np.array(B), np.array(G)
+
+
+def _replay_bhatia_samples(dim, samples, seed):
+    """bhatia_sweep's stacks A and B and indices i1, drawn one value at a time."""
+    rng = random.Random(seed)
+    A, B, i1 = [], [], []
+    for _ in range(samples):
+        A.append(_replay_invertible(rng, dim))
+        B.append(_replay_invertible(rng, dim))
+        i1.append(rng.randrange(1, dim + 1))
+    return np.array(A), np.array(B), np.array(i1)
+
+
+SWEEP_SEEDS = st.integers(-(2**80), 2**80)
+
+
 def _assert_sweep_matches(result, reports):
     assert result.total == len(reports)
     assert result.held == sum(r.holds for r in reports)
@@ -214,8 +244,10 @@ class TestKeyInequality:
         result = hm.key_inequality_sweep(6, 160, seed)
         assert result.held == result.total == 160
 
+    # 13, 38 and 4 redraw B at dims 2, 4 and 6 (4 twice), 174 redraws G at
+    # dim 2; -5 and 2**70 + 3 take the multi-word seed path
     @pytest.mark.parametrize("dim", [2, 4, 6])
-    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("seed", [11, 12, 13, 38, 4, 174, -5, 2**70 + 3])
     def test_sweep_matches_sample_by_sample_replay(self, dim, seed):
         rng = random.Random(seed)
         reports = []
@@ -225,6 +257,30 @@ class TestKeyInequality:
             Y = hm.SpdMatrix.from_rows((B.T @ B).tolist(), hm.FLOAT)
             reports.append(hm.verify_key_inequality(Y, hm.DenseMatrix.from_rows(G.tolist())))
         _assert_sweep_matches(hm.key_inequality_sweep(dim, 100, seed), reports)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 4, 6]), st.integers(1, 40), SWEEP_SEEDS)
+    @example(2, 100, 13)
+    @example(4, 100, 38)
+    @example(6, 100, 4)
+    @example(2, 100, 174)
+    def test_sweep_equals_replay_exactly(self, dim, samples, seed):
+        B, G = _replay_key_samples(dim, samples, seed)
+        expected = compactness._sweep_result(
+            *compactness._key_inequality_sides(np.swapaxes(B, -1, -2) @ B, G))
+        assert hm.key_inequality_sweep(dim, samples, seed) == expected
+
+    # a wrong sample that is not the worst leaves the SweepResult unchanged,
+    # so the redraw cases also compare the drawn stacks themselves; at 1000
+    # samples seed 13 redraws often enough to fetch more words twice
+    @pytest.mark.parametrize("dim, seed, samples", [
+        (2, 13, 100), (4, 38, 100), (6, 4, 100), (2, 174, 100), (6, -5, 100),
+        (4, 2**70 + 3, 100), (2, 13, 1000)])
+    def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
+        (B, G), _ = compactness._draw_samples(random.Random(seed), dim, samples,
+                                              (math.sqrt(10.0 / dim), 10.0))
+        expected = _replay_key_samples(dim, samples, seed)
+        assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
 
 
 class TestBhatiaInequality:
@@ -256,8 +312,10 @@ class TestBhatiaInequality:
         result = hm.bhatia_sweep(dim, 10_000, seed=77 + dim)
         assert result.all_hold
 
+    # 174 redraws A and 372 redraws B at dim 2; -5 and 2**70 + 3 take the
+    # multi-word seed path
     @pytest.mark.parametrize("dim", [2, 4, 6])
-    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("seed", [11, 12, 174, 372, -5, 2**70 + 3])
     def test_sweep_matches_sample_by_sample_replay(self, dim, seed):
         rng = random.Random(seed)
         reports = []
@@ -266,6 +324,37 @@ class TestBhatiaInequality:
             B = hm.DenseMatrix.from_rows(_replay_invertible(rng, dim).tolist())
             reports.append(hm.verify_bhatia_k1(A, B, rng.randrange(1, dim + 1)))
         _assert_sweep_matches(hm.bhatia_sweep(dim, 100, seed), reports)
+
+    # odd dims change the randrange rejection rate; dim 1 rejects half the tries
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), SWEEP_SEEDS)
+    @example(2, 100, 174)
+    @example(2, 100, 372)
+    def test_sweep_equals_replay_exactly(self, dim, samples, seed):
+        A, B, i1 = _replay_bhatia_samples(dim, samples, seed)
+        expected = compactness._sweep_result(*compactness._bhatia_sides(A, B, i1))
+        assert hm.bhatia_sweep(dim, samples, seed) == expected
+
+    # a single sample at dim 1, seed 5 rejects index tries past the first fetch
+    @pytest.mark.parametrize("dim, seed, samples", [
+        (2, 174, 100), (2, 372, 100), (1, 5, 100), (3, -5, 100),
+        (5, 2**70 + 3, 100), (1, 5, 1)])
+    def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
+        (A, B), i1 = compactness._draw_samples(random.Random(seed), dim, samples,
+                                               (10.0, 10.0), index=True)
+        expected = _replay_bhatia_samples(dim, samples, seed)
+        assert all(np.array_equal(x, y) for x, y in zip((A, B, i1), expected))
+
+
+def test_sweeps_do_not_import_numpy_random():
+    # the draws read random.Random in bulk; numpy.random would add its
+    # import cost to every process that runs a sweep
+    code = ("import sys, heismoduli as hm; hm.key_inequality_sweep(2, 4, 1); "
+            "hm.bhatia_sweep(3, 4, 1); print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hm.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert run.stdout.strip() == "False"
 
 
 class TestSeparation:
