@@ -30,7 +30,7 @@ from .errors import (
 from .heisenberg import (
     NormalizedMetric,
     _symplectic_spectra,
-    _upper_cholesky,
+    _upper_factor,
     d_spectrum,
     is_heisenberg_type,
     symplectic_j,
@@ -276,13 +276,13 @@ def counterexample_spectrum(k: int) -> tuple[float, float]:
     return 1.0 / d2, d2
 
 
-def _key_inequality_sides(Y: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the key inequality for stacks of Gram matrices Y and factors G.
+def _key_inequality_sides(Y: np.ndarray, R: np.ndarray, G: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the key inequality for stacks of Y = R^T R and factors G.
 
-    With Y = R^T R, the pullback G^T Y G has the factor R G, so neither
-    Gram matrix of G is ever formed.
+    The caller supplies Y's upper factor R.  The pullback G^T Y G has the
+    factor R G, so neither Gram matrix of G is ever formed.
     """
-    R = _upper_cholesky(Y)
     lam_max = np.linalg.eigvalsh(Y)[..., -1]
     lhs = _symplectic_spectra(G)[..., -1] / lam_max
     rhs = _symplectic_spectra(R @ G)[..., -1]
@@ -293,7 +293,8 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     """Check d_n(G^T G) / lambda_max(Y) <= d_n(G^T Y G).
 
     Holds for every positive definite Y and invertible G; a failing
-    report indicates an implementation bug or a tolerance breach.
+    report indicates an implementation bug or a tolerance breach.  Y is
+    factored as in ``d_spectrum``, so every ``SpdMatrix`` is accepted.
     """
     if G.rows != Y.n or not G.is_square:
         raise DimensionMismatch("G must be square of the same size as Y")
@@ -301,8 +302,8 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
         raise Singular("G must be invertible")
     if Y.n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    lhs, rhs = _key_inequality_sides(Y.to_numpy()[np.newaxis], G.to_numpy()[np.newaxis])
-    return InequalityReport(float(lhs[0]), float(rhs[0]))
+    lhs, rhs = _key_inequality_sides(Y.to_numpy(), _upper_factor(Y), G.to_numpy())
+    return InequalityReport(float(lhs), float(rhs))
 
 
 def _bhatia_sides(A: np.ndarray, B: np.ndarray, i1: np.ndarray
@@ -576,7 +577,9 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
         raise ValueError("dimension must be even")
     (B, G), _ = _draw_samples(random.Random(seed), dim, samples,
                               (math.sqrt(10.0 / dim), 10.0))
-    return _sweep_result(*_key_inequality_sides(np.swapaxes(B, -1, -2) @ B, G))
+    Y = np.swapaxes(B, -1, -2) @ B
+    R = np.swapaxes(np.linalg.cholesky(Y), -1, -2)
+    return _sweep_result(*_key_inequality_sides(Y, R, G))
 
 
 def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:

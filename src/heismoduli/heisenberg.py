@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NotOrthonormal,
-    NotPositiveDefinite,
     NotSimilitude,
     OddDimension,
     PairingFailure,
@@ -348,23 +347,6 @@ def kaplan_matrix(m: NormalizedMetric) -> DenseMatrix:
     return DenseMatrix.from_rows(M.tolist(), FLOAT)
 
 
-def _upper_cholesky(Y: np.ndarray) -> np.ndarray:
-    """Upper-triangular factors R with Y = R^T R for a stack of Gram matrices.
-
-    Raises ``NotPositiveDefinite`` naming the first leading block whose
-    factorization fails in any member of the stack.
-    """
-    try:
-        return np.swapaxes(np.linalg.cholesky(Y), -1, -2)
-    except np.linalg.LinAlgError:
-        for j in range(1, Y.shape[-1]):
-            try:
-                np.linalg.cholesky(Y[..., :j, :j])
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(j) from None
-        raise NotPositiveDefinite(Y.shape[-1]) from None
-
-
 def _symplectic_spectra(F: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
     """Symplectic spectra of Y = F^T F for a stack of invertible factors F.
 
@@ -395,25 +377,32 @@ def _symplectic_spectra(F: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.n
     return ((hi + lo) / 2.0)[..., ::-1]
 
 
+def _upper_factor(Y: SpdMatrix) -> np.ndarray:
+    """Upper-triangular R with Y = R^T R, in floats.
+
+    The float Cholesky factor where it succeeds.  Y was decided positive
+    definite exactly when it was built, so where the float Cholesky fails
+    R = diag(sqrt(d)) L^T is read from its exact LDL^T instead.
+    """
+    try:
+        return np.linalg.cholesky(Y.to_numpy()).T
+    except np.linalg.LinAlgError:
+        L, d = ldl_decompose(Y)
+        return np.sqrt(np.array(d, dtype=float))[:, None] * L.to_numpy().T
+
+
 def d_spectrum(Y: SpdMatrix, pairing_tol: float = PAIRING_TOL) -> KaplanSpectrum:
     """Symplectic spectrum of a Gram matrix of even size.
 
-    Factors Y = R^T R by Cholesky and takes the singular values of the
-    skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k, d_k.
-    This never squares the condition number of Y.  Y was decided positive
-    definite exactly when it was built, so where the float Cholesky fails
-    R = diag(sqrt(d)) L^T is read from its exact LDL^T instead.  A pair
-    that fails to match within ``pairing_tol`` times the largest value
-    raises ``PairingFailure`` (numerical breakdown).
+    Factors Y = R^T R (``_upper_factor``) and takes the singular values of
+    the skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k, d_k.
+    This never squares the condition number of Y.  A pair that fails to
+    match within ``pairing_tol`` times the largest value raises
+    ``PairingFailure`` (numerical breakdown).
     """
     if Y.n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    try:
-        R = _upper_cholesky(Y.to_numpy()[np.newaxis])
-    except NotPositiveDefinite:
-        L, d = ldl_decompose(Y)
-        R = (np.sqrt(np.array(d, dtype=float))[:, None] * L.to_numpy().T)[np.newaxis]
-    return KaplanSpectrum(tuple(_symplectic_spectra(R, pairing_tol)[0].tolist()))
+    return KaplanSpectrum(tuple(_symplectic_spectra(_upper_factor(Y), pairing_tol).tolist()))
 
 
 def is_heisenberg_type(m: NormalizedMetric, tol: float = 1e-8) -> bool:

@@ -14,7 +14,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import EnumerationBudgetExceeded
 from .linalg import (
@@ -290,29 +289,15 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
 
 # --- extendability and basis completion -------------------------------
 
-def _extendable(cols: list[tuple[int, ...]]) -> bool:
-    """True if the given columns extend to a basis of Z^n.
-
-    Equivalent to the gcd of all maximal minors of the n x k column
-    matrix being 1.
-    """
-    k = len(cols)
-    n = len(cols[0])
-    g = 0
-    for rows in combinations(range(n), k):
-        sub = [[cols[j][i] for j in range(k)] for i in rows]
-        g = math.gcd(g, _int_determinant(sub))
-        if g == 1:
-            return True
-    return False
-
-
 def _complete_basis(cols: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """Columns completing an extendable prefix to a unimodular matrix.
 
     Diagonalizes the prefix by unimodular row and column operations
     while tracking the inverse of the row transform; the completion is
     read off its trailing columns (Hermite/Smith style completion).
+    The diagonal it reaches has product +-(gcd of the k x k minors), so
+    this also decides extendability: columns that are dependent, or
+    whose minors share a factor, raise ``ValueError``.
     """
     k = len(cols)
     if k == 0:
@@ -374,23 +359,27 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
 
     Greedy successive minima: the k-th column is the shortest vector
     (canonical tie-break) that keeps the prefix extendable to a basis,
-    which yields the domain's minimality conditions directly; a final
-    diagonal +-1 transform fixes the superdiagonal signs.  Returns
-    (Y[U], U) with U unimodular.
+    as ``_complete_basis`` decides; the completion it returns bounds the
+    next column's search.  This yields the domain's minimality conditions
+    directly; a final diagonal +-1 transform fixes the superdiagonal
+    signs.  Returns (Y[U], U) with U unimodular.
     """
     n = Y.n
     if n > 8:
         raise ValueError("reduction is only supported up to dimension 8")
     cols: list[tuple[int, ...]] = []
+    completion = _complete_basis(cols, n)
     for _ in range(n):
-        completion = _complete_basis(cols, n)
         cap = min(quadratic_form(Y, c) for c in completion)
         candidates = sorted(_short_vectors(Y, cap, budget),
                             key=lambda va: (va[0], _witness_key(va[1])))
         for _, a in candidates:
-            if _extendable(cols + [a]):
-                cols.append(a)
-                break
+            try:
+                completion = _complete_basis(cols + [a], n)
+            except ValueError:  # a does not extend the prefix
+                continue
+            cols.append(a)
+            break
         else:  # pragma: no cover - a completion column is always a candidate
             raise AssertionError("no extendable candidate found")
     # superdiagonal sign normalization by a diagonal +-1 unimodular:

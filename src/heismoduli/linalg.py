@@ -6,7 +6,8 @@ determinants and the lattice routines built on top of them are exact.
 ``float`` mode uses double precision and backs the spectral routines
 (eigenvalues, singular values), which are approximate by nature and go
 through LAPACK via numpy.  Everything exact is implemented directly,
-and positive definiteness is decided exactly in both modes.
+and positive definiteness is decided exactly in both modes, by
+``_integer_ldl`` alone.
 """
 
 from __future__ import annotations
@@ -127,13 +128,6 @@ def identity(n: int, mode: str = RATIONAL) -> DenseMatrix:
     zero = Fraction(0) if mode == RATIONAL else 0.0
     return DenseMatrix(
         tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), mode
-    )
-
-
-def diagonal(values: Sequence[Scalar], mode: str | None = None) -> DenseMatrix:
-    n = len(values)
-    return DenseMatrix.from_rows(
-        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)], mode
     )
 
 
@@ -481,6 +475,3 @@ def matrix_from_json(obj: dict) -> DenseMatrix:
         raise ValueError("matrix entries do not match declared shape")
     return _shaped(tuple(tuple(scalar_from_json(x, mode) for x in r) for r in entries), mode)
 
-
-def spd_from_json(obj: dict) -> SpdMatrix:
-    return SpdMatrix(matrix_from_json(obj))

@@ -231,6 +231,14 @@ class TestKeyInequality:
         with pytest.raises(hm.Singular):
             hm.verify_key_inequality(hm.SpdMatrix(hm.identity(2)), G)
 
+    def test_float_gram_past_float_cholesky(self):
+        # SpdMatrix accepts this float Gram exactly (det = 2^-49) though the
+        # float Cholesky fails; the key inequality factors it as d_spectrum does
+        Y = hm.SpdMatrix.from_rows([[3.0, 5.0], [5.0, 8.333333333333334]], hm.FLOAT)
+        rep = hm.verify_key_inequality(Y, hm.identity(2))
+        assert rep.rhs == hm.d_spectrum(Y).d_max
+        assert rep.holds
+
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_seeded_sweep(self, dim):
         result = hm.key_inequality_sweep(dim, 300, seed=1000 + dim)
@@ -266,8 +274,9 @@ class TestKeyInequality:
     @example(2, 100, 174)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         B, G = _replay_key_samples(dim, samples, seed)
-        expected = compactness._sweep_result(
-            *compactness._key_inequality_sides(np.swapaxes(B, -1, -2) @ B, G))
+        Y = np.swapaxes(B, -1, -2) @ B
+        R = np.swapaxes(np.linalg.cholesky(Y), -1, -2)
+        expected = compactness._sweep_result(*compactness._key_inequality_sides(Y, R, G))
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -380,6 +381,63 @@ class TestMinkowskiReduce:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             hm.minkowski_reduce(hm.SpdMatrix(hm.identity(9)))
+
+
+def _minor_gcd(cols):
+    """gcd of the k x k minors of the n x k matrix with these columns."""
+    n, k = len(cols[0]), len(cols)
+    return math.gcd(*(hm.linalg._int_determinant([[c[i] for c in cols] for i in rows])
+                      for rows in combinations(range(n), k)))
+
+
+def _column_sets(kind, count=300, seed=71):
+    """Integer column sets, n <= 5, k <= n, entries in [-3, 3].
+
+    "random" draws every entry; "dependent" makes the last column the
+    difference of the first two, the negative of the first, or zero,
+    so every minor is 0; "even" doubles the first column of entries in
+    [-1, 1], so every minor is even.
+    """
+    rng = random.Random(f"{kind}-{seed}")
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        top = 3 if kind == "random" else 1
+        cols = [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(k)]
+        if kind == "dependent":
+            cols[-1] = (tuple(a - b for a, b in zip(*cols[:2])) if k > 2
+                        else tuple(-x for x in cols[0]) if k == 2 else (0,) * n)
+        elif kind == "even":
+            cols[0] = tuple(2 * x for x in cols[0])
+        yield cols
+
+
+class TestCompleteBasis:
+    # columns extend to a basis of Z^n exactly when the gcd of their k x k
+    # minors is 1; the scan over every minor is the oracle
+    @pytest.mark.parametrize("kind", ["random", "dependent", "even"])
+    def test_succeeds_exactly_when_minor_gcd_is_one(self, kind):
+        outcomes = set()
+        for cols in _column_sets(kind):
+            n, g = len(cols[0]), _minor_gcd(cols)
+            outcomes.add(g)
+            try:
+                completion = hm.lattice._complete_basis(cols, n)
+            except ValueError:
+                assert g != 1, cols
+                continue
+            assert g == 1, cols
+            basis = cols + completion
+            assert len(basis) == n
+            assert abs(hm.linalg._int_determinant(
+                [[c[i] for c in basis] for i in range(n)])) == 1
+        # every kind reaches the outcomes it was built for, and only those
+        if kind == "random":
+            assert {0, 1, 2} <= outcomes
+        elif kind == "dependent":
+            assert outcomes == {0}
+        else:
+            assert {0, 2} <= outcomes and all(g % 2 == 0 for g in outcomes)
 
 
 class TestDivisibilityTuple:

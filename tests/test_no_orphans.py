@@ -1,0 +1,56 @@
+"""Orphans a deletion leaves behind in ``src/heismoduli``.
+
+Two rules, read off the syntax trees: a module (``__init__`` aside, it
+re-exports) uses every name it imports, and every module-level
+``_private`` function is referenced somewhere in the package outside
+its own body.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heismoduli"
+TREES = {path.stem: ast.parse(path.read_text(), str(path))
+         for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _referenced(node: ast.AST) -> list[str]:
+    """Names read in node: bare names and attribute names."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+    return names
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """Names bound by the module's imports, ``from __future__`` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__"}))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = set(_referenced(tree))
+    assert [name for name in _imported(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_function_is_referenced(module):
+    counts = Counter(name for tree in TREES.values() for name in _referenced(tree))
+    # a function that only calls itself is still an orphan
+    orphans = [node.name for node in TREES[module].body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and counts[node.name] == _referenced(node).count(node.name)]
+    assert orphans == []
