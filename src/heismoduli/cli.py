@@ -73,7 +73,7 @@ def cmd_invariants(args) -> int:
     m_r = lattice.first_minimum_r(metric.h, metric.r).value
     det_h = determinant(metric.h)
     spectrum = heisenberg.d_spectrum(metric.h)
-    bound = heisenberg.curvature_upper_bound(metric)
+    bound = heisenberg._curvature_bound(spectrum, metric.g)
     payload = {
         "m_r": scalar_to_json(m_r),
         "det_h": scalar_to_json(det_h),
@@ -125,8 +125,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_heis_type(args) -> int:
     metric = heisenberg.NormalizedMetric.from_json(_read_payload(args.input))
-    verdict = heisenberg.is_heisenberg_type(metric, args.tol)
     spectrum = heisenberg.d_spectrum(metric.h)
+    verdict = heisenberg._is_heisenberg_spectrum(spectrum, metric.g, args.tol)
     payload = {"heisenberg_type": verdict, "d": list(spectrum.d)}
     _emit(payload, args.format,
           [("Heisenberg type" if verdict else "not Heisenberg type")])

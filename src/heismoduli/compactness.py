@@ -29,10 +29,10 @@ from .errors import (
 )
 from .heisenberg import (
     NormalizedMetric,
+    _d_spectra,
+    _is_heisenberg_spectrum,
     _symplectic_spectra,
-    _upper_factor,
-    d_spectrum,
-    is_heisenberg_type,
+    _upper_factors,
     symplectic_j,
 )
 from .lattice import DivisibilityTuple, first_minimum, first_minimum_r
@@ -180,7 +180,7 @@ def heisenberg_certificate(family: MetricFamily, C0: Scalar | None = None,
     r = family.r
     minima = [first_minimum_r(m.h, r, budget).value for m in members]
     dets = [determinant(m.h) for m in members]
-    dns = [d_spectrum(m.h).d_max for m in members]
+    dns = [s.d_max for s in _d_spectra([m.h for m in members])]
     gs = [m.g for m in members]
     c0, w0 = _argmin(minima)
     c1, w1 = _argmax(dets)
@@ -218,8 +218,9 @@ def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
     the g range need checking.
     """
     members = family.members
-    for idx, m in enumerate(members):
-        if not is_heisenberg_type(m, tol):
+    spectra = _d_spectra([m.h for m in members])
+    for idx, (m, spectrum) in enumerate(zip(members, spectra)):
+        if not _is_heisenberg_spectrum(spectrum, m.g, tol):
             raise NotHeisenbergType(idx)
     r = family.r
     n = r.n
@@ -302,7 +303,7 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
         raise Singular("G must be invertible")
     if Y.n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    lhs, rhs = _key_inequality_sides(Y.to_numpy(), _upper_factor(Y), G.to_numpy())
+    lhs, rhs = _key_inequality_sides(Y.to_numpy(), _upper_factors([Y])[0], G.to_numpy())
     return InequalityReport(float(lhs), float(rhs))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -377,39 +378,59 @@ def _symplectic_spectra(F: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.n
     return ((hi + lo) / 2.0)[..., ::-1]
 
 
-def _upper_factor(Y: SpdMatrix) -> np.ndarray:
-    """Upper-triangular R with Y = R^T R, in floats.
+def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
+    """Stack of upper-triangular R with Y = R^T R, in floats, one per Y.
 
-    The float Cholesky factor where it succeeds.  Y was decided positive
-    definite exactly when it was built, so where the float Cholesky fails
-    R = diag(sqrt(d)) L^T is read from its exact LDL^T instead.
+    One stacked float Cholesky where it succeeds for every member.  Where
+    it fails, each member is factored alone, and one whose float Cholesky
+    fails takes R = diag(sqrt(d)) L^T from its exact LDL^T: Y was decided
+    positive definite exactly when it was built.  The Ys are of equal size.
     """
     try:
-        return np.linalg.cholesky(Y.to_numpy()).T
+        return np.swapaxes(np.linalg.cholesky(np.array([Y.to_numpy() for Y in Ys])), -1, -2)
     except np.linalg.LinAlgError:
-        L, d = ldl_decompose(Y)
-        return np.sqrt(np.array(d, dtype=float))[:, None] * L.to_numpy().T
+        pass
+    if len(Ys) > 1:  # only the members that need it go exact
+        return np.concatenate([_upper_factors([Y]) for Y in Ys])
+    L, d = ldl_decompose(Ys[0])
+    return (np.sqrt(np.array(d, dtype=float))[:, None] * L.to_numpy().T)[np.newaxis]
+
+
+def _d_spectra(Ys: Sequence[SpdMatrix], pairing_tol: float = PAIRING_TOL
+               ) -> list[KaplanSpectrum]:
+    """Symplectic spectra of equal-size Gram matrices, as one stack.
+
+    One ``_upper_factors`` and one ``_symplectic_spectra`` for all of Ys;
+    each spectrum is the one Y would have alone.  The first member whose
+    pairs fail to match raises ``PairingFailure``.
+    """
+    if Ys[0].n % 2:
+        raise OddDimension("symplectic spectrum requires even size")
+    d = _symplectic_spectra(_upper_factors(Ys), pairing_tol)
+    return [KaplanSpectrum(tuple(row)) for row in d.tolist()]
 
 
 def d_spectrum(Y: SpdMatrix, pairing_tol: float = PAIRING_TOL) -> KaplanSpectrum:
     """Symplectic spectrum of a Gram matrix of even size.
 
-    Factors Y = R^T R (``_upper_factor``) and takes the singular values of
-    the skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k, d_k.
+    Factors Y = R^T R (``_upper_factors``) and takes the singular values
+    of the skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k, d_k.
     This never squares the condition number of Y.  A pair that fails to
     match within ``pairing_tol`` times the largest value raises
     ``PairingFailure`` (numerical breakdown).
     """
-    if Y.n % 2:
-        raise OddDimension("symplectic spectrum requires even size")
-    return KaplanSpectrum(tuple(_symplectic_spectra(_upper_factor(Y), pairing_tol).tolist()))
+    return _d_spectra([Y], pairing_tol)[0]
+
+
+def _is_heisenberg_spectrum(spectrum: KaplanSpectrum, g: Scalar, tol: float) -> bool:
+    """True when every d_k equals g^{-1/2} within the relative tolerance."""
+    target = 1.0 / math.sqrt(float(g))
+    return all(abs(dk - target) <= tol * target for dk in spectrum.d)
 
 
 def is_heisenberg_type(m: NormalizedMetric, tol: float = 1e-8) -> bool:
     """True when all d_k(h) equal g^{-1/2} within the relative tolerance."""
-    target = 1.0 / math.sqrt(float(m.g))
-    spectrum = d_spectrum(m.h)
-    return all(abs(dk - target) <= tol * target for dk in spectrum.d)
+    return _is_heisenberg_spectrum(d_spectrum(m.h), m.g, tol)
 
 
 def same_symplectic_orbit(X: SpdMatrix, Y: SpdMatrix, tol: float = 1e-8) -> bool:
@@ -420,9 +441,8 @@ def same_symplectic_orbit(X: SpdMatrix, Y: SpdMatrix, tol: float = 1e-8) -> bool
     """
     if X.n != Y.n:
         raise DimensionMismatch("matrices of different size")
-    dx = d_spectrum(X).d
-    dy = d_spectrum(Y).d
-    return all(abs(a - b) <= tol * max(abs(a), abs(b)) for a, b in zip(dx, dy))
+    sx, sy = _d_spectra([X, Y])
+    return all(abs(a - b) <= tol * max(abs(a), abs(b)) for a, b in zip(sx.d, sy.d))
 
 
 def _metric_inner(m: NormalizedMetric, u: LieAlgebraVector, v: LieAlgebraVector) -> float:
@@ -466,6 +486,11 @@ def sectional_curvature(m: NormalizedMetric, u: LieAlgebraVector,
     return 0.25 * float(w @ h @ w)
 
 
+def _curvature_bound(spectrum: KaplanSpectrum, g: Scalar) -> float:
+    """g^{-1} d_n^2 for the spectrum d of h."""
+    return spectrum.d_max ** 2 / float(g)
+
+
 def curvature_upper_bound(m: NormalizedMetric) -> float:
     """g^{-1} d_n(h)^2, an upper bound for the sampled sectional curvatures."""
-    return d_spectrum(m.h).d_max ** 2 / float(m.g)
+    return _curvature_bound(d_spectrum(m.h), m.g)

@@ -88,6 +88,8 @@ class DenseMatrix:
         return DenseMatrix(tuple(tuple(Fraction(x) for x in r) for r in self.entries), RATIONAL)
 
     def to_numpy(self) -> np.ndarray:
+        if self.mode == RATIONAL:  # int / int rounds correctly, as float(Fraction) does
+            return np.array([[x.numerator / x.denominator for x in r] for r in self.entries])
         return np.array(self.entries, dtype=float)
 
     def mat_vec(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -473,5 +475,16 @@ def matrix_from_json(obj: dict) -> DenseMatrix:
     entries = [_json_list(r, "a matrix row") for r in _json_list(obj["entries"], "matrix entries")]
     if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
         raise ValueError("matrix entries do not match declared shape")
-    return _shaped(tuple(tuple(scalar_from_json(x, mode) for x in r) for r in entries), mode)
+    # each distinct string is parsed once, so equal entries share one scalar
+    # and the symmetry check matches them by identity
+    parsed = {}
+
+    def scalar(x):
+        if type(x) is not str:
+            return scalar_from_json(x, mode)
+        if x not in parsed:
+            parsed[x] = scalar_from_json(x, mode)
+        return parsed[x]
+
+    return _shaped(tuple(tuple(scalar(x) for x in r) for r in entries), mode)
 

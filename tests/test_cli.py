@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 import heismoduli as hm
@@ -377,3 +378,35 @@ class TestTolOption:
         code, _, err = run(capsys, [*argv, "--tol", "0.1"], stdin=payload,
                            monkeypatch=monkeypatch)
         assert code == 0 and err == ""
+
+
+class TestOneSpectrumKernelPerCommand:
+    """Each command takes all its spectra from one stacked SVD call."""
+
+    @staticmethod
+    def family_json():
+        members = []
+        for seed in range(6):
+            S = hm.random_symplectic_integer(2, seed, 6)
+            members.append({"h": hm.matrix_to_json(hm.congruence(hm.identity(4), S)),
+                            "g": 1, "r": [1, 1]})
+        return json.dumps({"members": members})
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["certify", "--C0", "1", "--C2", "1e9"], "family"),
+        (["certify", "--heisenberg-type", "--C0", "1"], "family"),
+        (["invariants"], "metric"),
+        (["heis-type"], "metric"),
+    ])
+    def test_one_svd_call(self, capsys, monkeypatch, argv, stdin):
+        real, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        payload = self.family_json() if stdin == "family" else identity_metric_json()
+        code, _, err = run(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
+        assert calls == [(6 if stdin == "family" else 1, 4, 4)]

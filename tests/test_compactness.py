@@ -155,6 +155,28 @@ class TestHeisenbergTypeCertificate:
             hm.heisenberg_type_certificate(fam, C0=1, I=(1, 1))
         assert exc.value.index == 0
 
+    def test_first_non_type_member_named(self):
+        fam = metric_family([hm.SpdMatrix(hm.identity(4)), hm.counterexample_family(1),
+                             hm.counterexample_family(2)])
+        with pytest.raises(hm.NotHeisenbergType) as exc:
+            hm.heisenberg_type_certificate(fam)
+        assert exc.value.index == 1
+
+    def test_pairing_failure_of_a_later_member_comes_first(self, monkeypatch):
+        # the family's spectra come as one stack, before any member is tested:
+        # member 1 breaks its pairs, member 0 is not of Heisenberg type
+        real = np.linalg.svd
+
+        def perturbed(m, *args, **kwargs):
+            vals = real(m, *args, **kwargs).copy()
+            vals[1, 0] *= 0.9
+            return vals
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        fam = metric_family([hm.counterexample_family(1), hm.SpdMatrix(hm.identity(4))])
+        with pytest.raises(hm.PairingFailure):
+            hm.heisenberg_type_certificate(fam)
+
 
 def _replay_invertible(rng, dim, bound=10.0):
     """The sweeps' draw, one matrix at a time: entries row by row from

@@ -3,7 +3,10 @@
 ``tests/data/golden_cli.json`` holds the argv, stdin, stdout and exit
 code of each case: ``invariants``, ``shortest-vector``, ``reduce``,
 ``certify`` and ``certify-torus`` on rational and float Gram matrices
-of size 2 to 8, half of them in skewed bases, plus rejected inputs.
+of size 2 to 8, half of them in skewed bases, plus rejected inputs;
+then ``spectrum``, ``heis-type``, ``curvature-bound`` and
+``certify --heisenberg-type`` cases, appended after the others so that
+no earlier input changed.
 A change that should not alter any output must leave this test
 passing.  Regenerate the file (only when an output change is intended,
 and say so in the change log) with
@@ -193,7 +196,61 @@ def generate_cases():
     add("error-certify-not-a-family", ["certify"], {"h": identity4})
     add("error-torus-empty", ["certify-torus"], [])
     add("error-torus-mixed-sizes", ["certify-torus"], [identity4, rat([["1"]])])
+    # appended later: spectra through every command that reads them
+    for i, n in enumerate(m for m in (1, 2, 3, 4) for _ in range(2)):
+        fmt = ["--format", "text"] if i % 3 == 2 else []
+        add(f"spectrum-{2 * n}-{i}", ["spectrum", *fmt], _matrix_json(_gram(rng, 2 * n, i)))
+    for i, n in enumerate(m for m in (1, 2, 3, 4) for _ in range(2)):
+        metric = (_heis_type_metric(rng, n, i % 4 != 1, ("4", "1/4", 0.25, "1")[n - 1]) if i % 2
+                  else _metric_json(rng, _gram(rng, 2 * n, i)))
+        fmt = ["--format", "text"] if i % 3 == 1 else []
+        add(f"heis-type-{2 * n}-{i}", ["heis-type", *fmt], metric)
+    for i, n in enumerate((1, 2, 3, 4)):
+        fmt = ["--format", "text"] if i == 3 else []
+        add(f"curvature-bound-{2 * n}-{i}", ["curvature-bound", *fmt],
+            _metric_json(rng, _gram(rng, 2 * n, i)))
+    for i, n in enumerate((1, 2, 3, 4)):
+        g = ("1", "4", 0.25, "1/4")[i]
+        members = [_heis_type_metric(rng, n, i % 2 == 0, g) for _ in range(rng.randint(2, 5))]
+        for m in members[1:]:
+            m["r"] = members[0]["r"]
+        if i == 1:  # a member of another spectrum: NotHeisenbergType, exit 2
+            members.insert(1, _metric_json(rng, _gram(rng, 2 * n, 0)) | {"r": members[0]["r"]})
+        argv = ["certify", "--heisenberg-type", "--C0", rng.choice(("1/100", "1", "2")),
+                "--g-min", "1/8", "--g-max", "4"]
+        if i == 2:
+            argv += ["--format", "text"]
+        add(f"certify-heisenberg-type-{2 * n}-{i}", argv, {"members": members})
     return cases
+
+
+def _symplectic_shear(rng, n):
+    """An integer symplectic matrix: a product of block shears [[I, B], [0, I]]
+    and [[I, 0], [B, I]] with B symmetric, entries in {-1, 0, 1}."""
+    s = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
+    for step in range(3):
+        B = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                B[a][b] = B[b][a] = rng.choice((-1, 0, 0, 1))
+        off = (0, n) if step % 2 == 0 else (n, 0)
+        e = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
+        for a in range(n):
+            for b in range(n):
+                e[off[0] + a][off[1] + b] = B[a][b]
+        s = [[sum(s[i][k] * e[k][j] for k in range(2 * n)) for j in range(2 * n)]
+             for i in range(2 * n)]
+    return s
+
+
+def _heis_type_metric(rng, n, rational, g="1"):
+    """h = g^{1/2} S^T S with S integer symplectic: every d_k(h) is g^{-1/2}."""
+    c = {"1": Fraction(1), "4": Fraction(2), "1/4": Fraction(1, 2), 0.25: Fraction(1, 2)}[g]
+    h = _congruence([[c * int(i == j) for j in range(2 * n)] for i in range(2 * n)],
+                    _symplectic_shear(rng, n))
+    if not rational:
+        h = [[float(x) for x in r] for r in h]
+    return {"h": _matrix_json(h), "g": g, "r": rng.choice(R_TUPLES[n])}
 
 
 def regenerate(path=DATA):

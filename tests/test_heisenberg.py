@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
+from heismoduli import heisenberg
 from conftest import random_integer_gram, rational_metric
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -350,6 +351,96 @@ class TestDSpectrum:
             hm.d_spectrum(hm.SpdMatrix(hm.identity(4, hm.FLOAT)))
 
 
+def _random_gram(rng, dim, mode):
+    """B^T B + I/2, with B rational (denominators up to 4) or float."""
+    if mode == hm.RATIONAL:
+        B = [[Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4))) for _ in range(dim)]
+             for _ in range(dim)]
+        half = Fraction(1, 2)
+    else:
+        B = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(dim)]
+        half = 0.5
+    return hm.SpdMatrix.from_rows(
+        [[sum(B[k][i] * B[k][j] for k in range(dim)) + half * (i == j) for j in range(dim)]
+         for i in range(dim)], mode)
+
+
+# a float Gram that SpdMatrix accepts exactly but the float Cholesky rejects
+PAST_CHOLESKY = [[3.0, 5.0], [5.0, 8.333333333333334]]
+
+
+class TestStackedSpectra:
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    def test_stack_equals_members_exactly(self, mode):
+        rng = random.Random(41 if mode == hm.RATIONAL else 43)
+        for _ in range(80):
+            dim = rng.choice((2, 4, 6, 8))
+            family = [_random_gram(rng, dim, mode) for _ in range(rng.randint(1, 8))]
+            stacked = [s.d for s in heisenberg._d_spectra(family)]
+            assert stacked == [hm.d_spectrum(Y).d for Y in family]
+            # and each member alone through the 2-D kernel on its own factor
+            assert stacked == [tuple(heisenberg._symplectic_spectra(
+                np.linalg.cholesky(Y.to_numpy()).T).tolist()) for Y in family]
+
+    def test_member_past_float_cholesky(self):
+        # only the member whose own float Cholesky fails takes the exact factor
+        rng = random.Random(47)
+        Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
+        family = [_random_gram(rng, 2, mode) for mode in (hm.RATIONAL, hm.FLOAT) * 4]
+        family.insert(3, Y)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.array([X.to_numpy() for X in family]))
+        stacked = [s.d for s in heisenberg._d_spectra(family)]
+        assert stacked == [hm.d_spectrum(X).d for X in family]
+        del stacked[3], family[3]
+        # about a quarter of these spectra differ in the last bits when
+        # taken from the exact factor
+        assert stacked == [tuple(heisenberg._symplectic_spectra(
+            np.linalg.cholesky(X.to_numpy()).T).tolist()) for X in family]
+
+    def test_certificate_c2_past_float_cholesky(self):
+        # PAST_CHOLESKY itself takes first_minimum_r past its enumeration
+        # budget (a badly reduced basis), so the certificate takes another
+        # such Gram, whose shortest vector is its first basis vector
+        Y = hm.SpdMatrix.from_rows([[3 * 2.0**-20, 3.0], [3.0, 3 * 2.0**20 + 2.0**-31]],
+                                   hm.FLOAT)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(Y.to_numpy())
+        r = hm.DivisibilityTuple((1,))
+        family = hm.MetricFamily((hm.NormalizedMetric(hm.SpdMatrix(hm.identity(2)), 1, r),
+                                  hm.NormalizedMetric(Y, 1, r)))
+        cert = hm.heisenberg_certificate(family)
+        assert cert.c2 == hm.d_spectrum(Y).d_max == 27397079.00297188
+        assert cert.witnesses["c2"] == 1
+
+    def test_type_certificate_past_float_cholesky(self):
+        # the spectra are decided before any first minimum is enumerated
+        r = hm.DivisibilityTuple((1,))
+        family = hm.MetricFamily((
+            hm.NormalizedMetric(hm.SpdMatrix(hm.identity(2)), 1, r),
+            hm.NormalizedMetric(hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT), 1, r)))
+        with pytest.raises(hm.NotHeisenbergType) as exc:
+            hm.heisenberg_type_certificate(family)
+        assert exc.value.index == 1
+
+    def test_odd_dimension_rejected(self):
+        with pytest.raises(hm.OddDimension):
+            heisenberg._d_spectra([hm.SpdMatrix(hm.identity(3))] * 2)
+
+    def test_first_failing_member_raises(self, monkeypatch):
+        # a broken pair in the last member only: the stack raises for it
+        real = np.linalg.svd
+
+        def perturbed(m, *args, **kwargs):
+            vals = real(m, *args, **kwargs).copy()
+            vals[-1, 0] *= 0.9
+            return vals
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        with pytest.raises(hm.PairingFailure):
+            heisenberg._d_spectra([hm.SpdMatrix(hm.identity(4))] * 3)
+
+
 class TestHeisenbergType:
     def test_flat_is_type(self):
         assert hm.is_heisenberg_type(rational_metric(hm.SpdMatrix(hm.identity(4)), Fraction(1)))
@@ -383,6 +474,18 @@ class TestSameOrbit:
         S = hm.random_symplectic_integer(2, 17, 9)
         Ys = hm.SpdMatrix(hm.congruence(Y.matrix, S))
         assert hm.same_symplectic_orbit(Y, Ys)
+
+    def test_one_stack(self, monkeypatch):
+        real, shapes = np.linalg.svd, []
+
+        def counted(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert not hm.same_symplectic_orbit(hm.SpdMatrix(hm.identity(4)),
+                                            hm.counterexample_family(1))
+        assert shapes == [(2, 4, 4)]
 
 
 class TestSectionalCurvature:

@@ -455,3 +455,44 @@ class TestJson:
     def test_non_finite_float_scalar_rejected(self, value):
         with pytest.raises(ValueError):
             hm.linalg.scalar_from_json(value, hm.FLOAT)
+
+
+class TestJsonSharedScalars:
+    def test_equal_strings_share_one_scalar(self):
+        m = hm.matrix_from_json({"mode": "rational", "rows": 3, "cols": 3, "entries": [
+            ["1/2", "-3", "7/4"], ["-3", "1/2", "0"], ["7/4", "0", "1/2"]]})
+        e = m.entries
+        assert e[0][1] is e[1][0] and e[0][2] is e[2][0] and e[1][2] is e[2][1]
+        assert e[0][0] is e[1][1] is e[2][2]
+        assert e == ((frac(1, 2), frac(-3), frac(7, 4)), (frac(-3), frac(1, 2), frac(0)),
+                     (frac(7, 4), frac(0), frac(1, 2)))
+
+    @pytest.mark.parametrize("mode, entries", [
+        (hm.RATIONAL, [["2", "1/3"], ["1/3", "5"]]),
+        (hm.FLOAT, [["2", "0.25"], ["0.25", "5"]]),
+        (hm.FLOAT, [[2.0, 0.1], [0.1, 5.0]]),
+    ])
+    def test_exactly_symmetric_payload_kept_as_is(self, mode, entries):
+        m = hm.matrix_from_json({"mode": mode, "rows": 2, "cols": 2, "entries": entries})
+        assert hm.linalg.symmetrized(m) is m
+        assert hm.SpdMatrix(m).matrix is m
+
+    @pytest.mark.parametrize("mode, entries", [
+        (hm.RATIONAL, [["1/0", "1/0"], ["1/0", "1"]]),
+        (hm.FLOAT, [["1", "1/0"], ["1/0", "1"]]),
+        (hm.RATIONAL, [[1, True], [True, 1]]),  # True == 1 and hashes alike
+        (hm.RATIONAL, [["1", True], [True, "1"]]),
+        (hm.FLOAT, [[1.0, False], [False, 1.0]]),
+        (hm.RATIONAL, [[1, 1.0], [1.0, 1]]),  # 1.0 == 1 and hashes alike
+        (hm.RATIONAL, [["3/2", 1.5], [1.5, "3/2"]]),
+    ])
+    def test_rejections_unchanged(self, mode, entries):
+        with pytest.raises(ValueError):
+            hm.matrix_from_json({"mode": mode, "rows": 2, "cols": 2, "entries": entries})
+
+    def test_to_numpy_rounds_as_float_does(self):
+        rng = random.Random(5)
+        xs = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)) for _ in range(200)]
+        xs += [Fraction(1, 3), Fraction(-2, 7), Fraction(10**400, 10**399 + 1)]
+        m = hm.DenseMatrix.from_rows([xs])
+        assert m.to_numpy().tolist() == [[float(x) for x in xs]]
