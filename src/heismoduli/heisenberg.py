@@ -35,6 +35,7 @@ from .linalg import (
     DenseMatrix,
     Scalar,
     SpdMatrix,
+    _is_floatlike,
     _json_list,
     congruence,
     determinant,
@@ -51,7 +52,7 @@ ORTHONORMAL_TOL = 1e-9
 
 
 def _coerce_vector(v) -> tuple[Scalar, ...]:
-    if any(isinstance(x, (float, np.floating)) for x in v):
+    if any(_is_floatlike(x) for x in v):
         return tuple(float(x) for x in v)
     return tuple(Fraction(x) for x in v)
 
@@ -239,14 +240,13 @@ def automorphism_matrix(d: AutomorphismDescriptor) -> DenseMatrix:
     two_n = d.beta.rows
     mode = d.beta.mode if not isinstance(d.a, float) else FLOAT
     a = Fraction(d.a) if mode == RATIONAL and not isinstance(d.a, float) else float(d.a)
-    beta = d.beta if d.beta.mode == mode else d.beta.to_float()
     w = d.w if mode == RATIONAL else tuple(float(x) for x in d.w)
     zero = Fraction(0) if mode == RATIONAL else 0.0
     rows = []
     for i in range(two_n):
-        rows.append(tuple(a * beta.entries[i][j] for j in range(two_n)) + (zero,))
+        rows.append(tuple(a * d.beta.entries[i][j] for j in range(two_n)) + (zero,))
     last = tuple(
-        sum(w[i] * beta.entries[i][j] for i in range(two_n)) for j in range(two_n)
+        sum(w[i] * d.beta.entries[i][j] for i in range(two_n)) for j in range(two_n)
     ) + (a * a * d.epsilon,)
     rows.append(last)
     return DenseMatrix(tuple(rows), mode)
@@ -446,7 +446,7 @@ def same_symplectic_orbit(X: SpdMatrix, Y: SpdMatrix, tol: float = 1e-8) -> bool
 
 
 def _metric_inner(m: NormalizedMetric, u: LieAlgebraVector, v: LieAlgebraVector) -> float:
-    hu = m.h.matrix.to_float().mat_vec([float(c) for c in v.horizontal()])
+    hu = m.h.matrix.mat_vec([float(c) for c in v.horizontal()])
     horiz = sum(float(a) * b for a, b in zip(u.horizontal(), hu))
     return horiz + float(m.g) * float(u.s) * float(v.s)
 

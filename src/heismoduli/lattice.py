@@ -25,6 +25,7 @@ from .linalg import (
     _int_determinant,
     congruence,
     quadratic_form,
+    scalar_to_json,
 )
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -84,8 +85,6 @@ class ShortVectorResult:
     witness: tuple[int, ...]
 
     def to_json(self) -> dict:
-        from .linalg import scalar_to_json
-
         return {"value": scalar_to_json(self.value), "witness": list(self.witness)}
 
 
@@ -99,7 +98,7 @@ class UnimodularMatrix:
         rows = tuple(tuple(int(x) for x in r) for r in self.entries)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("unimodular matrix must be square")
-        if abs(_int_determinant(rows)) != 1:
+        if abs(_int_determinant(list(rows))) != 1:
             raise ValueError("determinant is not +-1")
         object.__setattr__(self, "entries", rows)
 
@@ -111,7 +110,7 @@ class UnimodularMatrix:
         return DenseMatrix.from_rows(self.entries, RATIONAL)
 
     def determinant(self) -> int:
-        return _int_determinant(self.entries)
+        return _int_determinant(list(self.entries))
 
 
 @dataclass(frozen=True)
@@ -382,16 +381,18 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
             break
         else:  # pragma: no cover - a completion column is always a candidate
             raise AssertionError("no extendable candidate found")
-    # superdiagonal sign normalization by a diagonal +-1 unimodular:
-    # the final (k-1, k) entry is signs[k-1] * signs[k] * y, so each sign
-    # is chosen from its predecessor and the raw entry
+    # superdiagonal sign normalization by a diagonal +-1 unimodular S:
+    # entry (i, j) of Y[U0 S] is signs[i] * signs[j] times that of Y[U0],
+    # so each sign is chosen from its predecessor and the raw entry
     U0 = [[cols[j][i] for j in range(n)] for i in range(n)]
-    reduced = congruence(Y, DenseMatrix.from_rows(U0))
+    reduced = congruence(Y, DenseMatrix.from_rows(U0)).entries
     signs = [1] * n
     for k in range(1, n):
-        y = reduced.entries[k - 1][k]
+        y = reduced[k - 1][k]
         signs[k] = signs[k - 1] if y >= 0 else -signs[k - 1]
     U = [[U0[i][j] * signs[j] for j in range(n)] for i in range(n)]
-    Um = UnimodularMatrix(tuple(tuple(r) for r in U))
-    reduced_spd = SpdMatrix(congruence(Y, Um.matrix()))
-    return reduced_spd, Um
+    # Y[U0 S] from Y[U0]: negating every term of a sum negates its rounded
+    # value, and 0 - x, like a sum, is never -0.0
+    flipped = tuple(tuple(x if signs[i] == signs[j] else 0 - x for j, x in enumerate(r))
+                    for i, r in enumerate(reduced))
+    return SpdMatrix(DenseMatrix(flipped, Y.mode)), UnimodularMatrix(tuple(tuple(r) for r in U))

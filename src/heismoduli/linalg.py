@@ -1,13 +1,14 @@
 """Dense small-matrix numerics with two scalar modes.
 
 All matrices here are tiny (n <= ~10) and immutable.  In ``rational``
-mode every entry is a :class:`fractions.Fraction`, so factorizations,
-determinants and the lattice routines built on top of them are exact.
-``float`` mode uses double precision and backs the spectral routines
-(eigenvalues, singular values), which are approximate by nature and go
-through LAPACK via numpy.  Everything exact is implemented directly,
-and positive definiteness is decided exactly in both modes, by
-``_integer_ldl`` alone.
+mode every entry is a :class:`fractions.Fraction`; in ``float`` mode a
+double, which is a dyadic rational.  So factorizations, determinants
+and inverses are exact in both modes, and a float-mode result is the
+correctly rounded float of the exact value.  Only the spectral routines
+(eigenvalues, singular values) are approximate by nature and go through
+LAPACK via numpy.  There are two eliminations: the symmetric
+``_integer_ldl``, which alone decides positive definiteness, and the
+general ``_int_determinant``.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ class DenseMatrix:
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(tuple(zip(*self.entries)), self.mode)
 
-    def to_float(self) -> "DenseMatrix":
-        if self.mode == FLOAT:
-            return self
-        return DenseMatrix(tuple(tuple(float(x) for x in r) for r in self.entries), FLOAT)
-
     def to_rational(self) -> "DenseMatrix":
         if self.mode == RATIONAL:
             return self
@@ -98,15 +94,17 @@ class DenseMatrix:
         return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
+        """Matrix product, exact in rational mode; a float factor makes it
+        float.  Python evaluates a Fraction times a float as float(Fraction)
+        times the float, so a mixed product equals converting first."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        a, b = _promote(self, other)
-        bt = b.transpose().entries
+        bt = other.transpose().entries
         rows = tuple(
             tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt)
-            for ra in a.entries
+            for ra in self.entries
         )
-        return DenseMatrix(rows, a.mode)
+        return DenseMatrix(rows, RATIONAL if self.mode == other.mode == RATIONAL else FLOAT)
 
 
 def _shaped(entries, mode: str) -> DenseMatrix:
@@ -117,12 +115,6 @@ def _shaped(entries, mode: str) -> DenseMatrix:
     if any(len(r) != ncols for r in entries):
         raise ValueError("ragged rows")
     return DenseMatrix(entries, mode)
-
-
-def _promote(a: DenseMatrix, b: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
-    if a.mode == b.mode:
-        return a, b
-    return a.to_float(), b.to_float()
 
 
 def identity(n: int, mode: str = RATIONAL) -> DenseMatrix:
@@ -218,9 +210,8 @@ class SpdMatrix:
     positivity, in both modes, through the factor it keeps: ``integer_ldl``,
     the fraction-free LDL^T (den, minors, columns) of ``_integer_ldl`` on
     the exact entries, so a float matrix is accepted exactly when the same
-    entries as Fractions are.  ``ldl_decompose``, the rational
-    ``determinant`` and the lattice enumerator read the kept factor, so
-    no Gram matrix is factored twice.
+    entries as Fractions are.  ``ldl_decompose``, ``determinant`` and the
+    lattice enumerator read the kept factor; none is factored twice.
     """
 
     matrix: DenseMatrix
@@ -298,7 +289,7 @@ def ldl_decompose(Y: SpdMatrix | DenseMatrix) -> tuple[DenseMatrix, tuple[Scalar
     Y = Y if isinstance(Y, SpdMatrix) else SpdMatrix(Y)
     if Y._ldl is None:
         den, minors, columns = Y.integer_ldl
-        div = Fraction if Y.mode == RATIONAL else operator.truediv  # int / int rounds correctly
+        div = _ratio(Y.mode)
         one, zero = div(1, 1), div(0, 1)
         L = tuple(tuple(div(columns[j][i - j - 1], minors[j + 1]) if i > j
                         else one if i == j else zero for j in range(Y.n))
@@ -324,76 +315,83 @@ def singular_values(G: DenseMatrix | SpdMatrix) -> SingularSpectrum:
     return SingularSpectrum(tuple(float(v) for v in vals))
 
 
-def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Bareiss determinant over the integers (exact divisions)."""
-    a = [list(r) for r in rows]
+def _int_determinant(a: list) -> int:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on a list of n integer
+    rows [A | B], overwritten in place (rows are replaced, never mutated).
+
+    Step k pivots on row k, swapped with the first lower row whose
+    column-k entry is nonzero; every other row a_i becomes
+    (p a_i - a_ik a_k) / prev, each division exact.  Returns det A; if it
+    is nonzero, A ends as p I and B as p A^{-1} B, with p = a[0][0].
+    """
     n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign, prev = 1, 1
+    for k in range(n):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            a[k], a[i], sign = a[i], a[k], -sign
+        p, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev
+
+
+def _ratio(mode: str):
+    """Integers p, q to p / q: a Fraction, or in float mode int / int, rounded once."""
+    return Fraction if mode == RATIONAL else operator.truediv
+
+
+def _integer_rows(m: DenseMatrix) -> tuple[list[list[int]], list[int]]:
+    """Each row of m times the lcm of its denominators, and those lcms; a
+    finite float is a dyadic rational, so ``as_integer_ratio()`` is exact
+    (on a NaN or infinity it raises ValueError or OverflowError)."""
+    ratios = [[x.as_integer_ratio() for x in r] for r in m.entries]
+    scales = [math.lcm(*(q for _, q in r)) for r in ratios]
+    return [[p * (s // q) for p, q in r] for r, s in zip(ratios, scales)], scales
 
 
 def determinant(Y: DenseMatrix | SpdMatrix) -> Scalar:
-    """Determinant; exact Fraction in rational mode, LU-based float otherwise.
+    """Determinant, exact in both modes and rounded once in float mode.
 
-    A rational ``SpdMatrix`` reads it off its kept factor as
-    minors[n] / den^n.  Any other rational matrix is cleared of
-    denominators row by row (each row times the lcm of its denominators)
-    and goes through the integer Bareiss elimination; dividing by the
-    product of the row scales is exact.
+    An ``SpdMatrix`` reads it off its kept factor as minors[n] / den^n.
+    Any other matrix is cleared of denominators row by row and goes
+    through the integer Bareiss elimination; dividing by the product of
+    the row scales is exact.  An exactly singular matrix gives 0.
     """
     m = _dense(Y)
     if not m.is_square:
         raise ValueError("determinant expects a square matrix")
-    if isinstance(Y, SpdMatrix) and m.mode == RATIONAL:
+    div = _ratio(m.mode)
+    if isinstance(Y, SpdMatrix):
         den, minors, _ = Y.integer_ldl
-        return Fraction(minors[-1], den ** Y.n)
-    if m.mode == RATIONAL:
-        scales = [math.lcm(*(x.denominator for x in r)) for r in m.entries]
-        rows = [[x.numerator * (s // x.denominator) for x in r]
-                for r, s in zip(m.entries, scales)]
-        return Fraction(_int_determinant(rows), math.prod(scales))
-    return float(np.linalg.det(m.to_numpy()))
+        return div(minors[-1], den ** Y.n)
+    rows, scales = _integer_rows(m)
+    return div(_int_determinant(rows), math.prod(scales))
 
 
 def matrix_inverse(G: DenseMatrix | SpdMatrix) -> DenseMatrix:
-    """Inverse; exact Gauss-Jordan in rational mode."""
+    """Inverse, exact in both modes and rounded once per entry in float mode.
+
+    With A = S^{-1} B, B the integer rows and S the diagonal of their
+    scales, one Bareiss elimination of [B | S] leaves p B^{-1} S =
+    p A^{-1}.  An exactly singular matrix raises ``Singular``.
+    """
     m = _dense(G)
     if not m.is_square:
         raise ValueError("matrix_inverse expects a square matrix")
-    if m.mode == FLOAT:
-        d = float(np.linalg.det(m.to_numpy()))
-        if d == 0 or not np.isfinite(d):
-            raise Singular("float matrix is singular")
-        return DenseMatrix.from_rows(np.linalg.inv(m.to_numpy()).tolist(), FLOAT)
+    rows, scales = _integer_rows(m)
     n = m.rows
-    a = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(m.entries)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot_row is None:
-            raise Singular("rational matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return DenseMatrix(tuple(tuple(r[n:]) for r in a), RATIONAL)
+    a = [r + [s if i == j else 0 for j in range(n)]
+         for i, (r, s) in enumerate(zip(rows, scales))]
+    if _int_determinant(a) == 0:
+        raise Singular(f"{m.mode} matrix is singular")
+    div, p = _ratio(m.mode), a[0][0]
+    return DenseMatrix(tuple(tuple(div(x, p) for x in r[n:]) for r in a), m.mode)
 
 
 def congruence(Y: DenseMatrix | SpdMatrix, A: DenseMatrix) -> DenseMatrix:

@@ -9,7 +9,8 @@ then ``spectrum``, ``heis-type``, ``curvature-bound`` and
 no earlier input changed.
 A change that should not alter any output must leave this test
 passing.  Regenerate the file (only when an output change is intended,
-and say so in the change log) with
+and say so in the change log) with the command below; it prints the
+name of each case whose exit code or output changed.
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -254,9 +255,13 @@ def _heis_type_metric(rng, n, rational, g="1"):
 
 
 def regenerate(path=DATA):
+    """Rewrite the data file, printing each case whose output it changes."""
+    old = {c["name"]: (c["exit"], c["stdout"]) for c in _load(path)} if os.path.exists(path) else {}
     cases = generate_cases()
     for case in cases:
         case["exit"], case["stdout"] = run_case(case["argv"], case["stdin"])
+        if old.get(case["name"]) != (case["exit"], case["stdout"]):
+            print(f"changed: {case['name']}")
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"seed": SEED, "cases": cases}, fh, indent=1)
@@ -264,8 +269,8 @@ def regenerate(path=DATA):
     return cases
 
 
-def _load():
-    with open(DATA) as fh:
+def _load(path=DATA):
+    with open(path) as fh:
         return json.load(fh)["cases"]
 
 

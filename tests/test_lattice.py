@@ -378,6 +378,24 @@ class TestMinkowskiReduce:
             assert hm.determinant(R.matrix) == hm.determinant(Y.matrix)
             assert hm.congruence(Y.matrix, U.matrix()).entries == R.entries
 
+    def test_float_output_is_the_congruence_bit_for_bit(self):
+        # repr tells -0.0 from 0.0: the sign flip of the last column must
+        # leave the zero entries (0, 2) and (2, 0) as 0.0
+        Ys = [hm.SpdMatrix.from_rows([[1.25, 0.0, 0.0], [0.0, 2.0, -0.5], [0.0, -0.5, 3.0]])]
+        rng = random.Random(78)
+        for _ in range(30):
+            n = rng.choice((2, 3, 4, 5))
+            B = hm.DenseMatrix.from_rows([[rng.randint(-3, 3) + rng.random() for _ in range(n)]
+                                          for _ in range(n)])
+            BtB = (B.transpose() @ B).entries
+            Ys.append(hm.SpdMatrix.from_rows([[x + (i == j) for j, x in enumerate(r)]
+                                              for i, r in enumerate(BtB)]))
+        for Y in Ys:
+            R, U = hm.minkowski_reduce(Y)
+            assert R.mode == hm.FLOAT
+            assert repr(R.entries) == repr(hm.SpdMatrix(hm.congruence(Y.matrix, U.matrix())).entries)
+        assert repr(hm.minkowski_reduce(Ys[0])[0].entries[0][2]) == "0.0"
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             hm.minkowski_reduce(hm.SpdMatrix(hm.identity(9)))

@@ -211,6 +211,29 @@ class TestDeterminant:
     def test_singular_exact(self):
         assert hm.determinant(hm.DenseMatrix.from_rows([[1, 2], [2, 4]])) == 0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_has_no_exact_value(self, x):
+        m = hm.DenseMatrix.from_rows([[1.0, x], [0.0, 1.0]])
+        for f in (hm.determinant, hm.matrix_inverse):
+            with pytest.raises((ValueError, OverflowError)):
+                f(m)
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    def test_singular_float_as_rational(self, mode):
+        # integer entries, exactly singular; LAPACK gives det -2.6e-10
+        G = hm.DenseMatrix.from_rows(
+            [[-62, 1, 38, 31, -2, -45], [-2, -4, 8, 9, -4, -7], [8, -1, -8, -7, -7, -9],
+             [-8, 6, 2, 9, 8, -3], [-9, 8, 8, 1, 5, -9], [7, 4, 6, 2, 4, 2]], mode)
+        det = hm.determinant(G)
+        assert det == 0 and type(det) is (Fraction if mode == hm.RATIONAL else float)
+        Y = hm.SpdMatrix(hm.identity(6, mode))
+        with pytest.raises(hm.Singular):
+            hm.matrix_inverse(G)
+        with pytest.raises(hm.Singular):
+            hm.verify_key_inequality(Y, G)
+        with pytest.raises(hm.Singular):
+            hm.pullback_metric(Y, G)
+
 
 @st.composite
 def _symmetric_rationals(draw):
@@ -415,6 +438,29 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(hm.Singular):
             hm.matrix_inverse(hm.DenseMatrix.from_rows([[1, 2], [2, 4]]))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_float_results_correctly_rounded(self, n):
+        # float Grams B^T B + I/2 and dense float matrices: each float result
+        # is float() of the same computation on the entries as Fractions
+        rng = random.Random(1100 + n)
+        half = hm.DenseMatrix.from_rows([[0.5 * (i == j) for j in range(n)] for i in range(n)])
+        for _ in range(8):
+            B, D = ([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)] for _ in range(2))
+            Bm = hm.DenseMatrix.from_rows(B)
+            gram = hm.DenseMatrix.from_rows(
+                [[x + h for x, h in zip(r, rh)]
+                 for r, rh in zip((Bm.transpose() @ Bm).entries, half.entries)])
+            Y = hm.SpdMatrix(gram)
+            assert hm.determinant(Y) == float(hm.determinant(hm.SpdMatrix(gram.to_rational())))
+            for M in (gram, hm.DenseMatrix.from_rows(D)):
+                exact = M.to_rational()
+                det = hm.determinant(M)
+                assert type(det) is float and det == float(hm.determinant(exact))
+                inv, exact_inv = hm.matrix_inverse(M), hm.matrix_inverse(exact)
+                assert (exact_inv @ exact).entries == hm.identity(n).entries
+                assert inv.mode == hm.FLOAT
+                assert inv.entries == tuple(tuple(float(x) for x in r) for r in exact_inv.entries)
 
 
 class TestJson:
