@@ -151,6 +151,8 @@ def cmd_certify(args) -> int:
             raise ValueError("--g-min and --g-max must be given together")
         interval = (args.g_min, args.g_max)
     if args.heisenberg_type:
+        if args.C1 is not None or args.C2 is not None:
+            raise ValueError("--C1 and --C2 are derived with --heisenberg-type")
         cert = compactness.heisenberg_type_certificate(
             family, C0=args.C0, I=interval, tol=args.tol
         )

@@ -3,9 +3,13 @@
 A certificate evaluates decidable bounds over a finite family of
 representatives: the smallest first minimum, the largest determinant,
 the largest top symplectic-spectrum value and the range of the central
-scalar.  The verdict states whether every user-supplied threshold is
-met; the compactness conclusion itself is the mathematical content the
-certificate asserts and is never re-verified topologically.
+scalar.  One table of checks drives the torus, Heisenberg and
+Heisenberg-type certificates alike: a row per bound, each with its
+per-member values, the side (min or max) that picks the extreme and its
+witness, and the threshold.  The verdict states whether every
+user-supplied threshold is met; the compactness conclusion itself is
+the mathematical content the certificate asserts and is never
+re-verified topologically.
 """
 
 from __future__ import annotations
@@ -131,14 +135,41 @@ class InequalityReport:
         }
 
 
-def _argmin(values):
-    best = min(range(len(values)), key=lambda i: values[i])
-    return values[best], best
+def _certificate(thresholds: dict, rows) -> PrecompactnessCertificate:
+    """Reduce a family to a verdict: one row of the table per bound.
+
+    A row is (field, per-member values, side, threshold).  The side, min
+    or max, picks the extreme value and its witness, the first member on
+    ties; the extreme certifies when it is at least (min) or at most (max)
+    the threshold, and a threshold of None checks nothing.  The fields are
+    c0, c1, c2, and g_lo and g_hi, which form the g interval.
+    """
+    found, witnesses, ok = {}, {}, True
+    for field, values, side, threshold in rows:
+        w = side(range(len(values)), key=values.__getitem__)
+        found[field], witnesses[field] = values[w], w
+        if threshold is not None:
+            ok = ok and (values[w] >= threshold if side is min else values[w] <= threshold)
+    g_interval = None
+    if "g_lo" in found:
+        g_interval = (found["g_lo"], found["g_hi"])
+        witnesses["g_interval"] = [witnesses.pop("g_lo"), witnesses.pop("g_hi")]
+    return PrecompactnessCertificate(
+        c0=found["c0"],
+        c1=found["c1"],
+        c2=found.get("c2"),
+        g_interval=g_interval,
+        thresholds=thresholds,
+        verdict="certified" if ok else "not-certified",
+        witnesses=witnesses,
+    )
 
 
-def _argmax(values):
-    best = max(range(len(values)), key=lambda i: values[i])
-    return values[best], best
+def _g_rows(members, I):
+    """The rows of the central scalar's range, checked against I."""
+    gs = [m.g for m in members]
+    lo, hi = (None, None) if I is None else I
+    return [("g_lo", gs, min, lo), ("g_hi", gs, max, hi)]
 
 
 def mahler_certificate(family: Sequence[SpdMatrix], C0: Scalar | None = None,
@@ -153,22 +184,8 @@ def mahler_certificate(family: Sequence[SpdMatrix], C0: Scalar | None = None,
         raise DimensionMismatch("family members of different size")
     minima = [first_minimum(Y, budget).value for Y in family]
     dets = [determinant(Y) for Y in family]
-    c0, w0 = _argmin(minima)
-    c1, w1 = _argmax(dets)
-    ok = True
-    if C0 is not None:
-        ok = ok and c0 >= C0
-    if C1 is not None:
-        ok = ok and c1 <= C1
-    return PrecompactnessCertificate(
-        c0=c0,
-        c1=c1,
-        c2=None,
-        g_interval=None,
-        thresholds={"C0": C0, "C1": C1},
-        verdict="certified" if ok else "not-certified",
-        witnesses={"c0": w0, "c1": w1},
-    )
+    return _certificate({"C0": C0, "C1": C1},
+                        [("c0", minima, min, C0), ("c1", dets, max, C1)])
 
 
 def heisenberg_certificate(family: MetricFamily, C0: Scalar | None = None,
@@ -181,30 +198,10 @@ def heisenberg_certificate(family: MetricFamily, C0: Scalar | None = None,
     minima = [first_minimum_r(m.h, r, budget).value for m in members]
     dets = [determinant(m.h) for m in members]
     dns = [s.d_max for s in _d_spectra([m.h for m in members])]
-    gs = [m.g for m in members]
-    c0, w0 = _argmin(minima)
-    c1, w1 = _argmax(dets)
-    c2, w2 = _argmax(dns)
-    g_lo, wg_lo = _argmin(gs)
-    g_hi, wg_hi = _argmax(gs)
-    ok = True
-    if C0 is not None:
-        ok = ok and c0 >= C0
-    if C1 is not None:
-        ok = ok and c1 <= C1
-    if C2 is not None:
-        ok = ok and c2 <= C2
-    if I is not None:
-        ok = ok and I[0] <= g_lo and g_hi <= I[1]
-    return PrecompactnessCertificate(
-        c0=c0,
-        c1=c1,
-        c2=c2,
-        g_interval=(g_lo, g_hi),
-        thresholds={"C0": C0, "C1": C1, "C2": C2, "I": I},
-        verdict="certified" if ok else "not-certified",
-        witnesses={"c0": w0, "c1": w1, "c2": w2, "g_interval": [wg_lo, wg_hi]},
-    )
+    return _certificate({"C0": C0, "C1": C1, "C2": C2, "I": I}, [
+        ("c0", minima, min, C0), ("c1", dets, max, C1), ("c2", dns, max, C2),
+        *_g_rows(members, I),
+    ])
 
 
 def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
@@ -215,7 +212,9 @@ def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
 
     Each member must have all d_k(h) = g^{-1/2}; then det(h) = g^n and
     d_n(h) = g^{-1/2} identically, so only the first-minimum bound and
-    the g range need checking.
+    the g range need checking.  The c1 and c2 rows hold these values of
+    det(h) and d_n(h), so c1 = (max g)^n is witnessed by a member of
+    largest g, and c2 = (min g)^{-1/2} by a member of least g.
     """
     members = family.members
     spectra = _d_spectra([m.h for m in members])
@@ -225,26 +224,12 @@ def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
     r = family.r
     n = r.n
     minima = [first_minimum_r(m.h, r, budget).value for m in members]
-    gs = [m.g for m in members]
-    c0, w0 = _argmin(minima)
-    g_lo, wg_lo = _argmin(gs)
-    g_hi, wg_hi = _argmax(gs)
-    c1 = g_hi ** n
-    c2 = 1.0 / math.sqrt(float(g_lo))
-    ok = True
-    if C0 is not None:
-        ok = ok and c0 >= C0
-    if I is not None:
-        ok = ok and I[0] <= g_lo and g_hi <= I[1]
-    return PrecompactnessCertificate(
-        c0=c0,
-        c1=c1,
-        c2=c2,
-        g_interval=(g_lo, g_hi),
-        thresholds={"C0": C0, "I": I},
-        verdict="certified" if ok else "not-certified",
-        witnesses={"c0": w0, "c1": wg_hi, "c2": wg_lo, "g_interval": [wg_lo, wg_hi]},
-    )
+    dets = [m.g ** n for m in members]
+    dns = [1.0 / math.sqrt(float(m.g)) for m in members]
+    return _certificate({"C0": C0, "I": I}, [
+        ("c0", minima, min, C0), ("c1", dets, max, None), ("c2", dns, max, None),
+        *_g_rows(members, I),
+    ])
 
 
 def counterexample_family(k: int) -> SpdMatrix:

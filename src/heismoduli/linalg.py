@@ -395,9 +395,16 @@ def matrix_inverse(G: DenseMatrix | SpdMatrix) -> DenseMatrix:
 
 
 def congruence(Y: DenseMatrix | SpdMatrix, A: DenseMatrix) -> DenseMatrix:
-    """A^T Y A, the pullback of the form Y along A."""
+    """A^T Y A, the pullback of the form Y along A.
+
+    Exact in both modes: a float result is the exact product rounded once
+    per entry, so a symmetric Y gives a symmetric result.
+    """
     m = _dense(Y)
-    return A.transpose() @ m @ A
+    exact = A.to_rational().transpose() @ m.to_rational() @ A.to_rational()
+    if m.mode == A.mode == RATIONAL:
+        return exact
+    return DenseMatrix(tuple(tuple(float(x) for x in r) for r in exact.entries), FLOAT)
 
 
 def quadratic_form(Y: DenseMatrix | SpdMatrix, a: Sequence[Scalar]) -> Scalar:

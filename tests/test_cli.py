@@ -152,6 +152,42 @@ class TestCertifyCommands:
         assert obj["verdict"] == "certified"
         assert obj["c1"] == "1" and obj["c2"] == 1.0
 
+    @pytest.mark.parametrize("flag", ["--C1", "--C2"])
+    def test_heisenberg_type_refuses_the_bounds_it_derives(self, capsys, monkeypatch, flag):
+        # h = 2 I_2 with g = 4 is of Heisenberg type, with c1 = 4
+        members = [{"h": {"mode": "rational", "rows": 2, "cols": 2,
+                          "entries": [["2", "0"], ["0", "2"]]}, "g": "4", "r": [1]}]
+        code, out, err = run(capsys, ["certify", "--heisenberg-type", flag, "1/1000"],
+                             stdin=json.dumps(members), monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and "derived" in err
+
+
+class TestThresholdsNeverDropped:
+    """A threshold flag either shows in the JSON thresholds or exits 2."""
+
+    FAMILY = json.dumps([json.loads(identity_metric_json())])
+    COMMANDS = {
+        "certify": (["certify"], FAMILY),
+        "certify-heisenberg-type": (["certify", "--heisenberg-type"], FAMILY),
+        "certify-torus": (["certify-torus"], json.dumps([hm.matrix_to_json(hm.identity(4))])),
+    }
+    FLAGS = {
+        "C0": (["--C0", "7/3"], "7/3"),
+        "C1": (["--C1", "7/3"], "7/3"),
+        "C2": (["--C2", "7/3"], "7/3"),
+        "I": (["--g-min", "1/8", "--g-max", "7/3"], ["1/8", "7/3"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("key", sorted(FLAGS))
+    def test_given_threshold_is_reported_or_refused(self, capsys, monkeypatch, command, key):
+        argv, payload = self.COMMANDS[command]
+        assert run(capsys, argv, stdin=payload, monkeypatch=monkeypatch)[0] == 0
+        flag, value = self.FLAGS[key]
+        code, out, _ = run(capsys, [*argv, *flag], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2 or json.loads(out)["thresholds"][key] == value
+
 
 class TestVerifyInequalityCommand:
     def test_sweep_holds(self, capsys):

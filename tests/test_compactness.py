@@ -178,6 +178,69 @@ class TestHeisenbergTypeCertificate:
             hm.heisenberg_type_certificate(fam)
 
 
+def scaled_identity(n, c):
+    return hm.SpdMatrix.from_rows([[c * (i == j) for j in range(n)] for i in range(n)], hm.RATIONAL)
+
+
+class TestCertificateTable:
+    """What reducing a family to a verdict keeps across all three certificates."""
+
+    # c I_4 is of Heisenberg type with g = c^2: its d_n is 1/c, its first
+    # minimum c; members 0 and 2 tie, and so do 1 and 3
+    SCALES = [Fraction(2), Fraction(1), Fraction(2), Fraction(1)]
+
+    def heisenberg_family(self):
+        return hm.MetricFamily(tuple(
+            hm.NormalizedMetric(scaled_identity(4, c), c**2, hm.DivisibilityTuple((1, 1)))
+            for c in self.SCALES))
+
+    def test_ties_go_to_the_first_member(self):
+        low, high = 1, 0  # the first least and the first largest scale
+        torus = hm.mahler_certificate([scaled_identity(2, c) for c in self.SCALES])
+        assert torus.witnesses == {"c0": low, "c1": high}
+        fam = self.heisenberg_family()
+        plain = hm.heisenberg_certificate(fam)
+        assert plain.witnesses == {"c0": low, "c1": high, "c2": low, "g_interval": [low, high]}
+        # c1 = (max g)^n comes with the largest g, c2 = (min g)^{-1/2} with the least
+        typed = hm.heisenberg_type_certificate(fam)
+        assert typed.witnesses == plain.witnesses
+
+    def test_every_bound_certifies_at_its_threshold_and_fails_past_it(self):
+        fam = self.heisenberg_family()
+        tiny = Fraction(1, 10**6)
+        torus = [scaled_identity(2, c) for c in self.SCALES]
+        cert = hm.mahler_certificate(torus)
+        assert hm.mahler_certificate(torus, C0=cert.c0, C1=cert.c1).certified
+        assert not hm.mahler_certificate(torus, C0=cert.c0 + tiny).certified
+        assert not hm.mahler_certificate(torus, C1=cert.c1 - tiny).certified
+        cert = hm.heisenberg_certificate(fam)
+        lo, hi = cert.g_interval
+        assert hm.heisenberg_certificate(fam, C0=cert.c0, C1=cert.c1, C2=cert.c2,
+                                         I=(lo, hi)).certified
+        for past in ({"C0": cert.c0 + tiny}, {"C1": cert.c1 - tiny},
+                     {"C2": Fraction(cert.c2) - tiny},
+                     {"I": (lo + tiny, hi)}, {"I": (lo, hi - tiny)}):
+            assert not hm.heisenberg_certificate(fam, **past).certified, past
+        cert = hm.heisenberg_type_certificate(fam)
+        assert hm.heisenberg_type_certificate(fam, C0=cert.c0, I=(lo, hi)).certified
+        for past in ({"C0": cert.c0 + tiny}, {"I": (lo + tiny, hi)}, {"I": (lo, hi - tiny)}):
+            assert not hm.heisenberg_type_certificate(fam, **past).certified, past
+
+    def test_spectra_come_before_minima_only_for_heisenberg_type(self):
+        # member 0 exhausts a budget of one candidate; member 1 is not of type
+        fam = metric_family([hm.SpdMatrix(hm.identity(4)), hm.counterexample_family(1)])
+        with pytest.raises(hm.NotHeisenbergType) as exc:
+            hm.heisenberg_type_certificate(fam, budget=1)
+        assert exc.value.index == 1
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.heisenberg_certificate(fam, budget=1)
+
+    def test_torus_sizes_are_checked_before_minima(self):
+        with pytest.raises(hm.DimensionMismatch):
+            hm.mahler_certificate([hm.SpdMatrix(hm.identity(4)), hm.SpdMatrix(hm.identity(2))],
+                                  budget=1)
+
+
 def _replay_invertible(rng, dim, bound=10.0):
     """The sweeps' draw, one matrix at a time: entries row by row from
     rng.uniform, the whole matrix redrawn while |det| <= 1e-3."""

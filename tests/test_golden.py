@@ -5,8 +5,9 @@ code of each case: ``invariants``, ``shortest-vector``, ``reduce``,
 ``certify`` and ``certify-torus`` on rational and float Gram matrices
 of size 2 to 8, half of them in skewed bases, plus rejected inputs;
 then ``spectrum``, ``heis-type``, ``curvature-bound`` and
-``certify --heisenberg-type`` cases, appended after the others so that
-no earlier input changed.
+``certify --heisenberg-type`` cases, and then the usage errors of
+``--C1`` and ``--C2`` with ``--heisenberg-type``, each group appended
+after the others so that no earlier input changed.
 A change that should not alter any output must leave this test
 passing.  Regenerate the file (only when an output change is intended,
 and say so in the change log) with the command below; it prints the
@@ -222,6 +223,10 @@ def generate_cases():
         if i == 2:
             argv += ["--format", "text"]
         add(f"certify-heisenberg-type-{2 * n}-{i}", argv, {"members": members})
+    # appended later: a bound that --heisenberg-type derives is a usage error
+    for flag in ("--C1", "--C2"):
+        add(f"error-certify-heisenberg-type{flag[1:]}",
+            ["certify", "--heisenberg-type", flag, "1/1000"], heis_type)
     return cases
 
 

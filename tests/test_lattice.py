@@ -396,6 +396,19 @@ class TestMinkowskiReduce:
             assert repr(R.entries) == repr(hm.SpdMatrix(hm.congruence(Y.matrix, U.matrix())).entries)
         assert repr(hm.minkowski_reduce(Ys[0])[0].entries[0][2]) == "0.0"
 
+    def test_float_gram_of_a_float_product_reduces(self):
+        # Y[U] formed with a rounding at every term left draw 27 asymmetric
+        # past the symmetry slack, and SpdMatrix raised NotSymmetric
+        rng = random.Random(78)
+        for _ in range(40):
+            n = rng.choice((2, 3, 4, 5))
+            B = hm.DenseMatrix.from_rows([[rng.randint(-3, 3) + rng.random() for _ in range(n)]
+                                          for _ in range(n)])
+            Y = hm.SpdMatrix(hm.congruence(hm.identity(n, hm.FLOAT), B))
+            R, U = hm.minkowski_reduce(Y)
+            assert R.entries == hm.congruence(Y.matrix, U.matrix()).entries
+            assert R.entries == R.matrix.transpose().entries
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             hm.minkowski_reduce(hm.SpdMatrix(hm.identity(9)))

@@ -463,6 +463,23 @@ class TestInverse:
                 assert inv.entries == tuple(tuple(float(x) for x in r) for r in exact_inv.entries)
 
 
+class TestCongruence:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_float_result_is_the_exact_one_rounded_once(self, n):
+        # so a symmetric float Y gives an exactly symmetric A^T Y A
+        rng = random.Random(1200 + n)
+        for _ in range(8):
+            B, A = (hm.DenseMatrix.from_rows([[rng.gauss(0, 3) for _ in range(n)]
+                                              for _ in range(n)]) for _ in range(2))
+            Y = B.transpose() @ B
+            for left, right in ((Y, A), (Y.to_rational(), A), (Y, A.to_rational())):
+                got = hm.congruence(left, right)
+                exact = hm.congruence(left.to_rational(), right.to_rational())
+                assert got.mode == hm.FLOAT
+                assert got.entries == tuple(tuple(float(x) for x in r) for r in exact.entries)
+                assert got.entries == got.transpose().entries
+
+
 class TestJson:
     def test_rational_roundtrip(self):
         Y = hm.DenseMatrix.from_rows([[frac(1, 2), 3], [3, frac(7, 5)]])
