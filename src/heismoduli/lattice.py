@@ -4,8 +4,13 @@ First minima, short-vector enumeration, membership in Minkowski's
 fundamental domain and Minkowski reduction, all from one enumerator
 that runs in integer arithmetic on the fraction-free LDL^T factor each
 Gram matrix keeps from its construction, so first minima are
-certified values in both modes.  Float mode adds a small relative
-slack to bounds and flags membership reports as approximate.
+certified values in both modes.  The enumerator visits each level's
+integers outward from its centre (Schnorr-Euchner order); for a first
+minimum it also shrinks its radius to the least value found, so a
+badly reduced basis costs far less than the ellipsoid below its
+diagonal.  Its budget counts every integer tried.  Float mode adds a
+small relative slack to bounds and flags membership reports as
+approximate.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import EnumerationBudgetExceeded
 from .linalg import (
@@ -50,19 +56,22 @@ class DivisibilityTuple:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            integral = not any(isinstance(x, bool) or x in (math.inf, -math.inf)
-                               or Fraction(x).denominator != 1 for x in self.r)
-        except ZeroDivisionError:  # a "p/0" string
-            integral = False
-        if not integral:
-            raise ValueError(f"divisibility tuple entries must be integers, got {self.r!r}")
-        r = tuple(int(x) for x in self.r)
+        r = self.r
+        # a tuple of plain ints (no bool) is kept as given, with no Fraction
+        if type(r) is not tuple or any(type(x) is not int for x in r):
+            try:
+                integral = not any(isinstance(x, bool) or x in (math.inf, -math.inf)
+                                   or Fraction(x).denominator != 1 for x in r)
+            except ZeroDivisionError:  # a "p/0" string
+                integral = False
+            if not integral:
+                raise ValueError(f"divisibility tuple entries must be integers, got {r!r}")
+            r = tuple(int(x) for x in r)
+            object.__setattr__(self, "r", r)
         if not r or any(x <= 0 for x in r):
             raise ValueError("divisibility tuple entries must be positive")
         if any(r[i + 1] % r[i] for i in range(len(r) - 1)):
             raise ValueError("each entry must divide the next")
-        object.__setattr__(self, "r", r)
 
     @property
     def n(self) -> int:
@@ -147,22 +156,27 @@ def _witness_key(a: tuple[int, ...]):
     return (tuple(abs(x) for x in reversed(a)), tuple(reversed(a)))
 
 
-def _short_vectors(Y: SpdMatrix, bound: Scalar, budget: int | None = None
-                   ) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """(Y[a], a) for every nonzero integer a with Y[a] <= bound, up to sign.
+def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
+                   ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """(S, [(S Y[a], a), ...]) for the nonzero integer a with Y[a] <= bound, up to sign.
 
-    Fincke-Pohst enumeration on the fraction-free factor (den, Delta,
-    lambda) that ``Y.integer_ldl`` keeps: with x_i = Delta_{i+1} a_i + sum_{j>i}
+    Schnorr-Euchner enumeration (Schnorr and Euchner, *Math. Programming*
+    66, 1994) on the fraction-free factor (den, Delta, lambda) that
+    ``Y.integer_ldl`` keeps: with x_i = Delta_{i+1} a_i + sum_{j>i}
     lambda_ji a_j, den Y[a] = sum_i x_i^2 / (Delta_i Delta_{i+1}), so with
     P the lcm of the Delta_i Delta_{i+1} and S = P den, S Y[a] =
     sum_i W_i x_i^2 for the integer weights W_i = P / (Delta_i Delta_{i+1}).
-    Y[a] is exact in both modes; a float bound is inflated by FLOAT_SLACK.
-    Vectors have their first nonzero entry positive and come in no fixed
-    order.
+    Each level tries its integers in order of distance from the centre
+    -sum_{j>i} lambda_ji a_j / Delta_{i+1}, so the first one past the
+    radius ends the level.  A bound gives every such vector; a float
+    bound is inflated by FLOAT_SLACK.  With ``bound`` None the radius
+    starts at Y[e_1] and shrinks to each value found, inclusive, so the
+    list holds every vector attaining the first minimum, and its values
+    never increase.  Values are the exact integers S Y[a] in both modes.
+    The budget counts every integer tried.  Vectors have their first
+    nonzero entry positive.
     """
     cap = _enumeration_budget(budget)
-    if Y.mode == FLOAT:
-        bound = float(bound) * (1.0 + FLOAT_SLACK)
     den, minors, Lcol = Y.integer_ldl
     n = Y.n
     pairs = [minors[i] * minors[i + 1] for i in range(n)]
@@ -170,34 +184,53 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     S = P * den
     W = [P // x for x in pairs]
     N = minors[1:]
-    p, q = bound.as_integer_ratio()
-    top = S * p // q  # floor(S * bound); S Y[a] is an integer
+    shrink = bound is None
+    if shrink:
+        top = P * N[0]  # S Y[e_1] = P den y_11
+    else:
+        if Y.mode == FLOAT:
+            bound = float(bound) * (1.0 + FLOAT_SLACK)
+        p, q = bound.as_integer_ratio()
+        top = S * p // q  # floor(S * bound); S Y[a] is an integer
     a = [0] * n
-    found: list[tuple[Fraction, tuple[int, ...]]] = []
-    visited = 0
+    found: list[tuple[int, tuple[int, ...]]] = []
+    tried = 0
 
-    def descend(i: int, R: int, zero_tail: bool):
-        # the integers t with W_i (Delta_{i+1} t + C)^2 <= R
-        nonlocal visited
-        C = sum(x * y for x, y in zip(Lcol[i], a[i + 1:]))
-        r, Ni = math.isqrt(R // W[i]), N[i]
-        lo = 0 if zero_tail else -((r + C) // Ni)
-        hi = (r - C) // Ni
-        visited += hi - lo + 1  # never negative: hi - lo >= floor(2r / Ni) - 1
-        if visited > cap:
-            raise EnumerationBudgetExceeded(cap)
-        for t in range(lo, hi + 1):
-            a[i] = t
+    def descend(i: int, used: int, zero_tail: bool):
+        # the integers t with used + W_i (Delta_{i+1} t + C)^2 <= top, nearest
+        # the centre -C / Delta_{i+1} first; up to sign, t >= 0 while the
+        # tail is zero
+        nonlocal top, tried
+        C = sum(map(mul, Lcol[i], a[i + 1:]))
+        Ni, Wi = N[i], W[i]
+        if zero_tail:
+            t, step = 0, 1
+        else:
+            t = (Ni - 2 * C) // (2 * Ni)  # round(-C / Ni)
+            step = 1 if Ni * t + C <= 0 else -1  # the next nearest is across the centre
+        while True:
+            tried += 1
+            if tried > cap:
+                raise EnumerationBudgetExceeded(cap)
             x = Ni * t + C
+            value = used + Wi * x * x
+            if value > top:
+                break
+            a[i] = t
             if i:
-                descend(i - 1, R - W[i] * x * x, zero_tail and t == 0)
+                descend(i - 1, value, zero_tail and t == 0)
             elif t or not zero_tail:
-                found.append((Fraction(top - R + W[0] * x * x, S), _canonical_sign(tuple(a))))
+                found.append((value, _canonical_sign(tuple(a))))
+                if shrink:
+                    top = value
+            t += step
+            if not zero_tail:  # t0, t0 + 1, t0 - 1, t0 + 2, ... (or mirrored)
+                step = -step - 1 if step > 0 else 1 - step
         a[i] = 0
 
     if top >= 0:
-        descend(n - 1, top, True)
-    return found
+        descend(n - 1, 0, True)
+    return S, found
 
 
 def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
@@ -205,13 +238,14 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     """All nonzero integer vectors a with Y[a] <= bound, up to sign.
 
     One representative of each pair +-a is returned (first nonzero entry
-    positive), sorted canonically.  Exhaustive: the enumeration runs in
-    exact integer arithmetic on the kept factor in both modes, a float
-    Y's bound inflated by a 1e-9 relative slack.  Raises
-    ``EnumerationBudgetExceeded`` when the candidate count passes the
-    cap (a sign of an adversarial input, not of a wrong answer).
+    positive), sorted canonically.  Exhaustive: the Schnorr-Euchner
+    enumeration runs below the fixed bound in exact integer arithmetic
+    on the kept factor in both modes, a float Y's bound inflated by a
+    1e-9 relative slack.  Raises ``EnumerationBudgetExceeded`` when the
+    count of integers tried passes the cap (a sign of an adversarial
+    input, not of a wrong answer).
     """
-    found = [a for _, a in _short_vectors(Y, bound, budget)]
+    found = [a for _, a in _short_vectors(Y, bound, budget)[1]]
     found.sort(key=_witness_key)
     return found
 
@@ -219,13 +253,17 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
 def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
     """Minimum of Y[a] over nonzero integer vectors, with a witness.
 
+    Schnorr-Euchner enumeration whose radius starts at y_11 and shrinks
+    to each value found, inclusive, so every minimal vector is seen.
     Ties are broken by the canonical witness order (earliest-coordinate
     support, first nonzero entry positive), so results are reproducible.
-    Exact for rational Y; a float Y gets the correctly rounded minimum.
+    Exact for rational Y; a float Y gets the exact minimum of its
+    entries, rounded once.  The budget counts every integer tried.
     """
-    value, witness = min(_short_vectors(Y, min(Y.diagonal()), budget),
-                         key=lambda va: (va[0], _witness_key(va[1])))
-    return ShortVectorResult(float(value) if Y.mode == FLOAT else value, witness)
+    S, found = _short_vectors(Y, None, budget)
+    value = found[-1][0]
+    witness = min((a for v, a in found if v == value), key=_witness_key)
+    return ShortVectorResult(value / S if Y.mode == FLOAT else Fraction(value, S), witness)
 
 
 def scale_by_divisibility(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
@@ -278,10 +316,11 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     for k, ykk in enumerate(Y.diagonal()):
         if ykk > bound:
             bound = ykk
-            candidates = sorted(_short_vectors(Y, bound, budget), key=lambda va: _witness_key(va[1]))
-        threshold = ykk if not approx else ykk * (1.0 - FLOAT_SLACK)
+            S, found = _short_vectors(Y, bound, budget)
+            candidates = sorted(found, key=lambda va: _witness_key(va[1]))
+        p, q = (ykk if not approx else ykk * (1.0 - FLOAT_SLACK)).as_integer_ratio()
         for value, a in candidates:
-            if value < threshold and math.gcd(*a[k:]) == 1:
+            if value * q < S * p and math.gcd(*a[k:]) == 1:  # Y[a] < threshold
                 return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a), approx)
     return MinkowskiReport(True, None, approx)
 
@@ -370,7 +409,7 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     completion = _complete_basis(cols, n)
     for _ in range(n):
         cap = min(quadratic_form(Y, c) for c in completion)
-        candidates = sorted(_short_vectors(Y, cap, budget),
+        candidates = sorted(_short_vectors(Y, cap, budget)[1],
                             key=lambda va: (va[0], _witness_key(va[1])))
         for _, a in candidates:
             try:

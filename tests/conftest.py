@@ -93,6 +93,29 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 20) -> hm.DenseMa
     return hm.DenseMatrix.from_rows(m)
 
 
+def skewed_unit_lattice(n: int, b: int, seed: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(U, U^T U): Z^n in the badly reduced basis U = A B.
+
+    A is unit lower-triangular and B unit upper-triangular; their
+    off-diagonal entries are ``randint(-b, b)`` from ``random.Random(seed)``,
+    drawn for A row by row and then for B.  The Gram matrix has first
+    minimum 1, attained exactly by the columns of U^{-1} and their
+    negatives, while its smallest diagonal entry can be far larger.
+    """
+    rng = random.Random(seed)
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            A[i][j] = rng.randint(-b, b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            B[i][j] = rng.randint(-b, b)
+    U = [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    gram = [[sum(U[k][i] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return U, gram
+
+
 def random_integer_gram(rng: random.Random, dim: int, entry_bound: int = 2,
                         min_det: int = 2) -> hm.SpdMatrix:
     """Exact Gram matrix B^T B with B integer and decently conditioned."""

@@ -6,8 +6,10 @@ code of each case: ``invariants``, ``shortest-vector``, ``reduce``,
 of size 2 to 8, half of them in skewed bases, plus rejected inputs;
 then ``spectrum``, ``heis-type``, ``curvature-bound`` and
 ``certify --heisenberg-type`` cases, and then the usage errors of
-``--C1`` and ``--C2`` with ``--heisenberg-type``, each group appended
-after the others so that no earlier input changed.
+``--C1`` and ``--C2`` with ``--heisenberg-type``, and then
+``shortest-vector`` on Z^n in badly reduced bases and ``certify-torus``
+on a family with a skewed float member, each group appended after the
+others so that no earlier input changed.
 A change that should not alter any output must leave this test
 passing.  Regenerate the file (only when an output change is intended,
 and say so in the change log) with the command below; it prints the
@@ -28,6 +30,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import skewed_unit_lattice
 from heismoduli.cli import main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_cli.json")
@@ -227,6 +230,14 @@ def generate_cases():
     for flag in ("--C1", "--C2"):
         add(f"error-certify-heisenberg-type{flag[1:]}",
             ["certify", "--heisenberg-type", flag, "1/1000"], heis_type)
+    # appended later: Z^n in badly reduced bases, and a torus family with
+    # a badly reduced float member
+    for n, b in ((6, 10), (4, 60)):
+        gram = _matrix_json(skewed_unit_lattice(n, b, 1)[1])
+        add(f"shortest-vector-skewed-{n}-{b}", ["shortest-vector"], gram)
+        add(f"shortest-vector-skewed-{n}-{b}-text", ["shortest-vector", "--format", "text"], gram)
+    add("certify-torus-skewed-float", ["certify-torus"],
+        [rat([["1", "0"], ["0", "1"]]), flt([[3.0, 5.0], [5.0, 8.333333333333334]])])
     return cases
 
 

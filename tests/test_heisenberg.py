@@ -398,10 +398,23 @@ class TestStackedSpectra:
         assert stacked == [tuple(heisenberg._symplectic_spectra(
             np.linalg.cholesky(X.to_numpy()).T).tolist()) for X in family]
 
+    def test_certificate_past_float_cholesky_in_a_skewed_basis(self):
+        # PAST_CHOLESKY is also badly reduced: its minimum, along (5, -3),
+        # lies far below its smallest diagonal entry 3
+        Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
+        r = hm.DivisibilityTuple((1,))
+        family = hm.MetricFamily((hm.NormalizedMetric(hm.SpdMatrix(hm.identity(2)), 1, r),
+                                  hm.NormalizedMetric(Y, 1, r)))
+        cert = hm.heisenberg_certificate(family)
+        # the exact Y[(5, -3)] of the dyadic entries, rounded once
+        exact = hm.quadratic_form(Y.matrix.to_rational(), (5, -3))
+        assert cert.c0 == float(exact) == 5.329070518200751e-15
+        assert cert.witnesses["c0"] == 1
+        assert hm.first_minimum(Y) == hm.ShortVectorResult(cert.c0, (5, -3))
+        assert cert.c2 == hm.d_spectrum(Y).d_max
+
     def test_certificate_c2_past_float_cholesky(self):
-        # PAST_CHOLESKY itself takes first_minimum_r past its enumeration
-        # budget (a badly reduced basis), so the certificate takes another
-        # such Gram, whose shortest vector is its first basis vector
+        # another such Gram, whose shortest vector is its first basis vector
         Y = hm.SpdMatrix.from_rows([[3 * 2.0**-20, 3.0], [3.0, 3 * 2.0**20 + 2.0**-31]],
                                    hm.FLOAT)
         with pytest.raises(np.linalg.LinAlgError):

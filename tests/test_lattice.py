@@ -14,6 +14,7 @@ from conftest import (
     brute_force_minimum,
     random_rational_spd,
     random_unimodular,
+    skewed_unit_lattice,
     witness_order,
 )
 
@@ -108,26 +109,27 @@ class TestIntegerCore:
         assume(len(below_diag) < 500)
         expected = box_short_vectors(Y, bound)
         assert hm.enumerate_below(Y, bound) == sorted(expected, key=witness_order)
-        assert dict((a, v) for v, a in hm.lattice._short_vectors(Y, bound)) == expected
+        S, found = hm.lattice._short_vectors(Y, bound)
+        assert dict((a, Fraction(v, S)) for v, a in found) == expected
         res = hm.first_minimum(Y)
         assert res.value == min(below_diag.values())
         assert res.witness == min((a for a, v in below_diag.items() if v == res.value),
                                   key=witness_order)
 
     def test_budget_boundary(self):
-        # the smallest budgets that succeed, recorded from the Fraction-based
-        # enumerator this one replaced: the same intervals give the same
-        # node counts
+        # the smallest budgets that succeed: the budget counts every integer
+        # tried, the one that ends each level included, and first_minimum
+        # shrinks its radius to the least value found
         Y = spd([[Fraction(7, 2), Fraction(1, 3), Fraction(-5, 4)],
                  [Fraction(1, 3), Fraction(11, 6), Fraction(2, 5)],
                  [Fraction(-5, 4), Fraction(2, 5), Fraction(29, 12)]])
         bound = Fraction(61, 3)
-        assert len(hm.enumerate_below(Y, bound, budget=79)) == 55
+        assert len(hm.enumerate_below(Y, bound, budget=103)) == 55
         with pytest.raises(hm.EnumerationBudgetExceeded):
-            hm.enumerate_below(Y, bound, budget=78)
-        assert hm.first_minimum(Y, budget=6) == hm.ShortVectorResult(Fraction(11, 6), (0, 1, 0))
+            hm.enumerate_below(Y, bound, budget=102)
+        assert hm.first_minimum(Y, budget=12) == hm.ShortVectorResult(Fraction(11, 6), (0, 1, 0))
         with pytest.raises(hm.EnumerationBudgetExceeded):
-            hm.first_minimum(Y, budget=5)
+            hm.first_minimum(Y, budget=11)
 
     def test_negative_bound_is_empty(self):
         assert hm.enumerate_below(spd([[1, 0], [0, 1]]), -1) == []
@@ -217,6 +219,30 @@ class TestFirstMinimum:
         assert hm.minkowski_membership(Y).member
 
 
+class TestSkewedBases:
+    # Z^n in a badly reduced basis: the ellipsoid below the smallest
+    # diagonal entry holds far more lattice points than the budget, so
+    # only zig-zag order and a shrinking radius keep these within it
+    def test_generator_smallest_diagonals(self):
+        smallest = {(n, b): [min(g[i][i] for i in range(n))
+                             for g in (skewed_unit_lattice(n, b, seed)[1] for seed in range(3))]
+                    for n, b in ((3, 200), (4, 60))}
+        assert smallest == {(3, 200): [35354, 25706, 53301], (4, 60): [5235, 3758, 7206]}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, b", [(3, 20), (3, 200), (4, 60), (6, 10), (8, 5)])
+    def test_first_minimum_within_budget(self, n, b, seed):
+        U, gram = skewed_unit_lattice(n, b, seed)
+        # Y[a] = |U a|^2 is 1 exactly when U a = +-e_j: the minimal vectors
+        # are the columns of U^{-1}, up to sign
+        inv = hm.matrix_inverse(hm.DenseMatrix.from_rows(U)).entries
+        columns = [tuple(int(inv[i][j]) for i in range(n)) for j in range(n)]
+        canonical = [c if next(x for x in c if x) > 0 else tuple(-x for x in c)
+                     for c in columns]
+        res = hm.first_minimum(spd(gram), budget=10**6)
+        assert res == hm.ShortVectorResult(1, min(canonical, key=witness_order))
+
+
 class TestFirstMinimumScaled:
     def test_scaled_identity(self):
         res = hm.first_minimum_r(hm.SpdMatrix(hm.identity(2)), hm.DivisibilityTuple((2,)))
@@ -303,13 +329,13 @@ class TestMinkowskiMembership:
         assert hm.minkowski_membership(Y).violated_condition == (1, (0, 1, 0))
 
     @pytest.mark.parametrize("rows, smallest", [
-        ([[5, 2, 0], [2, 1, 0], [0, 0, 10**7]], 18),
-        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 10),
-        ([[9, 1, Fraction(1, 2)], [1, 4, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 3]], 13),
+        ([[5, 2, 0], [2, 1, 0], [0, 0, 10**7]], 26),
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 16),
+        ([[9, 1, Fraction(1, 2)], [1, 4, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 3]], 21),
     ])
     def test_budget_boundary(self, rows, smallest):
-        # smallest budgets that succeed, recorded from the Fraction-based
-        # enumerator that ran one enumeration below each y_kk
+        # smallest budgets that succeed, with one enumeration below each
+        # larger y_kk and every integer tried counted
         Y = spd(rows)
         hm.minkowski_membership(Y, budget=smallest)
         with pytest.raises(hm.EnumerationBudgetExceeded):
@@ -485,6 +511,15 @@ class TestDivisibilityTuple:
     def test_non_integral_entries_rejected(self, entries):
         with pytest.raises(ValueError):
             hm.DivisibilityTuple(entries)
+
+    def test_negative_entry_that_divides_is_rejected(self):
+        # (1, -2) passes the divisibility check alone
+        with pytest.raises(ValueError, match="positive"):
+            hm.DivisibilityTuple((1, -2))
+
+    def test_plain_int_tuple_kept(self):
+        r = (1, 2, 6)
+        assert hm.DivisibilityTuple(r).r is r
 
     def test_integral_values_accepted(self):
         assert hm.DivisibilityTuple((2.0, Fraction(4), "8")).r == (2, 4, 8)
