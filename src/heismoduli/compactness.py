@@ -262,16 +262,16 @@ def counterexample_spectrum(k: int) -> tuple[float, float]:
     return 1.0 / d2, d2
 
 
-def _key_inequality_sides(Y: np.ndarray, R: np.ndarray, G: np.ndarray
+def _key_inequality_sides(Y: np.ndarray, F: np.ndarray, G: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the key inequality for stacks of Y = R^T R and factors G.
+    """Both sides of the key inequality for stacks of Y = F^T F and factors G.
 
-    The caller supplies Y's upper factor R.  The pullback G^T Y G has the
-    factor R G, so neither Gram matrix of G is ever formed.
+    F is any invertible factor of Y.  The pullback G^T Y G has the factor
+    F G, so neither Gram matrix of G is ever formed.
     """
     lam_max = np.linalg.eigvalsh(Y)[..., -1]
     lhs = _symplectic_spectra(G)[..., -1] / lam_max
-    rhs = _symplectic_spectra(R @ G)[..., -1]
+    rhs = _symplectic_spectra(F @ G)[..., -1]
     return lhs, rhs
 
 
@@ -556,16 +556,15 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     order: per sample the factor B of the Gram matrix Y = B^T B, entries
     ``uniform(-b, b)`` row by row with b = sqrt(10 / dim), then G with
     entries ``uniform(-10, 10)``, each matrix redrawn while |det| <= 1e-3.
-    The generator's words are read in bulk, not one call per entry.
+    The generator's words are read in bulk, not one call per entry, and
+    B serves as Y's factor, so Y is never factored.
     """
     _check_sweep_size(dim, samples)
     if dim % 2:
         raise ValueError("dimension must be even")
     (B, G), _ = _draw_samples(random.Random(seed), dim, samples,
                               (math.sqrt(10.0 / dim), 10.0))
-    Y = np.swapaxes(B, -1, -2) @ B
-    R = np.swapaxes(np.linalg.cholesky(Y), -1, -2)
-    return _sweep_result(*_key_inequality_sides(Y, R, G))
+    return _sweep_result(*_key_inequality_sides(np.swapaxes(B, -1, -2) @ B, B, G))
 
 
 def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:

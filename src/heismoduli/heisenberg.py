@@ -37,9 +37,9 @@ from .linalg import (
     SpdMatrix,
     _is_floatlike,
     _json_list,
+    _shaped,
     congruence,
     determinant,
-    ldl_decompose,
     matrix_from_json,
     matrix_to_json,
     scalar_from_json,
@@ -167,15 +167,8 @@ def bracket(v: LieAlgebraVector, w: LieAlgebraVector) -> LieAlgebraVector:
 def symplectic_j(n: int, mode: str = RATIONAL) -> DenseMatrix:
     one = Fraction(1) if mode == RATIONAL else 1.0
     zero = Fraction(0) if mode == RATIONAL else 0.0
-    rows = []
-    for i in range(2 * n):
-        row = [zero] * (2 * n)
-        if i < n:
-            row[n + i] = one
-        else:
-            row[i - n] = -one
-        rows.append(tuple(row))
-    return DenseMatrix(tuple(rows), mode)
+    return _shaped(tuple(tuple(one if j == i + n else -one if i == j + n else zero
+                               for j in range(2 * n)) for i in range(2 * n)), mode)
 
 
 def symplectic_similitude_check(beta: DenseMatrix) -> int | None:
@@ -381,28 +374,32 @@ def _symplectic_spectra(F: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.n
 def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
     """Stack of upper-triangular R with Y = R^T R, in floats, one per Y.
 
-    One stacked float Cholesky where it succeeds for every member.  Where
-    it fails, each member is factored alone, and one whose float Cholesky
-    fails takes R = diag(sqrt(d)) L^T from its exact LDL^T: Y was decided
-    positive definite exactly when it was built.  The Ys are of equal size.
+    Read off the exact factor (den, minors, columns) each Y keeps: row k
+    holds sign(v) sqrt(v^2 / (minors[k] minors[k+1] den)), with v =
+    minors[k+1] on the diagonal and v = columns[k][i - k - 1] at i > k.
+    Each entry is one correctly rounded integer quotient, at most y_ii,
+    and one square root; there is no failure branch.  The Ys are of
+    equal size.
     """
-    try:
-        return np.swapaxes(np.linalg.cholesky(np.array([Y.to_numpy() for Y in Ys])), -1, -2)
-    except np.linalg.LinAlgError:
-        pass
-    if len(Ys) > 1:  # only the members that need it go exact
-        return np.concatenate([_upper_factors([Y]) for Y in Ys])
-    L, d = ldl_decompose(Ys[0])
-    return (np.sqrt(np.array(d, dtype=float))[:, None] * L.to_numpy().T)[np.newaxis]
+    def upper(den, minors, columns):
+        rows = []
+        for k, col in enumerate(columns):
+            scale = minors[k] * minors[k + 1] * den
+            rows.append([0.0] * k + [(-1.0 if v < 0 else 1.0) * math.sqrt(v * v / scale)
+                                     for v in (minors[k + 1], *col)])
+        return rows
+
+    return np.array([upper(*Y.integer_ldl) for Y in Ys])
 
 
 def _d_spectra(Ys: Sequence[SpdMatrix], pairing_tol: float = PAIRING_TOL
                ) -> list[KaplanSpectrum]:
     """Symplectic spectra of equal-size Gram matrices, as one stack.
 
-    One ``_upper_factors`` and one ``_symplectic_spectra`` for all of Ys;
-    each spectrum is the one Y would have alone.  The first member whose
-    pairs fail to match raises ``PairingFailure``.
+    One ``_upper_factors`` (each read off its member's exact LDL^T) and
+    one ``_symplectic_spectra`` for all of Ys; each spectrum is the one Y
+    would have alone.  The first member whose pairs fail to match raises
+    ``PairingFailure``.
     """
     if Ys[0].n % 2:
         raise OddDimension("symplectic spectrum requires even size")
@@ -413,11 +410,11 @@ def _d_spectra(Ys: Sequence[SpdMatrix], pairing_tol: float = PAIRING_TOL
 def d_spectrum(Y: SpdMatrix, pairing_tol: float = PAIRING_TOL) -> KaplanSpectrum:
     """Symplectic spectrum of a Gram matrix of even size.
 
-    Factors Y = R^T R (``_upper_factors``) and takes the singular values
-    of the skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k, d_k.
-    This never squares the condition number of Y.  A pair that fails to
-    match within ``pairing_tol`` times the largest value raises
-    ``PairingFailure`` (numerical breakdown).
+    Reads Y = R^T R off Y's exact LDL^T (``_upper_factors``) and takes the
+    singular values of the skew matrix R^{-T} J R^{-1}, which come in equal
+    pairs d_k, d_k.  This never squares the condition number of Y.  A pair
+    that fails to match within ``pairing_tol`` times the largest value
+    raises ``PairingFailure`` (numerical breakdown).
     """
     return _d_spectra([Y], pairing_tol)[0]
 

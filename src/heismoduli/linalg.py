@@ -120,7 +120,7 @@ def _shaped(entries, mode: str) -> DenseMatrix:
 def identity(n: int, mode: str = RATIONAL) -> DenseMatrix:
     one = Fraction(1) if mode == RATIONAL else 1.0
     zero = Fraction(0) if mode == RATIONAL else 0.0
-    return DenseMatrix(
+    return _shaped(
         tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), mode
     )
 
@@ -210,8 +210,8 @@ class SpdMatrix:
     positivity, in both modes, through the factor it keeps: ``integer_ldl``,
     the fraction-free LDL^T (den, minors, columns) of ``_integer_ldl`` on
     the exact entries, so a float matrix is accepted exactly when the same
-    entries as Fractions are.  ``ldl_decompose``, ``determinant`` and the
-    lattice enumerator read the kept factor; none is factored twice.
+    entries as Fractions are.  ``ldl_decompose``, ``determinant``, the
+    lattice enumerator and the spectra read the kept factor alone.
     """
 
     matrix: DenseMatrix

@@ -10,6 +10,11 @@ import numpy as np
 
 import heismoduli as hm
 
+# a float Gram that SpdMatrix accepts exactly (det = 2^-49) but the float
+# Cholesky rejects; it is also badly reduced: its minimum, along (5, -3),
+# lies far below its smallest diagonal entry 3
+PAST_CHOLESKY = [[3.0, 5.0], [5.0, 8.333333333333334]]
+
 
 def random_rational_spd(rng: random.Random, n: int, box_cap: int = 400_000) -> hm.SpdMatrix:
     """Random exact Gram matrix built as L D L^T with small rational entries.

@@ -213,6 +213,13 @@ class TestRandomSymplecticCommand:
         assert out1 == out2
         assert json.loads(out1)["epsilon"] in (1, -1)
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    @pytest.mark.parametrize("steps", [[], ["--steps", "0"]])
+    def test_empty_dim_exit_2(self, capsys, dim, steps):
+        code, out, err = run(capsys, ["random-symplectic", "--dim", dim, "--seed", "1", *steps])
+        assert code == 2
+        assert out == "" and err == "error: matrix must have at least one row and column\n"
+
 
 class TestErrorPaths:
     def test_invalid_json_exit_2(self, capsys, monkeypatch):

@@ -359,9 +359,9 @@ class TestKeyInequality:
     @example(2, 100, 174)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         B, G = _replay_key_samples(dim, samples, seed)
+        # the drawn B is Y's factor
         Y = np.swapaxes(B, -1, -2) @ B
-        R = np.swapaxes(np.linalg.cholesky(Y), -1, -2)
-        expected = compactness._sweep_result(*compactness._key_inequality_sides(Y, R, G))
+        expected = compactness._sweep_result(*compactness._key_inequality_sides(Y, B, G))
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,
@@ -538,6 +538,11 @@ class TestRandomSymplectic:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             hm.random_symplectic_integer(2, 1, -1)
+
+    @pytest.mark.parametrize("n, steps", [(0, 0), (0, 5), (-1, 0)])
+    def test_empty_rejected(self, n, steps):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            hm.random_symplectic_integer(n, 1, steps)
 
     def test_integer_entries(self):
         beta = hm.random_symplectic_integer(2, 9, 12)

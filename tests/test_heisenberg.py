@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import heismoduli as hm
 from heismoduli import heisenberg
-from conftest import random_integer_gram, rational_metric
+from conftest import PAST_CHOLESKY, random_integer_gram, rational_metric
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -150,6 +150,11 @@ class TestSimilitudeCheck:
     def test_float_tolerance(self):
         J = hm.symplectic_j(1, hm.FLOAT)
         assert hm.symplectic_similitude_check(J) == 1
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_form_rejected(self, n):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            hm.symplectic_j(n)
 
 
 class TestAutomorphisms:
@@ -351,6 +356,71 @@ class TestDSpectrum:
             hm.d_spectrum(hm.SpdMatrix(hm.identity(4, hm.FLOAT)))
 
 
+# a valid float Gram near the boundary of P_2: det is about 2^-49 1e600, and
+# d = 1 / sqrt(det) = 2.36728978215723...e-293 exactly for the rounded entries
+NEAR_SINGULAR = [[1e300, 1e300 * (1 - 2**-50)], [1e300 * (1 - 2**-50), 1e300]]
+
+
+def _inverse_sqrt(x):
+    """1 / sqrt(x) for a positive Fraction: an integer square root carried
+    to at least 65 bits, then rounded once."""
+    p, q = x.numerator, x.denominator
+    s = max(0, (131 - q.bit_length() + p.bit_length()) // 2)
+    return float(Fraction(math.isqrt((q << 2 * s) // p), 1 << s))
+
+
+def _random_block(rng, mode):
+    """A positive definite 2 x 2 block, rational or float."""
+    while True:
+        if mode == hm.RATIONAL:
+            a, b, c = (Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
+                       for _ in range(3))
+        else:
+            a, b, c = (rng.uniform(-3, 3) for _ in range(3))
+        if a > 0 and a * c - b * b > 0:
+            return [[a, b], [b, c]]
+
+
+def _pair_gram(blocks, mode):
+    """The Gram matrix with block k on the symplectic pair (x_k, y_k)."""
+    n = len(blocks)
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for k, ((a, b), (_, c)) in enumerate(blocks):
+        rows[k][k], rows[k][n + k], rows[n + k][k], rows[n + k][n + k] = a, b, b, c
+    return hm.SpdMatrix.from_rows(rows, mode)
+
+
+class TestSpectrumOracle:
+    # pair k of a block-diagonal Gram alone has d = 1 / sqrt(det(block k)),
+    # read off the block's exact determinant; the SVD's own bound on each
+    # d_k is 8 eps d_n, and for n = 1 the factor and kernel add 4 ulp at most
+    @pytest.mark.parametrize("case", ["near-singular", "up", "down"])
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_block_diagonal_pairs(self, n, mode, case):
+        rng = random.Random(f"{n}-{mode}-{case}")
+        blocks = [_random_block(rng, mode) for _ in range(n)]
+        if case == "near-singular":
+            blocks[rng.randrange(n)] = NEAR_SINGULAR
+        else:  # scaled by 2^600 or 2^-600, exactly in both modes
+            scale = (Fraction(2) if mode == hm.RATIONAL else 2.0) ** (600 if case == "up"
+                                                                       else -600)
+            blocks = [[[x * scale for x in r] for r in block] for block in blocks]
+        exact = sorted(_inverse_sqrt(hm.determinant(hm.SpdMatrix.from_rows(block, hm.RATIONAL)))
+                       for block in blocks)
+        d = hm.d_spectrum(_pair_gram(blocks, mode)).d
+        eps = np.finfo(float).eps
+        assert all(abs(got - want) <= 8 * eps * exact[-1] for got, want in zip(d, exact))
+        if n == 1:
+            assert abs(d[0] - exact[0]) <= 4 * math.ulp(exact[0])
+
+    def test_near_singular_value(self):
+        exact = _inverse_sqrt(hm.determinant(hm.SpdMatrix.from_rows(NEAR_SINGULAR, hm.RATIONAL)))
+        assert f"{exact:.15e}".startswith("2.36728978215723")
+        d = hm.d_spectrum(hm.SpdMatrix.from_rows(NEAR_SINGULAR, hm.FLOAT)).d
+        assert abs(d[0] - exact) <= 4 * math.ulp(exact)
+
+
 def _random_gram(rng, dim, mode):
     """B^T B + I/2, with B rational (denominators up to 4) or float."""
     if mode == hm.RATIONAL:
@@ -365,10 +435,6 @@ def _random_gram(rng, dim, mode):
          for i in range(dim)], mode)
 
 
-# a float Gram that SpdMatrix accepts exactly but the float Cholesky rejects
-PAST_CHOLESKY = [[3.0, 5.0], [5.0, 8.333333333333334]]
-
-
 class TestStackedSpectra:
     @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
     def test_stack_equals_members_exactly(self, mode):
@@ -380,10 +446,11 @@ class TestStackedSpectra:
             assert stacked == [hm.d_spectrum(Y).d for Y in family]
             # and each member alone through the 2-D kernel on its own factor
             assert stacked == [tuple(heisenberg._symplectic_spectra(
-                np.linalg.cholesky(Y.to_numpy()).T).tolist()) for Y in family]
+                heisenberg._upper_factors([Y])[0]).tolist()) for Y in family]
 
     def test_member_past_float_cholesky(self):
-        # only the member whose own float Cholesky fails takes the exact factor
+        # a member whose float Cholesky fails takes the same factor path as
+        # every other: the one read off its exact LDL^T
         rng = random.Random(47)
         Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
         family = [_random_gram(rng, 2, mode) for mode in (hm.RATIONAL, hm.FLOAT) * 4]
@@ -392,11 +459,8 @@ class TestStackedSpectra:
             np.linalg.cholesky(np.array([X.to_numpy() for X in family]))
         stacked = [s.d for s in heisenberg._d_spectra(family)]
         assert stacked == [hm.d_spectrum(X).d for X in family]
-        del stacked[3], family[3]
-        # about a quarter of these spectra differ in the last bits when
-        # taken from the exact factor
         assert stacked == [tuple(heisenberg._symplectic_spectra(
-            np.linalg.cholesky(X.to_numpy()).T).tolist()) for X in family]
+            heisenberg._upper_factors([X])[0]).tolist()) for X in family]
 
     def test_certificate_past_float_cholesky_in_a_skewed_basis(self):
         # PAST_CHOLESKY is also badly reduced: its minimum, along (5, -3),

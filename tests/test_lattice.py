@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import (
+    PAST_CHOLESKY,
     box_short_vectors,
     brute_force_membership,
     brute_force_minimum,
@@ -310,6 +311,17 @@ class TestMinkowskiMembership:
         assert rep.violation.k == 1
         assert rep.violation.kind == "sign"
 
+    @pytest.mark.xfail(strict=True, raises=hm.EnumerationBudgetExceeded,
+                       reason="enumerates below y_11 = 3 in a badly reduced basis; "
+                              "needs the LLL of ROADMAP item 1")
+    def test_badly_reduced_float_gram_within_budget(self):
+        Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
+        rep = hm.minkowski_membership(Y, budget=10**5)
+        # the minimum 5.3e-15, along (5, -3), lies far below y_11 = 3
+        assert not rep.member
+        assert rep.violation.kind == "short_vector" and rep.violation.k == 1
+        assert hm.quadratic_form(Y, rep.violation.witness) < 3
+
     def test_short_vector_violation(self):
         # diag(4,1) has Y[e_2] = 1 < 4 = y_11 with primitive e_2
         rep = hm.minkowski_membership(spd([[4, 0], [0, 1]]))
@@ -377,6 +389,15 @@ class TestMinkowskiMembership:
 
 
 class TestMinkowskiReduce:
+    @pytest.mark.xfail(strict=True, raises=hm.EnumerationBudgetExceeded,
+                       reason="enumerates below fixed bounds in a badly reduced basis; "
+                              "needs the LLL of ROADMAP item 1")
+    def test_badly_reduced_float_gram_within_budget(self):
+        Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
+        R, _ = hm.minkowski_reduce(Y, budget=10**5)
+        assert R.entries[0][0] == hm.first_minimum(Y).value == 5.329070518200751e-15
+        assert hm.minkowski_membership(R).member
+
     def test_identity_fixed(self):
         R, U = hm.minkowski_reduce(hm.SpdMatrix(hm.identity(2)))
         assert R.entries == hm.identity(2).entries

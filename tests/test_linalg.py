@@ -74,6 +74,19 @@ class TestLdl:
         assert "_ldl" not in repr(a)
 
 
+class TestEmptyMatrices:
+    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    def test_identity_rejected(self, n, mode):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            hm.identity(n, mode)
+
+    @pytest.mark.parametrize("rows", [[], [[]]])
+    def test_from_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            hm.DenseMatrix.from_rows(rows)
+
+
 class TestSymmetryPolicy:
     def test_small_asymmetry_repaired(self):
         Y = hm.SpdMatrix.from_rows([[1.0, 1e-14], [0.0, 1.0]])

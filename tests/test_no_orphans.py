@@ -1,9 +1,11 @@
-"""Orphans a deletion leaves behind in ``src/heismoduli``.
+"""Orphans a deletion leaves behind in ``src/heismoduli``, and one
+factorization that must not come back.
 
-Two rules, read off the syntax trees: a module (``__init__`` aside, it
-re-exports) uses every name it imports, and every module-level
-``_private`` function is referenced somewhere in the package outside
-its own body.
+Three rules, read off the syntax trees: a module (``__init__`` aside, it
+re-exports) uses every name it imports, every module-level ``_private``
+function is referenced somewhere in the package outside its own body,
+and no module calls a ``cholesky``: a Gram matrix's spectra read the
+exact factor it keeps, so a float Cholesky would be a second factor path.
 """
 
 import ast
@@ -54,3 +56,11 @@ def test_every_private_function_is_referenced(module):
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                and counts[node.name] == _referenced(node).count(node.name)]
     assert orphans == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_float_cholesky(module):
+    calls = [node.lineno for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "cholesky"]
+    assert calls == []
