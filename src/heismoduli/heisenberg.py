@@ -341,13 +341,13 @@ def kaplan_matrix(m: NormalizedMetric) -> DenseMatrix:
     return DenseMatrix.from_rows(M.tolist(), FLOAT)
 
 
-def _symplectic_spectra(F: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
+def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
     """Symplectic spectra of Y = F^T F for a stack of invertible factors F.
 
     Y^{-1} J is similar to the skew matrix K = F^{-T} J F^{-1}, whose
     singular values are d_n, d_n, ..., d_1, d_1.  Returns an array of
     shape (..., n) with each row ascending.  A pair whose two values
-    differ by more than ``pairing_tol`` times the largest singular value
+    differ by more than ``PAIRING_TOL`` times the largest singular value
     of its K raises ``PairingFailure`` (numerical breakdown).
     """
     n = F.shape[-1] // 2
@@ -361,7 +361,7 @@ def _symplectic_spectra(F: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.n
     hi, lo = s[..., 0::2], s[..., 1::2]
     # mismatch is measured against the spectral scale: singular values
     # carry absolute (not relative) roundoff of order eps * s_max
-    mismatch = np.abs(hi - lo) > pairing_tol * s[..., :1]
+    mismatch = np.abs(hi - lo) > PAIRING_TOL * s[..., :1]
     if mismatch.any():
         idx = tuple(np.argwhere(mismatch)[0])
         raise PairingFailure(
@@ -392,8 +392,7 @@ def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
     return np.array([upper(*Y.integer_ldl) for Y in Ys])
 
 
-def _d_spectra(Ys: Sequence[SpdMatrix], pairing_tol: float = PAIRING_TOL
-               ) -> list[KaplanSpectrum]:
+def _d_spectra(Ys: Sequence[SpdMatrix]) -> list[KaplanSpectrum]:
     """Symplectic spectra of equal-size Gram matrices, as one stack.
 
     One ``_upper_factors`` (each read off its member's exact LDL^T) and
@@ -403,20 +402,20 @@ def _d_spectra(Ys: Sequence[SpdMatrix], pairing_tol: float = PAIRING_TOL
     """
     if Ys[0].n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    d = _symplectic_spectra(_upper_factors(Ys), pairing_tol)
+    d = _symplectic_spectra(_upper_factors(Ys))
     return [KaplanSpectrum(tuple(row)) for row in d.tolist()]
 
 
-def d_spectrum(Y: SpdMatrix, pairing_tol: float = PAIRING_TOL) -> KaplanSpectrum:
+def d_spectrum(Y: SpdMatrix) -> KaplanSpectrum:
     """Symplectic spectrum of a Gram matrix of even size.
 
     Reads Y = R^T R off Y's exact LDL^T (``_upper_factors``) and takes the
     singular values of the skew matrix R^{-T} J R^{-1}, which come in equal
     pairs d_k, d_k.  This never squares the condition number of Y.  A pair
-    that fails to match within ``pairing_tol`` times the largest value
+    that fails to match within ``PAIRING_TOL`` times the largest value
     raises ``PairingFailure`` (numerical breakdown).
     """
-    return _d_spectra([Y], pairing_tol)[0]
+    return _d_spectra([Y])[0]
 
 
 def _is_heisenberg_spectrum(spectrum: KaplanSpectrum, g: Scalar, tol: float) -> bool:

@@ -6,11 +6,11 @@ that runs in integer arithmetic on the fraction-free LDL^T factor each
 Gram matrix keeps from its construction, so first minima are
 certified values in both modes.  The enumerator visits each level's
 integers outward from its centre (Schnorr-Euchner order); for a first
-minimum it also shrinks its radius to the least value found, so a
-badly reduced basis costs far less than the ellipsoid below its
-diagonal.  Its budget counts every integer tried.  Float mode adds a
-small relative slack to bounds and flags membership reports as
-approximate.
+minimum, and for each column of a Minkowski reduction, it also shrinks
+its radius to the least value found, so a badly reduced basis costs far
+less than the ellipsoid below its diagonal.  Its budget counts every
+integer tried.  Float mode adds a small relative slack to bounds and
+flags membership reports as approximate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, truediv
 
 from .errors import EnumerationBudgetExceeded
 from .linalg import (
@@ -30,7 +30,6 @@ from .linalg import (
     SpdMatrix,
     _int_determinant,
     congruence,
-    quadratic_form,
     scalar_to_json,
 )
 
@@ -156,9 +155,9 @@ def _witness_key(a: tuple[int, ...]):
     return (tuple(abs(x) for x in reversed(a)), tuple(reversed(a)))
 
 
-def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
-                   ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """(S, [(S Y[a], a), ...]) for the nonzero integer a with Y[a] <= bound, up to sign.
+def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None,
+                   k: int = 0) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """(S, [(S Y[a], a), ...]) for the integer a with a[k:] nonzero and Y[a] <= bound, up to sign.
 
     Schnorr-Euchner enumeration (Schnorr and Euchner, *Math. Programming*
     66, 1994) on the fraction-free factor (den, Delta, lambda) that
@@ -170,8 +169,9 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     -sum_{j>i} lambda_ji a_j / Delta_{i+1}, so the first one past the
     radius ends the level.  A bound gives every such vector; a float
     bound is inflated by FLOAT_SLACK.  With ``bound`` None the radius
-    starts at Y[e_1] and shrinks to each value found, inclusive, so the
-    list holds every vector attaining the first minimum, and its values
+    starts at Y[e_{k+1}] and shrinks, inclusive, to each value found
+    whose tail a[k:] is primitive, so the list holds every such vector
+    of least value.  With k = 0 that is the first minimum, and the values
     never increase.  Values are the exact integers S Y[a] in both modes.
     The budget counts every integer tried.  Vectors have their first
     nonzero entry positive.
@@ -186,12 +186,11 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     N = minors[1:]
     shrink = bound is None
     if shrink:
-        top = P * N[0]  # S Y[e_1] = P den y_11
-    else:
-        if Y.mode == FLOAT:
-            bound = float(bound) * (1.0 + FLOAT_SLACK)
-        p, q = bound.as_integer_ratio()
-        top = S * p // q  # floor(S * bound); S Y[a] is an integer
+        bound = Y.entries[k][k]  # Y[e_{k+1}], exact in both modes
+    elif Y.mode == FLOAT:
+        bound = float(bound) * (1.0 + FLOAT_SLACK)
+    p, q = bound.as_integer_ratio()
+    top = S * p // q  # floor(S * bound); S Y[a] is an integer
     a = [0] * n
     found: list[tuple[int, tuple[int, ...]]] = []
     tried = 0
@@ -217,11 +216,12 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
             if value > top:
                 break
             a[i] = t
-            if i:
+            if i and (i > k or t or not zero_tail):  # else a[k:] is zero
                 descend(i - 1, value, zero_tail and t == 0)
             elif t or not zero_tail:
                 found.append((value, _canonical_sign(tuple(a))))
-                if shrink:
+                # with k = 0 a vector m b is found only after b, below it: all primitive
+                if shrink and (not k or math.gcd(*a[k:]) == 1):
                     top = value
             t += step
             if not zero_tail:  # t0, t0 + 1, t0 - 1, t0 + 2, ... (or mirrored)
@@ -267,36 +267,39 @@ def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
 
 
 def scale_by_divisibility(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
-    """Y[delta_r] = delta_r Y delta_r; Y itself (factor kept) when r = (1,...,1)."""
-    diag = r.scaling_diagonal()
+    """Y[delta_r] = delta_r Y delta_r, a float entry rounded once; Y itself
+    (factor kept) when r = (1,...,1)."""
+    return _scaled(Y, r, mul, Y.mode)
+
+
+def _scaled(Y: SpdMatrix, r: DivisibilityTuple, op, mode: str) -> SpdMatrix:
+    """op(y_ij, d_i d_j) of the exact entries, d = r.scaling_diagonal(), in mode;
+    Y itself when r = (1,...,1)."""
     if Y.n != 2 * r.n:
         raise ValueError("Gram matrix must have size 2n for a length-n tuple")
     if r.r == (1,) * r.n:
         return Y
-    rows = [
-        [Y.entries[i][j] * diag[i] * diag[j] for j in range(Y.n)]
-        for i in range(Y.n)
-    ]
-    return SpdMatrix.from_rows(rows, Y.mode)
+    d = r.scaling_diagonal()
+    return SpdMatrix.from_rows([[op(Fraction(x), d[i] * d[j]) for j, x in enumerate(row)]
+                                for i, row in enumerate(Y.entries)], mode)
 
 
 def first_minimum_r(Y: SpdMatrix, r: DivisibilityTuple,
                     budget: int | None = None) -> ShortVectorResult:
-    """Minimum of Y[delta_r a] over nonzero integer a."""
-    return first_minimum(scale_by_divisibility(Y, r), budget)
+    """Minimum of Y[delta_r a] over nonzero integer a.
+
+    Exact for rational Y; a float Y gets the exact minimum of its entries,
+    rounded once, as in ``first_minimum``: its scaled form is built
+    exactly, in rational mode.
+    """
+    res = first_minimum(_scaled(Y, r, mul, RATIONAL), budget)
+    return ShortVectorResult(float(res.value), res.witness) if Y.mode == FLOAT else res
 
 
 def psi_r(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
-    """delta_r^{-1} Y delta_r^{-1}; inverse scaling of the form."""
-    diag = r.scaling_diagonal()
-    if Y.n != 2 * r.n:
-        raise ValueError("Gram matrix must have size 2n for a length-n tuple")
-    # Fraction / int is exact, so one expression serves both modes
-    rows = [
-        [Y.entries[i][j] / (diag[i] * diag[j]) for j in range(Y.n)]
-        for i in range(Y.n)
-    ]
-    return SpdMatrix.from_rows(rows, Y.mode)
+    """delta_r^{-1} Y delta_r^{-1}, a float entry rounded once; the inverse
+    of ``scale_by_divisibility``."""
+    return _scaled(Y, r, truediv, Y.mode)
 
 
 def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiReport:
@@ -304,9 +307,10 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
 
     Conditions: y_{k,k+1} >= 0 for all k, and no integer vector a with
     gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Each k scans the vectors
-    below y_{k,k} in canonical order, enumerating anew only when y_{k,k}
-    exceeds every earlier one.  Values are exact in both modes; float mode
-    compares with a 1e-9 relative slack and sets ``approximate``.
+    below y_{k,k} with a nonzero tail a_k,...,a_n in canonical order,
+    enumerating anew only when y_{k,k} exceeds every earlier one (a list
+    for an earlier k holds them all).  Values are exact in both modes;
+    float mode compares with a 1e-9 relative slack and sets ``approximate``.
     """
     approx = Y.mode == FLOAT
     for k in range(Y.n - 1):
@@ -316,7 +320,7 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     for k, ykk in enumerate(Y.diagonal()):
         if ykk > bound:
             bound = ykk
-            S, found = _short_vectors(Y, bound, budget)
+            S, found = _short_vectors(Y, bound, budget, k)
             candidates = sorted(found, key=lambda va: _witness_key(va[1]))
         p, q = (ykk if not approx else ykk * (1.0 - FLOAT_SLACK)).as_integer_ratio()
         for value, a in candidates:
@@ -336,6 +340,7 @@ def _complete_basis(cols: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]
     The diagonal it reaches has product +-(gcd of the k x k minors), so
     this also decides extendability: columns that are dependent, or
     whose minors share a factor, raise ``ValueError``.
+    ``minkowski_reduce`` searches each next column in the basis it completes.
     """
     k = len(cols)
     if k == 0:
@@ -396,30 +401,29 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     """Reduce Y into Minkowski's fundamental domain.
 
     Greedy successive minima: the k-th column is the shortest vector
-    (canonical tie-break) that keeps the prefix extendable to a basis,
-    as ``_complete_basis`` decides; the completion it returns bounds the
-    next column's search.  This yields the domain's minimality conditions
-    directly; a final diagonal +-1 transform fixes the superdiagonal
-    signs.  Returns (Y[U], U) with U unimodular.
+    (canonical tie-break) that keeps the prefix extendable to a basis.
+    With B the prefix and its completion (``_complete_basis``), those are
+    the a = B b with gcd(b_k,...,b_n) = 1, so the least of them come from
+    one shrinking-radius search of the exact Y[B] with tail index k.
+    This yields the domain's minimality conditions directly; a final
+    diagonal +-1 transform fixes the superdiagonal signs.  Returns
+    (Y[U], U) with U unimodular.
     """
     n = Y.n
     if n > 8:
         raise ValueError("reduction is only supported up to dimension 8")
+    den = Y.integer_ldl[0]  # den Y[B] = B^T A B: a search compares only its own values
+    A = [[int(Fraction(x) * den) for x in r] for r in Y.entries]
     cols: list[tuple[int, ...]] = []
-    completion = _complete_basis(cols, n)
-    for _ in range(n):
-        cap = min(quadratic_form(Y, c) for c in completion)
-        candidates = sorted(_short_vectors(Y, cap, budget)[1],
-                            key=lambda va: (va[0], _witness_key(va[1])))
-        for _, a in candidates:
-            try:
-                completion = _complete_basis(cols + [a], n)
-            except ValueError:  # a does not extend the prefix
-                continue
-            cols.append(a)
-            break
-        else:  # pragma: no cover - a completion column is always a candidate
-            raise AssertionError("no extendable candidate found")
+    for k in range(n):
+        B = cols + _complete_basis(cols, n)
+        AB = [[sum(map(mul, r, c)) for c in B] for r in A]
+        YB = SpdMatrix.from_rows([[sum(map(mul, c, d)) for d in zip(*AB)] for c in B])
+        found = [(v, b) for v, b in _short_vectors(YB, None, budget, k)[1]
+                 if math.gcd(*b[k:]) == 1]
+        least = min(v for v, _ in found)
+        cols.append(min((_canonical_sign(tuple(sum(map(mul, row, b)) for row in zip(*B)))
+                         for v, b in found if v == least), key=_witness_key))
     # superdiagonal sign normalization by a diagonal +-1 unimodular S:
     # entry (i, j) of Y[U0 S] is signs[i] * signs[j] times that of Y[U0],
     # so each sign is chosen from its predecessor and the raw entry

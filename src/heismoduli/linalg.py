@@ -216,8 +216,6 @@ class SpdMatrix:
 
     matrix: DenseMatrix
     integer_ldl: tuple = field(init=False, repr=False, compare=False)
-    _ldl: tuple[DenseMatrix, tuple[Scalar, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = symmetrized(self.matrix)
@@ -281,22 +279,19 @@ def ldl_decompose(Y: SpdMatrix | DenseMatrix) -> tuple[DenseMatrix, tuple[Scalar
 
     Reads the factor an ``SpdMatrix`` computed when it was built; a
     ``DenseMatrix`` is validated as ``SpdMatrix(Y)`` first.  L and d are
-    built from it on the first call and kept, so every call returns the
-    same object: exact Fractions, or in float mode their correctly rounded
-    floats.  Raises ``NotPositiveDefinite`` with the 1-based index of the
-    first bad pivot.
+    built from it on each call: exact Fractions, or in float mode their
+    correctly rounded floats.  Raises ``NotPositiveDefinite`` with the
+    1-based index of the first bad pivot.
     """
     Y = Y if isinstance(Y, SpdMatrix) else SpdMatrix(Y)
-    if Y._ldl is None:
-        den, minors, columns = Y.integer_ldl
-        div = _ratio(Y.mode)
-        one, zero = div(1, 1), div(0, 1)
-        L = tuple(tuple(div(columns[j][i - j - 1], minors[j + 1]) if i > j
-                        else one if i == j else zero for j in range(Y.n))
-                  for i in range(Y.n))
-        d = tuple(div(minors[k + 1], minors[k] * den) for k in range(Y.n))
-        object.__setattr__(Y, "_ldl", (DenseMatrix(L, Y.mode), d))
-    return Y._ldl
+    den, minors, columns = Y.integer_ldl
+    div = _ratio(Y.mode)
+    one, zero = div(1, 1), div(0, 1)
+    L = tuple(tuple(div(columns[j][i - j - 1], minors[j + 1]) if i > j
+                    else one if i == j else zero for j in range(Y.n))
+              for i in range(Y.n))
+    d = tuple(div(minors[k + 1], minors[k] * den) for k in range(Y.n))
+    return DenseMatrix(L, Y.mode), d
 
 
 def eigenvalues_symmetric(Y: SpdMatrix | DenseMatrix) -> Spectrum:

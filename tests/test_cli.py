@@ -65,6 +65,16 @@ class TestInvariantsCommand:
         assert code == 0
         assert "m_r = 1" in out
 
+    def test_float_m_r_rounded_once(self, capsys, monkeypatch):
+        # the exact minimum of the given entries, 9 * 0.1, rounds to 0.9;
+        # the float product 0.1 * 3 * 3 is 0.9000000000000001
+        payload = json.dumps({"h": {"mode": "float", "rows": 2, "cols": 2,
+                                    "entries": [[0.1, 0.01], [0.01, 50.0]]}, "g": 1, "r": [3]})
+        code, out, _ = run(capsys, ["invariants", "--format", "text"], stdin=payload,
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.splitlines()[0] == "m_r = 0.9"
+
 
 class TestSpectrumAndVectorCommands:
     def test_shortest_vector(self, capsys, monkeypatch):
@@ -96,6 +106,16 @@ class TestSpectrumAndVectorCommands:
         assert code == 0
         obj = json.loads(out)
         assert obj["reduced"]["entries"] == [["1", "0"], ["0", "1"]]
+
+    def test_reduce_of_float_gram_past_float_cholesky(self, capsys, monkeypatch):
+        # badly reduced: the minimum 5.3e-15, along (5, -3), lies far below y_11 = 3
+        payload = json.dumps({"mode": "float", "rows": 2, "cols": 2,
+                              "entries": [[3.0, 5.0], [5.0, 8.333333333333334]]})
+        code, out, _ = run(capsys, ["reduce"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["reduced"]["entries"][0][0] == 5.329070518200751e-15
+        assert obj["unimodular"] == [[5, 2], [-3, -1]]
 
     def test_heis_type_negative_exit(self, capsys, monkeypatch):
         payload = json.dumps({

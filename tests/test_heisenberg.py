@@ -534,6 +534,15 @@ class TestHeisenbergType:
         m = rational_metric(hm.counterexample_family(1), Fraction(1))
         assert not hm.is_heisenberg_type(m)
 
+    @pytest.mark.parametrize("eps, tol, verdict", [
+        (Fraction(1, 10**6), 1e-8, False), (Fraction(1, 10**6), 1e-6, True),
+        (Fraction(1, 10**10), 1e-8, True), (Fraction(1, 10**10), 1e-12, False)])
+    def test_tolerance_decides_a_near_miss(self, eps, tol, verdict):
+        # d = (1, sqrt(1 + eps)): relative deviation eps / 2 from g^{-1/2} = 1
+        h = hm.SpdMatrix.from_rows([[1 + eps * (i == j == 3) if i == j else 0
+                                     for j in range(4)] for i in range(4)])
+        assert hm.is_heisenberg_type(rational_metric(h, Fraction(1)), tol=tol) is verdict
+
 
 class TestSameOrbit:
     def test_reflexive(self):
@@ -551,6 +560,15 @@ class TestSameOrbit:
         S = hm.random_symplectic_integer(2, 17, 9)
         Ys = hm.SpdMatrix(hm.congruence(Y.matrix, S))
         assert hm.same_symplectic_orbit(Y, Ys)
+
+    @pytest.mark.parametrize("eps, tol, verdict", [
+        (Fraction(1, 10**6), 1e-8, False), (Fraction(1, 10**6), 1e-6, True),
+        (Fraction(1, 10**10), 1e-8, True), (Fraction(1, 10**10), 1e-12, False)])
+    def test_tolerance_decides_a_near_miss(self, eps, tol, verdict):
+        # d = (1, sqrt(1 + eps)) against d = (1, 1)
+        Y = hm.SpdMatrix.from_rows([[1 + eps * (i == j == 3) if i == j else 0
+                                     for j in range(4)] for i in range(4)])
+        assert hm.same_symplectic_orbit(hm.SpdMatrix(hm.identity(4)), Y, tol=tol) is verdict
 
     def test_one_stack(self, monkeypatch):
         real, shapes = np.linalg.svd, []

@@ -265,6 +265,23 @@ class TestFirstMinimumScaled:
         monkeypatch.setattr(hm.linalg, "_integer_ldl", refactor)
         assert hm.first_minimum_r(Y, r) == hm.first_minimum(Y)
 
+    def test_float_value_is_the_exact_minimum_rounded_once(self):
+        # decimal entries: a float product y r_i r_j is rarely exact
+        rng = random.Random(57)
+        tuples = [(2,), (3,), (1, 2), (2, 2), (1, 3), (3, 3)]
+        for _ in range(60):
+            r = hm.DivisibilityTuple(rng.choice(tuples))
+            n = 2 * r.n
+            B = hm.DenseMatrix.from_rows([[rng.randint(-30, 30) / 10 for _ in range(n)]
+                                          for _ in range(n)])
+            BtB = hm.congruence(hm.identity(n, hm.FLOAT), B).entries
+            F = hm.SpdMatrix.from_rows([[x + (i == j) / 10 for j, x in enumerate(row)]
+                                        for i, row in enumerate(BtB)])
+            exact = hm.first_minimum_r(hm.SpdMatrix.from_rows(F.entries, hm.RATIONAL), r)
+            got = hm.first_minimum_r(F, r)
+            assert type(got.value) is float
+            assert got == hm.ShortVectorResult(float(exact.value), exact.witness)
+
     def test_reduces_to_plain_minimum(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -342,7 +359,7 @@ class TestMinkowskiMembership:
 
     @pytest.mark.parametrize("rows, smallest", [
         ([[5, 2, 0], [2, 1, 0], [0, 0, 10**7]], 26),
-        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 16),
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 8),
         ([[9, 1, Fraction(1, 2)], [1, 4, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 3]], 21),
     ])
     def test_budget_boundary(self, rows, smallest):
@@ -388,15 +405,38 @@ class TestMinkowskiMembership:
         assert checked  # the sample must exercise the property
 
 
+# the skewed inputs whose reduction still exhausts a 10^6 budget
+_SKEWED_PAST_BUDGET = {(4, 60, 1), (4, 60, 2), (6, 10, 0)}
+
+
 class TestMinkowskiReduce:
-    @pytest.mark.xfail(strict=True, raises=hm.EnumerationBudgetExceeded,
-                       reason="enumerates below fixed bounds in a badly reduced basis; "
-                              "needs the LLL of ROADMAP item 1")
     def test_badly_reduced_float_gram_within_budget(self):
         Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
         R, _ = hm.minkowski_reduce(Y, budget=10**5)
         assert R.entries[0][0] == hm.first_minimum(Y).value == 5.329070518200751e-15
         assert hm.minkowski_membership(R).member
+
+    @pytest.mark.parametrize("n, b, seed", [
+        pytest.param(n, b, seed, marks=pytest.mark.xfail(
+            strict=True, raises=hm.EnumerationBudgetExceeded,
+            reason="one column's search tries more than 10^6 integers; "
+                   "needs the LLL of ROADMAP item 1"))
+        if (n, b, seed) in _SKEWED_PAST_BUDGET else (n, b, seed)
+        for n, b in [(3, 20), (3, 200), (4, 60), (6, 10), (8, 5)] for seed in range(3)])
+    def test_skewed_unit_lattice_reduces_to_identity(self, n, b, seed):
+        R, _ = hm.minkowski_reduce(spd(skewed_unit_lattice(n, b, seed)[1]), budget=10**6)
+        assert R.entries == hm.identity(n).entries
+        assert hm.minkowski_membership(R, budget=10**6).member
+
+    def test_one_basis_completion_per_column(self, monkeypatch):
+        calls = []
+        complete = hm.lattice._complete_basis
+        monkeypatch.setattr(hm.lattice, "_complete_basis",
+                            lambda cols, n: calls.append(len(cols)) or complete(cols, n))
+        for n in (2, 3, 4, 5):
+            calls.clear()
+            hm.minkowski_reduce(random_rational_spd(random.Random(n), n))
+            assert calls == list(range(n))
 
     def test_identity_fixed(self):
         R, U = hm.minkowski_reduce(hm.SpdMatrix(hm.identity(2)))

@@ -57,7 +57,7 @@ class TestLdl:
 
     def test_factor_kept_from_construction(self):
         Y = hm.SpdMatrix.from_rows([[4, 2], [2, 2]])
-        assert hm.ldl_decompose(Y) is hm.ldl_decompose(Y)
+        assert hm.ldl_decompose(Y) == hm.ldl_decompose(Y)
 
     def test_dense_input_validated_as_spd(self):
         L, D = hm.ldl_decompose(hm.DenseMatrix.from_rows([[4, 2], [2, 2]]))
@@ -290,7 +290,7 @@ class TestIntegerLdl:
         assert d == tuple(d_ref)
         assert all(type(x) is Fraction for r in L.entries for x in r)
         assert all(type(x) is Fraction for x in d)
-        assert hm.ldl_decompose(Y) is hm.ldl_decompose(Y)
+        assert hm.ldl_decompose(Y) == hm.ldl_decompose(Y)
 
     @settings(max_examples=100, deadline=None)
     @given(_symmetric_rationals())

@@ -1,11 +1,13 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization that must not come back.
 
-Three rules, read off the syntax trees: a module (``__init__`` aside, it
+Four rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
-and no module calls a ``cholesky``: a Gram matrix's spectra read the
-exact factor it keeps, so a float Cholesky would be a second factor path.
+every defaulted parameter of a module-level function is passed by some
+call in ``src/`` or ``tests/`` (a knob nothing turns is dead code), and
+no module calls a ``cholesky``: a Gram matrix's spectra read the exact
+factor it keeps, so a float Cholesky would be a second factor path.
 """
 
 import ast
@@ -17,6 +19,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heismoduli"
 TREES = {path.stem: ast.parse(path.read_text(), str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
+CALLERS = [ast.parse(path.read_text(), str(path))
+           for root in (PACKAGE.parent, PACKAGE.parents[1] / "tests")
+           for path in sorted(root.rglob("*.py"))]
 
 
 def _referenced(node: ast.AST) -> list[str]:
@@ -56,6 +61,39 @@ def test_every_private_function_is_referenced(module):
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                and counts[node.name] == _referenced(node).count(node.name)]
     assert orphans == []
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether call may pass the parameter: by keyword, at its position
+    (``index`` None for keyword-only), or through ``*args``/``**kwargs``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    return (any(k.arg == name for k in call.keywords)
+            or index is not None and len(call.args) > index)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_default_is_passed(module):
+    calls = {}
+    for tree in CALLERS:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls.setdefault(getattr(f, "id", None) or getattr(f, "attr", None),
+                                 []).append(node)
+    unpassed = []
+    for fn in TREES[module].body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        pos = fn.args.posonlyargs + fn.args.args
+        first = len(pos) - len(fn.args.defaults)
+        params = [(i, a.arg) for i, a in enumerate(pos) if i >= first]
+        params += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                   if d is not None]
+        unpassed += [f"{fn.name}({name})" for i, name in params
+                     if not any(_passes(c, i, name) for c in calls.get(fn.name, []))]
+    assert unpassed == []
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
