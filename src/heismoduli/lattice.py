@@ -5,12 +5,14 @@ fundamental domain and Minkowski reduction, all from one enumerator
 that runs in integer arithmetic on the fraction-free LDL^T factor each
 Gram matrix keeps from its construction, so first minima are
 certified values in both modes.  The enumerator visits each level's
-integers outward from its centre (Schnorr-Euchner order); for a first
-minimum, and for each column of a Minkowski reduction, it also shrinks
-its radius to the least value found, so a badly reduced basis costs far
-less than the ellipsoid below its diagonal.  Its budget counts every
-integer tried.  Float mode adds a small relative slack to bounds and
-flags membership reports as approximate.
+integers outward from its centre (Schnorr-Euchner order).  One search,
+whose radius shrinks to each value found, gives the least vectors with
+a primitive tail a_k,...,a_n: a first minimum (k = 1), each column of a
+reduction and each membership condition, whose witness is the least
+violator in canonical order, so a badly reduced basis costs far less
+than the ellipsoid below its diagonal.  The budget counts every integer
+tried.  Float mode adds a small relative slack to bounds and flags
+membership reports as approximate.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def _witness_key(a: tuple[int, ...]):
 
 def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None,
                    k: int = 0) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """(S, [(S Y[a], a), ...]) for the integer a with a[k:] nonzero and Y[a] <= bound, up to sign.
+    """(S, [(S Y[a], a), ...]) for the nonzero integer a with Y[a] <= bound, up to sign.
 
     Schnorr-Euchner enumeration (Schnorr and Euchner, *Math. Programming*
     66, 1994) on the fraction-free factor (den, Delta, lambda) that
@@ -168,13 +170,12 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     Each level tries its integers in order of distance from the centre
     -sum_{j>i} lambda_ji a_j / Delta_{i+1}, so the first one past the
     radius ends the level.  A bound gives every such vector; a float
-    bound is inflated by FLOAT_SLACK.  With ``bound`` None the radius
-    starts at Y[e_{k+1}] and shrinks, inclusive, to each value found
-    whose tail a[k:] is primitive, so the list holds every such vector
-    of least value.  With k = 0 that is the first minimum, and the values
-    never increase.  Values are the exact integers S Y[a] in both modes.
-    The budget counts every integer tried.  Vectors have their first
-    nonzero entry positive.
+    bound is inflated by FLOAT_SLACK.  With ``bound`` None it lists only
+    the a whose tail a[k:] is primitive, its radius starting at Y[e_{k+1}]
+    and shrinking, inclusive, to each value listed, so the values never
+    increase and the list ends with every such vector of least value.
+    Values are the exact integers S Y[a] in both modes.  The budget counts
+    every integer tried.  Vectors have their first nonzero entry positive.
     """
     cap = _enumeration_budget(budget)
     den, minors, Lcol = Y.integer_ldl
@@ -218,10 +219,10 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
             a[i] = t
             if i and (i > k or t or not zero_tail):  # else a[k:] is zero
                 descend(i - 1, value, zero_tail and t == 0)
-            elif t or not zero_tail:
+            # k = 0 lists all; a shrinking radius finds m b only after b, below it: never
+            elif (t or not zero_tail) and (not k or math.gcd(*a[k:]) == 1):
                 found.append((value, _canonical_sign(tuple(a))))
-                # with k = 0 a vector m b is found only after b, below it: all primitive
-                if shrink and (not k or math.gcd(*a[k:]) == 1):
+                if shrink:
                     top = value
             t += step
             if not zero_tail:  # t0, t0 + 1, t0 - 1, t0 + 2, ... (or mirrored)
@@ -231,6 +232,15 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     if top >= 0:
         descend(n - 1, 0, True)
     return S, found
+
+
+def _least_tail_primitive(Y: SpdMatrix, k: int, budget: int | None
+                          ) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(S, S m, [a, ...]): m the least Y[a] over integer a with primitive
+    tail a[k:], and every a attaining it, up to sign, in canonical order."""
+    S, found = _short_vectors(Y, None, budget, k)
+    least = found[-1][0]
+    return S, least, sorted((a for v, a in found if v == least), key=_witness_key)
 
 
 def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
@@ -260,10 +270,8 @@ def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
     Exact for rational Y; a float Y gets the exact minimum of its
     entries, rounded once.  The budget counts every integer tried.
     """
-    S, found = _short_vectors(Y, None, budget)
-    value = found[-1][0]
-    witness = min((a for v, a in found if v == value), key=_witness_key)
-    return ShortVectorResult(value / S if Y.mode == FLOAT else Fraction(value, S), witness)
+    S, value, vectors = _least_tail_primitive(Y, 0, budget)
+    return ShortVectorResult(value / S if Y.mode == FLOAT else Fraction(value, S), vectors[0])
 
 
 def scale_by_divisibility(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
@@ -306,26 +314,20 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     """Decide membership in Minkowski's fundamental domain.
 
     Conditions: y_{k,k+1} >= 0 for all k, and no integer vector a with
-    gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Each k scans the vectors
-    below y_{k,k} with a nonzero tail a_k,...,a_n in canonical order,
-    enumerating anew only when y_{k,k} exceeds every earlier one (a list
-    for an earlier k holds them all).  Values are exact in both modes;
-    float mode compares with a 1e-9 relative slack and sets ``approximate``.
+    gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Each k runs one
+    shrinking-radius search for the least such Y[a], as each column of
+    ``minkowski_reduce`` does; the witness is a least-valued violator,
+    canonical order breaking ties.  Values are exact in both modes; float
+    mode compares with a 1e-9 relative slack and sets ``approximate``.
     """
     approx = Y.mode == FLOAT
     for k in range(Y.n - 1):
         if Y.entries[k][k + 1] < 0:
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None), approx)
-    bound = 0
     for k, ykk in enumerate(Y.diagonal()):
-        if ykk > bound:
-            bound = ykk
-            S, found = _short_vectors(Y, bound, budget, k)
-            candidates = sorted(found, key=lambda va: _witness_key(va[1]))
-        p, q = (ykk if not approx else ykk * (1.0 - FLOAT_SLACK)).as_integer_ratio()
-        for value, a in candidates:
-            if value * q < S * p and math.gcd(*a[k:]) == 1:  # Y[a] < threshold
-                return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a), approx)
+        S, least, (a, *_) = _least_tail_primitive(Y, k, budget)
+        if Fraction(least, S) < (ykk if not approx else ykk * (1.0 - FLOAT_SLACK)):  # exact
+            return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a), approx)
     return MinkowskiReport(True, None, approx)
 
 
@@ -419,11 +421,8 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
         B = cols + _complete_basis(cols, n)
         AB = [[sum(map(mul, r, c)) for c in B] for r in A]
         YB = SpdMatrix.from_rows([[sum(map(mul, c, d)) for d in zip(*AB)] for c in B])
-        found = [(v, b) for v, b in _short_vectors(YB, None, budget, k)[1]
-                 if math.gcd(*b[k:]) == 1]
-        least = min(v for v, _ in found)
         cols.append(min((_canonical_sign(tuple(sum(map(mul, row, b)) for row in zip(*B)))
-                         for v, b in found if v == least), key=_witness_key))
+                         for b in _least_tail_primitive(YB, k, budget)[2]), key=_witness_key))
     # superdiagonal sign normalization by a diagonal +-1 unimodular S:
     # entry (i, j) of Y[U0 S] is signs[i] * signs[j] times that of Y[U0],
     # so each sign is chosen from its predecessor and the raw entry

@@ -95,8 +95,9 @@ class DenseMatrix:
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         """Matrix product, exact in rational mode; a float factor makes it
-        float.  Python evaluates a Fraction times a float as float(Fraction)
-        times the float, so a mixed product equals converting first."""
+        float, rounded at every term (``congruence`` rounds each entry once).
+        Python evaluates a Fraction times a float as float(Fraction) times
+        the float, so a mixed product equals converting first."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         bt = other.transpose().entries

@@ -193,8 +193,9 @@ def box_short_vectors(Y: hm.SpdMatrix, bound) -> dict[tuple[int, ...], Fraction]
 def brute_force_membership(Y: hm.SpdMatrix):
     """(k, kind, witness) of the first violated Minkowski condition, or None.
 
-    Sign conditions first, then for k = 1..n the canonically first a with
-    gcd(a_k..a_n) = 1 and Y[a] < y_kk, from an exhaustive box search.
+    Sign conditions first, then for k = 1..n, among the a with
+    gcd(a_k..a_n) = 1 and Y[a] < y_kk from an exhaustive box search, the
+    canonically first of least Y[a].
     """
     n = Y.n
     for k in range(n - 1):
@@ -205,7 +206,9 @@ def brute_force_membership(Y: hm.SpdMatrix):
         hits = [a for a, v in short.items()
                 if v < Y.entries[k][k] and math.gcd(*a[k:]) == 1]
         if hits:
-            return (k + 1, "short_vector", min(hits, key=witness_order))
+            least = min(short[a] for a in hits)
+            return (k + 1, "short_vector",
+                    min((a for a in hits if short[a] == least), key=witness_order))
     return None
 
 

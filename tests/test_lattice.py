@@ -220,6 +220,10 @@ class TestFirstMinimum:
         assert hm.minkowski_membership(Y).member
 
 
+# (n, b) of the skewed_unit_lattice inputs, each with seeds 0, 1 and 2
+_SKEWED_SHAPES = [(3, 20), (3, 200), (4, 60), (6, 10), (8, 5)]
+
+
 class TestSkewedBases:
     # Z^n in a badly reduced basis: the ellipsoid below the smallest
     # diagonal entry holds far more lattice points than the budget, so
@@ -231,7 +235,7 @@ class TestSkewedBases:
         assert smallest == {(3, 200): [35354, 25706, 53301], (4, 60): [5235, 3758, 7206]}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("n, b", [(3, 20), (3, 200), (4, 60), (6, 10), (8, 5)])
+    @pytest.mark.parametrize("n, b", _SKEWED_SHAPES)
     def test_first_minimum_within_budget(self, n, b, seed):
         U, gram = skewed_unit_lattice(n, b, seed)
         # Y[a] = |U a|^2 is 1 exactly when U a = +-e_j: the minimal vectors
@@ -242,6 +246,22 @@ class TestSkewedBases:
                      for c in columns]
         res = hm.first_minimum(spd(gram), budget=10**6)
         assert res == hm.ShortVectorResult(1, min(canonical, key=witness_order))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, b", _SKEWED_SHAPES)
+    def test_membership_rejects_within_budget(self, n, b, seed):
+        # the diagonal +-1 change of basis that makes every superdiagonal
+        # entry >= 0 leaves only the short-vector conditions to fail
+        gram = skewed_unit_lattice(n, b, seed)[1]
+        signs = [1]
+        for k in range(1, n):
+            signs.append(signs[-1] if gram[k - 1][k] >= 0 else -signs[-1])
+        Y = spd([[signs[i] * signs[j] * x for j, x in enumerate(row)]
+                 for i, row in enumerate(gram)])
+        rep = hm.minkowski_membership(Y, budget=10**6)
+        first = hm.first_minimum(Y)
+        assert first.value == 1
+        assert rep.violation == hm.MinkowskiViolation(1, "short_vector", first.witness)
 
 
 class TestFirstMinimumScaled:
@@ -328,13 +348,11 @@ class TestMinkowskiMembership:
         assert rep.violation.k == 1
         assert rep.violation.kind == "sign"
 
-    @pytest.mark.xfail(strict=True, raises=hm.EnumerationBudgetExceeded,
-                       reason="enumerates below y_11 = 3 in a badly reduced basis; "
-                              "needs the LLL of ROADMAP item 1")
     def test_badly_reduced_float_gram_within_budget(self):
+        # about 1.1e8 vectors lie below y_11 = 3; the shrinking search
+        # reaches the minimum 5.3e-15, along (5, -3), after 13 integers
         Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
         rep = hm.minkowski_membership(Y, budget=10**5)
-        # the minimum 5.3e-15, along (5, -3), lies far below y_11 = 3
         assert not rep.member
         assert rep.violation.kind == "short_vector" and rep.violation.k == 1
         assert hm.quadratic_form(Y, rep.violation.witness) < 3
@@ -358,25 +376,30 @@ class TestMinkowskiMembership:
         assert hm.minkowski_membership(Y).violated_condition == (1, (0, 1, 0))
 
     @pytest.mark.parametrize("rows, smallest", [
-        ([[5, 2, 0], [2, 1, 0], [0, 0, 10**7]], 26),
+        ([[5, 2, 0], [2, 1, 0], [0, 0, 10**7]], 13),
         ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 8),
-        ([[9, 1, Fraction(1, 2)], [1, 4, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 3]], 21),
+        ([[9, 1, Fraction(1, 2)], [1, 4, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 3]], 15),
     ])
     def test_budget_boundary(self, rows, smallest):
-        # smallest budgets that succeed, with one enumeration below each
-        # larger y_kk and every integer tried counted
+        # smallest budgets that succeed, with one shrinking search per k
+        # and every integer tried counted
         Y = spd(rows)
         hm.minkowski_membership(Y, budget=smallest)
         with pytest.raises(hm.EnumerationBudgetExceeded):
             hm.minkowski_membership(Y, budget=smallest - 1)
 
-    def test_equal_diagonal_entries_share_one_enumeration(self, monkeypatch):
+    def test_one_search_per_k(self, monkeypatch):
+        # a member runs one shrinking search (bound None) for each k
+        members = [hm.minkowski_reduce(random_rational_spd(random.Random(n), n))[0]
+                   for n in (2, 3, 4, 5)]
         calls = []
         core = hm.lattice._short_vectors
         monkeypatch.setattr(hm.lattice, "_short_vectors",
-                            lambda *args: calls.append(args[1]) or core(*args))
-        assert hm.minkowski_membership(hm.SpdMatrix(hm.identity(3))).member
-        assert calls == [1]
+                            lambda *args: calls.append((args[1], args[3])) or core(*args))
+        for R in members:
+            calls.clear()
+            assert hm.minkowski_membership(R).member
+            assert calls == [(None, k) for k in range(R.n)]
 
     def test_brute_force_oracle(self):
         rng = random.Random(41)
@@ -420,9 +443,9 @@ class TestMinkowskiReduce:
         pytest.param(n, b, seed, marks=pytest.mark.xfail(
             strict=True, raises=hm.EnumerationBudgetExceeded,
             reason="one column's search tries more than 10^6 integers; "
-                   "needs the LLL of ROADMAP item 1"))
+                   "needs the LLL of ROADMAP item 2"))
         if (n, b, seed) in _SKEWED_PAST_BUDGET else (n, b, seed)
-        for n, b in [(3, 20), (3, 200), (4, 60), (6, 10), (8, 5)] for seed in range(3)])
+        for n, b in _SKEWED_SHAPES for seed in range(3)])
     def test_skewed_unit_lattice_reduces_to_identity(self, n, b, seed):
         R, _ = hm.minkowski_reduce(spd(skewed_unit_lattice(n, b, seed)[1]), budget=10**6)
         assert R.entries == hm.identity(n).entries
