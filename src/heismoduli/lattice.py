@@ -8,9 +8,10 @@ certified values in both modes.  The enumerator visits each level's
 integers outward from its centre (Schnorr-Euchner order).  One search,
 whose radius shrinks to each value found, gives the least vectors with
 a primitive tail a_k,...,a_n: a first minimum (k = 1), each column of a
-reduction and each membership condition, whose witness is the least
-violator in canonical order, so a badly reduced basis costs far less
-than the ellipsoid below its diagonal.  The budget counts every integer
+reduction, searched in one basis carried from column to column, and
+each membership condition, whose witness is the least violator in
+canonical order, so a badly reduced basis costs far less than the
+ellipsoid below its diagonal.  The budget counts every integer
 tried.  Float mode adds a small relative slack to bounds and flags
 membership reports as approximate.
 """
@@ -331,71 +332,35 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     return MinkowskiReport(True, None, approx)
 
 
-# --- extendability and basis completion -------------------------------
+# --- basis completion ---------------------------------------------------
 
-def _complete_basis(cols: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Columns completing an extendable prefix to a unimodular matrix.
+def _unimodular_with_first_column(v: tuple[int, ...]) -> list[list[int]]:
+    """Rows of a unimodular V whose first column is the primitive v.
 
-    Diagonalizes the prefix by unimodular row and column operations
-    while tracking the inverse of the row transform; the completion is
-    read off its trailing columns (Hermite/Smith style completion).
-    The diagonal it reaches has product +-(gcd of the k x k minors), so
-    this also decides extendability: columns that are dependent, or
-    whose minors share a factor, raise ``ValueError``.
-    ``minkowski_reduce`` searches each next column in the basis it completes.
+    Folds v from its last entry to (+-1, 0, ..., 0): at entries i, i+1
+    the extended-Euclid step (x, y) -> (d, 0), s x + t y = d, whose
+    inverse [[x/d, -t], [y/d, s]] is applied to columns i, i+1 of V,
+    starting at the identity, so V w = v for the folded w throughout.
+    A fold onto -1 negates the first column.
     """
-    k = len(cols)
-    if k == 0:
-        return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    M = [[cols[j][i] for j in range(k)] for i in range(n)]
-    Pinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(p, q):
-        M[p], M[q] = M[q], M[p]
-        for row in Pinv:
-            row[p], row[q] = row[q], row[p]
-
-    def add_row(i, p, t):
-        # row_i += t * row_p  on M;  col_p -= t * col_i  on Pinv
-        M[i] = [x + t * y for x, y in zip(M[i], M[p])]
-        for row in Pinv:
-            row[p] -= t * row[i]
-
-    for p in range(k):
-        while True:
-            best = None
-            for i in range(p, n):
-                for j in range(p, k):
-                    v = abs(M[i][j])
-                    if v and (best is None or v < abs(M[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise ValueError("columns are linearly dependent")
-            bi, bj = best
-            if bi != p:
-                swap_rows(p, bi)
-            if bj != p:
-                for row in M:
-                    row[p], row[bj] = row[bj], row[p]
-            clean = True
-            for i in range(p + 1, n):
-                q = M[i][p] // M[p][p]
-                if q:
-                    add_row(i, p, -q)
-                if M[i][p]:
-                    clean = False
-            for j in range(p + 1, k):
-                q = M[p][j] // M[p][p]
-                if q:
-                    for row in M:
-                        row[j] -= q * row[p]
-                if M[p][j]:
-                    clean = False
-            if clean:
-                break
-    if any(abs(M[p][p]) != 1 for p in range(k)):
-        raise ValueError("columns do not extend to a unimodular matrix")
-    return [tuple(Pinv[i][j] for i in range(n)) for j in range(k, n)]
+    m = len(v)
+    V = [[int(i == j) for j in range(m)] for i in range(m)]
+    d = v[-1]
+    for i in range(m - 2, -1, -1):
+        x, y = v[i], d
+        if not y:  # (x, 0) is folded already
+            d = x
+            continue
+        s, t, r, u, d, e = 1, 0, 0, 1, x, y  # s x + t y = d, r x + u y = e
+        while e:
+            q = d // e
+            s, t, r, u, d, e = r, u, s - q * r, t - q * u, e, d - q * e
+        for row in V:
+            row[i], row[i + 1] = (row[i] * x + row[i + 1] * y) // d, row[i + 1] * s - row[i] * t
+    if d < 0:
+        for row in V:
+            row[0] = -row[0]
+    return V
 
 
 def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
@@ -404,9 +369,12 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
 
     Greedy successive minima: the k-th column is the shortest vector
     (canonical tie-break) that keeps the prefix extendable to a basis.
-    With B the prefix and its completion (``_complete_basis``), those are
-    the a = B b with gcd(b_k,...,b_n) = 1, so the least of them come from
+    With B a basis whose first columns are the prefix, those are the
+    a = B b with gcd(b_k,...,b_n) = 1, so the least of them come from
     one shrinking-radius search of the exact Y[B] with tail index k.
+    That set is the same for every such B, so one B is carried from the
+    identity: after each column, B <- B [[I_k, b[:k], 0], [0, V]] with V
+    unimodular of first column b[k:] (``_unimodular_with_first_column``).
     This yields the domain's minimality conditions directly; a final
     diagonal +-1 transform fixes the superdiagonal signs.  Returns
     (Y[U], U) with U unimodular.
@@ -416,17 +384,25 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
         raise ValueError("reduction is only supported up to dimension 8")
     den = Y.integer_ldl[0]  # den Y[B] = B^T A B: a search compares only its own values
     A = [[int(Fraction(x) * den) for x in r] for r in Y.entries]
-    cols: list[tuple[int, ...]] = []
+    B = [tuple(int(i == j) for i in range(n)) for j in range(n)]  # columns, carried
     for k in range(n):
-        B = cols + _complete_basis(cols, n)
         AB = [[sum(map(mul, r, c)) for c in B] for r in A]
         YB = SpdMatrix.from_rows([[sum(map(mul, c, d)) for d in zip(*AB)] for c in B])
-        cols.append(min((_canonical_sign(tuple(sum(map(mul, row, b)) for row in zip(*B)))
-                         for b in _least_tail_primitive(YB, k, budget)[2]), key=_witness_key))
+        found = []
+        for b in _least_tail_primitive(YB, k, budget)[2]:
+            a = tuple(sum(map(mul, row, b)) for row in zip(*B))
+            if next(x for x in a if x) < 0:  # a made canonical, b negated with it
+                a, b = tuple(-x for x in a), tuple(-x for x in b)
+            found.append((_witness_key(a), a, b))
+        _, a, b = min(found)
+        # B <- B T, T = [[I_k, b[:k], 0], [0, V]]: column k becomes a = B b
+        tail = list(zip(*B[k:]))
+        B[k:] = [a] + [tuple(sum(map(mul, row, v)) for row in tail)
+                       for v in list(zip(*_unimodular_with_first_column(b[k:])))[1:]]
     # superdiagonal sign normalization by a diagonal +-1 unimodular S:
     # entry (i, j) of Y[U0 S] is signs[i] * signs[j] times that of Y[U0],
     # so each sign is chosen from its predecessor and the raw entry
-    U0 = [[cols[j][i] for j in range(n)] for i in range(n)]
+    U0 = [list(r) for r in zip(*B)]
     reduced = congruence(Y, DenseMatrix.from_rows(U0)).entries
     signs = [1] * n
     for k in range(1, n):

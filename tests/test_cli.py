@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import heismoduli as hm
+from conftest import skewed_unit_lattice
 from heismoduli.cli import main
 
 
@@ -116,6 +117,21 @@ class TestSpectrumAndVectorCommands:
         obj = json.loads(out)
         assert obj["reduced"]["entries"][0][0] == 5.329070518200751e-15
         assert obj["unimodular"] == [[5, 2], [-3, -1]]
+
+    def test_reduce_of_skewed_unit_lattice_under_default_budget(self, capsys, monkeypatch):
+        # Z^4 in a skewed basis, reduced under the default budget: no
+        # environment budget may stand in for it
+        monkeypatch.delenv(hm.lattice.BUDGET_ENV_VAR, raising=False)
+        gram = skewed_unit_lattice(4, 60, 2)[1]
+        payload = json.dumps(hm.matrix_to_json(hm.SpdMatrix.from_rows(gram)))
+        code, out, _ = run(capsys, ["reduce"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0
+        obj = json.loads(out)
+        identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+        assert obj["reduced"]["entries"] == identity
+        U = hm.UnimodularMatrix(tuple(map(tuple, obj["unimodular"])))
+        assert hm.congruence(hm.DenseMatrix.from_rows(gram), U.matrix()).entries \
+            == hm.identity(4).entries
 
     def test_heis_type_negative_exit(self, capsys, monkeypatch):
         payload = json.dumps({

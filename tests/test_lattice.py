@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -428,10 +427,6 @@ class TestMinkowskiMembership:
         assert checked  # the sample must exercise the property
 
 
-# the skewed inputs whose reduction still exhausts a 10^6 budget
-_SKEWED_PAST_BUDGET = {(4, 60, 1), (4, 60, 2), (6, 10, 0)}
-
-
 class TestMinkowskiReduce:
     def test_badly_reduced_float_gram_within_budget(self):
         Y = hm.SpdMatrix.from_rows(PAST_CHOLESKY, hm.FLOAT)
@@ -439,27 +434,34 @@ class TestMinkowskiReduce:
         assert R.entries[0][0] == hm.first_minimum(Y).value == 5.329070518200751e-15
         assert hm.minkowski_membership(R).member
 
-    @pytest.mark.parametrize("n, b, seed", [
-        pytest.param(n, b, seed, marks=pytest.mark.xfail(
-            strict=True, raises=hm.EnumerationBudgetExceeded,
-            reason="one column's search tries more than 10^6 integers; "
-                   "needs the LLL of ROADMAP item 2"))
-        if (n, b, seed) in _SKEWED_PAST_BUDGET else (n, b, seed)
-        for n, b in _SKEWED_SHAPES for seed in range(3)])
+    @pytest.mark.parametrize("n, b, seed", [(n, b, seed) for n, b in _SKEWED_SHAPES
+                                            for seed in range(3)])
     def test_skewed_unit_lattice_reduces_to_identity(self, n, b, seed):
         R, _ = hm.minkowski_reduce(spd(skewed_unit_lattice(n, b, seed)[1]), budget=10**6)
         assert R.entries == hm.identity(n).entries
         assert hm.minkowski_membership(R, budget=10**6).member
 
+    def test_budget_boundary(self):
+        # the smallest budget that succeeds; the columns try 100307, 5645,
+        # 119 and 9 integers, so the first, a plain first minimum, decides
+        Y = spd(skewed_unit_lattice(4, 60, 2)[1])
+        R, _ = hm.minkowski_reduce(Y, budget=100307)
+        assert R.entries == hm.identity(4).entries
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.minkowski_reduce(Y, budget=100306)
+
     def test_one_basis_completion_per_column(self, monkeypatch):
+        # the carried basis is completed once per column, from the tail
+        # b[k:] of that column alone, never rebuilt from the prefix
         calls = []
-        complete = hm.lattice._complete_basis
-        monkeypatch.setattr(hm.lattice, "_complete_basis",
-                            lambda cols, n: calls.append(len(cols)) or complete(cols, n))
+        complete = hm.lattice._unimodular_with_first_column
+        monkeypatch.setattr(hm.lattice, "_unimodular_with_first_column",
+                            lambda v: calls.append(v) or complete(v))
         for n in (2, 3, 4, 5):
             calls.clear()
             hm.minkowski_reduce(random_rational_spd(random.Random(n), n))
-            assert calls == list(range(n))
+            assert [len(v) for v in calls] == list(range(n, 0, -1))
+            assert all(math.gcd(*v) == 1 for v in calls)
 
     def test_identity_fixed(self):
         R, U = hm.minkowski_reduce(hm.SpdMatrix(hm.identity(2)))
@@ -524,61 +526,25 @@ class TestMinkowskiReduce:
             hm.minkowski_reduce(hm.SpdMatrix(hm.identity(9)))
 
 
-def _minor_gcd(cols):
-    """gcd of the k x k minors of the n x k matrix with these columns."""
-    n, k = len(cols[0]), len(cols)
-    return math.gcd(*(hm.linalg._int_determinant([[c[i] for c in cols] for i in rows])
-                      for rows in combinations(range(n), k)))
+# integers of every size the completion folds: zeros, +-1, small, near 10^6
+_fold_entries = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-30, 30),
+                          st.integers(10**6 - 50, 10**6 + 50).map(lambda x: x * (-1) ** x))
 
 
-def _column_sets(kind, count=300, seed=71):
-    """Integer column sets, n <= 5, k <= n, entries in [-3, 3].
-
-    "random" draws every entry; "dependent" makes the last column the
-    difference of the first two, the negative of the first, or zero,
-    so every minor is 0; "even" doubles the first column of entries in
-    [-1, 1], so every minor is even.
-    """
-    rng = random.Random(f"{kind}-{seed}")
-    for _ in range(count):
-        n = rng.randint(1, 5)
-        k = rng.randint(1, n)
-        top = 3 if kind == "random" else 1
-        cols = [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(k)]
-        if kind == "dependent":
-            cols[-1] = (tuple(a - b for a, b in zip(*cols[:2])) if k > 2
-                        else tuple(-x for x in cols[0]) if k == 2 else (0,) * n)
-        elif kind == "even":
-            cols[0] = tuple(2 * x for x in cols[0])
-        yield cols
-
-
-class TestCompleteBasis:
-    # columns extend to a basis of Z^n exactly when the gcd of their k x k
-    # minors is 1; the scan over every minor is the oracle
-    @pytest.mark.parametrize("kind", ["random", "dependent", "even"])
-    def test_succeeds_exactly_when_minor_gcd_is_one(self, kind):
-        outcomes = set()
-        for cols in _column_sets(kind):
-            n, g = len(cols[0]), _minor_gcd(cols)
-            outcomes.add(g)
-            try:
-                completion = hm.lattice._complete_basis(cols, n)
-            except ValueError:
-                assert g != 1, cols
-                continue
-            assert g == 1, cols
-            basis = cols + completion
-            assert len(basis) == n
-            assert abs(hm.linalg._int_determinant(
-                [[c[i] for c in basis] for i in range(n)])) == 1
-        # every kind reaches the outcomes it was built for, and only those
-        if kind == "random":
-            assert {0, 1, 2} <= outcomes
-        elif kind == "dependent":
-            assert outcomes == {0}
-        else:
-            assert {0, 2} <= outcomes and all(g % 2 == 0 for g in outcomes)
+class TestUnimodularWithFirstColumn:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_fold_entries, min_size=1, max_size=8))
+    @example([1])
+    @example([-1])
+    @example([0, 0, -1, 0])
+    @example([0, 0, 0, 0, 0, 0, 0, 1])
+    @example([-1, 0, 0])
+    @example([10**6, -(10**6 + 1), 0, 3])
+    def test_first_column_and_unit_determinant(self, v):
+        assume(math.gcd(*v) == 1)
+        V = hm.lattice._unimodular_with_first_column(tuple(v))
+        assert [row[0] for row in V] == v
+        assert abs(hm.linalg._int_determinant(V)) == 1
 
 
 class TestDivisibilityTuple:
