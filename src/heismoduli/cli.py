@@ -48,6 +48,15 @@ def _parse_scalar(text: str):
     return scalar_from_json(text, RATIONAL)
 
 
+def _parse_tol(text: str) -> float:
+    """A finite nonnegative float; argparse reports anything else as a
+    usage error."""
+    try:
+        return heisenberg._tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _emit(payload: dict, fmt: str, text_lines):
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -69,7 +78,7 @@ def _fmt_scalar(x) -> str:
 
 
 def cmd_invariants(args) -> int:
-    metric = heisenberg.NormalizedMetric.from_json(_read_payload(args.input))
+    metric = heisenberg.NormalizedMetric.from_json(_read_payload(args.input), {})
     m_r = lattice.first_minimum_r(metric.h, metric.r).value
     det_h = determinant(metric.h)
     spectrum = heisenberg.d_spectrum(metric.h)
@@ -142,7 +151,8 @@ def cmd_curvature_bound(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    members = [heisenberg.NormalizedMetric.from_json(o)
+    scalars = {}
+    members = [heisenberg.NormalizedMetric.from_json(o, scalars)
                for o in _family_from_payload(_read_payload(args.input))]
     family = compactness.MetricFamily(tuple(members))
     interval = None
@@ -165,7 +175,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_certify_torus(args) -> int:
-    members = [SpdMatrix(matrix_from_json(o))
+    scalars = {}
+    members = [SpdMatrix(matrix_from_json(o, scalars))
                for o in _family_from_payload(_read_payload(args.input))]
     cert = compactness.mahler_certificate(members, C0=args.C0, C1=args.C1)
     _emit(cert.to_json(), args.format, _certificate_lines(cert))
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="path to a JSON payload (default: stdin)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if tol:  # only the commands that read args.tol take it
-            p.add_argument("--tol", type=float, default=1e-8,
+            p.add_argument("--tol", type=_parse_tol, default=1e-8,
                            help="relative tolerance for float comparisons")
 
     p = sub.add_parser("invariants", help="first minimum, determinant, spectrum, curvature bound")

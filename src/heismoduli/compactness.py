@@ -36,6 +36,7 @@ from .heisenberg import (
     _d_spectra,
     _is_heisenberg_spectrum,
     _symplectic_spectra,
+    _tolerance,
     _upper_factors,
     symplectic_j,
 )
@@ -214,8 +215,10 @@ def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
     d_n(h) = g^{-1/2} identically, so only the first-minimum bound and
     the g range need checking.  The c1 and c2 rows hold these values of
     det(h) and d_n(h), so c1 = (max g)^n is witnessed by a member of
-    largest g, and c2 = (min g)^{-1/2} by a member of least g.
+    largest g, and c2 = (min g)^{-1/2} by a member of least g.  tol is
+    the relative tolerance of the spectrum check, finite and nonnegative.
     """
+    _tolerance(tol)
     members = family.members
     spectra = _d_spectra([m.h for m in members])
     for idx, (m, spectrum) in enumerate(zip(members, spectra)):

@@ -37,12 +37,12 @@ from .linalg import (
     SpdMatrix,
     _is_floatlike,
     _json_list,
+    _scalar_parser,
     _shaped,
     congruence,
     determinant,
     matrix_from_json,
     matrix_to_json,
-    scalar_from_json,
     scalar_to_json,
 )
 
@@ -57,9 +57,10 @@ def _coerce_vector(v) -> tuple[Scalar, ...]:
     return tuple(Fraction(x) for x in v)
 
 
-def _scalar_from_json(v) -> Scalar:
-    """A JSON scalar: strings and integers are exact, anything else float."""
-    return scalar_from_json(v, RATIONAL if isinstance(v, (str, int)) else FLOAT)
+def _scalar_from_json(v, scalars: dict | None = None) -> Scalar:
+    """A JSON scalar: strings and integers are exact, anything else float;
+    a string is parsed through the payload's table ``scalars``."""
+    return _scalar_parser(scalars, RATIONAL if isinstance(v, (str, int)) else FLOAT)(v)
 
 
 def _dot(u, v):
@@ -306,9 +307,11 @@ class NormalizedMetric:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "NormalizedMetric":
-        h = SpdMatrix(matrix_from_json(obj["h"]))
-        g = _scalar_from_json(obj["g"])
+    def from_json(obj: dict, scalars: dict | None = None) -> "NormalizedMetric":
+        """The metric of a JSON object; h and g parse their strings through
+        the payload's table ``scalars`` (see ``matrix_from_json``)."""
+        h = SpdMatrix(matrix_from_json(obj["h"], scalars))
+        g = _scalar_from_json(obj["g"], scalars)
         return NormalizedMetric(h, g, DivisibilityTuple(tuple(_json_list(obj["r"], "r"))))
 
 
@@ -418,6 +421,13 @@ def d_spectrum(Y: SpdMatrix) -> KaplanSpectrum:
     return _d_spectra([Y])[0]
 
 
+def _tolerance(tol: float) -> float:
+    """tol itself when it is finite and nonnegative, else ``ValueError``."""
+    if not 0 <= tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def _is_heisenberg_spectrum(spectrum: KaplanSpectrum, g: Scalar, tol: float) -> bool:
     """True when every d_k equals g^{-1/2} within the relative tolerance."""
     target = 1.0 / math.sqrt(float(g))
@@ -425,16 +435,20 @@ def _is_heisenberg_spectrum(spectrum: KaplanSpectrum, g: Scalar, tol: float) -> 
 
 
 def is_heisenberg_type(m: NormalizedMetric, tol: float = 1e-8) -> bool:
-    """True when all d_k(h) equal g^{-1/2} within the relative tolerance."""
+    """True when all d_k(h) equal g^{-1/2} within the relative tolerance,
+    a finite nonnegative tol."""
+    _tolerance(tol)
     return _is_heisenberg_spectrum(d_spectrum(m.h), m.g, tol)
 
 
 def same_symplectic_orbit(X: SpdMatrix, Y: SpdMatrix, tol: float = 1e-8) -> bool:
-    """True when X and Y have the same symplectic spectrum within tol.
+    """True when X and Y have the same symplectic spectrum within tol,
+    a finite nonnegative relative tolerance.
 
     Equality of all d_k characterizes congruence by a symplectic
     similitude, so this decides orbit membership.
     """
+    _tolerance(tol)
     if X.n != Y.n:
         raise DimensionMismatch("matrices of different size")
     sx, sy = _d_spectra([X, Y])

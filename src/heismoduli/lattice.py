@@ -177,6 +177,9 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     increase and the list ends with every such vector of least value.
     Values are the exact integers S Y[a] in both modes.  The budget counts
     every integer tried.  Vectors have their first nonzero entry positive.
+    The recursive search leaves no reference cycle, on return or on
+    ``EnumerationBudgetExceeded``, so its memory is freed when the call
+    ends rather than by the cyclic collector.
     """
     cap = _enumeration_budget(budget)
     den, minors, Lcol = Y.integer_ldl
@@ -230,8 +233,11 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
                 step = -step - 1 if step > 0 else 1 - step
         a[i] = 0
 
-    if top >= 0:
-        descend(n - 1, 0, True)
+    try:
+        if top >= 0:
+            descend(n - 1, 0, True)
+    finally:
+        del descend  # it holds itself through its own cell: no cycle outlives the call
     return S, found
 
 

@@ -469,23 +469,39 @@ def _json_list(v, what: str) -> list:
     return v
 
 
-def matrix_from_json(obj: dict) -> DenseMatrix:
+def _scalar_parser(scalars: dict | None, mode: str):
+    """scalar_from_json in mode, each distinct string parsed once per table.
+
+    ``scalars`` maps a mode to {string: scalar}; one table serves every
+    scalar of a payload, and None gives a fresh one.  Equal strings of
+    one mode then share one scalar object.
+    """
+    parsed = {} if scalars is None else scalars.setdefault(mode, {})
+
+    def scalar(x):
+        if type(x) is not str:
+            return scalar_from_json(x, mode)
+        s = parsed.get(x)
+        if s is None:
+            s = parsed[x] = scalar_from_json(x, mode)
+        return s
+
+    return scalar
+
+
+def matrix_from_json(obj: dict, scalars: dict | None = None) -> DenseMatrix:
+    """The matrix of a JSON object, its strings parsed through ``scalars``.
+
+    Each distinct string is parsed once per payload, per mode: ``scalars``
+    is the table shared by every matrix of one payload (a fresh table
+    when None), so equal entries share one scalar and the symmetry check
+    matches them by identity.
+    """
     mode = obj["mode"]
     if mode not in (RATIONAL, FLOAT):
         raise ValueError(f"unknown matrix mode {mode!r}")
     entries = [_json_list(r, "a matrix row") for r in _json_list(obj["entries"], "matrix entries")]
     if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
         raise ValueError("matrix entries do not match declared shape")
-    # each distinct string is parsed once, so equal entries share one scalar
-    # and the symmetry check matches them by identity
-    parsed = {}
-
-    def scalar(x):
-        if type(x) is not str:
-            return scalar_from_json(x, mode)
-        if x not in parsed:
-            parsed[x] = scalar_from_json(x, mode)
-        return parsed[x]
-
-    return _shaped(tuple(tuple(scalar(x) for x in r) for r in entries), mode)
-
+    scalar = _scalar_parser(scalars, mode)
+    return _shaped(tuple([tuple([scalar(x) for x in r]) for r in entries]), mode)

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -457,6 +458,84 @@ class TestTolOption:
         code, _, err = run(capsys, [*argv, "--tol", "0.1"], stdin=payload,
                            monkeypatch=monkeypatch)
         assert code == 0 and err == ""
+
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["heis-type"], ["certify", "--heisenberg-type",
+                                                      "--C0", "1"],
+                                      ["certify", "--C0", "1", "--C1", "1"]],
+                             ids=["heis-type", "certify-heisenberg-type", "certify"])
+    def test_negative_or_non_finite_is_a_usage_error(self, capsys, monkeypatch, argv, tol):
+        # the identity metric is exactly of Heisenberg type
+        members = [json.loads(identity_metric_json())]
+        payload = json.dumps(members if argv[0] == "certify" else members[0])
+        code, out, err = run(capsys, [*argv, f"--tol={tol}"], stdin=payload,
+                             monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and "argument --tol: tolerance must be finite and nonnegative" in err
+
+    def test_zero_is_valid(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["heis-type", "--tol", "0"], stdin=identity_metric_json(),
+                           monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["heisenberg_type"] is True
+
+
+class TestOneScalarTablePerPayload:
+    """A command parses each distinct string of its payload once per mode."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        seen = []
+        real = getattr(hm.compactness, name)
+
+        def spied(family, **kwargs):
+            seen.append(family)
+            return real(family, **kwargs)
+
+        monkeypatch.setattr(hm.compactness, name, spied)
+        return seen
+
+    @staticmethod
+    def gram(mode, third="1/3"):
+        return {"mode": mode, "rows": 2, "cols": 2, "entries": [["1", third], [third, "1"]]}
+
+    def test_torus_family_of_mixed_modes(self, capsys, monkeypatch):
+        seen = self.spy(monkeypatch, "mahler_certificate")
+        payload = json.dumps([self.gram("rational"), self.gram("float"), self.gram("rational")])
+        code, _, err = run(capsys, ["certify-torus"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
+        (rat, flt, rat2), = seen
+        assert rat.entries[0][1] == Fraction(1, 3) and type(rat.entries[0][1]) is Fraction
+        assert flt.entries[0][1] == 0.3333333333333333 and type(flt.entries[0][1]) is float
+        assert rat.entries[0][1] is rat2.entries[1][0]  # one object across members
+        assert rat.entries[0][0] is rat2.entries[1][1]
+
+    def test_metric_family_shares_h_and_g_strings(self, capsys, monkeypatch):
+        seen = self.spy(monkeypatch, "heisenberg_certificate")
+        members = [{"h": self.gram(mode), "g": "1/3", "r": [1]}
+                   for mode in ("rational", "float", "rational")]
+        code, _, err = run(capsys, ["certify"], stdin=json.dumps(members),
+                           monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
+        rat, flt, rat2 = seen[0].members
+        assert rat.h.entries[0][1] == Fraction(1, 3) and type(rat.h.entries[0][1]) is Fraction
+        assert flt.h.entries[0][1] == 0.3333333333333333 and type(flt.h.entries[0][1]) is float
+        # g is exact in every member, and one object with the rational h entries
+        assert rat.g is flt.g is rat2.g is rat.h.entries[0][1] is rat2.h.entries[1][0]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1/0", "error: scalar '1/0' has a zero denominator\n"),
+        (True, "error: boolean True is not a scalar\n"),
+    ])
+    @pytest.mark.parametrize("command", ["certify", "certify-torus"])
+    def test_bad_scalar_in_a_later_member_exit_2(self, capsys, monkeypatch, command, bad,
+                                                 message):
+        grams = [self.gram("rational"), self.gram("rational", bad)]
+        payload = json.dumps(grams if command == "certify-torus"
+                             else [{"h": h, "g": "1/3", "r": [1]} for h in grams])
+        code, out, err = run(capsys, [command], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err == message
 
 
 class TestOneSpectrumKernelPerCommand:

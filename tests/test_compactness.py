@@ -131,6 +131,13 @@ class TestHeisenbergTypeCertificate:
         fam = metric_family([hm.SpdMatrix(hm.identity(4))])
         cert = hm.heisenberg_type_certificate(fam, C0=1, I=(1, 1))
         assert cert.certified
+        assert hm.heisenberg_type_certificate(fam, C0=1, I=(1, 1), tol=0).certified
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_tolerance_rejected(self, tol):
+        fam = metric_family([hm.SpdMatrix(hm.identity(4))])
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            hm.heisenberg_type_certificate(fam, C0=1, tol=tol)
 
     def test_derived_bounds_from_scaled_orbit(self):
         rng = random.Random(20)

@@ -544,6 +544,17 @@ class TestHeisenbergType:
         assert hm.is_heisenberg_type(rational_metric(h, Fraction(1)), tol=tol) is verdict
 
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_tolerance_rejected(self, tol):
+        m = rational_metric(hm.SpdMatrix(hm.identity(4)), Fraction(1))
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            hm.is_heisenberg_type(m, tol=tol)
+
+    def test_zero_tolerance_is_valid(self):
+        assert hm.is_heisenberg_type(rational_metric(hm.SpdMatrix(hm.identity(4)), Fraction(1)),
+                                     tol=0)
+
+
 class TestSameOrbit:
     def test_reflexive(self):
         Y = hm.counterexample_family(2)
@@ -569,6 +580,16 @@ class TestSameOrbit:
         Y = hm.SpdMatrix.from_rows([[1 + eps * (i == j == 3) if i == j else 0
                                      for j in range(4)] for i in range(4)])
         assert hm.same_symplectic_orbit(hm.SpdMatrix(hm.identity(4)), Y, tol=tol) is verdict
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_tolerance_rejected(self, tol):
+        Y = hm.SpdMatrix(hm.identity(4))
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            hm.same_symplectic_orbit(Y, Y, tol=tol)
+
+    def test_zero_tolerance_is_valid(self):
+        Y = hm.counterexample_family(2)
+        assert hm.same_symplectic_orbit(Y, Y, tol=0)
 
     def test_one_stack(self, monkeypatch):
         real, shapes = np.linalg.svd, []
@@ -676,6 +697,16 @@ class TestMetricJson:
         back = hm.NormalizedMetric.from_json(obj)
         assert back.h.entries == m.h.entries
         assert back.g == m.g and back.r == m.r
+
+    def test_h_and_g_share_the_payload_table(self):
+        scalars = {}
+        obj = {"h": {"mode": "rational", "rows": 2, "cols": 2,
+                     "entries": [["3/2", "1/2"], ["1/2", "3/2"]]}, "g": "3/2", "r": [1]}
+        a = hm.NormalizedMetric.from_json(obj, scalars)
+        b = hm.NormalizedMetric.from_json(obj, scalars)
+        assert a.g == Fraction(3, 2)
+        assert a.g is a.h.entries[0][0] is b.h.entries[1][1] is b.g
+        assert scalars == {hm.RATIONAL: {"3/2": Fraction(3, 2), "1/2": Fraction(1, 2)}}
 
     def test_element_roundtrip(self):
         p = hm.HeisenbergElement((Fraction(1, 2),), (Fraction(3),), Fraction(-2))

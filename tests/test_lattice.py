@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -586,3 +587,46 @@ class TestUnimodularMatrix:
     def test_determinant_sign(self):
         U = hm.UnimodularMatrix(((0, 1), (1, 0)))
         assert U.determinant() == -1
+
+
+class TestNoCyclicGarbage:
+    """An enumeration leaves no reference cycle, so what it allocates is
+    freed on return, not by the cyclic collector: with the collector off,
+    a collection after each call finds nothing."""
+
+    # a skewed basis, and two members of the domain, on which membership
+    # runs every search
+    GRAMS = [skewed_unit_lattice(3, 20, 0)[1], [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+             [[2.5, 1.0, 0.25], [1.0, 3.0, 1.0], [0.25, 1.0, 4.0]]]
+    IDS = ["skewed", "rational", "float"]
+
+    @staticmethod
+    def garbage_after(call):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("rows", GRAMS, ids=IDS)
+    @pytest.mark.parametrize("name", ["first_minimum", "enumerate_below",
+                                      "minkowski_membership", "minkowski_reduce"])
+    def test_no_cycle_on_return(self, rows, name):
+        Y = spd(rows)
+        args = (5,) if name == "enumerate_below" else ()
+        assert self.garbage_after(lambda: getattr(hm, name)(Y, *args)) == 0
+
+    @pytest.mark.parametrize("rows", GRAMS, ids=IDS)
+    def test_no_cycle_when_the_budget_is_exceeded(self, rows):
+        Y = spd(rows)
+
+        def exceed():
+            try:
+                hm.first_minimum(Y, budget=3)
+            except hm.EnumerationBudgetExceeded:
+                return
+            raise AssertionError("budget not exceeded")
+
+        assert self.garbage_after(exceed) == 0

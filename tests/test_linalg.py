@@ -543,6 +543,21 @@ class TestJsonSharedScalars:
         assert e == ((frac(1, 2), frac(-3), frac(7, 4)), (frac(-3), frac(1, 2), frac(0)),
                      (frac(7, 4), frac(0), frac(1, 2)))
 
+    def test_one_table_per_payload_per_mode(self):
+        scalars = {}
+        rat, flt, rat2 = (hm.matrix_from_json({"mode": mode, "rows": 2, "cols": 2,
+                                               "entries": [["1", "1/3"], ["1/3", "1"]]}, scalars)
+                          for mode in (hm.RATIONAL, hm.FLOAT, hm.RATIONAL))
+        assert rat.entries[0][1] == frac(1, 3) and type(rat.entries[0][1]) is Fraction
+        assert flt.entries[0][1] == 0.3333333333333333 and type(flt.entries[0][1]) is float
+        assert rat.entries[0][1] is rat2.entries[1][0] and rat.entries[0][0] is rat2.entries[1][1]
+        assert scalars == {hm.RATIONAL: {"1": 1, "1/3": frac(1, 3)},
+                           hm.FLOAT: {"1": 1.0, "1/3": 0.3333333333333333}}
+
+    def test_no_table_shared_between_calls(self):
+        obj = {"mode": hm.RATIONAL, "rows": 1, "cols": 1, "entries": [["7/3"]]}
+        assert hm.matrix_from_json(obj).entries[0][0] is not hm.matrix_from_json(obj).entries[0][0]
+
     @pytest.mark.parametrize("mode, entries", [
         (hm.RATIONAL, [["2", "1/3"], ["1/3", "5"]]),
         (hm.FLOAT, [["2", "0.25"], ["0.25", "5"]]),
