@@ -4,15 +4,16 @@ First minima, short-vector enumeration, membership in Minkowski's
 fundamental domain and Minkowski reduction, all from one enumerator
 that runs in integer arithmetic on the fraction-free LDL^T factor each
 Gram matrix keeps from its construction, so first minima are
-certified values in both modes.  The enumerator visits each level's
-integers outward from its centre (Schnorr-Euchner order).  One search,
-whose radius shrinks to each value found, gives the least vectors with
-a primitive tail a_k,...,a_n: a first minimum (k = 1), each column of a
-reduction, searched in one basis carried from column to column, and
-each membership condition, whose witness is the least violator in
-canonical order, so a badly reduced basis costs far less than the
-ellipsoid below its diagonal.  The budget counts every integer
-tried.  Float mode adds a small relative slack to bounds and flags
+certified values in both modes.  A first minimum whose factor has y_11
+as its least pivot is (y_11, e_1) and needs no search.  The enumerator
+visits each level's integers outward from its centre (Schnorr-Euchner
+order).  One search, whose radius shrinks to each value found, gives
+the least vectors with a primitive tail a_k,...,a_n: a first minimum
+(k = 1), each column of a reduction, searched in one basis carried from
+column to column, and each membership condition, whose witness is the
+least violator in canonical order, so a badly reduced basis costs far
+less than the ellipsoid below its diagonal.  The budget counts every
+integer tried.  Float mode adds a small relative slack to bounds and flags
 membership reports as approximate.
 """
 
@@ -155,7 +156,8 @@ def _witness_key(a: tuple[int, ...]):
     # Prefer vectors supported on the earliest coordinates: compare the
     # absolute entries from the last coordinate backwards, then break
     # remaining ties on the signed entries.
-    return (tuple(abs(x) for x in reversed(a)), tuple(reversed(a)))
+    r = a[::-1]
+    return tuple(map(abs, r)), r
 
 
 def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None,
@@ -247,7 +249,10 @@ def _least_tail_primitive(Y: SpdMatrix, k: int, budget: int | None
     tail a[k:], and every a attaining it, up to sign, in canonical order."""
     S, found = _short_vectors(Y, None, budget, k)
     least = found[-1][0]
-    return S, least, sorted((a for v, a in found if v == least), key=_witness_key)
+    vectors = [a for v, a in found if v == least]
+    if len(vectors) > 1:
+        vectors.sort(key=_witness_key)
+    return S, least, vectors
 
 
 def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
@@ -270,13 +275,23 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
 def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
     """Minimum of Y[a] over nonzero integer vectors, with a witness.
 
-    Schnorr-Euchner enumeration whose radius starts at y_11 and shrinks
-    to each value found, inclusive, so every minimal vector is seen.
-    Ties are broken by the canonical witness order (earliest-coordinate
-    support, first nonzero entry positive), so results are reproducible.
-    Exact for rational Y; a float Y gets the exact minimum of its
-    entries, rounded once.  The budget counts every integer tried.
+    When y_11 = d_1 is the least pivot of the kept LDL^T factor, the
+    answer is (y_11, e_1) and no integer is tried: with a_m the last
+    nonzero entry of a, Y[a] >= d_m a_m^2 >= min d = y_11, and e_1 comes
+    first in the canonical order.  On the integer minors that test reads
+    minors[1] minors[m] <= minors[m+1] for every m.  Otherwise a
+    Schnorr-Euchner enumeration runs, its radius starting at y_11 and
+    shrinking to each value found, inclusive, so every minimal vector is
+    seen.  Ties are broken by the canonical witness order
+    (earliest-coordinate support, first nonzero entry positive), so
+    results are reproducible.  Exact for rational Y; a float Y gets the
+    exact minimum of its entries, rounded once.  The budget counts every
+    integer tried by an enumeration.
     """
+    minors = Y.integer_ldl[1]
+    m1 = minors[1]
+    if all(m1 * minors[m] <= minors[m + 1] for m in range(1, Y.n)):
+        return ShortVectorResult(Y.entries[0][0], (1,) + (0,) * (Y.n - 1))
     S, value, vectors = _least_tail_primitive(Y, 0, budget)
     return ShortVectorResult(value / S if Y.mode == FLOAT else Fraction(value, S), vectors[0])
 

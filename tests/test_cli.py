@@ -199,6 +199,27 @@ class TestCertifyCommands:
         assert code == 2
         assert out == "" and "derived" in err
 
+    @pytest.mark.parametrize("argv, code, verdict", [
+        (["certify", "--C0", "1", "--C1", "1"], 0, "certified"),
+        (["certify", "--C2", "2"], 1, "not-certified"),
+        (["certify-torus", "--C0", "1", "--C1", "1"], 0, "certified"),
+    ])
+    def test_counterexample_family_runs_no_enumeration(self, capsys, monkeypatch, argv, code,
+                                                       verdict):
+        # every member's first minimum is proved by its factor: y_11 is its least pivot
+        grams = [hm.matrix_to_json(hm.counterexample_family(k)) for k in range(11)]
+        payload = json.dumps(grams if argv[0] == "certify-torus"
+                             else [{"h": h, "g": 1, "r": [1, 1]} for h in grams])
+        usual = run(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
+        assert usual[0] == code and usual[2] == ""
+        assert json.loads(usual[1])["verdict"] == verdict
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(hm.lattice, "_short_vectors", no_search)
+        assert run(capsys, argv, stdin=payload, monkeypatch=monkeypatch) == usual
+
 
 class TestThresholdsNeverDropped:
     """A threshold flag either shows in the JSON thresholds or exits 2."""
@@ -275,7 +296,8 @@ class TestErrorPaths:
 
     def test_budget_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("HEIS_ENUM_BUDGET", "3")
-        payload = json.dumps(hm.matrix_to_json(hm.identity(4)))
+        # pivots 2, 1/2: y_11 is not the least, so the search runs
+        payload = json.dumps(hm.matrix_to_json(hm.DenseMatrix.from_rows([[2, 1], [1, 1]])))
         code, _, err = run(capsys, ["shortest-vector"], stdin=payload,
                            monkeypatch=monkeypatch)
         assert code == 3

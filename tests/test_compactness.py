@@ -234,8 +234,10 @@ class TestCertificateTable:
             assert not hm.heisenberg_type_certificate(fam, **past).certified, past
 
     def test_spectra_come_before_minima_only_for_heisenberg_type(self):
-        # member 0 exhausts a budget of one candidate; member 1 is not of type
-        fam = metric_family([hm.SpdMatrix(hm.identity(4)), hm.counterexample_family(1)])
+        # member 0, S^T S for the symplectic S = I + E_31 (pivots 2, 1, 1/2, 1),
+        # exhausts a budget of one candidate; member 1 is not of type
+        member0 = hm.SpdMatrix.from_rows([[2, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+        fam = metric_family([member0, hm.counterexample_family(1)])
         with pytest.raises(hm.NotHeisenbergType) as exc:
             hm.heisenberg_type_certificate(fam, budget=1)
         assert exc.value.index == 1

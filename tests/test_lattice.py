@@ -220,6 +220,76 @@ class TestFirstMinimum:
         assert hm.minkowski_membership(Y).member
 
 
+class TestFactorBound:
+    """When y_11 is the least pivot of the kept factor, first_minimum
+    returns (y_11, e_1) without a search; the answer is the search's."""
+
+    @staticmethod
+    def searched(Y):
+        S, value, vectors = hm.lattice._least_tail_primitive(Y, 0, None)
+        return hm.ShortVectorResult(value / S if Y.mode == hm.FLOAT else Fraction(value, S),
+                                    vectors[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ldl_grams(), st.sampled_from((hm.RATIONAL, hm.FLOAT)))
+    @example((spd([[1, 0], [0, 2]]), 0), hm.RATIONAL)
+    @example((spd([[2, 1], [1, 1]]), 0), hm.FLOAT)
+    def test_matches_search_and_box_oracle(self, case, mode):
+        Y = case[0]
+        if mode == hm.FLOAT:
+            try:
+                Y = hm.SpdMatrix.from_rows([[float(x) for x in r] for r in Y.entries], mode)
+            except hm.NotPositiveDefinite:
+                assume(False)
+        exact = hm.SpdMatrix(Y.matrix.to_rational())
+        below_diag = box_short_vectors(exact, min(exact.diagonal()))
+        assume(len(below_diag) < 500)
+        least = min(below_diag.values())
+        witness = min((a for a, v in below_diag.items() if v == least), key=witness_order)
+        res = hm.first_minimum(Y)
+        assert res == self.searched(Y)
+        assert res == hm.ShortVectorResult(float(least) if mode == hm.FLOAT else least, witness)
+        assert type(res.value) is type(Y.entries[0][0])
+
+    def test_counterexample_family_takes_the_bound(self, monkeypatch):
+        members = [hm.counterexample_family(k) for k in range(51)]
+        searched = [self.searched(Y) for Y in members]
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(hm.lattice, "_short_vectors", no_search)
+        for Y, expected in zip(members, searched):
+            assert hm.first_minimum(Y) == expected == hm.ShortVectorResult(Fraction(1),
+                                                                          (1, 0, 0, 0))
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("r", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 6)])
+    def test_scaled_minimum_matches_search(self, mode, r):
+        # first_minimum_r searches the exact scaled form, in rational mode
+        for k in range(11):
+            Y = hm.SpdMatrix(hm.DenseMatrix.from_rows(hm.counterexample_family(k).entries, mode))
+            r_tuple = hm.DivisibilityTuple(r)
+            exact = hm.SpdMatrix(Y.matrix.to_rational())
+            expected = self.searched(hm.lattice.scale_by_divisibility(exact, r_tuple))
+            if mode == hm.FLOAT:
+                expected = hm.ShortVectorResult(float(expected.value), expected.witness)
+            assert hm.first_minimum_r(Y, r_tuple) == expected
+
+    def test_smaller_later_pivot_searches(self, monkeypatch):
+        # pivots 2, 1/2: y_11 is not the least, and e_2 is shorter
+        real, calls = hm.lattice._short_vectors, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hm.lattice, "_short_vectors", counted)
+        Y = spd([[2, 1], [1, 1]])
+        assert hm.first_minimum(Y) == hm.ShortVectorResult(Fraction(1), (0, 1))
+        assert calls == [Y]
+
+
 # (n, b) of the skewed_unit_lattice inputs, each with seeds 0, 1 and 2
 _SKEWED_SHAPES = [(3, 20), (3, 200), (4, 60), (6, 10), (8, 5)]
 
@@ -595,9 +665,10 @@ class TestNoCyclicGarbage:
     a collection after each call finds nothing."""
 
     # a skewed basis, and two members of the domain, on which membership
-    # runs every search
-    GRAMS = [skewed_unit_lattice(3, 20, 0)[1], [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
-             [[2.5, 1.0, 0.25], [1.0, 3.0, 1.0], [0.25, 1.0, 4.0]]]
+    # runs every search; none has y_11 as its least pivot, so first_minimum
+    # enumerates too
+    GRAMS = [skewed_unit_lattice(3, 20, 0)[1], [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+             [[2.5, 1.25, 0.25], [1.25, 2.5, 1.0], [0.25, 1.0, 3.0]]]
     IDS = ["skewed", "rational", "float"]
 
     @staticmethod
