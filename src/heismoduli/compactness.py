@@ -383,8 +383,7 @@ def _elementary_symplectic_generators(n: int, rng: random.Random) -> DenseMatrix
     """
     kind = rng.choice(("upper", "lower", "gl", "perm", "J", "flip"))
     two_n = 2 * n
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(two_n)]
-            for i in range(two_n)]
+    rows = [[int(i == j) for j in range(two_n)] for i in range(two_n)]
     if kind in ("upper", "lower"):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -403,18 +402,13 @@ def _elementary_symplectic_generators(n: int, rng: random.Random) -> DenseMatrix
     elif kind == "perm" and n > 1:
         i, j = rng.sample(range(n), 2)
         for a, b in ((i, j), (n + i, n + j)):
-            rows[a][a] = rows[b][b] = Fraction(0)
-            rows[a][b] = rows[b][a] = Fraction(1)
+            rows[a][a] = rows[b][b] = 0
+            rows[a][b] = rows[b][a] = 1
     elif kind == "J":
-        for i in range(two_n):
-            rows[i] = [Fraction(0)] * two_n
-            if i < n:
-                rows[i][n + i] = Fraction(1)
-            else:
-                rows[i][i - n] = Fraction(-1)
+        return symplectic_j(n)
     elif kind == "flip":
         for i in range(n, two_n):
-            rows[i][i] = Fraction(-1)
+            rows[i][i] = -1
     # "gl"/"perm" with n == 1 fall through to the identity, a valid draw
     return DenseMatrix.from_rows(rows, RATIONAL)
 

@@ -35,26 +35,20 @@ from .linalg import (
     DenseMatrix,
     Scalar,
     SpdMatrix,
-    _is_floatlike,
+    _coerce_rows,
     _json_list,
     _scalar_parser,
-    _shaped,
     congruence,
     determinant,
     matrix_from_json,
     matrix_to_json,
+    max_norm,
     scalar_to_json,
 )
 
 PAIRING_TOL = 1e-6
 SIMILITUDE_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9
-
-
-def _coerce_vector(v) -> tuple[Scalar, ...]:
-    if any(_is_floatlike(x) for x in v):
-        return tuple(float(x) for x in v)
-    return tuple(Fraction(x) for x in v)
 
 
 def _scalar_from_json(v, scalars: dict | None = None) -> Scalar:
@@ -64,31 +58,38 @@ def _scalar_from_json(v, scalars: dict | None = None) -> Scalar:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))  # an empty sum stays exact
 
 
 @dataclass(frozen=True)
-class HeisenbergElement:
-    """Group element g(x, y, s)."""
+class _Coordinates:
+    """Coordinates (x, y, s) in one scalar mode: all floats if any of them
+    is a float, else all Fractions (``linalg._coerce_rows``)."""
 
     x: tuple[Scalar, ...]
     y: tuple[Scalar, ...]
     s: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _coerce_vector(self.x))
-        object.__setattr__(self, "y", _coerce_vector(self.y))
-        if len(self.x) != len(self.y):
+        (x, y, (s,)), _ = _coerce_rows((self.x, self.y, (self.s,)), None)
+        if len(x) != len(y):
             raise DimensionMismatch("x and y must have equal length")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "s", s)
 
     @property
     def n(self) -> int:
         return len(self.x)
 
+
+@dataclass(frozen=True)
+class HeisenbergElement(_Coordinates):
+    """Group element g(x, y, s)."""
+
     @staticmethod
     def identity(n: int) -> "HeisenbergElement":
-        zero = (Fraction(0),) * n
-        return HeisenbergElement(zero, zero, Fraction(0))
+        return HeisenbergElement((0,) * n, (0,) * n, 0)
 
     def to_json(self) -> dict:
         return {
@@ -107,22 +108,8 @@ class HeisenbergElement:
 
 
 @dataclass(frozen=True)
-class LieAlgebraVector:
+class LieAlgebraVector(_Coordinates):
     """Algebra element X(x, y, s) in the standard basis."""
-
-    x: tuple[Scalar, ...]
-    y: tuple[Scalar, ...]
-    s: Scalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _coerce_vector(self.x))
-        object.__setattr__(self, "y", _coerce_vector(self.y))
-        if len(self.x) != len(self.y):
-            raise DimensionMismatch("x and y must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
 
     def horizontal(self) -> tuple[Scalar, ...]:
         return self.x + self.y
@@ -146,30 +133,25 @@ def group_inv(p: HeisenbergElement) -> HeisenbergElement:
 
 def exp_map(v: LieAlgebraVector) -> HeisenbergElement:
     """exp X(x,y,s) = g(x, y, s + <x,y>/2)."""
-    half = Fraction(1, 2) if not isinstance(v.s, float) else 0.5
-    return HeisenbergElement(v.x, v.y, v.s + half * _dot(v.x, v.y))
+    return HeisenbergElement(v.x, v.y, v.s + _dot(v.x, v.y) / 2)
 
 
 def log_map(p: HeisenbergElement) -> LieAlgebraVector:
     """log g(x,y,s) = X(x, y, s - <x,y>/2)."""
-    half = Fraction(1, 2) if not isinstance(p.s, float) else 0.5
-    return LieAlgebraVector(p.x, p.y, p.s - half * _dot(p.x, p.y))
+    return LieAlgebraVector(p.x, p.y, p.s - _dot(p.x, p.y) / 2)
 
 
 def bracket(v: LieAlgebraVector, w: LieAlgebraVector) -> LieAlgebraVector:
     """[v, w] = X(0, 0, A(v, w)) with A the standard symplectic form."""
     if v.n != w.n:
         raise DimensionMismatch("algebra vectors of different dimension")
-    a = _dot(v.x, w.y) - _dot(v.y, w.x)
-    zero = tuple(0 * c for c in v.x)
-    return LieAlgebraVector(zero, zero, a)
+    zero = (0,) * v.n
+    return LieAlgebraVector(zero, zero, _dot(v.x, w.y) - _dot(v.y, w.x))
 
 
 def symplectic_j(n: int, mode: str = RATIONAL) -> DenseMatrix:
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    return _shaped(tuple(tuple(one if j == i + n else -one if i == j + n else zero
-                               for j in range(2 * n)) for i in range(2 * n)), mode)
+    return DenseMatrix.from_rows([[(j == i + n) - (i == j + n) for j in range(2 * n)]
+                                  for i in range(2 * n)], mode)
 
 
 def symplectic_similitude_check(beta: DenseMatrix) -> int | None:
@@ -181,24 +163,13 @@ def symplectic_similitude_check(beta: DenseMatrix) -> int | None:
         raise OddDimension("matrix must be square of even size")
     if beta.rows % 2:
         raise OddDimension("matrix size must be even")
-    n = beta.rows // 2
-    J = symplectic_j(n, beta.mode)
+    J = symplectic_j(beta.rows // 2, beta.mode)
     product = congruence(J, beta)
+    tol = 0 if beta.mode == RATIONAL else SIMILITUDE_TOL * max(1.0, max_norm(product))
+    pairs = [(p, j) for rp, rj in zip(product.entries, J.entries) for p, j in zip(rp, rj)]
     for eps in (1, -1):
-        target = J if eps == 1 else DenseMatrix(
-            tuple(tuple(-x for x in r) for r in J.entries), J.mode
-        )
-        if beta.mode == RATIONAL:
-            if product.entries == target.entries:
-                return eps
-        else:
-            scale = max(1.0, max(abs(x) for r in product.entries for x in r))
-            if all(
-                abs(a - b) <= SIMILITUDE_TOL * scale
-                for ra, rb in zip(product.entries, target.entries)
-                for a, b in zip(ra, rb)
-            ):
-                return eps
+        if all(abs(p - eps * j) <= tol for p, j in pairs):
+            return eps
     return None
 
 
@@ -212,10 +183,12 @@ class AutomorphismDescriptor:
     epsilon: int
 
     def __post_init__(self):
-        if self.a == 0:
+        ((a, *w),), _ = _coerce_rows(((self.a, *self.w),), None)
+        if a == 0:
             raise ValueError("scaling factor a must be nonzero")
-        object.__setattr__(self, "w", _coerce_vector(self.w))
-        if len(self.w) != self.beta.rows:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "w", tuple(w))
+        if len(w) != self.beta.rows:
             raise DimensionMismatch("w must have length 2n")
         eps = symplectic_similitude_check(self.beta)
         if eps is None or eps != self.epsilon:
@@ -230,20 +203,14 @@ class AutomorphismDescriptor:
 
 
 def automorphism_matrix(d: AutomorphismDescriptor) -> DenseMatrix:
-    """Matrix of the automorphism on the algebra basis: alpha(a,w) . diag(beta, eps)."""
-    two_n = d.beta.rows
-    mode = d.beta.mode if not isinstance(d.a, float) else FLOAT
-    a = Fraction(d.a) if mode == RATIONAL and not isinstance(d.a, float) else float(d.a)
-    w = d.w if mode == RATIONAL else tuple(float(x) for x in d.w)
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    rows = []
-    for i in range(two_n):
-        rows.append(tuple(a * d.beta.entries[i][j] for j in range(two_n)) + (zero,))
-    last = tuple(
-        sum(w[i] * d.beta.entries[i][j] for i in range(two_n)) for j in range(two_n)
-    ) + (a * a * d.epsilon,)
-    rows.append(last)
-    return DenseMatrix(tuple(rows), mode)
+    """Matrix of the automorphism on the algebra basis: alpha(a,w) . diag(beta, eps).
+
+    Float mode if any of a, w and beta is float, else rational."""
+    beta = d.beta.entries
+    rows = [[d.a * x for x in r] + [0] for r in beta]
+    rows.append([sum(wi * r[j] for wi, r in zip(d.w, beta)) for j in range(d.beta.cols)]
+                + [d.a * d.a * d.epsilon])
+    return DenseMatrix.from_rows(rows)
 
 
 def pullback_metric(m: SpdMatrix, phi: DenseMatrix) -> SpdMatrix:

@@ -33,7 +33,7 @@ from .linalg import (
     Scalar,
     SpdMatrix,
     _int_determinant,
-    congruence,
+    _ratio,
     scalar_to_json,
 )
 
@@ -52,6 +52,22 @@ def _enumeration_budget(budget: int | None) -> int:
     return int(env) if env else DEFAULT_ENUMERATION_BUDGET
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, each value's exact ``Fraction`` (so "4/2"
+    is 2); a tuple of plain ints (no bool) is kept as given.  A bool or a
+    value that is not an integer raises ``ValueError``."""
+    if type(values) is tuple and all(type(x) is int for x in values):
+        return values
+    try:
+        exact = [None if isinstance(x, bool) or x in (math.inf, -math.inf) else Fraction(x)
+                 for x in values]
+    except ZeroDivisionError:  # a "p/0" string
+        exact = [None]
+    if any(q is None or q.denominator != 1 for q in exact):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return tuple(int(q) for q in exact)
+
+
 @dataclass(frozen=True)
 class DivisibilityTuple:
     """Positive integers r_1 | r_2 | ... | r_n."""
@@ -59,18 +75,8 @@ class DivisibilityTuple:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        r = self.r
-        # a tuple of plain ints (no bool) is kept as given, with no Fraction
-        if type(r) is not tuple or any(type(x) is not int for x in r):
-            try:
-                integral = not any(isinstance(x, bool) or x in (math.inf, -math.inf)
-                                   or Fraction(x).denominator != 1 for x in r)
-            except ZeroDivisionError:  # a "p/0" string
-                integral = False
-            if not integral:
-                raise ValueError(f"divisibility tuple entries must be integers, got {r!r}")
-            r = tuple(int(x) for x in r)
-            object.__setattr__(self, "r", r)
+        r = _integers(self.r, "divisibility tuple entries")
+        object.__setattr__(self, "r", r)
         if not r or any(x <= 0 for x in r):
             raise ValueError("divisibility tuple entries must be positive")
         if any(r[i + 1] % r[i] for i in range(len(r) - 1)):
@@ -107,9 +113,9 @@ class UnimodularMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.entries)
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("unimodular matrix must be square")
+        rows = tuple(_integers(r, "unimodular matrix entries") for r in self.entries)
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise ValueError("unimodular matrix must be square and nonempty")
         if abs(_int_determinant(list(rows))) != 1:
             raise ValueError("determinant is not +-1")
         object.__setattr__(self, "entries", rows)
@@ -293,7 +299,7 @@ def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
     if all(m1 * minors[m] <= minors[m + 1] for m in range(1, Y.n)):
         return ShortVectorResult(Y.entries[0][0], (1,) + (0,) * (Y.n - 1))
     S, value, vectors = _least_tail_primitive(Y, 0, budget)
-    return ShortVectorResult(value / S if Y.mode == FLOAT else Fraction(value, S), vectors[0])
+    return ShortVectorResult(_ratio(Y.mode)(value, S), vectors[0])
 
 
 def scale_by_divisibility(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
@@ -384,6 +390,12 @@ def _unimodular_with_first_column(v: tuple[int, ...]) -> list[list[int]]:
     return V
 
 
+def _pullback(A: list[list[int]], B: list[tuple[int, ...]]) -> list[list[int]]:
+    """B^T A B for an integer matrix A and the integer columns B."""
+    AB = [[sum(map(mul, r, c)) for c in B] for r in A]
+    return [[sum(map(mul, c, d)) for d in zip(*AB)] for c in B]
+
+
 def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
                      ) -> tuple[SpdMatrix, UnimodularMatrix]:
     """Reduce Y into Minkowski's fundamental domain.
@@ -398,7 +410,8 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     unimodular of first column b[k:] (``_unimodular_with_first_column``).
     This yields the domain's minimality conditions directly; a final
     diagonal +-1 transform fixes the superdiagonal signs.  Returns
-    (Y[U], U) with U unimodular.
+    (Y[U], U) with U unimodular; Y[U] is the integer den Y[U] divided by
+    den once per entry, so a float entry is rounded once.
     """
     n = Y.n
     if n > 8:
@@ -407,10 +420,8 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     A = [[int(Fraction(x) * den) for x in r] for r in Y.entries]
     B = [tuple(int(i == j) for i in range(n)) for j in range(n)]  # columns, carried
     for k in range(n):
-        AB = [[sum(map(mul, r, c)) for c in B] for r in A]
-        YB = SpdMatrix.from_rows([[sum(map(mul, c, d)) for d in zip(*AB)] for c in B])
         found = []
-        for b in _least_tail_primitive(YB, k, budget)[2]:
+        for b in _least_tail_primitive(SpdMatrix.from_rows(_pullback(A, B)), k, budget)[2]:
             a = tuple(sum(map(mul, row, b)) for row in zip(*B))
             if next(x for x in a if x) < 0:  # a made canonical, b negated with it
                 a, b = tuple(-x for x in a), tuple(-x for x in b)
@@ -421,17 +432,13 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
         B[k:] = [a] + [tuple(sum(map(mul, row, v)) for row in tail)
                        for v in list(zip(*_unimodular_with_first_column(b[k:])))[1:]]
     # superdiagonal sign normalization by a diagonal +-1 unimodular S:
-    # entry (i, j) of Y[U0 S] is signs[i] * signs[j] times that of Y[U0],
+    # entry (i, j) of den Y[B S] is signs[i] * signs[j] times that of den Y[B],
     # so each sign is chosen from its predecessor and the raw entry
-    U0 = [list(r) for r in zip(*B)]
-    reduced = congruence(Y, DenseMatrix.from_rows(U0)).entries
+    M = _pullback(A, B)
     signs = [1] * n
     for k in range(1, n):
-        y = reduced[k - 1][k]
-        signs[k] = signs[k - 1] if y >= 0 else -signs[k - 1]
-    U = [[U0[i][j] * signs[j] for j in range(n)] for i in range(n)]
-    # Y[U0 S] from Y[U0]: negating every term of a sum negates its rounded
-    # value, and 0 - x, like a sum, is never -0.0
-    flipped = tuple(tuple(x if signs[i] == signs[j] else 0 - x for j, x in enumerate(r))
-                    for i, r in enumerate(reduced))
-    return SpdMatrix(DenseMatrix(flipped, Y.mode)), UnimodularMatrix(tuple(tuple(r) for r in U))
+        signs[k] = signs[k - 1] if M[k - 1][k] >= 0 else -signs[k - 1]
+    div = _ratio(Y.mode)  # rounded once in float mode; an integer 0 gives 0.0, never -0.0
+    R = [[div(signs[i] * signs[j] * x, den) for j, x in enumerate(r)] for i, r in enumerate(M)]
+    U = tuple(tuple(c[i] * s for c, s in zip(B, signs)) for i in range(n))
+    return SpdMatrix.from_rows(R, Y.mode), UnimodularMatrix(U)

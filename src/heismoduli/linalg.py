@@ -119,11 +119,7 @@ def _shaped(entries, mode: str) -> DenseMatrix:
 
 
 def identity(n: int, mode: str = RATIONAL) -> DenseMatrix:
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    return _shaped(
-        tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), mode
-    )
+    return DenseMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], mode)
 
 
 def max_norm(G: DenseMatrix | "SpdMatrix") -> Scalar:

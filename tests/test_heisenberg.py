@@ -40,6 +40,28 @@ def zero(n):
     return (Fraction(0),) * n
 
 
+class TestScalarMode:
+    """An element, algebra vector or automorphism holds one scalar mode:
+    floats if any of its scalars is a float, else Fractions."""
+
+    @pytest.mark.parametrize("kind", [hm.HeisenbergElement, hm.LieAlgebraVector])
+    def test_one_float_makes_every_coordinate_float(self, kind):
+        p = kind((0.5,), (1,), Fraction(1, 3))
+        assert (p.x, p.y, p.s) == ((0.5,), (1.0,), 1 / 3)
+        assert all(type(v) is float for v in (*p.x, *p.y, p.s))
+
+    @pytest.mark.parametrize("kind", [hm.HeisenbergElement, hm.LieAlgebraVector])
+    def test_exact_inputs_become_fractions(self, kind):
+        p = kind((1,), (Fraction(1, 2),), 3)
+        assert all(type(v) is Fraction for v in (*p.x, *p.y, p.s))
+
+    def test_automorphism_scalars_share_a_mode(self):
+        d = hm.AutomorphismDescriptor.from_parts(2, (Fraction(1, 2), 0), hm.identity(2))
+        assert type(d.a) is Fraction and all(type(v) is Fraction for v in d.w)
+        d = hm.AutomorphismDescriptor.from_parts(2, (0.5, 0), hm.identity(2))
+        assert type(d.a) is float and all(type(v) is float for v in d.w)
+
+
 class TestGroupLaw:
     def test_multiplication_picks_up_area_term(self):
         p = hm.HeisenbergElement(e(1, 0), zero(1), Fraction(0))
@@ -172,6 +194,21 @@ class TestAutomorphisms:
         d = hm.AutomorphismDescriptor.from_parts(Fraction(1), zero(2), hm.symplectic_j(1))
         m = hm.automorphism_matrix(d)
         assert m.entries == ((0, 1, 0), (-1, 0, 0), (0, 0, 1))
+
+    def test_float_shear_makes_a_float_matrix(self):
+        d = hm.AutomorphismDescriptor.from_parts(2, (0.5, 0), hm.identity(2))
+        m = hm.automorphism_matrix(d)
+        assert m.mode == hm.FLOAT
+        assert m.entries == ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.5, 0.0, 4.0))
+        assert all(type(x) is float for r in m.entries for x in r)
+        assert hm.matrix_from_json(hm.matrix_to_json(m)) == m
+
+    def test_exact_dilation_rounded_once_in_float_mode(self):
+        # a^2 eps is the exact 1/100 rounded once, not 0.1 * 0.1
+        d = hm.AutomorphismDescriptor.from_parts(
+            Fraction(1, 10), zero(2), hm.identity(2, hm.FLOAT))
+        m = hm.automorphism_matrix(d)
+        assert m.mode == hm.FLOAT and m.entries[2][2] == 0.01
 
     def test_rejects_non_similitude(self):
         with pytest.raises(hm.NotSimilitude):
@@ -728,6 +765,12 @@ class TestMetricJson:
     def test_element_float_coordinates(self):
         p = hm.HeisenbergElement.from_json({"x": [0.5], "y": ["3"], "s": 2})
         assert p == hm.HeisenbergElement((0.5,), (3.0,), 2.0)
+        assert all(type(v) is float for v in (*p.x, *p.y, p.s))
+
+    def test_element_int_center_stays_exact(self):
+        p = hm.HeisenbergElement((Fraction(1),), (Fraction(2),), 3)
+        assert p.to_json() == {"x": ["1"], "y": ["2"], "s": "3"}
+        assert hm.HeisenbergElement.from_json(p.to_json()) == p
 
     @pytest.mark.parametrize("obj", [
         {"x": [True], "y": ["0"], "s": "0"},

@@ -643,7 +643,7 @@ class TestDivisibilityTuple:
         assert hm.DivisibilityTuple(r).r is r
 
     def test_integral_values_accepted(self):
-        assert hm.DivisibilityTuple((2.0, Fraction(4), "8")).r == (2, 4, 8)
+        assert hm.DivisibilityTuple((2.0, Fraction(4), "8", "16/1")).r == (2, 4, 8, 16)
 
     def test_scaling_diagonal(self):
         assert hm.DivisibilityTuple((1, 2)).scaling_diagonal() == (1, 2, 1, 1)
@@ -657,6 +657,20 @@ class TestUnimodularMatrix:
     def test_determinant_sign(self):
         U = hm.UnimodularMatrix(((0, 1), (1, 0)))
         assert U.determinant() == -1
+
+    @pytest.mark.parametrize("entries", [((1.5, 0), (0, 1)), ((Fraction(3, 2), 0), (0, 1)),
+                                         ((True, 0), (0, 1)), ((1, 0), (0, float("inf"))),
+                                         ()])
+    def test_non_integer_or_empty_rejected(self, entries):
+        # a truncating int() would turn 1.5 and 3/2 into the identity
+        with pytest.raises(ValueError):
+            hm.UnimodularMatrix(entries)
+
+    @pytest.mark.parametrize("entries", [[[2, 1], [1, 1]], ((2.0, Fraction(1)), (1, "1"))])
+    def test_integral_entries_accepted(self, entries):
+        U = hm.UnimodularMatrix(entries)
+        assert U.entries == ((2, 1), (1, 1))
+        assert all(type(x) is int for r in U.entries for x in r)
 
 
 class TestNoCyclicGarbage:

@@ -1,13 +1,16 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
-factorization that must not come back.
+factorization and one scalar-mode rule that must not come back.
 
-Four rules, read off the syntax trees: a module (``__init__`` aside, it
+Five rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every defaulted parameter of a module-level function is passed by some
-call in ``src/`` or ``tests/`` (a knob nothing turns is dead code), and
-no module calls a ``cholesky``: a Gram matrix's spectra read the exact
-factor it keeps, so a float Cholesky would be a second factor path.
+call in ``src/`` or ``tests/`` (a knob nothing turns is dead code), no
+module calls a ``cholesky``: a Gram matrix's spectra read the exact
+factor it keeps, so a float Cholesky would be a second factor path, and
+outside ``linalg`` no module calls the raw ``DenseMatrix(...)``
+constructor, ``_is_floatlike`` or ``isinstance(..., float)``: a scalar
+mode is chosen by ``linalg``'s coercion alone.
 """
 
 import ast
@@ -101,4 +104,23 @@ def test_no_float_cholesky(module):
     calls = [node.lineno for node in ast.walk(TREES[module])
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "cholesky"]
+    assert calls == []
+
+
+def _picks_mode(call: ast.Call) -> bool:
+    """Whether call is ``DenseMatrix(...)``, ``_is_floatlike(...)`` or an
+    ``isinstance`` test against ``float``."""
+    f = call.func
+    name = getattr(f, "id", None) or getattr(f, "attr", None)
+    if name == "isinstance" and len(call.args) == 2:
+        kinds = call.args[1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(isinstance(k, ast.Name) and k.id == "float" for k in kinds)
+    return name in ("DenseMatrix", "_is_floatlike")
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"linalg"}))
+def test_scalar_mode_chosen_in_linalg_only(module):
+    calls = [node.lineno for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Call) and _picks_mode(node)]
     assert calls == []
