@@ -259,8 +259,8 @@ class NormalizedMetric:
             raise OddDimension("horizontal Gram matrix must have even size")
         if self.h.n != 2 * self.r.n:
             raise DimensionMismatch("h must be 2n x 2n for a length-n tuple")
-        if self.g <= 0:
-            raise ValueError("central scalar g must be positive")
+        if not 0 < self.g < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"central scalar g must be positive and finite, got {self.g!r}")
 
     @property
     def n(self) -> int:
@@ -469,5 +469,6 @@ def _curvature_bound(spectrum: KaplanSpectrum, g: Scalar) -> float:
 
 
 def curvature_upper_bound(m: NormalizedMetric) -> float:
-    """g^{-1} d_n(h)^2, an upper bound for the sampled sectional curvatures."""
+    """g^{-1} d_n(h)^2.  It bounds ``sectional_curvature`` only for g <= 2: a
+    mixed plane reaches up to g d_n(h)^2 / 4 (``kaplan_matrix``), which is sharp."""
     return _curvature_bound(d_spectrum(m.h), m.g)

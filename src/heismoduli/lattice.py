@@ -13,8 +13,8 @@ the least vectors with a primitive tail a_k,...,a_n: a first minimum
 column to column, and each membership condition, whose witness is the
 least violator in canonical order, so a badly reduced basis costs far
 less than the ellipsoid below its diagonal.  The budget counts every
-integer tried.  Float mode adds a small relative slack to bounds and flags
-membership reports as approximate.
+integer tried.  A float is the dyadic rational it holds, so every answer
+is exact on the given entries in both modes.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ from .linalg import (
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "HEIS_ENUM_BUDGET"
-
-# relative slack used for float-mode comparisons that are exact in
-# rational mode
-FLOAT_SLACK = 1e-9
 
 
 def _enumeration_budget(budget: int | None) -> int:
@@ -142,7 +138,6 @@ class MinkowskiViolation:
 class MinkowskiReport:
     member: bool
     violation: MinkowskiViolation | None
-    approximate: bool = False
 
     @property
     def violated_condition(self):
@@ -178,11 +173,11 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     sum_i W_i x_i^2 for the integer weights W_i = P / (Delta_i Delta_{i+1}).
     Each level tries its integers in order of distance from the centre
     -sum_{j>i} lambda_ji a_j / Delta_{i+1}, so the first one past the
-    radius ends the level.  A bound gives every such vector; a float
-    bound is inflated by FLOAT_SLACK.  With ``bound`` None it lists only
-    the a whose tail a[k:] is primitive, its radius starting at Y[e_{k+1}]
-    and shrinking, inclusive, to each value listed, so the values never
-    increase and the list ends with every such vector of least value.
+    radius ends the level.  A bound, taken exactly through its
+    ``as_integer_ratio()``, gives every such vector.  With ``bound`` None it
+    lists only the a whose tail a[k:] is primitive, its radius starting at
+    Y[e_{k+1}] and shrinking, inclusive, to each value listed, so the values
+    never increase and the list ends with every such vector of least value.
     Values are the exact integers S Y[a] in both modes.  The budget counts
     every integer tried.  Vectors have their first nonzero entry positive.
     The recursive search leaves no reference cycle, on return or on
@@ -200,8 +195,6 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     shrink = bound is None
     if shrink:
         bound = Y.entries[k][k]  # Y[e_{k+1}], exact in both modes
-    elif Y.mode == FLOAT:
-        bound = float(bound) * (1.0 + FLOAT_SLACK)
     p, q = bound.as_integer_ratio()
     top = S * p // q  # floor(S * bound); S Y[a] is an integer
     a = [0] * n
@@ -268,11 +261,13 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     One representative of each pair +-a is returned (first nonzero entry
     positive), sorted canonically.  Exhaustive: the Schnorr-Euchner
     enumeration runs below the fixed bound in exact integer arithmetic
-    on the kept factor in both modes, a float Y's bound inflated by a
-    1e-9 relative slack.  Raises ``EnumerationBudgetExceeded`` when the
+    on the kept factor in both modes.  A NaN or infinite bound raises
+    ``ValueError``.  Raises ``EnumerationBudgetExceeded`` when the
     count of integers tried passes the cap (a sign of an adversarial
     input, not of a wrong answer).
     """
+    if not -math.inf < bound < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"bound must be finite, got {bound!r}")
     found = [a for _, a in _short_vectors(Y, bound, budget)[1]]
     found.sort(key=_witness_key)
     return found
@@ -345,18 +340,16 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Each k runs one
     shrinking-radius search for the least such Y[a], as each column of
     ``minkowski_reduce`` does; the witness is a least-valued violator,
-    canonical order breaking ties.  Values are exact in both modes; float
-    mode compares with a 1e-9 relative slack and sets ``approximate``.
+    canonical order breaking ties.  Exact on the given entries in both modes.
     """
-    approx = Y.mode == FLOAT
     for k in range(Y.n - 1):
         if Y.entries[k][k + 1] < 0:
-            return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None), approx)
+            return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None))
     for k, ykk in enumerate(Y.diagonal()):
         S, least, (a, *_) = _least_tail_primitive(Y, k, budget)
-        if Fraction(least, S) < (ykk if not approx else ykk * (1.0 - FLOAT_SLACK)):  # exact
-            return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a), approx)
-    return MinkowskiReport(True, None, approx)
+        if Fraction(least, S) < ykk:  # exact, a float ykk too
+            return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a))
+    return MinkowskiReport(True, None)
 
 
 # --- basis completion ---------------------------------------------------

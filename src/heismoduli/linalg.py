@@ -2,10 +2,10 @@
 
 All matrices here are tiny (n <= ~10) and immutable.  In ``rational``
 mode every entry is a :class:`fractions.Fraction`; in ``float`` mode a
-double, which is a dyadic rational.  So factorizations, determinants
+finite double, which is a dyadic rational.  So factorizations, determinants
 and inverses are exact in both modes, and a float-mode result is the
 correctly rounded float of the exact value.  Only the spectral routines
-(eigenvalues, singular values) are approximate by nature and go through
+(eigenvalues, singular values) are inexact by nature and go through
 LAPACK via numpy.  There are two eliminations: the symmetric
 ``_integer_ldl``, which alone decides positive definiteness, and the
 general ``_int_determinant``.
@@ -37,16 +37,27 @@ def _is_floatlike(x) -> bool:
     return isinstance(x, (float, np.floating))
 
 
+def _finite_float(v) -> float:
+    """v as a finite float, a string parsed by ``_fraction_from_str``; else ``ValueError``."""
+    try:
+        x = float(_fraction_from_str(v)) if isinstance(v, str) else float(v)
+        if math.isfinite(x):
+            return x
+    except OverflowError:  # an int, Fraction or "p/q" past the float range
+        pass
+    raise ValueError(f"float scalar {v!r} is not finite")
+
+
 def _coerce_rows(rows, mode: str | None):
-    """Normalize nested scalars to a uniform mode, inferring it if needed."""
-    rows = [list(r) for r in rows]
+    """Normalize nested scalars to a uniform mode, inferred if None; a float must be finite."""
+    rows = [[_finite_float(x) if _is_floatlike(x) else x for x in r] for r in rows]
     if mode is None:
         has_float = any(_is_floatlike(x) for r in rows for x in r)
         mode = FLOAT if has_float else RATIONAL
     if mode == RATIONAL:
         entries = tuple(tuple(Fraction(x) for x in r) for r in rows)
     elif mode == FLOAT:
-        entries = tuple(tuple(float(x) for x in r) for r in rows)
+        entries = tuple(tuple(_finite_float(x) for x in r) for r in rows)
     else:
         raise ValueError(f"unknown scalar mode {mode!r}")
     return entries, mode
@@ -180,7 +191,7 @@ def _integer_ldl(entries):
     for i, r in enumerate(entries):
         try:
             ratios.append([x.as_integer_ratio() for x in r[:i + 1]])
-        except (ValueError, OverflowError):  # a NaN or infinite float
+        except (ValueError, OverflowError):  # NaN or inf: a raw DenseMatrix, or @ overflowed
             raise NotPositiveDefinite(i + 1) from None
     den = math.lcm(*(q for r in ratios for _, q in r))
     a = [[p * (den // q) for p, q in r] for r in ratios]
@@ -439,13 +450,7 @@ def scalar_from_json(v, mode: str) -> Scalar:
         if _is_floatlike(v):
             raise ValueError("float scalar in a rational-mode payload")
         return _fraction_from_str(v) if isinstance(v, str) else Fraction(v)
-    try:
-        x = float(_fraction_from_str(v)) if isinstance(v, str) else float(v)
-        if math.isfinite(x):
-            return x
-    except OverflowError:  # a "p/q" or decimal string past the float range
-        pass
-    raise ValueError(f"float scalar {v!r} is not finite")
+    return _finite_float(v)
 
 
 def matrix_to_json(m: DenseMatrix | SpdMatrix) -> dict:

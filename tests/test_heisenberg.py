@@ -703,6 +703,20 @@ class TestCurvatureBound:
                 k = _random_plane_curvature(rng, m, hn)
                 assert k <= bound + 1e-9
 
+    def test_sampled_curvatures_below_sharp_bound_for_any_g(self):
+        # K(u, Z) = |j(Z)u|^2 / 4 with j(Z) = -g^{1/2} h^{-1} J, so g d_n^2 / 4
+        # bounds every supported plane, for g > 2 too, where g^{-1} d_n^2 does not
+        # (85 of these 400 samples exceed curvature_upper_bound)
+        rng = random.Random(21)
+        for _ in range(10):
+            h = random_integer_gram(rng, 4)
+            g = Fraction(rng.randint(2, 32), 4)  # [1/2, 8]
+            m = rational_metric(h, g)
+            sharp = float(g) * hm.d_spectrum(h).d_max ** 2 / 4
+            hn = h.to_numpy()
+            for _ in range(40):
+                assert _random_plane_curvature(rng, m, hn) <= sharp * (1 + 1e-9)
+
 
 def _random_plane_curvature(rng, m, hn):
     """Curvature of a random admissible orthonormal plane."""

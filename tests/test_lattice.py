@@ -36,6 +36,12 @@ class TestEnumerateBelow:
     def test_stretched_diagonal(self):
         assert hm.enumerate_below(spd([[4, 0], [0, 1]]), 1) == [(0, 1)]
 
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_rejected(self, mode, bound):
+        with pytest.raises(ValueError, match="bound must be finite"):
+            hm.enumerate_below(hm.SpdMatrix(hm.identity(2, mode)), bound)
+
     def test_exhaustive_against_box(self):
         import itertools
         import math as _math
@@ -435,9 +441,19 @@ class TestMinkowskiMembership:
         assert rep.violation.k == 1
         assert rep.violation.witness == (0, 1)
 
-    def test_float_mode_flagged_approximate(self):
-        rep = hm.minkowski_membership(hm.SpdMatrix(hm.identity(2, hm.FLOAT)))
-        assert rep.member and rep.approximate
+    def test_float_on_the_boundary_is_member(self):
+        # Y[e_2] = y_11 and Y[e_1 - e_2] = y_22: every condition holds with equality
+        rep = hm.minkowski_membership(hm.SpdMatrix.from_rows([[1.0, 0.5], [0.5, 1.0]]))
+        assert rep == hm.MinkowskiReport(True, None)
+
+    def test_float_just_inside_the_boundary_is_not_member(self):
+        # Y[e_2] = 1 - 1e-10 < y_11 exactly, as for the same entries as Fractions
+        rows = [[1.0, 0.5], [0.5, 1 - 1e-10]]
+        rep = hm.minkowski_membership(hm.SpdMatrix.from_rows(rows))
+        assert rep.violated_condition == (1, (0, 1))
+        assert rep.violation.kind == "short_vector" and not rep.member
+        exact = [[Fraction(x) for x in r] for r in rows]
+        assert hm.minkowski_membership(hm.SpdMatrix.from_rows(exact)) == rep
 
     def test_early_violation_ignores_larger_later_diagonal(self):
         # k = 1 fails with (0, 1, 0) below y_11 = 5; an enumeration below

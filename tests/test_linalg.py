@@ -40,9 +40,20 @@ class TestLdl:
                                              ([[1.0, 0.0], [0.0, math.inf]], 2),
                                              ([[1.0, math.inf], [math.inf, 1.0]], 2)])
     def test_nan_pivot_rejected(self, rows, pivot):
-        with pytest.raises(hm.NotPositiveDefinite) as exc:
+        # the coercion refuses a non-finite entry; the raw constructor
+        # skips it, and the factor rejects the row at its pivot
+        with pytest.raises(ValueError, match="float scalar .* is not finite"):
             hm.SpdMatrix.from_rows(rows, hm.FLOAT)
+        with pytest.raises(hm.NotPositiveDefinite) as exc:
+            hm.SpdMatrix(hm.DenseMatrix(tuple(map(tuple, rows)), hm.FLOAT))
         assert exc.value.pivot_index == pivot
+
+    def test_overflowed_product_rejected_at_pivot(self):
+        A = hm.DenseMatrix.from_rows([[1e200]])
+        assert (A @ A).entries == ((math.inf,),)
+        with pytest.raises(hm.NotPositiveDefinite) as exc:
+            hm.SpdMatrix(A @ A)
+        assert exc.value.pivot_index == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
@@ -226,7 +237,10 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_has_no_exact_value(self, x):
-        m = hm.DenseMatrix.from_rows([[1.0, x], [0.0, 1.0]])
+        # from_rows refuses the entry; a raw-constructed matrix reaches the elimination
+        with pytest.raises(ValueError, match="is not finite"):
+            hm.DenseMatrix.from_rows([[1.0, x], [0.0, 1.0]])
+        m = hm.DenseMatrix(((1.0, x), (0.0, 1.0)), hm.FLOAT)
         for f in (hm.determinant, hm.matrix_inverse):
             with pytest.raises((ValueError, OverflowError)):
                 f(m)

@@ -1,11 +1,13 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Five rules, read off the syntax trees: a module (``__init__`` aside, it
+Six rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
-every defaulted parameter of a module-level function is passed by some
-call in ``src/`` or ``tests/`` (a knob nothing turns is dead code), no
+every module-level UPPER_CASE constant is read somewhere in the package
+(its own assignment and a re-export are no reads), every defaulted
+parameter of a module-level function is passed by some call in
+``src/`` or ``tests/`` (a knob nothing turns is dead code), no
 module calls a ``cholesky``: a Gram matrix's spectra read the exact
 factor it keeps, so a float Cholesky would be a second factor path, and
 outside ``linalg`` no module calls the raw ``DenseMatrix(...)``
@@ -14,6 +16,7 @@ mode is chosen by ``linalg``'s coercion alone.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -64,6 +67,22 @@ def test_every_private_function_is_referenced(module):
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                and counts[node.name] == _referenced(node).count(node.name)]
     assert orphans == []
+
+
+def _constants(tree: ast.Module) -> list[str]:
+    """Names of the module-level UPPER_CASE assignments, ``_PRIVATE`` ones too."""
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_constant_is_read(module):
+    reads = {getattr(node, "id", None) or node.attr for tree in TREES.values()
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)}
+    assert [name for name in _constants(TREES[module]) if name not in reads] == []
 
 
 def _passes(call: ast.Call, index: int | None, name: str) -> bool:
