@@ -57,11 +57,43 @@ def _parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+_encode = json.JSONEncoder().encode  # no indent: the C encoder
+
+
+def _layout(value, pad: str, leaves: list) -> str:
+    """value's indented text, pad its line break and indent, with a NUL in
+    place of each leaf that is not a string, appended to leaves in order.
+    The encoder escapes a NUL in a string, so a raw NUL marks a leaf."""
+    if isinstance(value, str):
+        return _encode(value)
+    if value and isinstance(value, (dict, list, tuple)):
+        inner = pad + "  "
+        if isinstance(value, dict):
+            ends, items = "{}", [_encode(k) + ": " + _layout(v, inner, leaves)
+                                 for k, v in value.items()]
+        else:
+            ends, items = "[]", [_layout(v, inner, leaves) for v in value]
+        return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+    leaves.append(value)
+    return "\0"
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)`` (string keys) through the C
+    encoder; the stdlib's indented path is pure Python and leaves cyclic
+    garbage.  No number, true, false, null, {} or [] holds ", ", so one
+    compact encoding of all such leaves splits back into them."""
+    leaves = []
+    pieces = _layout(payload, "\n", leaves).split("\0")
+    texts = _encode(leaves)[1:-1].split(", ")
+    return "".join([p + t for p, t in zip(pieces, texts + [""])])
+
+
 def _emit(payload: dict, fmt: str, text_lines):
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -91,7 +123,7 @@ def cmd_invariants(args) -> int:
         "g": scalar_to_json(metric.g),
         "r": list(metric.r.r),
     }
-    _emit(payload, args.format, [
+    _emit(payload, args.format, lambda: [
         f"m_r = {_fmt_scalar(m_r)}",
         f"det(h) = {_fmt_scalar(det_h)}",
         "d = (" + ", ".join(repr(v) for v in spectrum.d) + ")",
@@ -103,7 +135,7 @@ def cmd_invariants(args) -> int:
 def cmd_shortest_vector(args) -> int:
     Y = SpdMatrix(matrix_from_json(_read_payload(args.input)))
     res = lattice.first_minimum(Y)
-    _emit(res.to_json(), args.format, [
+    _emit(res.to_json(), args.format, lambda: [
         f"value = {_fmt_scalar(res.value)}",
         "witness = (" + ", ".join(str(x) for x in res.witness) + ")",
     ])
@@ -117,7 +149,7 @@ def cmd_reduce(args) -> int:
         "reduced": matrix_to_json(reduced),
         "unimodular": [list(r) for r in U.entries],
     }
-    _emit(payload, args.format, [
+    _emit(payload, args.format, lambda: [
         "reduced = " + json.dumps(payload["reduced"]["entries"]),
         "unimodular = " + json.dumps(payload["unimodular"]),
     ])
@@ -128,7 +160,7 @@ def cmd_spectrum(args) -> int:
     Y = SpdMatrix(matrix_from_json(_read_payload(args.input)))
     spectrum = heisenberg.d_spectrum(Y)
     _emit({"d": list(spectrum.d)}, args.format,
-          ["d = (" + ", ".join(repr(v) for v in spectrum.d) + ")"])
+          lambda: ["d = (" + ", ".join(repr(v) for v in spectrum.d) + ")"])
     return EXIT_OK
 
 
@@ -138,7 +170,7 @@ def cmd_heis_type(args) -> int:
     verdict = heisenberg._is_heisenberg_spectrum(spectrum, metric.g, args.tol)
     payload = {"heisenberg_type": verdict, "d": list(spectrum.d)}
     _emit(payload, args.format,
-          [("Heisenberg type" if verdict else "not Heisenberg type")])
+          lambda: [("Heisenberg type" if verdict else "not Heisenberg type")])
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
@@ -146,7 +178,7 @@ def cmd_curvature_bound(args) -> int:
     metric = heisenberg.NormalizedMetric.from_json(_read_payload(args.input))
     bound = heisenberg.curvature_upper_bound(metric)
     _emit({"curvature_upper_bound": bound}, args.format,
-          [f"curvature bound = {bound!r}"])
+          lambda: [f"curvature bound = {bound!r}"])
     return EXIT_OK
 
 
@@ -170,7 +202,7 @@ def cmd_certify(args) -> int:
         cert = compactness.heisenberg_certificate(
             family, C0=args.C0, C1=args.C1, C2=args.C2, I=interval
         )
-    _emit(cert.to_json(), args.format, _certificate_lines(cert))
+    _emit(cert.to_json(), args.format, lambda: _certificate_lines(cert))
     return EXIT_OK if cert.certified else EXIT_NEGATIVE
 
 
@@ -179,7 +211,7 @@ def cmd_certify_torus(args) -> int:
     members = [SpdMatrix(matrix_from_json(o, scalars))
                for o in _family_from_payload(_read_payload(args.input))]
     cert = compactness.mahler_certificate(members, C0=args.C0, C1=args.C1)
-    _emit(cert.to_json(), args.format, _certificate_lines(cert))
+    _emit(cert.to_json(), args.format, lambda: _certificate_lines(cert))
     return EXIT_OK if cert.certified else EXIT_NEGATIVE
 
 
@@ -214,15 +246,15 @@ def cmd_counterexample(args) -> int:
                 "d1": d1,
                 "d2": d2,
             })
-        _emit({"sweep": rows}, args.format, [
+        _emit({"sweep": rows}, args.format, lambda: [
             "k det m d1 d2",
             *(f"{r['k']} {r['det']} {r['m']} {r['d1']!r} {r['d2']!r}" for r in rows),
         ])
         return EXIT_OK
     Y = compactness.counterexample_family(args.k)
     payload = matrix_to_json(Y)
-    _emit(payload, args.format, [json.dumps([[int(Fraction(x)) for x in row]
-                                             for row in payload["entries"]])])
+    _emit(payload, args.format, lambda: [json.dumps([[int(Fraction(x)) for x in row]
+                                                     for row in payload["entries"]])])
     return EXIT_OK
 
 
@@ -236,7 +268,7 @@ def cmd_verify_inequality(args) -> int:
         "held": result.held,
         "worst_slack": result.worst_slack,
     }
-    _emit(payload, args.format, [f"{result.held}/{result.total} hold"])
+    _emit(payload, args.format, lambda: [f"{result.held}/{result.total} hold"])
     return EXIT_OK if result.all_hold else EXIT_NEGATIVE
 
 
@@ -246,7 +278,7 @@ def cmd_random_symplectic(args) -> int:
     beta = compactness.random_symplectic_integer(args.dim // 2, args.seed, args.steps)
     eps = heisenberg.symplectic_similitude_check(beta)
     payload = {"matrix": matrix_to_json(beta), "epsilon": eps}
-    _emit(payload, args.format, [
+    _emit(payload, args.format, lambda: [
         json.dumps([[int(Fraction(x)) for x in row]
                     for row in payload["matrix"]["entries"]]),
         f"epsilon = {eps}",
@@ -254,7 +286,7 @@ def cmd_random_symplectic(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="heis",
         description="Lattice minima, symplectic spectra and precompactness "
@@ -324,17 +356,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=int, default=12)
 
-    return parser
+    return parser, sub.choices  # choices: the subparsers action's map
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+_parser = functools.cache(_build_parsers)
 
 
 def main(argv=None) -> int:
+    parser, commands = _parser()
     try:
-        args = _parser().parse_args(argv)
+        # with argv[0] a command, its subparser parses the rest, as argparse
+        # would; anything else (sys.argv too) or left over goes to the full
+        # parser, so every help text, usage error and exit code is its own
+        sub = commands.get(argv[0]) if argv else None
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+        if sub and not rest:
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error argparse has reported
         return exc.code
     # looked up at call time, so a replaced cmd_* function takes effect
@@ -344,7 +387,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (HeisError, ValueError, KeyError, TypeError,
+    except (HeisError, ValueError, KeyError, TypeError, OverflowError,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -348,7 +348,8 @@ def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
     holds sign(v) sqrt(v^2 / (minors[k] minors[k+1] den)), with v =
     minors[k+1] on the diagonal and v = columns[k][i - k - 1] at i > k.
     Each entry is one correctly rounded integer quotient, at most y_ii,
-    and one square root; there is no failure branch.  The Ys are of
+    and one square root.  A y_ii past the float range raises
+    ``OverflowError``; there is no other failure branch.  The Ys are of
     equal size.
     """
     def upper(den, minors, columns):

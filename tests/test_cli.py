@@ -1,13 +1,20 @@
+import gc
 import io
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import skewed_unit_lattice
 from heismoduli.cli import main
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["cases"]
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -327,6 +334,21 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    # 10^400 is a valid rational past the float range: a g or Gram entry that
+    # large is invalid input for the float spectrum, not a negative verdict
+    BIG = "1" + "0" * 400
+    BIG_GRAM = {"mode": "rational", "rows": 2, "cols": 2, "entries": [[BIG, "0"], ["0", "1"]]}
+    BIG_G = {"h": hm.matrix_to_json(hm.identity(2)), "g": BIG, "r": [1]}
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["invariants"], BIG_G), (["curvature-bound"], BIG_G), (["heis-type"], BIG_G),
+        (["spectrum"], BIG_GRAM), (["certify", "--heisenberg-type"], [BIG_G]),
+    ], ids=["invariants", "curvature-bound", "heis-type", "spectrum", "certify-heis-type"])
+    def test_past_float_range_exit_2(self, capsys, monkeypatch, argv, payload):
+        code, out, err = run(capsys, argv, stdin=json.dumps(payload), monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, monkeypatch):
@@ -373,16 +395,31 @@ class TestParserBuiltOnce:
         assert first == again
         assert first[1] != typed[1]
 
+    # the arguments a command's subparser leaves over are the full parser's
+    # to report, under its own usage line
     @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"],
                                       [], ["bogus"], ["counterexample"],
-                                      ["counterexample", "--k", "x"]])
+                                      ["counterexample", "--k", "x"],
+                                      ["invariants", "--tol", "1e-3"],
+                                      ["certify", "--bogus"],
+                                      ["counterexample", "--k", "2", "extra"],
+                                      ["-h", "certify"], ["cert"]])
     def test_help_and_usage_match_a_fresh_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             hm.cli.build_parser().parse_args(argv)
         fresh = (exc.value.code, capsys.readouterr())
         outs = [(main(argv), capsys.readouterr()) for _ in range(2)]
         assert outs[0] == outs[1] == fresh
-        assert fresh[0] == (0 if "--help" in argv else 2)
+        assert fresh[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+    @pytest.mark.parametrize("argv", sorted({tuple(c["argv"]) for c in GOLDEN_CASES}))
+    def test_namespace_matches_the_full_parse(self, monkeypatch, argv):
+        full = hm.cli.build_parser().parse_args(list(argv))
+        seen = []
+        monkeypatch.setattr(hm.cli, "cmd_" + full.command.replace("-", "_"),
+                            lambda args: seen.append(args) or 0)
+        assert main(list(argv)) == 0
+        assert seen == [full]
 
     def test_replaced_command_takes_effect(self, monkeypatch):
         main(["counterexample", "--k", "0"])  # the parser is built by now
@@ -590,3 +627,66 @@ class TestOneSpectrumKernelPerCommand:
         code, _, err = run(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
         assert code == 0 and err == ""
         assert calls == [(6 if stdin == "family" else 1, 4, 4)]
+
+
+# JSON strings with quotes, backslashes, control, non-ASCII and lone
+# surrogate characters; floats at the edges of JSON's text forms
+STRINGS = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ['"', "\\", "\0", "\x1f", "\n\t", "é", " ", "\ud800", "a, b", "{}"])
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan])
+LEAVES = (STRINGS | st.integers() | st.integers(-10**40, 10**40) | FLOATS
+          | st.booleans() | st.none())
+VALUES = st.recursive(LEAVES, lambda inner: (
+    st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(STRINGS, inner)),
+    max_leaves=25)
+
+
+class TestReplyWriter:
+    """The JSON reply is ``json.dumps(payload, indent=2)``, byte for byte,
+    written through the C encoder."""
+
+    @given(VALUES)
+    @example([])
+    @example({"": {"a": ()}, "b": [[], {}, 0]})
+    @example("x\0")
+    def test_writer_is_indented_json_dumps(self, value):
+        assert hm.cli._dumps(value) == json.dumps(value, indent=2)
+
+
+class TestNoCyclicGarbage:
+    """An in-process command leaves nothing for the cyclic collector: with
+    the collector off, a collection after a warm command saves nothing."""
+
+    METRICS = json.dumps([{"h": hm.matrix_to_json(h), "g": g, "r": [1, 1]} for h, g in
+                          [(hm.identity(4), 1), (hm.identity(4), "1/2"),
+                           (hm.counterexample_family(2), 1)]])
+    GRAMS = json.dumps([hm.matrix_to_json(hm.counterexample_family(k)) for k in range(3)])
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["certify", "--C0", "1", "--C1", "1", "--C2", "3", "--g-min", "1/2", "--g-max", "1"],
+         METRICS),
+        (["certify", "--heisenberg-type", "--C0", "1"],
+         json.dumps([{"h": hm.matrix_to_json(hm.identity(4)), "g": 1, "r": [1, 1]}])),
+        (["certify-torus", "--C0", "1", "--C1", "1"], GRAMS),
+        (["invariants"], identity_metric_json()),
+    ], ids=["certify", "certify-heisenberg-type", "certify-torus", "invariants"])
+    def test_no_garbage_per_command(self, capsys, monkeypatch, argv, stdin):
+        def command():
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code = main(argv)
+            capsys.readouterr()
+            return code
+
+        assert command() in (0, 1)  # warm: the parser is built, imports done
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            command()
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert garbage == []

@@ -233,6 +233,79 @@ class TestCertificateTable:
         for past in ({"C0": cert.c0 + tiny}, {"I": (lo + tiny, hi)}, {"I": (lo, hi - tiny)}):
             assert not hm.heisenberg_type_certificate(fam, **past).certified, past
 
+    @staticmethod
+    def exact_extreme(values, side):
+        """(value, index) of the first exact extreme, by Fractions."""
+        exact = [Fraction(v) for v in values]
+        w = exact.index(side(exact))
+        return values[w], w
+
+    def assert_exact_extremes(self, cert, rows):
+        found = {"c0": cert.c0, "c1": cert.c1, "c2": cert.c2}
+        if cert.g_interval is not None:
+            found["g_lo"], found["g_hi"] = cert.g_interval
+        witnesses = dict(cert.witnesses)
+        if "g_interval" in witnesses:
+            witnesses["g_lo"], witnesses["g_hi"] = witnesses.pop("g_interval")
+        for field, values, side in rows:
+            value, w = self.exact_extreme(values, side)
+            assert witnesses[field] == w, field
+            assert found[field] == value and type(found[field]) is type(value), field
+
+    def test_mixed_rational_and_float_members(self):
+        # (h, g): rational (5/4) I_4, float 1.5 I_4 and rational I_4, so the
+        # c1 and g rows mix Fractions and floats
+        r = hm.DivisibilityTuple((1, 1))
+        fam = hm.MetricFamily((
+            hm.NormalizedMetric(scaled_identity(4, Fraction(5, 4)), Fraction(5, 4), r),
+            hm.NormalizedMetric(hm.SpdMatrix.from_rows([[1.5 * (i == j) for j in range(4)]
+                                                        for i in range(4)]), 0.75, r),
+            hm.NormalizedMetric(scaled_identity(4, 1), Fraction(1), r)))
+        cert = hm.heisenberg_certificate(fam, C0=1, C1=5.0625, I=(0.75, Fraction(5, 4)))
+        assert (cert.c0, cert.c1, cert.g_interval) == (1, 5.0625, (0.75, Fraction(5, 4)))
+        assert type(cert.c1) is float and type(cert.g_interval[0]) is float
+        assert cert.witnesses == {"c0": 2, "c1": 1, "c2": 2, "g_interval": [1, 0]}
+        assert cert.certified
+        self.assert_exact_extremes(cert, [
+            ("c0", [Fraction(5, 4), 1.5, Fraction(1)], min),
+            ("c1", [Fraction(625, 256), 5.0625, Fraction(1)], max),
+            ("g_lo", [Fraction(5, 4), 0.75, Fraction(1)], min),
+            ("g_hi", [Fraction(5, 4), 0.75, Fraction(1)], max)])
+        assert not hm.heisenberg_certificate(fam, C1=5.0625 - 2**-40).certified
+        assert not hm.heisenberg_certificate(fam, I=(0.75 + 2**-40, 2)).certified
+
+    def test_mixed_ties_go_to_the_first_member(self):
+        # 1/2 and 0.5 tie, and so do 3 and 3.0: the first of each wins
+        for values in ([0.5, Fraction(1, 2), 3, 3.0, Fraction(1, 2)],
+                       [Fraction(1, 2), 0.5, 3.0, 3, 0.5]):
+            cert = compactness._certificate({}, [("c0", values, min, None),
+                                                 ("c1", values, max, None)])
+            assert cert.witnesses == {"c0": 0, "c1": 2}
+            assert type(cert.c0) is type(values[0]) and type(cert.c1) is type(values[2])
+            self.assert_exact_extremes(cert, [("c0", values, min), ("c1", values, max)])
+
+    def test_values_apart_only_past_float_precision(self):
+        # 0.3333333333333333 < 1/3 and 1e20 < 10**20 + 1, exactly
+        thirds = [Fraction(1, 3), 0.3333333333333333]
+        bigs = [1e20, 10**20 + 1]
+        cert = compactness._certificate({"C0": None, "C1": 10**20 + 1}, [
+            ("c0", thirds, min, None), ("c1", bigs, max, 10**20 + 1)])
+        assert (cert.c0, cert.c1, cert.witnesses) == (
+            0.3333333333333333, 10**20 + 1, {"c0": 1, "c1": 1})
+        assert cert.certified
+        cert = compactness._certificate({}, [("c0", bigs, min, 1e20), ("c1", thirds, max, None)])
+        assert (cert.c0, cert.c1, cert.witnesses) == (1e20, Fraction(1, 3), {"c0": 0, "c1": 0})
+        assert cert.certified
+        assert not compactness._certificate({}, [("c0", bigs, min, 10**20 + 1),
+                                                 ("c1", thirds, max, 0.3333333333333333)]).certified
+        fam = hm.MetricFamily(tuple(hm.NormalizedMetric(scaled_identity(4, 1), g,
+                                                        hm.DivisibilityTuple((1, 1)))
+                                    for g in thirds))
+        cert = hm.heisenberg_certificate(fam, I=(0.3333333333333333, Fraction(1, 3)))
+        assert cert.g_interval == (0.3333333333333333, Fraction(1, 3))
+        assert cert.witnesses["g_interval"] == [1, 0] and cert.certified
+        assert not hm.heisenberg_certificate(fam, I=(Fraction(1, 3), Fraction(1, 3))).certified
+
     def test_spectra_come_before_minima_only_for_heisenberg_type(self):
         # member 0, S^T S for the symplectic S = I + E_31 (pivots 2, 1, 1/2, 1),
         # exhausts a budget of one candidate; member 1 is not of type

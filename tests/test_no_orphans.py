@@ -12,7 +12,9 @@ module calls a ``cholesky``: a Gram matrix's spectra read the exact
 factor it keeps, so a float Cholesky would be a second factor path, and
 outside ``linalg`` no module calls the raw ``DenseMatrix(...)``
 constructor, ``_is_floatlike`` or ``isinstance(..., float)``: a scalar
-mode is chosen by ``linalg``'s coercion alone.
+mode is chosen by ``linalg``'s coercion alone, and no module calls
+``json.dumps`` or ``json.dump`` with ``indent``: that is the stdlib's
+pure-Python encoder, so the CLI's own writer stays the one indented one.
 """
 
 import ast
@@ -142,4 +144,18 @@ def _picks_mode(call: ast.Call) -> bool:
 def test_scalar_mode_chosen_in_linalg_only(module):
     calls = [node.lineno for node in ast.walk(TREES[module])
              if isinstance(node, ast.Call) and _picks_mode(node)]
+    assert calls == []
+
+
+def _dumps_indented(call: ast.Call) -> bool:
+    """Whether call is ``json.dumps(..., indent=...)`` or ``json.dump``'s."""
+    f = call.func
+    name = getattr(f, "id", None) or getattr(f, "attr", None)
+    return name in ("dumps", "dump") and any(k.arg == "indent" for k in call.keywords)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_indented_json_dumps(module):
+    calls = [node.lineno for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Call) and _dumps_indented(node)]
     assert calls == []
