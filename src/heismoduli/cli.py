@@ -34,10 +34,12 @@ EXIT_BUDGET = 3
 
 
 def _read_payload(path: str | None):
+    """The JSON of stdin, or of a file read in one call and decoded as
+    strict UTF-8 (``json.loads`` of bytes would also take UTF-16 and a BOM)."""
     if path is None or path == "-":
         return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, "rb", buffering=0) as fh:
+        return json.loads(fh.read().decode())
 
 
 def _parse_scalar(text: str):

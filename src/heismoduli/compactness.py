@@ -141,17 +141,15 @@ def _certificate(thresholds: dict, rows) -> PrecompactnessCertificate:
 
     A row is (field, per-member values, side, threshold).  The side, min
     or max, picks the extreme value and its witness, the first member on
-    ties, by exact integer keys p (L / q) of the values p/q, L the lcm of
-    the q; the extreme certifies when it is at least (min) or at most (max)
-    the threshold, and a threshold of None checks nothing.  The fields are
-    c0, c1, c2, and g_lo and g_hi, which form the g interval.
+    ties (a Fraction and a float compare exactly, so a mixed row is
+    decided as by its exact values); the extreme certifies when it is at
+    least (min) or at most (max) the threshold, and a threshold of None
+    checks nothing.  The fields are c0, c1, c2, and g_lo and g_hi, which
+    form the g interval.
     """
     found, witnesses, ok = {}, {}, True
     for field, values, side, threshold in rows:
-        ratios = [v.as_integer_ratio() for v in values]
-        lcm = math.lcm(*[q for _, q in ratios])
-        keys = [p * (lcm // q) for p, q in ratios]
-        w = keys.index(side(keys))
+        w = side(range(len(values)), key=values.__getitem__)
         found[field], witnesses[field] = values[w], w
         if threshold is not None:
             ok = ok and (values[w] >= threshold if side is min else values[w] <= threshold)

@@ -259,8 +259,9 @@ class NormalizedMetric:
             raise OddDimension("horizontal Gram matrix must have even size")
         if self.h.n != 2 * self.r.n:
             raise DimensionMismatch("h must be 2n x 2n for a length-n tuple")
-        if not 0 < self.g < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"central scalar g must be positive and finite, got {self.g!r}")
+        g = self.g  # a Fraction is finite; NaN fails both float comparisons
+        if not (g > 0 if type(g) is Fraction else 0 < g < math.inf):
+            raise ValueError(f"central scalar g must be positive and finite, got {g!r}")
 
     @property
     def n(self) -> int:
@@ -289,9 +290,9 @@ class KaplanSpectrum:
     d: tuple[float, ...]
 
     def __post_init__(self):
-        if any(a > b for a, b in zip(self.d, self.d[1:])):
+        if list(self.d) != sorted(self.d):
             raise ValueError("spectrum must be sorted ascending")
-        if any(v <= 0 for v in self.d):
+        if self.d and self.d[0] <= 0:  # sorted: d_1 is the least
             raise ValueError("spectrum values must be positive")
 
     @property

@@ -119,10 +119,13 @@ class DenseMatrix:
         return DenseMatrix(rows, RATIONAL if self.mode == other.mode == RATIONAL else FLOAT)
 
 
+_EMPTY = "matrix must have at least one row and column"
+
+
 def _shaped(entries, mode: str) -> DenseMatrix:
     """A DenseMatrix of already coerced entries, after the shape checks."""
     if not entries or not entries[0]:
-        raise ValueError("matrix must have at least one row and column")
+        raise ValueError(_EMPTY)
     ncols = len(entries[0])
     if any(len(r) != ncols for r in entries):
         raise ValueError("ragged rows")
@@ -504,5 +507,7 @@ def matrix_from_json(obj: dict, scalars: dict | None = None) -> DenseMatrix:
     entries = [_json_list(r, "a matrix row") for r in _json_list(obj["entries"], "matrix entries")]
     if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
         raise ValueError("matrix entries do not match declared shape")
+    if not entries or not entries[0]:  # else every row is nonempty and of one length
+        raise ValueError(_EMPTY)
     scalar = _scalar_parser(scalars, mode)
-    return _shaped(tuple([tuple([scalar(x) for x in r]) for r in entries]), mode)
+    return DenseMatrix(tuple([tuple([scalar(x) for x in r]) for r in entries]), mode)

@@ -349,6 +349,41 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    # an --input file is decoded as strict UTF-8: no BOM, no UTF-16, as
+    # when it was read in text mode
+    GRAM_TEXT = json.dumps({"mode": "rational", "rows": 2, "cols": 2,
+                            "entries": [["2", "1"], ["1", "1"]]}, indent=1)
+
+    @pytest.mark.parametrize("data, err", [
+        (b"\xef\xbb\xbf" + GRAM_TEXT.encode(),
+         "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+        (GRAM_TEXT.encode("utf-16"),
+         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+        (b'{"mode": "rational\xff", "rows": 1, "cols": 1, "entries": [["1"]]}',
+         "error: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n"),
+        (b'{"mode": "rational", "rows": 0, "entries": []}',
+         "error: matrix must have at least one row and column\n"),
+        (b'{"mode": "rational", "rows": 1, "entries": [["1"]]}', "error: 'cols'\n"),
+        (b'{"mode": "rational", "rows": 2, "cols": 0, "entries": [[], []]}',
+         "error: matrix must have at least one row and column\n"),
+        (b'{"mode": "rational", "rows": 3, "cols": 2, "entries": [["2", "1"], ["1", "1"]]}',
+         "error: matrix entries do not match declared shape\n"),
+        (b'{"mode": "rational", "rows": 2, "cols": 2, "entries": ["21", ["1", "1"]]}',
+         "error: a matrix row must be a JSON list, got str\n"),
+    ], ids=["utf8-bom", "utf16", "invalid-byte", "no-cols-no-entries", "no-cols",
+            "no-columns", "rows-differ", "row-not-a-list"])
+    def test_input_file_rejected_exit_2(self, capsys, tmp_path, data, err):
+        path = tmp_path / "payload.json"
+        path.write_bytes(data)
+        assert run(capsys, ["shortest-vector", "--input", str(path)]) == (2, "", err)
+
+    def test_input_file_with_crlf_line_ends(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "payload.json"
+        path.write_bytes(self.GRAM_TEXT.replace("\n", "\r\n").encode())
+        expected = run(capsys, ["shortest-vector"], stdin=self.GRAM_TEXT, monkeypatch=monkeypatch)
+        assert expected[0] == 0
+        assert run(capsys, ["shortest-vector", "--input", str(path)]) == expected
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, monkeypatch):

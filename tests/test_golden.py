@@ -1,7 +1,8 @@
 """Golden output of seeded ``heis`` runs, replayed byte for byte.
 
 ``tests/data/golden_cli.json`` holds the argv, stdin, stdout and exit
-code of each case: ``invariants``, ``shortest-vector``, ``reduce``,
+code of each case, replayed through stdin and again through ``--input``
+with the payload in a file: ``invariants``, ``shortest-vector``, ``reduce``,
 ``certify`` and ``certify-torus`` on rational and float Gram matrices
 of size 2 to 8, half of them in skewed bases, plus rejected inputs;
 then ``spectrum``, ``heis-type``, ``curvature-bound`` and
@@ -296,6 +297,15 @@ CASES = _load() if os.path.exists(DATA) else []
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output(case):
     assert run_case(case["argv"], case["stdin"]) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_output_from_input_file(case, tmp_path):
+    # the same payload as a UTF-8 file; stdin is empty, so reading it fails
+    path = tmp_path / "payload.json"
+    path.write_bytes(case["stdin"].encode())
+    argv = [*case["argv"], "--input", str(path)]
+    assert run_case(argv, "") == (case["exit"], case["stdout"])
 
 
 def test_data_file_present():

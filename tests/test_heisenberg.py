@@ -796,3 +796,34 @@ class TestMetricJson:
     def test_element_rejects_what_every_scalar_parser_rejects(self, obj):
         with pytest.raises(ValueError):
             hm.HeisenbergElement.from_json(obj)
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("d", [(2.0, 1.0), (1.0, 3.0, 2.0), (3.0, 1.0, 2.0), (1.0, 1.0, 0.5)])
+    def test_unsorted_spectrum_rejected(self, d):
+        with pytest.raises(ValueError, match="sorted ascending"):
+            hm.KaplanSpectrum(d)
+
+    @pytest.mark.parametrize("d", [(0.0,), (-1.0,), (0.0, 1.0), (-1.0, 1.0), (-2.0, -1.0),
+                                   (-1.0, 0.0, 1.0), (-0.0, 0.0, 2.0), (0.0, -0.0)])
+    def test_nonpositive_spectrum_rejected(self, d):
+        with pytest.raises(ValueError, match="positive"):
+            hm.KaplanSpectrum(d)
+
+    @pytest.mark.parametrize("d", [(), (0.5,), (0.5, 0.5), (1e-300, 1.0, 2.0)])
+    def test_sorted_positive_spectrum_accepted(self, d):
+        assert hm.KaplanSpectrum(d).d == d
+
+    H = hm.SpdMatrix(hm.identity(2))
+    R = hm.DivisibilityTuple((1,))
+
+    @pytest.mark.parametrize("g", [Fraction(0), Fraction(-1), 0, 0.0, -1.0, math.nan, math.inf,
+                                   -math.inf])
+    def test_g_not_positive_and_finite_rejected(self, g):
+        with pytest.raises(ValueError, match="positive and finite"):
+            hm.NormalizedMetric(self.H, g, self.R)
+
+    @pytest.mark.parametrize("g", [1, Fraction(1, 2), Fraction(10**400), Fraction(1, 10**400),
+                                   0.75, 5e-324])
+    def test_positive_g_accepted(self, g):
+        assert hm.NormalizedMetric(self.H, g, self.R).g is g

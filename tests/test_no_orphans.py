@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Six rules, read off the syntax trees: a module (``__init__`` aside, it
+Eight rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -14,7 +14,10 @@ outside ``linalg`` no module calls the raw ``DenseMatrix(...)``
 constructor, ``_is_floatlike`` or ``isinstance(..., float)``: a scalar
 mode is chosen by ``linalg``'s coercion alone, and no module calls
 ``json.dumps`` or ``json.dump`` with ``indent``: that is the stdlib's
-pure-Python encoder, so the CLI's own writer stays the one indented one.
+pure-Python encoder, so the CLI's own writer stays the one indented one,
+and no module opens a file in text mode or calls ``json.load`` on
+anything but ``sys.stdin``: a file payload is read as bytes and decoded
+as strict UTF-8 in one place, the CLI's payload reader.
 """
 
 import ast
@@ -158,4 +161,32 @@ def _dumps_indented(call: ast.Call) -> bool:
 def test_no_indented_json_dumps(module):
     calls = [node.lineno for node in ast.walk(TREES[module])
              if isinstance(node, ast.Call) and _dumps_indented(node)]
+    assert calls == []
+
+
+def _reads_text(call: ast.Call) -> bool:
+    """Whether call is ``open`` (bare, ``io.`` or ``builtins.``) with no
+    literal binary mode, or ``json.load`` of anything but ``sys.stdin``."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        name = f.id
+    elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+        name = f"{f.value.id}.{f.attr}"
+    else:
+        return False
+    if name in ("open", "io.open", "builtins.open"):
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        return not (isinstance(mode, ast.Constant) and "b" in str(mode.value))
+    if name == "json.load":
+        arg = call.args[0] if call.args else None
+        return not (isinstance(arg, ast.Attribute) and arg.attr == "stdin"
+                    and isinstance(arg.value, ast.Name) and arg.value.id == "sys")
+    return False
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_one_decoding_path(module):
+    calls = [node.lineno for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Call) and _reads_text(node)]
     assert calls == []
