@@ -34,6 +34,7 @@ from .errors import (
 from .heisenberg import (
     NormalizedMetric,
     _d_spectra,
+    _float_g,
     _is_heisenberg_spectrum,
     _symplectic_spectra,
     _tolerance,
@@ -230,7 +231,7 @@ def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
     n = r.n
     minima = [first_minimum_r(m.h, r, budget).value for m in members]
     dets = [m.g ** n for m in members]
-    dns = [1.0 / math.sqrt(float(m.g)) for m in members]
+    dns = [1.0 / math.sqrt(_float_g(m.g)) for m in members]
     return _certificate({"C0": C0, "I": I}, [
         ("c0", minima, min, C0), ("c1", dets, max, None), ("c2", dns, max, None),
         *_g_rows(members, I),

@@ -12,6 +12,7 @@ curvature bound and the Heisenberg-type test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .linalg import (
     Scalar,
     SpdMatrix,
     _coerce_rows,
+    _compiled,
     _json_list,
     _scalar_parser,
     congruence,
@@ -342,6 +344,26 @@ def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
     return ((hi + lo) / 2.0)[..., ::-1]
 
 
+@functools.cache
+def _upper_kernel(n: int):
+    """The read-off of ``_upper_factors`` for one n x n factor, as
+    straight-line code: the rows of R, as lists."""
+    lines = ["def kernel(den, minors, columns):",
+             f"    {', '.join(f'm{k}' for k in range(n + 1))}, = minors"]
+    for k in range(n):
+        lines.append(f"    s{k} = m{k} * m{k + 1} * den")
+        if k < n - 1:
+            lines.append(f"    {', '.join(f'v{i}_{k}' for i in range(k + 1, n))}, = columns[{k}]")
+
+    def entry(v, k):  # -x is (-1.0) x for any float x from sqrt
+        return f"-sqrt({v} * {v} / s{k}) if {v} < 0 else sqrt({v} * {v} / s{k})"
+
+    rows = [["0.0"] * k + [f"sqrt(m{k + 1} * m{k + 1} / s{k})"]
+            + [f"({entry(f'v{i}_{k}', k)})" for i in range(k + 1, n)] for k in range(n)]
+    lines.append(f"    return [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]")
+    return _compiled("\n".join(lines))
+
+
 def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
     """Stack of upper-triangular R with Y = R^T R, in floats, one per Y.
 
@@ -351,16 +373,10 @@ def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
     Each entry is one correctly rounded integer quotient, at most y_ii,
     and one square root.  A y_ii past the float range raises
     ``OverflowError``; there is no other failure branch.  The Ys are of
-    equal size.
+    equal size n, and one ``_upper_kernel(n)``, generated the first time
+    n is used, reads every member.
     """
-    def upper(den, minors, columns):
-        rows = []
-        for k, col in enumerate(columns):
-            scale = minors[k] * minors[k + 1] * den
-            rows.append([0.0] * k + [(-1.0 if v < 0 else 1.0) * math.sqrt(v * v / scale)
-                                     for v in (minors[k + 1], *col)])
-        return rows
-
+    upper = _upper_kernel(Ys[0].n)
     return np.array([upper(*Y.integer_ldl) for Y in Ys])
 
 
@@ -397,9 +413,18 @@ def _tolerance(tol: float) -> float:
     return tol
 
 
+def _float_g(g: Scalar) -> float:
+    """float(g) of a central scalar g > 0, nonzero: a rational g that rounds
+    to 0.0 raises ``OverflowError``, since g^{-1} is past the float range."""
+    x = float(g)
+    if not x:
+        raise OverflowError("central scalar g^-1 is past the float range")
+    return x
+
+
 def _is_heisenberg_spectrum(spectrum: KaplanSpectrum, g: Scalar, tol: float) -> bool:
     """True when every d_k equals g^{-1/2} within the relative tolerance."""
-    target = 1.0 / math.sqrt(float(g))
+    target = 1.0 / math.sqrt(_float_g(g))
     return all(abs(dk - target) <= tol * target for dk in spectrum.d)
 
 
@@ -466,8 +491,12 @@ def sectional_curvature(m: NormalizedMetric, u: LieAlgebraVector,
 
 
 def _curvature_bound(spectrum: KaplanSpectrum, g: Scalar) -> float:
-    """g^{-1} d_n^2 for the spectrum d of h."""
-    return spectrum.d_max ** 2 / float(g)
+    """g^{-1} d_n^2 for the spectrum d of h; ``OverflowError`` when it is
+    past the float range (a small g), rather than an infinite float."""
+    bound = spectrum.d_max ** 2 / _float_g(g)
+    if bound == math.inf:
+        raise OverflowError("curvature bound g^-1 d_n^2 is past the float range")
+    return bound
 
 
 def curvature_upper_bound(m: NormalizedMetric) -> float:

@@ -8,11 +8,14 @@ correctly rounded float of the exact value.  Only the spectral routines
 (eigenvalues, singular values) are inexact by nature and go through
 LAPACK via numpy.  There are two eliminations: the symmetric
 ``_integer_ldl``, which alone decides positive definiteness, and the
-general ``_int_determinant``.
+general ``_int_determinant``.  The symmetric one runs as straight-line
+code generated for each matrix size the first time that size is factored
+(``_ldl_kernel``); ``_compiled`` is the one place such code is compiled.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -175,6 +178,49 @@ def symmetrized(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(rows, m.mode)
 
 
+def _compiled(source: str):
+    """The function ``kernel`` that the generated ``source`` defines.
+
+    The one place the package compiles code.  Every source is built from
+    a matrix size alone (``_ldl_kernel``, ``heisenberg._upper_kernel``),
+    never from input text, and each is compiled once per size, when that
+    size is first used.
+    """
+    namespace = {"lcm": math.lcm, "sqrt": math.sqrt, "NotPositiveDefinite": NotPositiveDefinite}
+    exec(compile(source, "<kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _tuple(items) -> str:
+    """Source of the tuple of the names in items."""
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+@functools.cache
+def _ldl_kernel(n: int):
+    """``_integer_ldl`` for n x n entries, as straight-line code: no loop,
+    and each lower-triangle entry of A held in its own local a{i}_{j}."""
+    a = [[f"a{i}_{j}" for j in range(i + 1)] for i in range(n)]
+    lines = ["def kernel(entries):", f"    {', '.join(f'r{i}' for i in range(n))}, = entries"]
+    for i in range(n):
+        lines.append("    try:")
+        lines += [f"        p{i}_{j}, q{i}_{j} = r{i}[{j}].as_integer_ratio()" for j in range(i + 1)]
+        lines += ["    except (ValueError, OverflowError):  # NaN or inf: a raw DenseMatrix, "
+                  "or @ overflowed", f"        raise NotPositiveDefinite({i + 1}) from None"]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+    lines.append(f"    den = lcm({', '.join(f'q{i}_{j}' for i, j in pairs)})")
+    lines += [f"    a{i}_{j} = p{i}_{j} * (den // q{i}_{j})" for i, j in pairs]
+    for k in range(n):
+        lines.append(f"    if a{k}_{k} <= 0: raise NotPositiveDefinite({k + 1})")
+        prev = f" // a{k - 1}_{k - 1}" if k else ""  # minors[0] = 1
+        lines += [f"    a{i}_{j} = (a{k}_{k} * a{i}_{j} - a{i}_{k} * a{j}_{k}){prev}"
+                  for i in range(k + 1, n) for j in range(k + 1, i + 1)]
+    minors = _tuple(["1"] + [a[k][k] for k in range(n)])
+    columns = _tuple(_tuple(a[i][k] for i in range(k + 1, n)) for k in range(n))
+    lines.append(f"    return den, {minors}, {columns}")
+    return _compiled("\n".join(lines))
+
+
 def _integer_ldl(entries):
     """Fraction-free LDL^T of a symmetric matrix Y, exact also for floats.
 
@@ -188,29 +234,10 @@ def _integer_ldl(entries):
     A minor that is not positive raises ``NotPositiveDefinite`` with its
     1-based index, the index of the first nonpositive pivot d_k; so does
     the first row whose lower triangle holds a NaN or infinite float.
+    The work is done by ``_ldl_kernel(n)``, generated for each size n
+    the first time it is factored.
     """
-    n = len(entries)
-    ratios = []
-    for i, r in enumerate(entries):
-        try:
-            ratios.append([x.as_integer_ratio() for x in r[:i + 1]])
-        except (ValueError, OverflowError):  # NaN or inf: a raw DenseMatrix, or @ overflowed
-            raise NotPositiveDefinite(i + 1) from None
-    den = math.lcm(*(q for r in ratios for _, q in r))
-    a = [[p * (den // q) for p, q in r] for r in ratios]
-    minors, columns = [1], []
-    for k in range(n):
-        p, prev = a[k][k], minors[-1]
-        if p <= 0:
-            raise NotPositiveDefinite(k + 1)
-        minors.append(p)
-        col = [a[i][k] for i in range(k + 1, n)]
-        columns.append(tuple(col))
-        for i in range(k + 1, n):
-            row, lik = a[i], col[i - k - 1]
-            for j in range(k + 1, i + 1):
-                row[j] = (p * row[j] - lik * col[j - k - 1]) // prev
-    return den, tuple(minors), tuple(columns)
+    return _ldl_kernel(len(entries))(entries)
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,27 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    # g = 10^-400 rounds to 0.0, so g^-1 is past the float range; at 10^-320
+    # (a subnormal float) only g^-1 d_n^2 is, and heis-type still decides
+    TINY_G = {**BIG_G, "g": "1/" + BIG}
+    SMALL_G = {**BIG_G, "g": "1/1" + "0" * 320}
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["invariants"], TINY_G), (["curvature-bound"], TINY_G), (["heis-type"], TINY_G),
+        (["certify", "--heisenberg-type"], [TINY_G]),
+        (["invariants"], SMALL_G), (["curvature-bound"], SMALL_G),
+    ], ids=["invariants", "curvature-bound", "heis-type", "certify-heis-type",
+            "invariants-subnormal", "curvature-bound-subnormal"])
+    def test_inverse_g_past_float_range_exit_2(self, capsys, monkeypatch, argv, payload):
+        code, out, err = run(capsys, argv, stdin=json.dumps(payload), monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "past the float range" in err
+
+    def test_subnormal_g_heisenberg_verdict(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["heis-type"], stdin=json.dumps(self.SMALL_G),
+                           monkeypatch=monkeypatch)
+        assert code == 1 and json.loads(out) == {"heisenberg_type": False, "d": [1.0]}
+
     # an --input file is decoded as strict UTF-8: no BOM, no UTF-16, as
     # when it was read in text mode
     GRAM_TEXT = json.dumps({"mode": "rational", "rows": 2, "cols": 2,

@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Eight rules, read off the syntax trees: a module (``__init__`` aside, it
+Nine rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -17,7 +17,10 @@ mode is chosen by ``linalg``'s coercion alone, and no module calls
 pure-Python encoder, so the CLI's own writer stays the one indented one,
 and no module opens a file in text mode or calls ``json.load`` on
 anything but ``sys.stdin``: a file payload is read as bytes and decoded
-as strict UTF-8 in one place, the CLI's payload reader.
+as strict UTF-8 in one place, the CLI's payload reader, and no function
+but ``linalg._compiled`` calls ``exec``, ``eval`` or ``compile``: the
+size-specialized kernels are compiled in one place, from a matrix size
+alone.
 """
 
 import ast
@@ -190,3 +193,26 @@ def test_one_decoding_path(module):
     calls = [node.lineno for node in ast.walk(TREES[module])
              if isinstance(node, ast.Call) and _reads_text(node)]
     assert calls == []
+
+
+COMPILER = ("linalg", "_compiled")
+
+
+def _compiles(call: ast.Call) -> bool:
+    """Whether call is ``exec``, ``eval`` or ``compile``, bare or ``builtins.``."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "builtins":
+        f = ast.Name(f.attr)
+    return isinstance(f, ast.Name) and f.id in ("exec", "eval", "compile")
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_code_compiled_in_one_helper(module):
+    tree = TREES[module]
+    allowed = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and (module, fn.name) == COMPILER
+               for node in ast.walk(fn)}
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _compiles(node) and id(node) not in allowed]
+    assert calls == []
+
