@@ -39,6 +39,7 @@ from .linalg import (
     _coerce_rows,
     _compiled,
     _json_list,
+    _not_bool,
     _scalar_parser,
     congruence,
     determinant,
@@ -262,7 +263,7 @@ class NormalizedMetric:
         if self.h.n != 2 * self.r.n:
             raise DimensionMismatch("h must be 2n x 2n for a length-n tuple")
         g = self.g  # a Fraction is finite; NaN fails both float comparisons
-        if not (g > 0 if type(g) is Fraction else 0 < g < math.inf):
+        if not (g > 0 if type(g) is Fraction else 0 < _not_bool(g) < math.inf):
             raise ValueError(f"central scalar g must be positive and finite, got {g!r}")
 
     @property

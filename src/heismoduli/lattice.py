@@ -1,10 +1,13 @@
 """Exact lattice computations on Gram matrices.
 
-First minima, short-vector enumeration, membership in Minkowski's
-fundamental domain and Minkowski reduction, all from one enumerator
-that runs in integer arithmetic on the fraction-free LDL^T factor each
-Gram matrix keeps from its construction, so first minima are
-certified values in both modes.  A first minimum whose factor has y_11
+First minima, scaled minima m_r, short-vector enumeration, membership
+in Minkowski's fundamental domain and Minkowski reduction, all from one
+enumerator that runs in integer arithmetic on a fraction-free LDL^T
+factor, so first minima are certified values in both modes.  Searches
+read factors, never matrices: the one each Gram matrix keeps from its
+construction, delta_r Y delta_r's read off Y's (m_r), or that of a
+reduction column's integer Gram matrix; the layer builds an
+``SpdMatrix`` only to return it.  A first minimum whose factor has y_11
 as its least pivot is (y_11, e_1) and needs no search.  The enumerator
 visits each level's integers outward from its centre (Schnorr-Euchner
 order).  One search, whose radius shrinks to each value found, gives
@@ -23,17 +26,19 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, truediv
+from operator import mul
 
 from .errors import EnumerationBudgetExceeded
 from .linalg import (
-    FLOAT,
     RATIONAL,
     DenseMatrix,
     Scalar,
     SpdMatrix,
     _int_determinant,
+    _integer_ldl,
+    _not_bool,
     _ratio,
+    _scaled_ldl,
     scalar_to_json,
 )
 
@@ -161,23 +166,24 @@ def _witness_key(a: tuple[int, ...]):
     return tuple(map(abs, r)), r
 
 
-def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None,
+def _short_vectors(factor, bound: Scalar | None, budget: int | None = None,
                    k: int = 0) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """(S, [(S Y[a], a), ...]) for the nonzero integer a with Y[a] <= bound, up to sign.
 
     Schnorr-Euchner enumeration (Schnorr and Euchner, *Math. Programming*
-    66, 1994) on the fraction-free factor (den, Delta, lambda) that
-    ``Y.integer_ldl`` keeps: with x_i = Delta_{i+1} a_i + sum_{j>i}
-    lambda_ji a_j, den Y[a] = sum_i x_i^2 / (Delta_i Delta_{i+1}), so with
-    P the lcm of the Delta_i Delta_{i+1} and S = P den, S Y[a] =
+    66, 1994) on Y's fraction-free factor (den, Delta, lambda), as
+    ``linalg._integer_ldl`` returns it: with x_i = Delta_{i+1} a_i +
+    sum_{j>i} lambda_ji a_j, den Y[a] = sum_i x_i^2 / (Delta_i Delta_{i+1}),
+    so with P the lcm of the Delta_i Delta_{i+1} and S = P den, S Y[a] =
     sum_i W_i x_i^2 for the integer weights W_i = P / (Delta_i Delta_{i+1}).
     Each level tries its integers in order of distance from the centre
     -sum_{j>i} lambda_ji a_j / Delta_{i+1}, so the first one past the
     radius ends the level.  A bound, taken exactly through its
     ``as_integer_ratio()``, gives every such vector.  With ``bound`` None it
     lists only the a whose tail a[k:] is primitive, its radius starting at
-    Y[e_{k+1}] and shrinking, inclusive, to each value listed, so the values
-    never increase and the list ends with every such vector of least value.
+    S Y[e_{k+1}] = W_k Delta_{k+1}^2 + sum_{i<k} W_i lambda_ki^2 and
+    shrinking, inclusive, to each value listed, so the values never
+    increase and the list ends with every such vector of least value.
     Values are the exact integers S Y[a] in both modes.  The budget counts
     every integer tried.  Vectors have their first nonzero entry positive.
     The recursive search leaves no reference cycle, on return or on
@@ -185,18 +191,19 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     ends rather than by the cyclic collector.
     """
     cap = _enumeration_budget(budget)
-    den, minors, Lcol = Y.integer_ldl
-    n = Y.n
+    den, minors, Lcol = factor
+    n = len(Lcol)
     pairs = [minors[i] * minors[i + 1] for i in range(n)]
     P = math.lcm(*pairs)
     S = P * den
     W = [P // x for x in pairs]
     N = minors[1:]
     shrink = bound is None
-    if shrink:
-        bound = Y.entries[k][k]  # Y[e_{k+1}], exact in both modes
-    p, q = bound.as_integer_ratio()
-    top = S * p // q  # floor(S * bound); S Y[a] is an integer
+    if shrink:  # S Y[e_{k+1}]: x_k = Delta_{k+1}, x_i = lambda_ki for i < k
+        top = W[k] * N[k] * N[k] + sum(W[i] * Lcol[i][k - i - 1] ** 2 for i in range(k))
+    else:
+        p, q = bound.as_integer_ratio()
+        top = S * p // q  # floor(S * bound); S Y[a] is an integer
     a = [0] * n
     found: list[tuple[int, tuple[int, ...]]] = []
     tried = 0
@@ -242,11 +249,12 @@ def _short_vectors(Y: SpdMatrix, bound: Scalar | None, budget: int | None = None
     return S, found
 
 
-def _least_tail_primitive(Y: SpdMatrix, k: int, budget: int | None
+def _least_tail_primitive(factor, k: int, budget: int | None
                           ) -> tuple[int, int, list[tuple[int, ...]]]:
     """(S, S m, [a, ...]): m the least Y[a] over integer a with primitive
-    tail a[k:], and every a attaining it, up to sign, in canonical order."""
-    S, found = _short_vectors(Y, None, budget, k)
+    tail a[k:], Y given by its factor, and every a attaining it, up to
+    sign, in canonical order."""
+    S, found = _short_vectors(factor, None, budget, k)
     least = found[-1][0]
     vectors = [a for v, a in found if v == least]
     if len(vectors) > 1:
@@ -261,16 +269,28 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     One representative of each pair +-a is returned (first nonzero entry
     positive), sorted canonically.  Exhaustive: the Schnorr-Euchner
     enumeration runs below the fixed bound in exact integer arithmetic
-    on the kept factor in both modes.  A NaN or infinite bound raises
-    ``ValueError``.  Raises ``EnumerationBudgetExceeded`` when the
+    on the kept factor in both modes.  A NaN, infinite or bool bound
+    raises ``ValueError``.  Raises ``EnumerationBudgetExceeded`` when the
     count of integers tried passes the cap (a sign of an adversarial
     input, not of a wrong answer).
     """
-    if not -math.inf < bound < math.inf:  # NaN fails both comparisons
+    if not -math.inf < _not_bool(bound) < math.inf:  # NaN fails both comparisons
         raise ValueError(f"bound must be finite, got {bound!r}")
-    found = [a for _, a in _short_vectors(Y, bound, budget)[1]]
+    found = [a for _, a in _short_vectors(Y.integer_ldl, bound, budget)[1]]
     found.sort(key=_witness_key)
     return found
+
+
+def _first_minimum(factor, mode: str, budget: int | None) -> ShortVectorResult:
+    """``first_minimum`` of the Gram matrix whose factor is given, its value
+    the exact minimum divided out once in mode (``linalg._ratio``)."""
+    den, minors, _ = factor
+    n = len(minors) - 1
+    m1 = minors[1]
+    if all(m1 * minors[m] <= minors[m + 1] for m in range(1, n)):
+        return ShortVectorResult(_ratio(mode)(m1, den), (1,) + (0,) * (n - 1))
+    S, value, vectors = _least_tail_primitive(factor, 0, budget)
+    return ShortVectorResult(_ratio(mode)(value, S), vectors[0])
 
 
 def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
@@ -289,48 +309,41 @@ def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
     exact minimum of its entries, rounded once.  The budget counts every
     integer tried by an enumeration.
     """
-    minors = Y.integer_ldl[1]
-    m1 = minors[1]
-    if all(m1 * minors[m] <= minors[m + 1] for m in range(1, Y.n)):
-        return ShortVectorResult(Y.entries[0][0], (1,) + (0,) * (Y.n - 1))
-    S, value, vectors = _least_tail_primitive(Y, 0, budget)
-    return ShortVectorResult(_ratio(Y.mode)(value, S), vectors[0])
+    return _first_minimum(Y.integer_ldl, Y.mode, budget)
 
 
-def scale_by_divisibility(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
-    """Y[delta_r] = delta_r Y delta_r, a float entry rounded once; Y itself
-    (factor kept) when r = (1,...,1)."""
-    return _scaled(Y, r, mul, Y.mode)
-
-
-def _scaled(Y: SpdMatrix, r: DivisibilityTuple, op, mode: str) -> SpdMatrix:
-    """op(y_ij, d_i d_j) of the exact entries, d = r.scaling_diagonal(), in mode;
-    Y itself when r = (1,...,1)."""
+def _scaling_diagonal(Y: SpdMatrix, r: DivisibilityTuple) -> tuple[int, ...] | None:
+    """``r.scaling_diagonal()``, or None when r = (1,...,1); ``ValueError``
+    unless Y is 2n x 2n for the length n of r."""
     if Y.n != 2 * r.n:
         raise ValueError("Gram matrix must have size 2n for a length-n tuple")
-    if r.r == (1,) * r.n:
-        return Y
-    d = r.scaling_diagonal()
-    return SpdMatrix.from_rows([[op(Fraction(x), d[i] * d[j]) for j, x in enumerate(row)]
-                                for i, row in enumerate(Y.entries)], mode)
+    return None if r.r == (1,) * r.n else r.scaling_diagonal()
 
 
 def first_minimum_r(Y: SpdMatrix, r: DivisibilityTuple,
                     budget: int | None = None) -> ShortVectorResult:
-    """Minimum of Y[delta_r a] over nonzero integer a.
+    """Minimum of Y[delta_r a] over nonzero integer a: the first minimum of
+    delta_r Y delta_r, with a witness, as ``first_minimum`` gives it.
 
-    Exact for rational Y; a float Y gets the exact minimum of its entries,
-    rounded once, as in ``first_minimum``: its scaled form is built
-    exactly, in rational mode.
+    The search reads delta_r Y delta_r's fraction-free factor off the one
+    Y keeps (``linalg._scaled_ldl``), so no matrix is built and nothing is
+    factored.  Exact for rational Y; a float Y gets the exact minimum of
+    its entries, rounded once.
     """
-    res = first_minimum(_scaled(Y, r, mul, RATIONAL), budget)
-    return ShortVectorResult(float(res.value), res.witness) if Y.mode == FLOAT else res
+    d = _scaling_diagonal(Y, r)
+    factor = Y.integer_ldl if d is None else _scaled_ldl(Y.integer_ldl, d)
+    return _first_minimum(factor, Y.mode, budget)
 
 
 def psi_r(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
-    """delta_r^{-1} Y delta_r^{-1}, a float entry rounded once; the inverse
-    of ``scale_by_divisibility``."""
-    return _scaled(Y, r, truediv, Y.mode)
+    """delta_r^{-1} Y delta_r^{-1}, each entry y_ij / (d_i d_j) exact and a
+    float entry rounded once; Y itself when r = (1,...,1).  Its m_r is
+    the first minimum of Y."""
+    d = _scaling_diagonal(Y, r)
+    if d is None:
+        return Y
+    return SpdMatrix.from_rows([[Fraction(x) / (d[i] * d[j]) for j, x in enumerate(row)]
+                                for i, row in enumerate(Y.entries)], Y.mode)
 
 
 def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiReport:
@@ -346,7 +359,7 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
         if Y.entries[k][k + 1] < 0:
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None))
     for k, ykk in enumerate(Y.diagonal()):
-        S, least, (a, *_) = _least_tail_primitive(Y, k, budget)
+        S, least, (a, *_) = _least_tail_primitive(Y.integer_ldl, k, budget)
         if Fraction(least, S) < ykk:  # exact, a float ykk too
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a))
     return MinkowskiReport(True, None)
@@ -397,7 +410,8 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     (canonical tie-break) that keeps the prefix extendable to a basis.
     With B a basis whose first columns are the prefix, those are the
     a = B b with gcd(b_k,...,b_n) = 1, so the least of them come from
-    one shrinking-radius search of the exact Y[B] with tail index k.
+    one shrinking-radius search with tail index k on the factor of the
+    integer matrix den Y[B].
     That set is the same for every such B, so one B is carried from the
     identity: after each column, B <- B [[I_k, b[:k], 0], [0, V]] with V
     unimodular of first column b[k:] (``_unimodular_with_first_column``).
@@ -414,7 +428,7 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     B = [tuple(int(i == j) for i in range(n)) for j in range(n)]  # columns, carried
     for k in range(n):
         found = []
-        for b in _least_tail_primitive(SpdMatrix.from_rows(_pullback(A, B)), k, budget)[2]:
+        for b in _least_tail_primitive(_integer_ldl(_pullback(A, B)), k, budget)[2]:
             a = tuple(sum(map(mul, row, b)) for row in zip(*B))
             if next(x for x in a if x) < 0:  # a made canonical, b negated with it
                 a, b = tuple(-x for x in a), tuple(-x for x in b)

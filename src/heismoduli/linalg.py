@@ -51,9 +51,17 @@ def _finite_float(v) -> float:
     raise ValueError(f"float scalar {v!r} is not finite")
 
 
+def _not_bool(v):
+    """v itself; a bool is not a scalar (``ValueError``)."""
+    if isinstance(v, bool):
+        raise ValueError(f"boolean {v!r} is not a scalar")
+    return v
+
+
 def _coerce_rows(rows, mode: str | None):
-    """Normalize nested scalars to a uniform mode, inferred if None; a float must be finite."""
-    rows = [[_finite_float(x) if _is_floatlike(x) else x for x in r] for r in rows]
+    """Normalize nested scalars to a uniform mode, inferred if None; a float
+    must be finite, and a bool is refused."""
+    rows = [[_finite_float(x) if _is_floatlike(x) else _not_bool(x) for x in r] for r in rows]
     if mode is None:
         has_float = any(_is_floatlike(x) for r in rows for x in r)
         mode = FLOAT if has_float else RATIONAL
@@ -238,6 +246,28 @@ def _integer_ldl(entries):
     the first time it is factored.
     """
     return _ldl_kernel(len(entries))(entries)
+
+
+def _scaled_ldl(factor, d):
+    """The ``_integer_ldl`` factor of D Y D, D = diag(d) for nonzero integers
+    d, read off Y's factor (den, minors, columns) with no elimination.
+
+    The identity: with A = den Y, D A D = den (D Y D), so den is kept.  A
+    leading k x k minor of D A D is P_k times A's, P_k = prod_{l<k} d_l^2,
+    and lambda_ik, the minor of A on rows 0..k-1, i and columns 0..k, gains
+    P_k d_k d_i.  So minors'[k] = P_k minors[k] and column k's entry for row
+    i > k is P_k d_k d_i lambda_ik.  When D clears denominators of Y, this
+    den is a multiple of the one ``_integer_ldl`` would take for D Y D; L,
+    the pivots and every Y[a] the factor gives are the same.
+    """
+    den, minors, columns = factor
+    P, scaled_minors, scaled_columns = 1, [1], []
+    for k, column in enumerate(columns):
+        Pd = P * d[k]
+        scaled_columns.append(tuple(Pd * d[i] * x for i, x in enumerate(column, k + 1)))
+        P *= d[k] * d[k]
+        scaled_minors.append(P * minors[k + 1])
+    return den, tuple(scaled_minors), tuple(scaled_columns)
 
 
 @dataclass(frozen=True)
@@ -474,8 +504,7 @@ def _fraction_from_str(s: str) -> Fraction:
 
 
 def scalar_from_json(v, mode: str) -> Scalar:
-    if isinstance(v, bool):
-        raise ValueError(f"boolean {v!r} is not a scalar")
+    _not_bool(v)
     if mode == RATIONAL:
         if _is_floatlike(v):
             raise ValueError("float scalar in a rational-mode payload")

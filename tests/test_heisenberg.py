@@ -55,6 +55,13 @@ class TestScalarMode:
         p = kind((1,), (Fraction(1, 2),), 3)
         assert all(type(v) is Fraction for v in (*p.x, *p.y, p.s))
 
+    @pytest.mark.parametrize("kind", [hm.HeisenbergElement, hm.LieAlgebraVector])
+    @pytest.mark.parametrize("coords", [((True,), (0,), 0), ((0,), (False,), 0),
+                                        ((0.5,), (0,), True)])
+    def test_bool_coordinate_rejected(self, kind, coords):
+        with pytest.raises(ValueError, match="boolean (True|False) is not a scalar"):
+            kind(*coords)
+
     def test_automorphism_scalars_share_a_mode(self):
         d = hm.AutomorphismDescriptor.from_parts(2, (Fraction(1, 2), 0), hm.identity(2))
         assert type(d.a) is Fraction and all(type(v) is Fraction for v in d.w)
@@ -821,6 +828,12 @@ class TestConstructorChecks:
                                    -math.inf])
     def test_g_not_positive_and_finite_rejected(self, g):
         with pytest.raises(ValueError, match="positive and finite"):
+            hm.NormalizedMetric(self.H, g, self.R)
+
+    @pytest.mark.parametrize("g", [True, False])
+    def test_bool_g_rejected(self, g):
+        # True would pass 0 < g < inf and be written as "g": 1.0
+        with pytest.raises(ValueError, match=f"boolean {g} is not a scalar"):
             hm.NormalizedMetric(self.H, g, self.R)
 
     @pytest.mark.parametrize("g", [1, Fraction(1, 2), Fraction(10**400), Fraction(1, 10**400),

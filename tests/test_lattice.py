@@ -42,6 +42,12 @@ class TestEnumerateBelow:
         with pytest.raises(ValueError, match="bound must be finite"):
             hm.enumerate_below(hm.SpdMatrix(hm.identity(2, mode)), bound)
 
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_bool_bound_rejected(self, mode, bound):
+        with pytest.raises(ValueError, match=f"boolean {bound} is not a scalar"):
+            hm.enumerate_below(hm.SpdMatrix(hm.identity(2, mode)), bound)
+
     def test_exhaustive_against_box(self):
         import itertools
         import math as _math
@@ -116,7 +122,7 @@ class TestIntegerCore:
         assume(len(below_diag) < 500)
         expected = box_short_vectors(Y, bound)
         assert hm.enumerate_below(Y, bound) == sorted(expected, key=witness_order)
-        S, found = hm.lattice._short_vectors(Y, bound)
+        S, found = hm.lattice._short_vectors(Y.integer_ldl, bound)
         assert dict((a, Fraction(v, S)) for v, a in found) == expected
         res = hm.first_minimum(Y)
         assert res.value == min(below_diag.values())
@@ -226,13 +232,44 @@ class TestFirstMinimum:
         assert hm.minkowski_membership(Y).member
 
 
+def _rebuilt_scaled(Y, r):
+    """delta_r Y delta_r as a new rational SpdMatrix of the exact entries."""
+    d = r.scaling_diagonal()
+    return hm.SpdMatrix.from_rows([[Fraction(x) * d[i] * d[j] for j, x in enumerate(row)]
+                                   for i, row in enumerate(Y.entries)], hm.RATIONAL)
+
+
+@st.composite
+def _scaled_cases(draw):
+    """(Y, r): a divisibility tuple r of length 1-3 and a 2n x 2n Gram matrix
+    Y = L D L^T whose entries have mixed denominators, some of which the
+    scaling clears (a pivot p/4 with r_1 = 2, say)."""
+    n = draw(st.integers(1, 3))
+    r = [draw(st.sampled_from((1, 2, 3, 4)))]
+    for _ in range(n - 1):
+        r.append(r[-1] * draw(st.sampled_from((1, 1, 2, 3))))
+    size = 2 * n
+
+    def frac(lo, hi, denominators):
+        q = draw(st.sampled_from(denominators))
+        return Fraction(draw(st.integers(lo * q, hi * q)), q)
+
+    L = [[Fraction(int(i == j)) if i <= j else frac(-1, 1, (1, 2, 3, 4)) for j in range(size)]
+         for i in range(size)]
+    D = [frac(1, 3, (1, 2, 4, 8, 9, 12)) for _ in range(size)]
+    Y = hm.SpdMatrix.from_rows(
+        [[sum(L[i][k] * D[k] * L[j][k] for k in range(size)) for j in range(size)]
+         for i in range(size)])
+    return Y, tuple(r)
+
+
 class TestFactorBound:
     """When y_11 is the least pivot of the kept factor, first_minimum
     returns (y_11, e_1) without a search; the answer is the search's."""
 
     @staticmethod
     def searched(Y):
-        S, value, vectors = hm.lattice._least_tail_primitive(Y, 0, None)
+        S, value, vectors = hm.lattice._least_tail_primitive(Y.integer_ldl, 0, None)
         return hm.ShortVectorResult(value / S if Y.mode == hm.FLOAT else Fraction(value, S),
                                     vectors[0])
 
@@ -272,15 +309,69 @@ class TestFactorBound:
     @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
     @pytest.mark.parametrize("r", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 6)])
     def test_scaled_minimum_matches_search(self, mode, r):
-        # first_minimum_r searches the exact scaled form, in rational mode
+        # the counterexample members, against the rebuilt delta_r Y delta_r
+        r = hm.DivisibilityTuple(r)
         for k in range(11):
             Y = hm.SpdMatrix(hm.DenseMatrix.from_rows(hm.counterexample_family(k).entries, mode))
-            r_tuple = hm.DivisibilityTuple(r)
-            exact = hm.SpdMatrix(Y.matrix.to_rational())
-            expected = self.searched(hm.lattice.scale_by_divisibility(exact, r_tuple))
+            expected = self.searched(_rebuilt_scaled(Y, r))
             if mode == hm.FLOAT:
                 expected = hm.ShortVectorResult(float(expected.value), expected.witness)
-            assert hm.first_minimum_r(Y, r_tuple) == expected
+            assert hm.first_minimum_r(Y, r) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scaled_cases(), st.sampled_from((hm.RATIONAL, hm.FLOAT)))
+    @example((spd([[Fraction(1, 4), Fraction(1, 8)], [Fraction(1, 8), Fraction(1, 2)]]), (2,)),
+             hm.RATIONAL)
+    @example((spd([[Fraction(1, 4), Fraction(1, 8)], [Fraction(1, 8), Fraction(1, 2)]]), (2,)),
+             hm.FLOAT)
+    def test_scaled_minimum_matches_rebuilt_oracle(self, case, mode):
+        # first_minimum_r reads delta_r Y delta_r's factor off Y's; the oracle
+        # rebuilds delta_r Y delta_r from the exact entries and factors it anew
+        Y, r = case
+        r = hm.DivisibilityTuple(r)
+        if mode == hm.FLOAT:
+            try:
+                Y = hm.SpdMatrix.from_rows([[float(x) for x in row] for row in Y.entries], mode)
+            except hm.NotPositiveDefinite:
+                assume(False)
+        expected = hm.first_minimum(_rebuilt_scaled(Y, r))
+        if mode == hm.FLOAT:
+            expected = hm.ShortVectorResult(float(expected.value), expected.witness)
+        got = hm.first_minimum_r(Y, r)
+        assert got == expected
+        assert type(got.value) is type(expected.value) is type(Y.entries[0][0])
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("rows, r, smallest", [
+        ([[2, 1], [1, 1]], (2,), 8),
+        # the scaling clears denominators: the rebuilt den is 4, the derived one 8
+        ([[Fraction(1, 4), Fraction(1, 8)], [Fraction(1, 8), Fraction(1, 2)]], (2,), 8),
+        ([[Fraction(9, 4), Fraction(3, 4), 0, Fraction(1, 3)],
+          [Fraction(3, 4), Fraction(5, 2), Fraction(1, 2), 0],
+          [0, Fraction(1, 2), Fraction(1, 4), Fraction(1, 6)],
+          [Fraction(1, 3), 0, Fraction(1, 6), Fraction(7, 9)]], (1, 2), 14),
+        ([[Fraction(1, 4), Fraction(1, 8), 0, 0], [Fraction(1, 8), Fraction(1, 2), 0, 0],
+          [0, 0, 1, Fraction(1, 2)], [0, 0, Fraction(1, 2), 1]], (2, 2), 26),
+        # y'_11 = 1 is the least pivot of the scaled factor: no integer is tried
+        ([[1, 0], [0, 4]], (1,), 0),
+    ])
+    def test_scaled_budget_boundary(self, rows, r, smallest, mode):
+        # the smallest budget that succeeds is the rebuilt search's
+        Y = hm.SpdMatrix.from_rows(rows, mode)
+        r = hm.DivisibilityTuple(r)
+        rebuilt = _rebuilt_scaled(Y, r)
+
+        def least_budget(call):
+            budget = 0
+            while True:
+                try:
+                    call(budget)
+                    return budget
+                except hm.EnumerationBudgetExceeded:
+                    budget += 1
+
+        assert least_budget(lambda b: hm.first_minimum(rebuilt, b)) == smallest
+        assert least_budget(lambda b: hm.first_minimum_r(Y, r, b)) == smallest
 
     def test_smaller_later_pivot_searches(self, monkeypatch):
         # pivots 2, 1/2: y_11 is not the least, and e_2 is shorter
@@ -293,7 +384,7 @@ class TestFactorBound:
         monkeypatch.setattr(hm.lattice, "_short_vectors", counted)
         Y = spd([[2, 1], [1, 1]])
         assert hm.first_minimum(Y) == hm.ShortVectorResult(Fraction(1), (0, 1))
-        assert calls == [Y]
+        assert calls == [Y.integer_ldl]
 
 
 # (n, b) of the skewed_unit_lattice inputs, each with seeds 0, 1 and 2
@@ -351,15 +442,25 @@ class TestFirstMinimumScaled:
         assert res.value == 1
 
     def test_trivial_tuple_reuses_factor(self, monkeypatch):
+        # no tuple refactors, the trivial one or any other: a scaled search
+        # reads delta_r Y delta_r's factor off the one Y keeps, and every
+        # factorization runs _ldl_kernel
         Y = random_rational_spd(random.Random(2), 4)
-        r = hm.DivisibilityTuple.ones(2)
-        assert hm.lattice.scale_by_divisibility(Y, r) is Y
+        cases = []
+        for mode in (hm.RATIONAL, hm.FLOAT):
+            Ym = hm.SpdMatrix.from_rows(Y.entries, mode)
+            for r in map(hm.DivisibilityTuple, ((1, 1), (1, 2), (2, 2), (3, 6))):
+                expected = hm.first_minimum(_rebuilt_scaled(Ym, r))
+                if mode == hm.FLOAT:
+                    expected = hm.ShortVectorResult(float(expected.value), expected.witness)
+                cases.append((Ym, r, expected))
 
-        def refactor(entries):
+        def refactor(n):
             raise AssertionError("Gram matrix factored a second time")
 
-        monkeypatch.setattr(hm.linalg, "_integer_ldl", refactor)
-        assert hm.first_minimum_r(Y, r) == hm.first_minimum(Y)
+        monkeypatch.setattr(hm.linalg, "_ldl_kernel", refactor)
+        for Ym, r, expected in cases:
+            assert hm.first_minimum_r(Ym, r) == expected
 
     def test_float_value_is_the_exact_minimum_rounded_once(self):
         # decimal entries: a float product y r_i r_j is rarely exact
@@ -549,6 +650,18 @@ class TestMinkowskiReduce:
             hm.minkowski_reduce(random_rational_spd(random.Random(n), n))
             assert [len(v) for v in calls] == list(range(n, 0, -1))
             assert all(math.gcd(*v) == 1 for v in calls)
+
+    def test_symmetrizes_only_its_result(self, monkeypatch):
+        # each column searches the factor of its integer Gram matrix; only
+        # the reduced SpdMatrix returned is built, and so symmetrized
+        Ys = [random_rational_spd(random.Random(n), n) for n in (2, 3, 4, 5)]
+        calls = []
+        symmetrized = hm.linalg.symmetrized
+        monkeypatch.setattr(hm.linalg, "symmetrized", lambda m: calls.append(m) or symmetrized(m))
+        for Y in Ys:
+            calls.clear()
+            R, _ = hm.minkowski_reduce(Y)
+            assert calls == [R.matrix]
 
     def test_identity_fixed(self):
         R, U = hm.minkowski_reduce(hm.SpdMatrix(hm.identity(2)))

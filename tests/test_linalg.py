@@ -329,6 +329,19 @@ class TestIntegerLdl:
             L_ref, d_ref = fraction_ldl(rows)
             assert L.entries == tuple(map(tuple, L_ref)) and d == tuple(d_ref)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_symmetric_rationals(), st.lists(st.integers(1, 12), min_size=8, max_size=8))
+    def test_scaled_factor_is_the_factor_of_the_scaled_matrix(self, rows, d):
+        # _scaled_ldl keeps den; on the integer matrix den D Y D, whose den
+        # is 1, the elimination gives the same minors and columns
+        try:
+            Y = hm.SpdMatrix.from_rows(rows)
+        except hm.NotPositiveDefinite:
+            return
+        den = Y.integer_ldl[0]
+        scaled = [[den * d[i] * d[j] * x for j, x in enumerate(r)] for i, r in enumerate(Y.entries)]
+        assert hm.linalg._scaled_ldl(Y.integer_ldl, d) == (den, *hm.linalg._integer_ldl(scaled)[1:])
+
     def test_determinant_runs_no_elimination(self, monkeypatch):
         Y = hm.SpdMatrix.from_rows([[frac(1, 2), frac(1, 3)], [frac(1, 3), 2]])
 
@@ -438,6 +451,21 @@ class TestScalarParsing:
                 hm.linalg.scalar_from_json(s, hm.FLOAT)
         else:
             assert hm.linalg.scalar_from_json(s, hm.FLOAT) == x
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT, None])
+    @pytest.mark.parametrize("rows", [[[True]], [[False, 1], [1, 2]], [[1.5, True]],
+                                      [[True, False], [False, True]]])
+    def test_bool_entry_rejected(self, rows, mode):
+        # a bool is not a scalar here either, as in scalar_from_json
+        flag = next(x for r in rows for x in r if isinstance(x, bool))
+        message = f"boolean {flag} is not a scalar"
+        with pytest.raises(ValueError, match=message):
+            hm.DenseMatrix.from_rows(rows, mode)
+        if len(rows) == len(rows[0]):
+            with pytest.raises(ValueError, match=message):
+                hm.SpdMatrix.from_rows(rows, mode)
+        with pytest.raises(ValueError, match=message):
+            hm.linalg.scalar_from_json(flag, mode or hm.RATIONAL)
 
     @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
     def test_zero_denominator_is_value_error(self, mode):

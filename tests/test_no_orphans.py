@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Nine rules, read off the syntax trees: a module (``__init__`` aside, it
+Ten rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -20,7 +20,9 @@ anything but ``sys.stdin``: a file payload is read as bytes and decoded
 as strict UTF-8 in one place, the CLI's payload reader, and no function
 but ``linalg._compiled`` calls ``exec``, ``eval`` or ``compile``: the
 size-specialized kernels are compiled in one place, from a matrix size
-alone.
+alone, and in ``lattice`` every ``SpdMatrix(...)`` or
+``SpdMatrix.from_rows(...)`` call lies inside a ``return`` statement: the
+layer builds a matrix only to hand it back, and its searches read factors.
 """
 
 import ast
@@ -216,3 +218,19 @@ def test_code_compiled_in_one_helper(module):
              if isinstance(node, ast.Call) and _compiles(node) and id(node) not in allowed]
     assert calls == []
 
+
+def _builds_spd(call: ast.Call) -> bool:
+    """Whether call is ``SpdMatrix(...)`` or ``SpdMatrix.from_rows(...)``."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and f.attr == "from_rows":
+        f = f.value
+    return isinstance(f, ast.Name) and f.id == "SpdMatrix"
+
+
+def test_lattice_builds_matrices_only_to_return_them():
+    tree = TREES["lattice"]
+    returned = {id(node) for ret in ast.walk(tree) if isinstance(ret, ast.Return)
+                for node in ast.walk(ret)}
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _builds_spd(node) and id(node) not in returned]
+    assert calls == []
