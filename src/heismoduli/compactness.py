@@ -48,6 +48,7 @@ from .linalg import (
     Scalar,
     SpdMatrix,
     _int_determinant,
+    _python_scalar,
     congruence,
     determinant,
     identity,
@@ -273,12 +274,15 @@ def _key_inequality_sides(Y: np.ndarray, F: np.ndarray, G: np.ndarray
     """Both sides of the key inequality for stacks of Y = F^T F and factors G.
 
     F is any invertible factor of Y.  The pullback G^T Y G has the factor
-    F G, so neither Gram matrix of G is ever formed.
+    F G, so neither Gram matrix of G is ever formed.  lambda_max(Y) comes
+    from one ``eigvalsh`` of the Y stack, and d_n(G^T G) and d_n(G^T Y G)
+    from one ``_symplectic_spectra`` of the stack (G, F G); LAPACK treats
+    each matrix on its own, so both sides are the bits that separate
+    calls give.
     """
     lam_max = np.linalg.eigvalsh(Y)[..., -1]
-    lhs = _symplectic_spectra(G)[..., -1] / lam_max
-    rhs = _symplectic_spectra(F @ G)[..., -1]
-    return lhs, rhs
+    d_max = _symplectic_spectra(np.stack((G, F @ G)))[..., -1]
+    return d_max[0] / lam_max, d_max[1]
 
 
 def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
@@ -300,20 +304,40 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
 
 def _bhatia_sides(A: np.ndarray, B: np.ndarray, i1: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """s_{i1}(A) s_{N - i1 + 1}(B) and s_1(A B) for stacks of N x N factors."""
+    """s_{i1}(A) s_{N - i1 + 1}(B) and s_1(A B) for stacks of N x N factors.
+
+    The lhs reads one ``svd`` of the stack of every A and then every B;
+    LAPACK treats each matrix on its own, so it is the product of the
+    per-matrix singular values, bit for bit.  The rhs is s_1(M) for
+    M = A B as c sqrt(lambda_max(K^T K)), K = M / c, from one ``eigvalsh``
+    of the stack of Gram matrices, where c is M's largest |entry| (1 when
+    M = 0).  The top eigenvalue of a Gram matrix is as accurate as the
+    top singular value, a relative error of order N^2 eps, and the
+    scaling keeps K's entries in [-1, 1] with one of them +-1, so
+    lambda_max(K^T K) lies in [1, N^2]: the Gram matrix neither overflows
+    nor underflows, and the rhs is finite wherever s_1(M) is.
+    """
     N = A.shape[-1]
-    sa = np.linalg.svd(A, compute_uv=False)
-    sb = np.linalg.svd(B, compute_uv=False)
+    s = np.linalg.svd(np.concatenate((A, B)), compute_uv=False)
     rows = np.arange(len(i1))
-    lhs = sa[rows, i1 - 1] * sb[rows, N - i1]
-    rhs = np.linalg.svd(A @ B, compute_uv=False)[:, 0]
-    return lhs, rhs
+    lhs = s[rows, i1 - 1] * s[len(A) + rows, N - i1]
+    M = A @ B
+    c = np.abs(M).max(axis=(-2, -1), keepdims=True)
+    c[c == 0.0] = 1.0
+    M /= c
+    top = np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, -1]
+    return lhs, c[:, 0, 0] * np.sqrt(top)
 
 
 def verify_bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> InequalityReport:
     """Check the k = 1 singular-value product inequality.
 
     s_{i1}(A) * s_{N - i1 + 1}(B) <= s_1(A B) for square N x N factors.
+    Both sides come from ``_bhatia_sides`` on stacks of one: the lhs from
+    the singular values of A and B (one ``svd``), the rhs from the top
+    eigenvalue of the Gram matrix of A B scaled by its largest |entry|
+    (one ``eigvalsh``), within a relative N^2 eps of A B's top singular
+    value and finite wherever that is.
     """
     if A.rows != B.rows or A.cols != B.cols or not A.is_square:
         raise DimensionMismatch("A and B must be square of equal size")
@@ -481,15 +505,23 @@ def _draw_samples(rng: random.Random, dim: int, samples: int,
     while i < samples:
         m = min(samples - i, _DRAW_WINDOW)
         if index:
-            starts, drawn = np.empty(m, dtype=np.intp), np.empty(m, dtype=int)
+            # each try is a Python int read through a memoryview: a numpy
+            # scalar and a numpy setitem per sample cost more than the try
+            starts, drawn, view = [], [], memoryview(words)
+            end = len(view)
             for k in range(m):
                 t = s + stride
-                while t >= len(words) or words.item(t) >> shift >= dim:
-                    if t < len(words):
+                while t >= end or view[t] >> shift >= dim:
+                    if t < end:
                         t += 1
                     else:
                         words = np.concatenate((words, _words(rng, (m - k) * (stride + 3))))
-                starts[k], drawn[k], s = s, 1 + (words.item(t) >> shift), t + 1
+                        view = memoryview(words)
+                        end = len(view)
+                starts.append(s)
+                drawn.append(1 + (view[t] >> shift))
+                s = t + 1
+            starts, drawn = np.array(starts, dtype=np.intp), np.array(drawn)
             # row p of this view is words[p:p + stride]; every start is below
             # a kept try, so its row lies inside the buffer
             w = as_strided(words, (len(words) - stride + 1, stride), words.strides * 2,
@@ -541,11 +573,20 @@ def _sweep_result(lhs: np.ndarray, rhs: np.ndarray) -> SweepResult:
     return SweepResult(len(lhs), int(holds.sum()), float(slack.min(initial=math.inf)))
 
 
-def _check_sweep_size(dim: int, samples: int) -> None:
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
+def _sweep_sizes(dim: int, samples: int) -> tuple[int, int]:
+    """dim and samples as Python ints of at least 1.
+
+    A numpy integer counts as the int it holds, and a bool (numpy's too)
+    or any value that is not an integer raises ``ValueError``, as scalars
+    do in ``linalg._python_scalar``.
+    """
+    dim, samples = _python_scalar(dim), _python_scalar(samples)
+    for value, what in ((samples, "samples"), (dim, "dimension")):
+        if not isinstance(value, int):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{what} must be at least 1")
+    return dim, samples
 
 
 def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
@@ -559,7 +600,7 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     The generator's words are read in bulk, not one call per entry, and
     B serves as Y's factor, so Y is never factored.
     """
-    _check_sweep_size(dim, samples)
+    dim, samples = _sweep_sizes(dim, samples)
     if dim % 2:
         raise ValueError("dimension must be even")
     (B, G), _ = _draw_samples(random.Random(seed), dim, samples,
@@ -575,9 +616,12 @@ def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     order: per sample A, then B, entries ``uniform(-10, 10)`` row by row,
     each matrix redrawn while |det| <= 1e-3, then the index
     i1 = ``randrange(1, dim + 1)``.  The generator's words are read in
-    bulk, not one call per entry.
+    bulk, not one call per entry.  The stack is checked by
+    ``_bhatia_sides``: one ``svd`` of every A and B gives each lhs, and
+    one ``eigvalsh`` of the scaled Gram matrices of the products A B each
+    rhs, as in ``verify_bhatia_k1``.
     """
-    _check_sweep_size(dim, samples)
+    dim, samples = _sweep_sizes(dim, samples)
     (A, B), i1 = _draw_samples(random.Random(seed), dim, samples, (10.0, 10.0),
                                index=True)
     return _sweep_result(*_bhatia_sides(A, B, i1))

@@ -39,7 +39,7 @@ from .linalg import (
     _coerce_rows,
     _compiled,
     _json_list,
-    _not_bool,
+    _python_scalar,
     _scalar_parser,
     congruence,
     determinant,
@@ -262,8 +262,11 @@ class NormalizedMetric:
             raise OddDimension("horizontal Gram matrix must have even size")
         if self.h.n != 2 * self.r.n:
             raise DimensionMismatch("h must be 2n x 2n for a length-n tuple")
-        g = self.g  # a Fraction is finite; NaN fails both float comparisons
-        if not (g > 0 if type(g) is Fraction else 0 < _not_bool(g) < math.inf):
+        g = self.g
+        if type(g) is not Fraction:  # a Fraction is finite and kept as it is
+            g = _python_scalar(g)
+            object.__setattr__(self, "g", g)
+        if not (g > 0 if type(g) is Fraction else 0 < g < math.inf):  # NaN fails both
             raise ValueError(f"central scalar g must be positive and finite, got {g!r}")
 
     @property

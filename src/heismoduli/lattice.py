@@ -36,7 +36,7 @@ from .linalg import (
     SpdMatrix,
     _int_determinant,
     _integer_ldl,
-    _not_bool,
+    _python_scalar,
     _ratio,
     _scaled_ldl,
     scalar_to_json,
@@ -274,7 +274,8 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     count of integers tried passes the cap (a sign of an adversarial
     input, not of a wrong answer).
     """
-    if not -math.inf < _not_bool(bound) < math.inf:  # NaN fails both comparisons
+    bound = _python_scalar(bound)
+    if not -math.inf < bound < math.inf:  # NaN fails both comparisons
         raise ValueError(f"bound must be finite, got {bound!r}")
     found = [a for _, a in _short_vectors(Y.integer_ldl, bound, budget)[1]]
     found.sort(key=_witness_key)

@@ -37,7 +37,8 @@ SYMMETRY_SLACK = 1e-12
 
 
 def _is_floatlike(x) -> bool:
-    return isinstance(x, (float, np.floating))
+    """Whether x, a value from ``_python_scalar``, is a float."""
+    return isinstance(x, float)
 
 
 def _finite_float(v) -> float:
@@ -51,17 +52,25 @@ def _finite_float(v) -> float:
     raise ValueError(f"float scalar {v!r} is not finite")
 
 
-def _not_bool(v):
-    """v itself; a bool is not a scalar (``ValueError``)."""
-    if isinstance(v, bool):
-        raise ValueError(f"boolean {v!r} is not a scalar")
+def _python_scalar(v):
+    """The Python value of a scalar: a numpy integer becomes the int it
+    holds, a numpy float the float, and anything else is v itself.  A
+    bool, numpy's ``bool_`` too, is not a scalar (``ValueError``)."""
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"boolean {bool(v)} is not a scalar")
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
     return v
 
 
 def _coerce_rows(rows, mode: str | None):
-    """Normalize nested scalars to a uniform mode, inferred if None; a float
-    must be finite, and a bool is refused."""
-    rows = [[_finite_float(x) if _is_floatlike(x) else _not_bool(x) for x in r] for r in rows]
+    """Normalize nested scalars to a uniform mode, inferred if None; numpy
+    scalars count as the Python ones they hold (``_python_scalar``), a
+    float must be finite, and a bool is refused."""
+    rows = [[_finite_float(x) if _is_floatlike(x) else x for x in map(_python_scalar, r)]
+            for r in rows]
     if mode is None:
         has_float = any(_is_floatlike(x) for r in rows for x in r)
         mode = FLOAT if has_float else RATIONAL
@@ -504,7 +513,7 @@ def _fraction_from_str(s: str) -> Fraction:
 
 
 def scalar_from_json(v, mode: str) -> Scalar:
-    _not_bool(v)
+    v = _python_scalar(v)
     if mode == RATIONAL:
         if _is_floatlike(v):
             raise ValueError("float scalar in a rational-mode payload")

@@ -458,6 +458,32 @@ class TestKeyInequality:
         expected = _replay_key_samples(dim, samples, seed)
         assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
 
+    # recorded with one _symplectic_spectra call for G and another for F G
+    # (numpy 2.4.6, x86-64); LAPACK treats each matrix on its own, so the
+    # one stacked call must give the same bits
+    @pytest.mark.parametrize("args, held, worst_slack", [
+        ((2, 50, 3), 50, 0.00016631155065840748),
+        ((4, 50, 7), 50, 0.007232850957914964),
+        ((6, 50, 11), 50, 0.012414876212731477),
+        ((6, 160, 612177327), 160, 0.009846757589123276),
+        ((4, 160, 2**70 + 3), 160, 0.004284087011410313),
+        ((2, 1000, 13), 1000, 0.00013819975180947783),
+    ])
+    def test_sweep_results_pinned(self, args, held, worst_slack):
+        assert hm.key_inequality_sweep(*args) == compactness.SweepResult(args[1], held,
+                                                                          worst_slack)
+
+    def test_unstacked_sides_match_stacked(self):
+        # verify_key_inequality passes single matrices; each side must be
+        # the one a stack of samples gives for the same matrices
+        (B, G), _ = compactness._draw_samples(random.Random(5), 4, 3, (math.sqrt(2.5), 10.0))
+        Y = np.swapaxes(B, -1, -2) @ B
+        lhs, rhs = compactness._key_inequality_sides(Y, B, G)
+        for j in range(3):
+            one = compactness._key_inequality_sides(Y[j], B[j], G[j])
+            assert one[0].shape == one[1].shape == ()
+            assert (one[0], one[1]) == (lhs[j], rhs[j])
+
 
 class TestBhatiaInequality:
     def test_identity(self):
@@ -520,6 +546,103 @@ class TestBhatiaInequality:
                                                (10.0, 10.0), index=True)
         expected = _replay_bhatia_samples(dim, samples, seed)
         assert all(np.array_equal(x, y) for x, y in zip((A, B, i1), expected))
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("seed", [0, 7, 174, -5])
+    def test_lhs_is_the_per_matrix_svd_product(self, dim, seed):
+        (A, B), i1 = compactness._draw_samples(random.Random(seed), dim, 60, (10.0, 10.0),
+                                               index=True)
+        lhs, _ = compactness._bhatia_sides(A, B, i1)
+        for a, b, i, got in zip(A, B, i1, lhs):
+            sa = np.linalg.svd(a, compute_uv=False)
+            sb = np.linalg.svd(b, compute_uv=False)
+            assert got.tobytes() == (sa[i - 1] * sb[dim - i]).tobytes()
+
+    # A = P diag(2^e) Q has singular values spread over up to 2^60, and A, B
+    # are scaled by 2^ka, 2^kb, so that A B can reach 2^+-1000
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rhs_matches_svd_of_the_product(self, data):
+        N = data.draw(st.integers(1, 8))
+        samples = data.draw(st.integers(1, 4))
+        entries = st.floats(-1.0, 1.0, allow_nan=False, width=64)
+
+        def factor():
+            P, Q = (np.array(data.draw(st.lists(entries, min_size=N * N, max_size=N * N)))
+                    .reshape(N, N) for _ in range(2))
+            e = data.draw(st.lists(st.integers(-60, 0), min_size=N, max_size=N))
+            return np.ldexp(P * np.ldexp(1.0, np.array(e)) @ Q,
+                            data.draw(st.integers(-500, 500)))
+
+        A = np.array([factor() for _ in range(samples)])
+        B = np.array([factor() for _ in range(samples)])
+        i1 = np.array(data.draw(st.lists(st.integers(1, N), min_size=samples,
+                                         max_size=samples)))
+        lhs, rhs = compactness._bhatia_sides(A, B, i1)
+        oracle = np.linalg.svd(A @ B, compute_uv=False)[:, 0]
+        assert np.all(np.isfinite(rhs))
+        np.testing.assert_allclose(rhs, oracle, rtol=1e-14, atol=0)
+        for j in range(samples):
+            sa = np.linalg.svd(A[j], compute_uv=False)
+            sb = np.linalg.svd(B[j], compute_uv=False)
+            assert lhs[j] == sa[i1[j] - 1] * sb[N - i1[j]]
+
+    @pytest.mark.parametrize("sa, sb", [
+        (1e160, 1.0), (1e-160, 1.0), (1e300, 1.0), (1e-300, 1.0), (1e160, 1e-160),
+        (1e-160, 1e-160), (1e160, 1e140), (1e300, 1e7), (1e-300, 1e-10)])
+    @pytest.mark.parametrize("i1", [1, 2])
+    def test_extreme_scales_match_svd(self, sa, sb, i1):
+        # an unscaled Gram matrix of A B overflows from about 1e154 and
+        # underflows below about 1e-154; the rhs must not
+        A = hm.DenseMatrix.from_rows([[2.0 * sa, 1.0 * sa], [0.5 * sa, -3.0 * sa]])
+        B = hm.DenseMatrix.from_rows([[1.0 * sb, -2.0 * sb], [4.0 * sb, 0.25 * sb]])
+        rep = hm.verify_bhatia_k1(A, B, i1)
+        oracle = np.linalg.svd(A.to_numpy() @ B.to_numpy(), compute_uv=False)[0]
+        assert math.isfinite(rep.rhs) and math.isfinite(oracle)
+        assert rep.rhs == pytest.approx(float(oracle), rel=1e-14, abs=0)
+        assert rep.holds
+
+    def test_diagonal_at_1e160(self):
+        rep = hm.verify_bhatia_k1(hm.DenseMatrix.from_rows([[2e160, 0.0], [0.0, 1e160]]),
+                                  hm.DenseMatrix.from_rows([[1, 0], [0, 3]]), 1)
+        assert (rep.lhs, rep.rhs) == (2e160, 3e160) and rep.holds
+
+    @pytest.mark.parametrize("i1", [1, 2, 3])
+    def test_zero_factor(self, i1):
+        # A B = 0: the Gram scale c is 1, not 0
+        B = hm.DenseMatrix.from_rows([[1, 2, 0], [0, 1, 5], [7, 0, 1]])
+        for A, F in ((hm.DenseMatrix.from_rows([[0] * 3] * 3), B),
+                     (B, hm.DenseMatrix.from_rows([[0.0] * 3] * 3))):
+            rep = hm.verify_bhatia_k1(A, F, i1)
+            assert (rep.lhs, rep.rhs) == (0.0, 0.0) and rep.holds
+
+
+class TestSweepSizes:
+    """Sizes are Python or numpy integers of at least 1; anything else is a
+    ValueError, never an error from numpy or the draw."""
+
+    SWEEPS = [hm.key_inequality_sweep, hm.bhatia_sweep]
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("args", [
+        (2.0, 4, 1), (2, 4.0, 1), (True, 4, 1), (2, True, 1), (False, 4, 1), (2, False, 1),
+        (np.True_, 4, 1), (2, np.True_, 1), (np.float64(2.0), 4, 1), (2, np.float32(4.0), 1),
+        ("2", 4, 1), (2, Fraction(4), 1), (None, 4, 1)])
+    def test_non_integer_size_rejected(self, sweep, args):
+        with pytest.raises(ValueError):
+            sweep(*args)
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("args", [(np.int64(0), 4, 1), (2, np.int64(0), 1), (-2, 4, 1)])
+    def test_size_below_one_rejected(self, sweep, args):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            sweep(*args)
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("args", [(np.int64(2), 4, 1), (2, np.int64(4), 1),
+                                      (np.int32(2), np.uint8(4), 1)])
+    def test_numpy_integer_size_is_its_int(self, sweep, args):
+        assert sweep(*args) == sweep(2, 4, 1)
 
 
 def test_sweeps_do_not_import_numpy_random():

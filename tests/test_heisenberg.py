@@ -11,6 +11,9 @@ import heismoduli as hm
 from heismoduli import heisenberg
 from conftest import PAST_CHOLESKY, random_integer_gram, rational_metric
 
+# numpy scalars and the Python scalars they hold
+NUMPY_SCALARS = [(np.int64(3), 3), (np.float32(0.75), 0.75), (np.float64(-2.5), -2.5)]
+
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -61,6 +64,24 @@ class TestScalarMode:
     def test_bool_coordinate_rejected(self, kind, coords):
         with pytest.raises(ValueError, match="boolean (True|False) is not a scalar"):
             kind(*coords)
+
+    @pytest.mark.parametrize("kind", [hm.HeisenbergElement, hm.LieAlgebraVector])
+    @pytest.mark.parametrize("coords", [((np.True_,), (0,), 0), ((0,), (np.False_,), 0),
+                                        ((0.5,), (0,), np.True_)])
+    def test_numpy_bool_coordinate_rejected(self, kind, coords):
+        with pytest.raises(ValueError, match="boolean (True|False) is not a scalar"):
+            kind(*coords)
+
+    @pytest.mark.parametrize("kind", [hm.HeisenbergElement, hm.LieAlgebraVector])
+    @pytest.mark.parametrize("value, plain", NUMPY_SCALARS)
+    def test_numpy_coordinate_is_its_python_scalar(self, kind, value, plain):
+        for coords, plain_coords in ((((value,), (1,), 0), ((plain,), (1,), 0)),
+                                     (((1,), (value,), 0), ((1,), (plain,), 0)),
+                                     (((1,), (0,), value), ((1,), (0,), plain))):
+            got, want = kind(*coords), kind(*plain_coords)
+            assert got == want
+            assert [type(v) for v in (*got.x, *got.y, got.s)] == \
+                [type(v) for v in (*want.x, *want.y, want.s)]
 
     def test_automorphism_scalars_share_a_mode(self):
         d = hm.AutomorphismDescriptor.from_parts(2, (Fraction(1, 2), 0), hm.identity(2))
@@ -834,6 +855,24 @@ class TestConstructorChecks:
     def test_bool_g_rejected(self, g):
         # True would pass 0 < g < inf and be written as "g": 1.0
         with pytest.raises(ValueError, match=f"boolean {g} is not a scalar"):
+            hm.NormalizedMetric(self.H, g, self.R)
+
+    @pytest.mark.parametrize("g", [np.True_, np.False_])
+    def test_numpy_bool_g_rejected(self, g):
+        # np.True_ is no bool subclass; it passed 0 < g < inf and was written "g": 1.0
+        with pytest.raises(ValueError, match=f"boolean {bool(g)} is not a scalar"):
+            hm.NormalizedMetric(self.H, g, self.R)
+
+    @pytest.mark.parametrize("g, plain", [*NUMPY_SCALARS[:2], (np.float64(2.5), 2.5)])
+    def test_numpy_g_is_its_python_scalar(self, g, plain):
+        m = hm.NormalizedMetric(self.H, g, self.R)
+        assert type(m.g) is type(plain) and m.g == plain
+        assert m.to_json() == hm.NormalizedMetric(self.H, plain, self.R).to_json()
+
+    @pytest.mark.parametrize("g", [np.float64(0.0), np.int64(-1), np.float64(np.nan),
+                                   np.float32(np.inf)])
+    def test_numpy_g_not_positive_and_finite_rejected(self, g):
+        with pytest.raises(ValueError, match="positive and finite"):
             hm.NormalizedMetric(self.H, g, self.R)
 
     @pytest.mark.parametrize("g", [1, Fraction(1, 2), Fraction(10**400), Fraction(1, 10**400),

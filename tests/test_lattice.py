@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,29 @@ class TestEnumerateBelow:
     def test_bool_bound_rejected(self, mode, bound):
         with pytest.raises(ValueError, match=f"boolean {bound} is not a scalar"):
             hm.enumerate_below(hm.SpdMatrix(hm.identity(2, mode)), bound)
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("bound", [np.True_, np.False_])
+    def test_numpy_bool_bound_rejected(self, mode, bound):
+        with pytest.raises(ValueError, match=f"boolean {bool(bound)} is not a scalar"):
+            hm.enumerate_below(hm.SpdMatrix(hm.identity(2, mode)), bound)
+
+    # Y[(1, -1)] = 2 * 10**18 - 2 lies above the int bound 2 * 10**18 - 3 but
+    # below the float it rounds to, so that bound must be taken as an int
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    @pytest.mark.parametrize("bound, plain, Y", [
+        (np.int64(2), 2, [[2, 1], [1, 3]]), (np.float32(2.5), 2.5, [[2, 1], [1, 3]]),
+        (np.float64(3.0), 3.0, [[2, 1], [1, 3]]),
+        (np.int64(2 * 10**18 - 3), 2 * 10**18 - 3, [[10**18, 1], [1, 10**18]])])
+    def test_numpy_bound_is_its_python_scalar(self, mode, bound, plain, Y):
+        Y = hm.SpdMatrix.from_rows(Y, mode)
+        assert hm.enumerate_below(Y, bound) == hm.enumerate_below(Y, plain)
+
+    @pytest.mark.parametrize("bound", [np.float64(np.inf), np.float32(-np.inf),
+                                       np.float64(np.nan)])
+    def test_numpy_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be finite"):
+            hm.enumerate_below(hm.SpdMatrix(hm.identity(2)), bound)
 
     def test_exhaustive_against_box(self):
         import itertools

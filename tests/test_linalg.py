@@ -3,12 +3,17 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import fraction_ldl, givens_orthogonal, random_rational_spd
+
+
+# numpy scalars and the Python scalars they hold
+NUMPY_SCALARS = [(np.int64(3), 3), (np.float32(0.75), 0.75), (np.float64(-2.5), -2.5)]
 
 
 def frac(p, q=1):
@@ -466,6 +471,44 @@ class TestScalarParsing:
                 hm.SpdMatrix.from_rows(rows, mode)
         with pytest.raises(ValueError, match=message):
             hm.linalg.scalar_from_json(flag, mode or hm.RATIONAL)
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT, None])
+    @pytest.mark.parametrize("flag", [np.True_, np.False_])
+    def test_numpy_bool_entry_rejected(self, flag, mode):
+        # numpy's bool is a bool too, not the 1 or 0 Fraction() or float() make of it
+        message = f"boolean {bool(flag)} is not a scalar"
+        for rows in ([[flag]], [[1.5, flag]], [[1, flag], [flag, 2]]):
+            with pytest.raises(ValueError, match=message):
+                hm.DenseMatrix.from_rows(rows, mode)
+        with pytest.raises(ValueError, match=message):
+            hm.SpdMatrix.from_rows([[2, flag], [flag, 2]], mode)
+        with pytest.raises(ValueError, match=message):
+            hm.linalg.scalar_from_json(flag, mode or hm.FLOAT)
+
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT, None])
+    @pytest.mark.parametrize("value, plain", NUMPY_SCALARS)
+    def test_numpy_entry_is_its_python_scalar(self, value, plain, mode):
+        def typed(m):
+            return m.mode, [[(type(x), x) for x in r] for r in m.entries]
+
+        for build in (hm.DenseMatrix.from_rows, hm.SpdMatrix.from_rows):
+            got = build([[4, value], [value, 9]], mode)
+            assert typed(got) == typed(build([[4, plain], [plain, 9]], mode))
+        for m in (hm.RATIONAL, hm.FLOAT):
+            try:
+                want = hm.linalg.scalar_from_json(plain, m)
+            except ValueError:  # a float in a rational payload
+                with pytest.raises(ValueError):
+                    hm.linalg.scalar_from_json(value, m)
+            else:
+                got = hm.linalg.scalar_from_json(value, m)
+                assert (type(got), got) == (type(want), want)
+
+    @pytest.mark.parametrize("value", [np.float64(np.inf), np.float32(-np.inf),
+                                       np.float64(np.nan)])
+    def test_numpy_non_finite_entry_rejected(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            hm.DenseMatrix.from_rows([[value]])
 
     @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
     def test_zero_denominator_is_value_error(self, mode):
