@@ -3,7 +3,11 @@
 Submodules: ``linalg`` (exact/float small matrices), ``lattice`` (first
 minima, enumeration, Minkowski reduction), ``heisenberg`` (group, metric
 invariants, curvature), ``compactness`` (certificates, inequality
-verifiers), ``cli`` (the ``heis`` command).
+verifiers), ``cli`` (the ``heis`` command).  Every array computation
+lives in the private ``_arrays``, the one module that imports numpy; it
+is loaded by the first call that needs it (a spectrum, a sweep, an
+inequality verifier or ``to_numpy``), so importing the package, or
+running a lattice command, does not load numpy.
 """
 
 from .compactness import (

@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
 from .errors import (
     DimensionMismatch,
     NotHeisenbergType,
@@ -36,9 +33,7 @@ from .heisenberg import (
     _d_spectra,
     _float_g,
     _is_heisenberg_spectrum,
-    _symplectic_spectra,
     _tolerance,
-    _upper_factors,
     symplectic_j,
 )
 from .lattice import DivisibilityTuple, first_minimum, first_minimum_r
@@ -48,7 +43,7 @@ from .linalg import (
     Scalar,
     SpdMatrix,
     _int_determinant,
-    _python_scalar,
+    _python_int,
     congruence,
     determinant,
     identity,
@@ -269,22 +264,6 @@ def counterexample_spectrum(k: int) -> tuple[float, float]:
     return 1.0 / d2, d2
 
 
-def _key_inequality_sides(Y: np.ndarray, F: np.ndarray, G: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the key inequality for stacks of Y = F^T F and factors G.
-
-    F is any invertible factor of Y.  The pullback G^T Y G has the factor
-    F G, so neither Gram matrix of G is ever formed.  lambda_max(Y) comes
-    from one ``eigvalsh`` of the Y stack, and d_n(G^T G) and d_n(G^T Y G)
-    from one ``_symplectic_spectra`` of the stack (G, F G); LAPACK treats
-    each matrix on its own, so both sides are the bits that separate
-    calls give.
-    """
-    lam_max = np.linalg.eigvalsh(Y)[..., -1]
-    d_max = _symplectic_spectra(np.stack((G, F @ G)))[..., -1]
-    return d_max[0] / lam_max, d_max[1]
-
-
 def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     """Check d_n(G^T G) / lambda_max(Y) <= d_n(G^T Y G).
 
@@ -298,54 +277,26 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
         raise Singular("G must be invertible")
     if Y.n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    lhs, rhs = _key_inequality_sides(Y.to_numpy(), _upper_factors([Y])[0], G.to_numpy())
-    return InequalityReport(float(lhs), float(rhs))
-
-
-def _bhatia_sides(A: np.ndarray, B: np.ndarray, i1: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """s_{i1}(A) s_{N - i1 + 1}(B) and s_1(A B) for stacks of N x N factors.
-
-    The lhs reads one ``svd`` of the stack of every A and then every B;
-    LAPACK treats each matrix on its own, so it is the product of the
-    per-matrix singular values, bit for bit.  The rhs is s_1(M) for
-    M = A B as c sqrt(lambda_max(K^T K)), K = M / c, from one ``eigvalsh``
-    of the stack of Gram matrices, where c is M's largest |entry| (1 when
-    M = 0).  The top eigenvalue of a Gram matrix is as accurate as the
-    top singular value, a relative error of order N^2 eps, and the
-    scaling keeps K's entries in [-1, 1] with one of them +-1, so
-    lambda_max(K^T K) lies in [1, N^2]: the Gram matrix neither overflows
-    nor underflows, and the rhs is finite wherever s_1(M) is.
-    """
-    N = A.shape[-1]
-    s = np.linalg.svd(np.concatenate((A, B)), compute_uv=False)
-    rows = np.arange(len(i1))
-    lhs = s[rows, i1 - 1] * s[len(A) + rows, N - i1]
-    M = A @ B
-    c = np.abs(M).max(axis=(-2, -1), keepdims=True)
-    c[c == 0.0] = 1.0
-    M /= c
-    top = np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, -1]
-    return lhs, c[:, 0, 0] * np.sqrt(top)
+    from . import _arrays
+    return InequalityReport(*_arrays._key_inequality(Y, G))
 
 
 def verify_bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> InequalityReport:
     """Check the k = 1 singular-value product inequality.
 
     s_{i1}(A) * s_{N - i1 + 1}(B) <= s_1(A B) for square N x N factors.
-    Both sides come from ``_bhatia_sides`` on stacks of one: the lhs from
-    the singular values of A and B (one ``svd``), the rhs from the top
-    eigenvalue of the Gram matrix of A B scaled by its largest |entry|
-    (one ``eigvalsh``), within a relative N^2 eps of A B's top singular
-    value and finite wherever that is.
+    Both sides come from ``_arrays._bhatia_sides`` on stacks of one: the
+    lhs from the singular values of A and B (one ``svd``), the rhs from
+    the top eigenvalue of the Gram matrix of A B scaled by its largest
+    |entry| (one ``eigvalsh``), within a relative N^2 eps of A B's top
+    singular value and finite wherever that is.
     """
     if A.rows != B.rows or A.cols != B.cols or not A.is_square:
         raise DimensionMismatch("A and B must be square of equal size")
     if not 1 <= i1 <= A.rows:
         raise ValueError("index out of range")
-    lhs, rhs = _bhatia_sides(A.to_numpy()[np.newaxis], B.to_numpy()[np.newaxis],
-                             np.array([i1]))
-    return InequalityReport(float(lhs[0]), float(rhs[0]))
+    from . import _arrays
+    return InequalityReport(*_arrays._bhatia_k1(A, B, i1))
 
 
 def _in_gr(G: DenseMatrix, r: DivisibilityTuple) -> bool:
@@ -444,115 +395,15 @@ def random_symplectic_integer(n: int, seed: int, steps: int) -> DenseMatrix:
     """Deterministic product of `steps` integer symplectic-similitude generators.
 
     The output always passes ``symplectic_similitude_check``; every draw
-    is replayable from the seed.
+    is replayable from the seed.  n, seed and steps are integers
+    (``_sweep_sizes``), steps at least 0.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    n, seed, steps = _sweep_sizes(n=(n, None), seed=(seed, None), steps=(steps, 0))
     rng = random.Random(seed)
     result = identity(2 * n, RATIONAL)
     for _ in range(steps):
         result = result @ _elementary_symplectic_generators(n, rng)
     return result
-
-
-# samples laid out per pass of _draw_samples: a redraw repeats at most this
-# many samples' conversion, and the pass's temporary arrays stay small
-_DRAW_WINDOW = 256
-
-
-def _words(rng: random.Random, n: int) -> np.ndarray:
-    """The generator's next n 32-bit outputs, in order.
-
-    Word i of ``getrandbits(32 n)``, counted from the least significant
-    end, is the i-th output on either byte order, so these are the words
-    that ``random()`` and ``getrandbits(k <= 32)`` would read one by one.
-    """
-    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
-
-
-def _draw_samples(rng: random.Random, dim: int, samples: int,
-                  bounds: Sequence[float], index: bool = False
-                  ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The sweeps' samples, exactly as ``rng`` draws them one value at a time.
-
-    A sample is one dim x dim matrix per bound b, with entries
-    ``rng.uniform(-b, b)`` row by row, each matrix redrawn while
-    |det| <= 1e-3; then, when `index` is set, ``rng.randrange(1, dim + 1)``.
-    The words are fetched in bulk and turned into values by CPython's own
-    operations: ``random()`` is ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53,
-    ``uniform(a, b)`` is a + (b - a) * random(), and each ``randrange``
-    try keeps the top bits of one word, rejected while they reach dim.
-
-    Up to ``_DRAW_WINDOW`` of the remaining samples are laid out as if
-    nothing is redrawn and their determinants taken as one stack.  The
-    matrices before the first small determinant are kept, and the layout
-    resumes from the word just after the rejected matrix.  Returns one
-    (samples, dim, dim) stack per bound and the (samples,) array of
-    indices, left unset without `index`.
-    """
-    fields = len(bounds)
-    per = 2 * dim * dim  # words per matrix, two per uniform()
-    stride = fields * per  # matrix words per sample
-    shift = 32 - dim.bit_length()
-    b = np.array(bounds)[:, None]
-    span = b - -b  # uniform(-b, b) is -b + (b - -b) * random()
-    out = np.empty((samples * fields, dim, dim))
-    picks = np.empty(samples, dtype=int)
-    # a randrange takes at most two tries per sample on average; one
-    # spare sample's words cover a redraw or two
-    words = _words(rng, samples * (stride + 3 * index) + stride)
-    i, f, s = 0, 0, 0  # first sample not done, its first field not done, its start word
-    while i < samples:
-        m = min(samples - i, _DRAW_WINDOW)
-        if index:
-            # each try is a Python int read through a memoryview: a numpy
-            # scalar and a numpy setitem per sample cost more than the try
-            starts, drawn, view = [], [], memoryview(words)
-            end = len(view)
-            for k in range(m):
-                t = s + stride
-                while t >= end or view[t] >> shift >= dim:
-                    if t < end:
-                        t += 1
-                    else:
-                        words = np.concatenate((words, _words(rng, (m - k) * (stride + 3))))
-                        view = memoryview(words)
-                        end = len(view)
-                starts.append(s)
-                drawn.append(1 + (view[t] >> shift))
-                s = t + 1
-            starts, drawn = np.array(starts, dtype=np.intp), np.array(drawn)
-            # row p of this view is words[p:p + stride]; every start is below
-            # a kept try, so its row lies inside the buffer
-            w = as_strided(words, (len(words) - stride + 1, stride), words.strides * 2,
-                           writeable=False)[starts]
-        else:
-            starts = s + stride * np.arange(m)
-            if s + m * stride > len(words):
-                words = np.concatenate((words, _words(rng, s + m * stride - len(words))))
-            w = words[s:s + m * stride]
-            s += m * stride
-        w = w.reshape(m, fields, per)
-        u = (w[..., 0::2] >> 5) * 67108864.0
-        u += w[..., 1::2] >> 6
-        u *= 1.0 / 9007199254740992.0
-        u *= span
-        u -= b  # the same IEEE sum as -b + u
-        mats = u.reshape(m * fields, dim, dim)
-        bad = np.abs(np.linalg.det(mats)) <= 1e-3
-        bad[:f] = False  # fields of sample i kept by an earlier pass
-        hits = np.flatnonzero(bad)
-        first = int(hits[0]) if len(hits) else m * fields
-        out[i * fields + f:i * fields + first] = mats[f:first]
-        if index:
-            picks[i:i + first // fields] = drawn[:first // fields]
-        if first == m * fields:
-            i, f = i + m, 0
-        else:
-            # the rejected matrix's field now starts one matrix later
-            k, f = divmod(first, fields)
-            i, s = i + k, int(starts[k]) + per
-    return list(out.reshape(samples, fields, dim, dim).swapaxes(0, 1)), picks
 
 
 @dataclass(frozen=True)
@@ -566,27 +417,30 @@ class SweepResult:
         return self.held == self.total
 
 
-def _sweep_result(lhs: np.ndarray, rhs: np.ndarray) -> SweepResult:
-    """Tally the rule of ``InequalityReport`` over stacks of both sides."""
-    holds = lhs <= rhs + INEQUALITY_SLACK * np.maximum(1.0, np.abs(rhs))
-    slack = rhs - lhs
-    return SweepResult(len(lhs), int(holds.sum()), float(slack.min(initial=math.inf)))
+def _sweep_result(lhs, rhs) -> SweepResult:
+    """Tally the rule of ``InequalityReport`` over stacks of both sides
+    (``_arrays._tally``)."""
+    from . import _arrays
+    return SweepResult(*_arrays._tally(lhs, rhs, INEQUALITY_SLACK))
 
 
-def _sweep_sizes(dim: int, samples: int) -> tuple[int, int]:
-    """dim and samples as Python ints of at least 1.
+def _sweep_sizes(**values: tuple) -> tuple[int, ...]:
+    """The sizes and seeds of a seeded draw as Python ints, in order.
 
-    A numpy integer counts as the int it holds, and a bool (numpy's too)
-    or any value that is not an integer raises ``ValueError``, as scalars
-    do in ``linalg._python_scalar``.
+    Each keyword names a pair (value, least), least the smallest value
+    allowed, or None for any integer.  A numpy integer counts as the int
+    it holds (``linalg._python_int``); a bool (numpy's too), any value that
+    is not an integer, or one below its least raises ``ValueError``.
     """
-    dim, samples = _python_scalar(dim), _python_scalar(samples)
-    for value, what in ((samples, "samples"), (dim, "dimension")):
-        if not isinstance(value, int):
+    out = []
+    for what, (value, least) in values.items():
+        number = _python_int(value)
+        if number is None:
             raise ValueError(f"{what} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{what} must be at least 1")
-    return dim, samples
+        if least is not None and number < least:
+            raise ValueError(f"{what} must be at least {least}")
+        out.append(number)
+    return tuple(out)
 
 
 def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
@@ -598,14 +452,14 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     ``uniform(-b, b)`` row by row with b = sqrt(10 / dim), then G with
     entries ``uniform(-10, 10)``, each matrix redrawn while |det| <= 1e-3.
     The generator's words are read in bulk, not one call per entry, and
-    B serves as Y's factor, so Y is never factored.
+    B serves as Y's factor, so Y is never factored (``_arrays._key_sweep``).
     """
-    dim, samples = _sweep_sizes(dim, samples)
+    samples, dim, seed = _sweep_sizes(samples=(samples, 1), dimension=(dim, 1),
+                                      seed=(seed, None))
     if dim % 2:
         raise ValueError("dimension must be even")
-    (B, G), _ = _draw_samples(random.Random(seed), dim, samples,
-                              (math.sqrt(10.0 / dim), 10.0))
-    return _sweep_result(*_key_inequality_sides(np.swapaxes(B, -1, -2) @ B, B, G))
+    from . import _arrays
+    return _sweep_result(*_arrays._key_sweep(dim, samples, seed))
 
 
 def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
@@ -617,11 +471,11 @@ def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     each matrix redrawn while |det| <= 1e-3, then the index
     i1 = ``randrange(1, dim + 1)``.  The generator's words are read in
     bulk, not one call per entry.  The stack is checked by
-    ``_bhatia_sides``: one ``svd`` of every A and B gives each lhs, and
-    one ``eigvalsh`` of the scaled Gram matrices of the products A B each
-    rhs, as in ``verify_bhatia_k1``.
+    ``_arrays._bhatia_sides``: one ``svd`` of every A and B gives each
+    lhs, and one ``eigvalsh`` of the scaled Gram matrices of the products
+    A B each rhs, as in ``verify_bhatia_k1``.
     """
-    dim, samples = _sweep_sizes(dim, samples)
-    (A, B), i1 = _draw_samples(random.Random(seed), dim, samples, (10.0, 10.0),
-                               index=True)
-    return _sweep_result(*_bhatia_sides(A, B, i1))
+    samples, dim, seed = _sweep_sizes(samples=(samples, 1), dimension=(dim, 1),
+                                      seed=(seed, None))
+    from . import _arrays
+    return _sweep_result(*_arrays._bhatia_sweep(dim, samples, seed))

@@ -7,25 +7,24 @@ matrix h on the horizontal R^{2n} and a scalar g > 0 on the center.
 The symplectic spectrum d_1 <= ... <= d_n of a Gram matrix Y collects
 the positive numbers with +-i d_k the eigenvalues of Y^{-1} J; it is
 invariant under congruence by symplectic similitudes and drives the
-curvature bound and the Heisenberg-type test.
+curvature bound and the Heisenberg-type test.  The spectra are float by
+nature: they are computed in ``_arrays``, loaded when the first one is
+asked for.  Everything else here, the Kaplan matrix and curvatures
+included, is exact and rounded once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     DimensionMismatch,
     NotOrthonormal,
     NotSimilitude,
     OddDimension,
-    PairingFailure,
     Singular,
     UnsupportedPlane,
 )
@@ -37,19 +36,18 @@ from .linalg import (
     Scalar,
     SpdMatrix,
     _coerce_rows,
-    _compiled,
     _json_list,
     _python_scalar,
     _scalar_parser,
     congruence,
     determinant,
     matrix_from_json,
+    matrix_inverse,
     matrix_to_json,
     max_norm,
     scalar_to_json,
 )
 
-PAIRING_TOL = 1e-6
 SIMILITUDE_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9
 
@@ -306,106 +304,46 @@ class KaplanSpectrum:
         return self.d[-1]
 
 
+def _inverse(h: SpdMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact h^{-1}, as rows of Fractions, in both modes."""
+    return matrix_inverse(h.matrix.to_rational()).entries
+
+
 def kaplan_matrix(m: NormalizedMetric) -> DenseMatrix:
     """Matrix of the skew map at the unit center vector: -g^{1/2} h^{-1} J.
 
-    Always computed in float mode; the result M satisfies h M = -(h M)^T
-    up to roundoff (skew-symmetry with respect to h).
+    Always float: each entry of the exact h^{-1} J is rounded once, then
+    scaled by -g^{1/2}.  Column j of h^{-1} J is minus column j + n of
+    h^{-1} for j < n, and column j - n for j >= n.  The result M satisfies
+    h M = -(h M)^T up to roundoff (skew-symmetry with respect to h).
     """
-    h = m.h.to_numpy()
-    J = symplectic_j(m.n, FLOAT).to_numpy()
-    M = -math.sqrt(float(m.g)) * np.linalg.solve(h, J)
-    return DenseMatrix.from_rows(M.tolist(), FLOAT)
-
-
-def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
-    """Symplectic spectra of Y = F^T F for a stack of invertible factors F.
-
-    Y^{-1} J is similar to the skew matrix K = F^{-T} J F^{-1}, whose
-    singular values are d_n, d_n, ..., d_1, d_1.  Returns an array of
-    shape (..., n) with each row ascending.  A pair whose two values
-    differ by more than ``PAIRING_TOL`` times the largest singular value
-    of its K raises ``PairingFailure`` (numerical breakdown).
-    """
-    n = F.shape[-1] // 2
-    try:
-        inv = np.linalg.inv(F)
-    except np.linalg.LinAlgError:
-        raise Singular("factor is singular in floating point") from None
-    # with F^{-1} = [P; Q] in n-row blocks, K = P^T Q - Q^T P exactly skew
-    X = np.swapaxes(inv[..., :n, :], -1, -2) @ inv[..., n:, :]
-    s = np.linalg.svd(X - np.swapaxes(X, -1, -2), compute_uv=False)
-    hi, lo = s[..., 0::2], s[..., 1::2]
-    # mismatch is measured against the spectral scale: singular values
-    # carry absolute (not relative) roundoff of order eps * s_max
-    mismatch = np.abs(hi - lo) > PAIRING_TOL * s[..., :1]
-    if mismatch.any():
-        idx = tuple(np.argwhere(mismatch)[0])
-        raise PairingFailure(
-            f"singular value pair {n - idx[-1]} mismatch: "
-            f"{float(lo[idx])!r} vs {float(hi[idx])!r}"
-        )
-    return ((hi + lo) / 2.0)[..., ::-1]
-
-
-@functools.cache
-def _upper_kernel(n: int):
-    """The read-off of ``_upper_factors`` for one n x n factor, as
-    straight-line code: the rows of R, as lists."""
-    lines = ["def kernel(den, minors, columns):",
-             f"    {', '.join(f'm{k}' for k in range(n + 1))}, = minors"]
-    for k in range(n):
-        lines.append(f"    s{k} = m{k} * m{k + 1} * den")
-        if k < n - 1:
-            lines.append(f"    {', '.join(f'v{i}_{k}' for i in range(k + 1, n))}, = columns[{k}]")
-
-    def entry(v, k):  # -x is (-1.0) x for any float x from sqrt
-        return f"-sqrt({v} * {v} / s{k}) if {v} < 0 else sqrt({v} * {v} / s{k})"
-
-    rows = [["0.0"] * k + [f"sqrt(m{k + 1} * m{k + 1} / s{k})"]
-            + [f"({entry(f'v{i}_{k}', k)})" for i in range(k + 1, n)] for k in range(n)]
-    lines.append(f"    return [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]")
-    return _compiled("\n".join(lines))
-
-
-def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
-    """Stack of upper-triangular R with Y = R^T R, in floats, one per Y.
-
-    Read off the exact factor (den, minors, columns) each Y keeps: row k
-    holds sign(v) sqrt(v^2 / (minors[k] minors[k+1] den)), with v =
-    minors[k+1] on the diagonal and v = columns[k][i - k - 1] at i > k.
-    Each entry is one correctly rounded integer quotient, at most y_ii,
-    and one square root.  A y_ii past the float range raises
-    ``OverflowError``; there is no other failure branch.  The Ys are of
-    equal size n, and one ``_upper_kernel(n)``, generated the first time
-    n is used, reads every member.
-    """
-    upper = _upper_kernel(Ys[0].n)
-    return np.array([upper(*Y.integer_ldl) for Y in Ys])
+    n, s = m.n, -math.sqrt(float(m.g))
+    return DenseMatrix.from_rows([[s * float(x) for x in (*(-y for y in r[n:]), *r[:n])]
+                                  for r in _inverse(m.h)], FLOAT)
 
 
 def _d_spectra(Ys: Sequence[SpdMatrix]) -> list[KaplanSpectrum]:
     """Symplectic spectra of equal-size Gram matrices, as one stack.
 
-    One ``_upper_factors`` (each read off its member's exact LDL^T) and
-    one ``_symplectic_spectra`` for all of Ys; each spectrum is the one Y
-    would have alone.  The first member whose pairs fail to match raises
-    ``PairingFailure``.
+    One ``_arrays._upper_factors`` (each read off its member's exact
+    LDL^T) and one ``_arrays._symplectic_spectra`` for all of Ys; each
+    spectrum is the one Y would have alone.  The first member whose pairs
+    fail to match raises ``PairingFailure``.
     """
     if Ys[0].n % 2:
         raise OddDimension("symplectic spectrum requires even size")
-    d = _symplectic_spectra(_upper_factors(Ys))
-    return [KaplanSpectrum(tuple(row)) for row in d.tolist()]
+    from . import _arrays
+    return [KaplanSpectrum(d) for d in _arrays._spectra(Ys)]
 
 
 def d_spectrum(Y: SpdMatrix) -> KaplanSpectrum:
     """Symplectic spectrum of a Gram matrix of even size.
 
-    Reads Y = R^T R off Y's exact LDL^T (``_upper_factors``) and takes the
-    singular values of the skew matrix R^{-T} J R^{-1}, which come in equal
-    pairs d_k, d_k.  This never squares the condition number of Y.  A pair
-    that fails to match within ``PAIRING_TOL`` times the largest value
-    raises ``PairingFailure`` (numerical breakdown).
+    Reads Y = R^T R off Y's exact LDL^T (``_arrays._upper_factors``) and
+    takes the singular values of the skew matrix R^{-T} J R^{-1}, which come
+    in equal pairs d_k, d_k.  This never squares the condition number of Y.
+    A pair that fails to match within ``_arrays.PAIRING_TOL`` times the
+    largest value raises ``PairingFailure`` (numerical breakdown).
     """
     return _d_spectra([Y])[0]
 
@@ -465,7 +403,10 @@ def sectional_curvature(m: NormalizedMetric, u: LieAlgebraVector,
 
     Supported planes: both vectors horizontal (s = 0), or one horizontal
     and one along the center.  Mixed vectors are rejected: the closed
-    curvature formulas only cover these two kinds of plane.
+    curvature formulas only cover these two kinds of plane.  The plane of
+    a horizontal u and the central Z has curvature |j(Z) u|^2 / 4, with
+    j(Z) = -g^{1/2} h^{-1} J (``kaplan_matrix``): g/4 (J u)^T h^{-1} (J u),
+    computed exactly and rounded once.
     """
     if u.n != v.n or u.n != m.n:
         raise DimensionMismatch("vector dimensions do not match the metric")
@@ -487,11 +428,10 @@ def sectional_curvature(m: NormalizedMetric, u: LieAlgebraVector,
         return -0.75 * g * float(a) * float(a)
     if ku == "central":
         u, v = v, u  # put the horizontal vector first
-    M = kaplan_matrix(m).to_numpy()
-    ubar = np.array([float(c) for c in u.horizontal()])
-    w = M @ ubar
-    h = m.h.to_numpy()
-    return 0.25 * float(w @ h @ w)
+    n = m.n
+    ubar = [Fraction(c) for c in u.horizontal()]
+    ju = ubar[n:] + [-c for c in ubar[:n]]
+    return float(Fraction(m.g) / 4 * _dot(ju, [_dot(r, ju) for r in _inverse(m.h)]))
 
 
 def _curvature_bound(spectrum: KaplanSpectrum, g: Scalar) -> float:

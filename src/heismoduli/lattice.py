@@ -36,6 +36,7 @@ from .linalg import (
     SpdMatrix,
     _int_determinant,
     _integer_ldl,
+    _python_int,
     _python_scalar,
     _ratio,
     _scaled_ldl,
@@ -47,10 +48,26 @@ BUDGET_ENV_VAR = "HEIS_ENUM_BUDGET"
 
 
 def _enumeration_budget(budget: int | None) -> int:
-    if budget is not None:
+    """The cap on integers tried: budget, or when it is None the
+    ``HEIS_ENUM_BUDGET`` environment value, else the default.  Either must
+    be a nonnegative integer, a numpy integer counting as its int; a bool,
+    any other value or a negative one raises ``ValueError``."""
+    if type(budget) is int and budget >= 0:
         return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_ENUMERATION_BUDGET
+    what = "enumeration budget"
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if not env:
+            return DEFAULT_ENUMERATION_BUDGET
+        what = BUDGET_ENV_VAR
+        try:
+            budget = int(env)
+        except ValueError:  # refused below, by its text
+            budget = env
+    cap = _python_int(budget)
+    if cap is None or cap < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {budget!r}")
+    return cap
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -59,10 +76,10 @@ def _integers(values, what: str) -> tuple[int, ...]:
     value that is not an integer raises ``ValueError``."""
     if type(values) is tuple and all(type(x) is int for x in values):
         return values
-    try:
-        exact = [None if isinstance(x, bool) or x in (math.inf, -math.inf) else Fraction(x)
-                 for x in values]
-    except ZeroDivisionError:  # a "p/0" string
+    try:  # _python_scalar refuses a bool, numpy's too
+        exact = [None if x in (math.inf, -math.inf) else Fraction(x)
+                 for x in map(_python_scalar, values)]
+    except (ValueError, ZeroDivisionError):  # a bool, a string that is no number, or "p/0"
         exact = [None]
     if any(q is None or q.denominator != 1 for q in exact):
         raise ValueError(f"{what} must be integers, got {values!r}")
@@ -285,6 +302,8 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
 def _first_minimum(factor, mode: str, budget: int | None) -> ShortVectorResult:
     """``first_minimum`` of the Gram matrix whose factor is given, its value
     the exact minimum divided out once in mode (``linalg._ratio``)."""
+    if budget is not None:  # checked before any shortcut; the environment's when a search runs
+        budget = _enumeration_budget(budget)
     den, minors, _ = factor
     n = len(minors) - 1
     m1 = minors[1]
@@ -356,6 +375,8 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     ``minkowski_reduce`` does; the witness is a least-valued violator,
     canonical order breaking ties.  Exact on the given entries in both modes.
     """
+    if budget is not None:  # checked before any shortcut; the environment's when a search runs
+        budget = _enumeration_budget(budget)
     for k in range(Y.n - 1):
         if Y.entries[k][k + 1] < 0:
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None))

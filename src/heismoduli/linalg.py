@@ -5,12 +5,15 @@ mode every entry is a :class:`fractions.Fraction`; in ``float`` mode a
 finite double, which is a dyadic rational.  So factorizations, determinants
 and inverses are exact in both modes, and a float-mode result is the
 correctly rounded float of the exact value.  Only the spectral routines
-(eigenvalues, singular values) are inexact by nature and go through
-LAPACK via numpy.  There are two eliminations: the symmetric
-``_integer_ldl``, which alone decides positive definiteness, and the
-general ``_int_determinant``.  The symmetric one runs as straight-line
-code generated for each matrix size the first time that size is factored
-(``_ldl_kernel``); ``_compiled`` is the one place such code is compiled.
+(eigenvalues, singular values) are inexact by nature; they, and
+``to_numpy``, go through numpy in ``_arrays``, which each of them imports
+when it is called, so this module never loads numpy.  There are two
+eliminations: the symmetric ``_integer_ldl``, which alone decides
+positive definiteness, and the general ``_int_determinant``.  The
+symmetric one, and the float R with Y = R^T R that the spectra read off
+its factor, run as straight-line code generated for each matrix size the
+first time that size is used (``_ldl_kernel``, ``_upper_kernel``);
+``_compiled`` is the one place such code is compiled.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import NotPositiveDefinite, NotSymmetric, Singular
 
@@ -52,17 +54,36 @@ def _finite_float(v) -> float:
     raise ValueError(f"float scalar {v!r} is not finite")
 
 
+_PLAIN = frozenset((int, float, Fraction, str))
+
+
 def _python_scalar(v):
     """The Python value of a scalar: a numpy integer becomes the int it
     holds, a numpy float the float, and anything else is v itself.  A
-    bool, numpy's ``bool_`` too, is not a scalar (``ValueError``)."""
-    if isinstance(v, (bool, np.bool_)):
+    bool, numpy's ``bool_`` too, is not a scalar (``ValueError``).  A
+    numpy scalar exists only once numpy is loaded, so its types are
+    looked up in ``sys.modules``, never imported."""
+    if type(v) in _PLAIN:
+        return v
+    np = sys.modules.get("numpy")
+    if isinstance(v, bool) or np is not None and isinstance(v, np.bool_):
         raise ValueError(f"boolean {bool(v)} is not a scalar")
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
+    if np is not None:
+        if isinstance(v, np.integer):
+            return int(v)
+        if isinstance(v, np.floating):
+            return float(v)
     return v
+
+
+def _python_int(v) -> int | None:
+    """The Python int v holds when v is an int or a numpy integer, else
+    None: a bool (numpy's too), a float or any other value."""
+    try:
+        v = _python_scalar(v)
+    except ValueError:  # a bool
+        return None
+    return v if type(v) is int else None
 
 
 def _coerce_rows(rows, mode: str | None):
@@ -114,10 +135,10 @@ class DenseMatrix:
             return self
         return DenseMatrix(tuple(tuple(Fraction(x) for x in r) for r in self.entries), RATIONAL)
 
-    def to_numpy(self) -> np.ndarray:
-        if self.mode == RATIONAL:  # int / int rounds correctly, as float(Fraction) does
-            return np.array([[x.numerator / x.denominator for x in r] for r in self.entries])
-        return np.array(self.entries, dtype=float)
+    def to_numpy(self):
+        """The entries as a float numpy array, each rounded once."""
+        from . import _arrays
+        return _arrays._to_numpy(self)
 
     def mat_vec(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(v) != self.cols:
@@ -182,8 +203,6 @@ def symmetrized(m: DenseMatrix) -> DenseMatrix:
     if m.entries == tuple(zip(*m.entries)):  # exactly symmetric: no differences to take
         return m
     asym = _asymmetry(m)
-    if asym == 0:
-        return m
     scale = max_norm(m)
     if asym > SYMMETRY_SLACK * (scale if scale else 1):
         raise NotSymmetric(f"asymmetry {float(asym):.3e} exceeds slack")
@@ -199,7 +218,7 @@ def _compiled(source: str):
     """The function ``kernel`` that the generated ``source`` defines.
 
     The one place the package compiles code.  Every source is built from
-    a matrix size alone (``_ldl_kernel``, ``heisenberg._upper_kernel``),
+    a matrix size alone (``_ldl_kernel``, ``_upper_kernel``),
     never from input text, and each is compiled once per size, when that
     size is first used.
     """
@@ -255,6 +274,27 @@ def _integer_ldl(entries):
     the first time it is factored.
     """
     return _ldl_kernel(len(entries))(entries)
+
+
+@functools.cache
+def _upper_kernel(n: int):
+    """The float R with Y = R^T R read off one n x n factor of
+    ``_integer_ldl``, as straight-line code: the rows of R, as lists
+    (``_arrays._upper_factors`` stacks them)."""
+    lines = ["def kernel(den, minors, columns):",
+             f"    {', '.join(f'm{k}' for k in range(n + 1))}, = minors"]
+    for k in range(n):
+        lines.append(f"    s{k} = m{k} * m{k + 1} * den")
+        if k < n - 1:
+            lines.append(f"    {', '.join(f'v{i}_{k}' for i in range(k + 1, n))}, = columns[{k}]")
+
+    def entry(v, k):  # -x is (-1.0) x for any float x from sqrt
+        return f"-sqrt({v} * {v} / s{k}) if {v} < 0 else sqrt({v} * {v} / s{k})"
+
+    rows = [["0.0"] * k + [f"sqrt(m{k + 1} * m{k + 1} / s{k})"]
+            + [f"({entry(f'v{i}_{k}', k)})" for i in range(k + 1, n)] for k in range(n)]
+    lines.append(f"    return [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]")
+    return _compiled("\n".join(lines))
 
 
 def _scaled_ldl(factor, d):
@@ -316,7 +356,8 @@ class SpdMatrix:
     def mode(self) -> str:
         return self.matrix.mode
 
-    def to_numpy(self) -> np.ndarray:
+    def to_numpy(self):
+        """The entries as a float numpy array, each rounded once."""
         return self.matrix.to_numpy()
 
     def diagonal(self) -> tuple[Scalar, ...]:
@@ -373,9 +414,8 @@ def ldl_decompose(Y: SpdMatrix | DenseMatrix) -> tuple[DenseMatrix, tuple[Scalar
 
 def eigenvalues_symmetric(Y: SpdMatrix | DenseMatrix) -> Spectrum:
     """Eigenvalues of a symmetric matrix, ascending (always float)."""
-    m = symmetrized(_dense(Y))
-    vals = np.linalg.eigvalsh(m.to_numpy())
-    return Spectrum(tuple(float(v) for v in vals))
+    from . import _arrays
+    return Spectrum(_arrays._eigenvalues(symmetrized(_dense(Y))))
 
 
 def singular_values(G: DenseMatrix | SpdMatrix) -> SingularSpectrum:
@@ -383,8 +423,8 @@ def singular_values(G: DenseMatrix | SpdMatrix) -> SingularSpectrum:
     m = _dense(G)
     if not m.is_square:
         raise ValueError("singular_values expects a square matrix")
-    vals = np.linalg.svd(m.to_numpy(), compute_uv=False)
-    return SingularSpectrum(tuple(float(v) for v in vals))
+    from . import _arrays
+    return SingularSpectrum(_arrays._singular_values(m))
 
 
 def _int_determinant(a: list) -> int:

@@ -2,6 +2,9 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -284,6 +287,39 @@ class TestRandomSymplecticCommand:
         code, out, err = run(capsys, ["random-symplectic", "--dim", dim, "--seed", "1", *steps])
         assert code == 2
         assert out == "" and err == "error: matrix must have at least one row and column\n"
+
+
+# runs each argv in-process and records whether numpy is loaded, after the
+# package's import and after each command; the last command is a control
+NUMPY_PROBE = """
+import json, sys
+import heismoduli
+from heismoduli.cli import main
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_lattice_commands_do_not_load_numpy(tmp_path):
+    gram = hm.matrix_to_json(hm.counterexample_family(3))
+    (tmp_path / "gram.json").write_text(json.dumps(gram))
+    (tmp_path / "family.json").write_text(json.dumps([gram, hm.matrix_to_json(hm.identity(4))]))
+    commands = [
+        ["shortest-vector", "--input", str(tmp_path / "gram.json")],
+        ["reduce", "--input", str(tmp_path / "gram.json")],
+        ["certify-torus", "--input", str(tmp_path / "family.json"), "--C0", "1/2"],
+        ["random-symplectic", "--dim", "4", "--seed", "3"],
+        ["counterexample", "--k", "3"],
+        ["spectrum", "--input", str(tmp_path / "gram.json")],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hm.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    # the import and the five lattice commands: no numpy; a spectrum loads it
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 6 + [True]
 
 
 class TestErrorPaths:

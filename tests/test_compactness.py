@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import random_unimodular
-from heismoduli import compactness
+from heismoduli import _arrays, compactness
 
 
 def metric_family(grams, g=Fraction(1), r=(1, 1)):
@@ -443,7 +443,7 @@ class TestKeyInequality:
         B, G = _replay_key_samples(dim, samples, seed)
         # the drawn B is Y's factor
         Y = np.swapaxes(B, -1, -2) @ B
-        expected = compactness._sweep_result(*compactness._key_inequality_sides(Y, B, G))
+        expected = compactness._sweep_result(*_arrays._key_inequality_sides(Y, B, G))
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,
@@ -453,7 +453,7 @@ class TestKeyInequality:
         (2, 13, 100), (4, 38, 100), (6, 4, 100), (2, 174, 100), (6, -5, 100),
         (4, 2**70 + 3, 100), (2, 13, 1000)])
     def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
-        (B, G), _ = compactness._draw_samples(random.Random(seed), dim, samples,
+        (B, G), _ = _arrays._draw_samples(random.Random(seed), dim, samples,
                                               (math.sqrt(10.0 / dim), 10.0))
         expected = _replay_key_samples(dim, samples, seed)
         assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
@@ -476,11 +476,11 @@ class TestKeyInequality:
     def test_unstacked_sides_match_stacked(self):
         # verify_key_inequality passes single matrices; each side must be
         # the one a stack of samples gives for the same matrices
-        (B, G), _ = compactness._draw_samples(random.Random(5), 4, 3, (math.sqrt(2.5), 10.0))
+        (B, G), _ = _arrays._draw_samples(random.Random(5), 4, 3, (math.sqrt(2.5), 10.0))
         Y = np.swapaxes(B, -1, -2) @ B
-        lhs, rhs = compactness._key_inequality_sides(Y, B, G)
+        lhs, rhs = _arrays._key_inequality_sides(Y, B, G)
         for j in range(3):
-            one = compactness._key_inequality_sides(Y[j], B[j], G[j])
+            one = _arrays._key_inequality_sides(Y[j], B[j], G[j])
             assert one[0].shape == one[1].shape == ()
             assert (one[0], one[1]) == (lhs[j], rhs[j])
 
@@ -534,7 +534,7 @@ class TestBhatiaInequality:
     @example(2, 100, 372)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         A, B, i1 = _replay_bhatia_samples(dim, samples, seed)
-        expected = compactness._sweep_result(*compactness._bhatia_sides(A, B, i1))
+        expected = compactness._sweep_result(*_arrays._bhatia_sides(A, B, i1))
         assert hm.bhatia_sweep(dim, samples, seed) == expected
 
     # a single sample at dim 1, seed 5 rejects index tries past the first fetch
@@ -542,7 +542,7 @@ class TestBhatiaInequality:
         (2, 174, 100), (2, 372, 100), (1, 5, 100), (3, -5, 100),
         (5, 2**70 + 3, 100), (1, 5, 1)])
     def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
-        (A, B), i1 = compactness._draw_samples(random.Random(seed), dim, samples,
+        (A, B), i1 = _arrays._draw_samples(random.Random(seed), dim, samples,
                                                (10.0, 10.0), index=True)
         expected = _replay_bhatia_samples(dim, samples, seed)
         assert all(np.array_equal(x, y) for x, y in zip((A, B, i1), expected))
@@ -550,9 +550,9 @@ class TestBhatiaInequality:
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("seed", [0, 7, 174, -5])
     def test_lhs_is_the_per_matrix_svd_product(self, dim, seed):
-        (A, B), i1 = compactness._draw_samples(random.Random(seed), dim, 60, (10.0, 10.0),
+        (A, B), i1 = _arrays._draw_samples(random.Random(seed), dim, 60, (10.0, 10.0),
                                                index=True)
-        lhs, _ = compactness._bhatia_sides(A, B, i1)
+        lhs, _ = _arrays._bhatia_sides(A, B, i1)
         for a, b, i, got in zip(A, B, i1, lhs):
             sa = np.linalg.svd(a, compute_uv=False)
             sb = np.linalg.svd(b, compute_uv=False)
@@ -578,7 +578,7 @@ class TestBhatiaInequality:
         B = np.array([factor() for _ in range(samples)])
         i1 = np.array(data.draw(st.lists(st.integers(1, N), min_size=samples,
                                          max_size=samples)))
-        lhs, rhs = compactness._bhatia_sides(A, B, i1)
+        lhs, rhs = _arrays._bhatia_sides(A, B, i1)
         oracle = np.linalg.svd(A @ B, compute_uv=False)[:, 0]
         assert np.all(np.isfinite(rhs))
         np.testing.assert_allclose(rhs, oracle, rtol=1e-14, atol=0)
@@ -643,6 +643,19 @@ class TestSweepSizes:
                                       (np.int32(2), np.uint8(4), 1)])
     def test_numpy_integer_size_is_its_int(self, sweep, args):
         assert sweep(*args) == sweep(2, 4, 1)
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("seed", [True, False, np.True_, 5.0, np.float64(5.0), "5",
+                                      Fraction(5), None, b"5"])
+    def test_non_integer_seed_rejected(self, sweep, seed):
+        # a bool once ran as seed 1 or 0, and random.Random takes str and bytes
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sweep(2, 4, seed)
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint16(5), np.int8(5)])
+    def test_numpy_integer_seed_is_its_int(self, sweep, seed):
+        assert sweep(2, 4, seed) == sweep(2, 4, 5)
 
 
 def test_sweeps_do_not_import_numpy_random():
@@ -743,6 +756,18 @@ class TestRandomSymplectic:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             hm.random_symplectic_integer(2, 1, -1)
+
+    @pytest.mark.parametrize("args", [
+        (1, True, 2), (1, np.True_, 2), (1, 1.0, 2), (1, "1", 2), (1, None, 2),
+        (True, 1, 2), (np.True_, 1, 2), (1.0, 1, 2), (1, 1, True), (1, 1, 2.0),
+        (1, 1, np.float64(2.0))])
+    def test_non_integer_size_or_seed_rejected(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            hm.random_symplectic_integer(*args)
+
+    def test_numpy_integers_are_their_ints(self):
+        got = hm.random_symplectic_integer(np.int64(2), np.int64(5), np.int32(7))
+        assert got == hm.random_symplectic_integer(2, 5, 7)
 
     @pytest.mark.parametrize("n, steps", [(0, 0), (0, 5), (-1, 0)])
     def test_empty_rejected(self, n, steps):

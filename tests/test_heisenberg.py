@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
-from heismoduli import heisenberg
+from heismoduli import _arrays, heisenberg
 from conftest import PAST_CHOLESKY, random_integer_gram, rational_metric
 
 # numpy scalars and the Python scalars they hold
@@ -336,6 +336,18 @@ class TestKaplanMatrix:
             prod = hn @ M
             assert np.max(np.abs(prod + prod.T)) <= 1e-9 * max(1.0, np.max(np.abs(prod)))
 
+    @pytest.mark.parametrize("mode", [hm.RATIONAL, hm.FLOAT])
+    def test_exact_inverse_rounded_once(self, mode):
+        # -g^{1/2} times the exact h^{-1} J, each entry rounded before the factor
+        rng = random.Random(43)
+        for _ in range(10):
+            h = hm.SpdMatrix.from_rows(random_integer_gram(rng, 4).entries, mode)
+            g = Fraction(rng.randint(1, 20), rng.randint(1, 5))
+            exact = hm.matrix_inverse(h.matrix.to_rational()) @ hm.symplectic_j(2)
+            want = [[-math.sqrt(float(g)) * float(x) for x in r] for r in exact.entries]
+            got = hm.kaplan_matrix(hm.NormalizedMetric(h, g, hm.DivisibilityTuple((1, 1))))
+            assert got.mode == hm.FLOAT and [list(r) for r in got.entries] == want
+
 
 class TestDSpectrum:
     def test_flat(self):
@@ -510,8 +522,8 @@ class TestStackedSpectra:
             stacked = [s.d for s in heisenberg._d_spectra(family)]
             assert stacked == [hm.d_spectrum(Y).d for Y in family]
             # and each member alone through the 2-D kernel on its own factor
-            assert stacked == [tuple(heisenberg._symplectic_spectra(
-                heisenberg._upper_factors([Y])[0]).tolist()) for Y in family]
+            assert stacked == [tuple(_arrays._symplectic_spectra(
+                _arrays._upper_factors([Y])[0]).tolist()) for Y in family]
 
     def test_member_past_float_cholesky(self):
         # a member whose float Cholesky fails takes the same factor path as
@@ -524,8 +536,8 @@ class TestStackedSpectra:
             np.linalg.cholesky(np.array([X.to_numpy() for X in family]))
         stacked = [s.d for s in heisenberg._d_spectra(family)]
         assert stacked == [hm.d_spectrum(X).d for X in family]
-        assert stacked == [tuple(heisenberg._symplectic_spectra(
-            heisenberg._upper_factors([X])[0]).tolist()) for X in family]
+        assert stacked == [tuple(_arrays._symplectic_spectra(
+            _arrays._upper_factors([X])[0]).tolist()) for X in family]
 
     def test_certificate_past_float_cholesky_in_a_skewed_basis(self):
         # PAST_CHOLESKY is also badly reduced: its minimum, along (5, -3),
@@ -682,6 +694,24 @@ class TestSectionalCurvature:
         u = hm.LieAlgebraVector((1.0,), (0.0,), 0.0)
         w = hm.LieAlgebraVector((0.0,), (0.0,), 1.0)
         assert hm.sectional_curvature(self.flat, u, w) == pytest.approx(0.25)
+
+    def test_mixed_plane_exact_and_rounded_once(self):
+        # g/4 (J u)^T h^{-1} (J u), the 0.25 w^T h w of w = kaplan_matrix(m) u
+        rng = random.Random(44)
+        for _ in range(20):
+            h = random_integer_gram(rng, 4)
+            g = Fraction(rng.randint(1, 32), 4)
+            m = hm.NormalizedMetric(h, g, hm.DivisibilityTuple((1, 1)))
+            u = np.array([rng.gauss(0, 1) for _ in range(4)])
+            u /= math.sqrt(u @ h.to_numpy() @ u)
+            uvec = hm.LieAlgebraVector(tuple(u[:2]), tuple(u[2:]), 0.0)
+            zvec = hm.LieAlgebraVector((0.0, 0.0), (0.0, 0.0), 1.0 / math.sqrt(float(g)))
+            ju = [Fraction(x) for x in (u[2], u[3], -u[0], -u[1])]
+            exact = g / 4 * hm.quadratic_form(hm.matrix_inverse(h.matrix), ju)
+            got = hm.sectional_curvature(m, uvec, zvec)
+            assert got == hm.sectional_curvature(m, zvec, uvec) == float(exact)
+            w = hm.kaplan_matrix(m).to_numpy() @ u
+            assert got == pytest.approx(0.25 * float(w @ h.to_numpy() @ w), rel=1e-12)
 
     def test_commuting_horizontal_pair_is_flat(self):
         m = rational_metric(hm.SpdMatrix(hm.identity(4)), Fraction(1))

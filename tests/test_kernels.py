@@ -1,6 +1,6 @@
 """The size-specialized kernels against the loops they replaced.
 
-``linalg._integer_ldl`` and ``heisenberg._upper_factors`` run straight-line
+``linalg._integer_ldl`` and ``_arrays._upper_factors`` run straight-line
 code generated once per matrix size.  The loops below are the earlier
 implementations, kept as oracles: the kernels must return the same
 (den, minors, columns), raise ``NotPositiveDefinite`` at the same index,
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
-from heismoduli import heisenberg, linalg
+from heismoduli import _arrays, linalg
 
 SIZES = (*range(1, 9), 12)
 
@@ -48,7 +48,7 @@ def loop_integer_ldl(entries):
 
 
 def loop_upper(den, minors, columns):
-    """The rows of R that ``heisenberg._upper_factors`` reads off one factor, as loops."""
+    """The rows of R that ``_arrays._upper_factors`` reads off one factor, as loops."""
     rows = []
     for k, col in enumerate(columns):
         scale = minors[k] * minors[k + 1] * den
@@ -153,9 +153,9 @@ class TestUpperFactors:
             want = np.array([loop_upper(*Y.integer_ldl) for Y in Ys])
         except OverflowError:
             with pytest.raises(OverflowError):
-                heisenberg._upper_factors(Ys)
+                _arrays._upper_factors(Ys)
             return
-        got = heisenberg._upper_factors(Ys)
+        got = _arrays._upper_factors(Ys)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # the sign of every zero too
 
@@ -164,6 +164,6 @@ class TestUpperFactors:
         rows = [[Fraction(2 * (i == j)) - Fraction(1, 1 + i + j) for j in range(n)]
                 for i in range(n)]
         Y = hm.SpdMatrix.from_rows(rows)
-        got = heisenberg._upper_factors([Y])
+        got = _arrays._upper_factors([Y])
         assert got.tobytes() == np.array([loop_upper(*Y.integer_ldl)]).tobytes()
         assert (got[0][np.triu_indices(n, 1)] < 0).all()

@@ -111,6 +111,62 @@ class TestEnumerateBelow:
             hm.enumerate_below(spd([[1, 0], [0, 1]]), 100)
 
 
+# a Gram whose first minimum needs a search (y_11 is not its least pivot),
+# and the identity, whose first minimum needs none
+SEARCHED = [[Fraction(7, 2), Fraction(1, 3), Fraction(-5, 4)],
+            [Fraction(1, 3), Fraction(11, 6), Fraction(2, 5)],
+            [Fraction(-5, 4), Fraction(2, 5), Fraction(29, 12)]]
+BUDGET_CALLS = [
+    lambda Y, b: hm.first_minimum(Y, b),
+    lambda Y, b: hm.first_minimum_r(spd([[1, 0], [0, 1]]), hm.DivisibilityTuple((2,)), b),
+    lambda Y, b: hm.enumerate_below(Y, 3, b),
+    lambda Y, b: hm.minkowski_membership(Y, b),
+    lambda Y, b: hm.minkowski_reduce(Y, b),
+    lambda Y, b: hm.mahler_certificate([Y], budget=b),
+]
+
+
+class TestBudgetValidation:
+    """A budget is a nonnegative integer, a numpy one counting as its int;
+    anything else is a ValueError, a given one also where no search runs."""
+
+    @pytest.mark.parametrize("call", BUDGET_CALLS)
+    @pytest.mark.parametrize("rows", [SEARCHED, [[1, 0], [0, 1]]])
+    @pytest.mark.parametrize("budget", [True, False, np.True_, 2.5, 12.0, -1, np.int64(-1),
+                                        "12", Fraction(12), np.float64(12.0)])
+    def test_invalid_budget_rejected(self, call, rows, budget):
+        with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+            call(spd(rows), budget)
+
+    @pytest.mark.parametrize("call", BUDGET_CALLS)
+    @pytest.mark.parametrize("budget", [np.int64(10**6), np.uint32(10**6), np.int16(10**4)])
+    def test_numpy_integer_budget_is_its_int(self, call, budget):
+        Y = spd(SEARCHED)
+        assert call(Y, budget) == call(Y, int(budget))
+
+    def test_numpy_budget_boundary_unchanged(self):
+        Y = spd(SEARCHED)
+        assert hm.first_minimum(Y, np.int64(12)) == hm.first_minimum(Y, 12)
+        with pytest.raises(hm.EnumerationBudgetExceeded, match="11"):
+            hm.first_minimum(Y, np.int64(11))
+
+    @pytest.mark.parametrize("env", ["-5", "2.5", "ten", "True", "1e6"])
+    @pytest.mark.parametrize("call", BUDGET_CALLS)
+    def test_invalid_env_budget_rejected(self, monkeypatch, env, call):
+        # the environment is read when a search runs, so on a Gram that needs one
+        monkeypatch.setenv("HEIS_ENUM_BUDGET", env)
+        with pytest.raises(ValueError, match="HEIS_ENUM_BUDGET must be a nonnegative integer"):
+            call(spd(SEARCHED), None)
+
+    def test_env_budget_boundary(self, monkeypatch):
+        Y = spd(SEARCHED)
+        monkeypatch.setenv("HEIS_ENUM_BUDGET", "12")
+        assert hm.first_minimum(Y) == hm.ShortVectorResult(Fraction(11, 6), (0, 1, 0))
+        monkeypatch.setenv("HEIS_ENUM_BUDGET", "11")
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.first_minimum(Y)
+
+
 @st.composite
 def _ldl_grams(draw):
     """(Y, bound): Y = L D L^T with entries p/q, q <= 12, and a bound that is
@@ -791,6 +847,15 @@ class TestDivisibilityTuple:
         with pytest.raises(ValueError, match="positive"):
             hm.DivisibilityTuple((1, -2))
 
+    @pytest.mark.parametrize("entries", [(np.True_,), (1, np.True_), (np.False_, 1)])
+    def test_numpy_bool_rejected(self, entries):
+        with pytest.raises(ValueError, match="must be integers"):
+            hm.DivisibilityTuple(entries)
+
+    def test_numpy_integers_are_their_ints(self):
+        r = hm.DivisibilityTuple((np.int64(1), np.uint8(2), np.float64(6.0))).r
+        assert r == (1, 2, 6) and all(type(x) is int for x in r)
+
     def test_plain_int_tuple_kept(self):
         r = (1, 2, 6)
         assert hm.DivisibilityTuple(r).r is r
@@ -819,7 +884,14 @@ class TestUnimodularMatrix:
         with pytest.raises(ValueError):
             hm.UnimodularMatrix(entries)
 
-    @pytest.mark.parametrize("entries", [[[2, 1], [1, 1]], ((2.0, Fraction(1)), (1, "1"))])
+    @pytest.mark.parametrize("entries", [((np.True_, 0), (0, 1)), ((1, 0), (0, np.True_)),
+                                         np.array([[True, False], [False, True]])])
+    def test_numpy_bool_rejected(self, entries):
+        with pytest.raises(ValueError, match="must be integers"):
+            hm.UnimodularMatrix(entries)
+
+    @pytest.mark.parametrize("entries", [[[2, 1], [1, 1]], ((2.0, Fraction(1)), (1, "1")),
+                                         np.array([[2, 1], [1, 1]])])
     def test_integral_entries_accepted(self, entries):
         U = hm.UnimodularMatrix(entries)
         assert U.entries == ((2, 1), (1, 1))

@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Ten rules, read off the syntax trees: a module (``__init__`` aside, it
+Eleven rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -22,7 +22,10 @@ but ``linalg._compiled`` calls ``exec``, ``eval`` or ``compile``: the
 size-specialized kernels are compiled in one place, from a matrix size
 alone, and in ``lattice`` every ``SpdMatrix(...)`` or
 ``SpdMatrix.from_rows(...)`` call lies inside a ``return`` statement: the
-layer builds a matrix only to hand it back, and its searches read factors.
+layer builds a matrix only to hand it back, and its searches read factors,
+and no module but ``_arrays`` imports numpy: every array computation
+lives there, loaded by the first call that needs it, so the exact core
+runs without numpy.
 """
 
 import ast
@@ -234,3 +237,25 @@ def test_lattice_builds_matrices_only_to_return_them():
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _builds_spd(node) and id(node) not in returned]
     assert calls == []
+
+
+ARRAYS = "_arrays"
+
+
+def _imports_numpy(node: ast.AST) -> bool:
+    """Whether node is ``import numpy`` or ``from numpy... import``, of
+    numpy itself or of a submodule."""
+    if isinstance(node, ast.Import):
+        return any(a.name.partition(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy"
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {ARRAYS}))
+def test_numpy_imported_by_arrays_only(module):
+    imports = [node.lineno for node in ast.walk(TREES[module]) if _imports_numpy(node)]
+    assert imports == []
+
+
+def test_arrays_imports_numpy():
+    # the rule above would pass vacuously if the module were renamed
+    assert any(_imports_numpy(node) for node in ast.walk(TREES[ARRAYS]))
