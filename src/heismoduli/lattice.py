@@ -15,13 +15,16 @@ the least vectors with a primitive tail a_k,...,a_n: a first minimum
 (k = 1), each column of a reduction, searched in one basis carried from
 column to column, and each membership condition, whose witness is the
 least violator in canonical order, so a badly reduced basis costs far
-less than the ellipsoid below its diagonal.  The budget counts every
-integer tried.  A float is the dyadic rational it holds, so every answer
-is exact on the given entries in both modes.
+less than the ellipsoid below its diagonal.  The search runs as
+straight-line code, one nested loop per coordinate, generated the first
+time each number of coordinates (at most 20) is searched.  The budget
+counts every integer tried.  A float is the dyadic rational it holds, so
+every answer is exact on the given entries in both modes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -34,12 +37,14 @@ from .linalg import (
     DenseMatrix,
     Scalar,
     SpdMatrix,
+    _compiled,
     _int_determinant,
     _integer_ldl,
     _python_int,
     _python_scalar,
     _ratio,
     _scaled_ldl,
+    _tuple,
     scalar_to_json,
 )
 
@@ -79,7 +84,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
     try:  # _python_scalar refuses a bool, numpy's too
         exact = [None if x in (math.inf, -math.inf) else Fraction(x)
                  for x in map(_python_scalar, values)]
-    except (ValueError, ZeroDivisionError):  # a bool, a string that is no number, or "p/0"
+    except (ValueError, TypeError, ZeroDivisionError):  # a bool, no number, or "p/0"
         exact = [None]
     if any(q is None or q.denominator != 1 for q in exact):
         raise ValueError(f"{what} must be integers, got {values!r}")
@@ -203,67 +208,89 @@ def _short_vectors(factor, bound: Scalar | None, budget: int | None = None,
     increase and the list ends with every such vector of least value.
     Values are the exact integers S Y[a] in both modes.  The budget counts
     every integer tried.  Vectors have their first nonzero entry positive.
-    The recursive search leaves no reference cycle, on return or on
-    ``EnumerationBudgetExceeded``, so its memory is freed when the call
-    ends rather than by the cyclic collector.
+    The search runs in ``_search_kernel(n)``, straight-line code with one
+    loop per level, generated for each number n of coordinates the first
+    time it is searched, so a node makes no call and its state is held in
+    locals.  More than ``_SEARCH_LIMIT`` (20) coordinates raise
+    ``ValueError``.
     """
-    cap = _enumeration_budget(budget)
-    den, minors, Lcol = factor
-    n = len(Lcol)
-    pairs = [minors[i] * minors[i + 1] for i in range(n)]
-    P = math.lcm(*pairs)
-    S = P * den
-    W = [P // x for x in pairs]
-    N = minors[1:]
-    shrink = bound is None
-    if shrink:  # S Y[e_{k+1}]: x_k = Delta_{k+1}, x_i = lambda_ki for i < k
-        top = W[k] * N[k] * N[k] + sum(W[i] * Lcol[i][k - i - 1] ** 2 for i in range(k))
-    else:
-        p, q = bound.as_integer_ratio()
-        top = S * p // q  # floor(S * bound); S Y[a] is an integer
-    a = [0] * n
-    found: list[tuple[int, tuple[int, ...]]] = []
-    tried = 0
+    return _search_kernel(len(factor[2]))(factor, bound, _enumeration_budget(budget), k)
 
-    def descend(i: int, used: int, zero_tail: bool):
-        # the integers t with used + W_i (Delta_{i+1} t + C)^2 <= top, nearest
-        # the centre -C / Delta_{i+1} first; up to sign, t >= 0 while the
-        # tail is zero
-        nonlocal top, tried
-        C = sum(map(mul, Lcol[i], a[i + 1:]))
-        Ni, Wi = N[i], W[i]
-        if zero_tail:
-            t, step = 0, 1
+
+_SEARCH_LIMIT = 20  # Python compiles at most 20 statically nested loops
+
+
+@functools.cache
+def _search_kernel(n: int):
+    """``_short_vectors`` on n coordinates as straight-line code: one
+    ``while`` loop per level, nested n deep with level n - 1 outermost.
+    Every piece of state is a local: at level i the integer t{i}, its next
+    step s{i}, the flag z{i} that a[i+1:] is zero, the centre's numerator
+    c{i}, a straight-line sum over the fixed tail, and the partial value
+    v{i}.  Up to sign, t{i} >= 0 while the tail is zero, so the outermost
+    level counts up from 0; below it, a nonzero tail starts each level
+    at round(-c{i} / Delta_{i+1}) and alternates outward."""
+    if n > _SEARCH_LIMIT:
+        raise ValueError(f"a lattice search takes at most {_SEARCH_LIMIT} coordinates, got {n}")
+    top_level = n - 1
+    lines = ["def kernel(factor, bound, cap, k):",
+             "    den, minors, columns = factor",
+             f"    {', '.join(f'm{i}' for i in range(n + 1))}, = minors"]
+    lines += [f"    {', '.join(f'l{i}_{j}' for j in range(i + 1, n))}, = columns[{i}]"
+              for i in range(top_level)]
+    lines += [f"    p{i} = m{i} * m{i + 1}" for i in range(n)]
+    lines.append(f"    P = lcm({', '.join(f'p{i}' for i in range(n))})")
+    lines += [f"    w{i} = P // p{i}" for i in range(n)]
+    lines += ["    S = P * den", "    shrink = bound is None", "    if shrink:"]
+    for j in range(n):  # S Y[e_{j+1}]: x_j = Delta_{j+1}, x_i = lambda_ji for i < j
+        start = " + ".join([f"w{j} * m{j + 1} * m{j + 1}"]
+                           + [f"w{i} * l{i}_{j} * l{i}_{j}" for i in range(j)])
+        lines += [f"        {'el' if j else ''}if k == {j}:", f"            top = {start}"]
+    lines += ["    else:", "        p, q = bound.as_integer_ratio()",
+              "        top = S * p // q  # floor(S bound); S Y[a] is an integer",
+              "    found = []", "    tried = 0", "    if top < 0:", "        return S, found"]
+
+    def level(i: int, ind: str):
+        # the integers t{i} with v{i+1} + w{i} (Delta_{i+1} t{i} + c{i})^2 <= top,
+        # nearest the centre -c{i} / Delta_{i+1} first
+        outer = i == top_level  # a zero tail: t{i} = 0, 1, 2, ..., up to sign
+        if outer:
+            lines.append(f"{ind}t{i} = 0")
+            x, used, nonzero = f"m{i + 1} * t{i}", "", f"t{i}"
         else:
-            t = (Ni - 2 * C) // (2 * Ni)  # round(-C / Ni)
-            step = 1 if Ni * t + C <= 0 else -1  # the next nearest is across the centre
-        while True:
-            tried += 1
-            if tried > cap:
-                raise EnumerationBudgetExceeded(cap)
-            x = Ni * t + C
-            value = used + Wi * x * x
-            if value > top:
-                break
-            a[i] = t
-            if i and (i > k or t or not zero_tail):  # else a[k:] is zero
-                descend(i - 1, value, zero_tail and t == 0)
-            # k = 0 lists all; a shrinking radius finds m b only after b, below it: never
-            elif (t or not zero_tail) and (not k or math.gcd(*a[k:]) == 1):
-                found.append((value, _canonical_sign(tuple(a))))
-                if shrink:
-                    top = value
-            t += step
-            if not zero_tail:  # t0, t0 + 1, t0 - 1, t0 + 2, ... (or mirrored)
-                step = -step - 1 if step > 0 else 1 - step
-        a[i] = 0
+            zero_tail = f"z{i + 1} and not t{i + 1}" if i + 1 < top_level else f"not t{i + 1}"
+            centre = " + ".join(f"l{i}_{j} * t{j}" for j in range(i + 1, n))
+            lines.extend(f"{ind}{line}" for line in (
+                f"z{i} = {zero_tail}", f"if z{i}:", f"    t{i}, s{i}, c{i} = 0, 1, 0", "else:",
+                f"    c{i} = {centre}",
+                f"    t{i} = (m{i + 1} - 2 * c{i}) // (2 * m{i + 1})  # round(-c{i} / m{i + 1})",
+                # the next nearest is across the centre
+                f"    s{i} = 1 if m{i + 1} * t{i} + c{i} <= 0 else -1"))
+            x, used, nonzero = f"m{i + 1} * t{i} + c{i}", f"v{i + 1} + ", f"t{i} or not z{i}"
+        lines.extend(f"{ind}{line}" for line in (
+            "while True:", "    tried += 1", "    if tried > cap:",
+            "        raise EnumerationBudgetExceeded(cap)",
+            f"    x = {x}", f"    v{i} = {used}w{i} * x * x", f"    if v{i} > top:", "        break"))
+        if i:
+            lines.append(f"{ind}    if {i} > k or {nonzero}:  # else a[k:] is zero")
+            level(i - 1, ind + "        ")
+        else:  # k = 0 lists all; a shrinking radius finds m b only after b, below it: never
+            lines.extend(f"{ind}    {line}" for line in (
+                f"if {nonzero}:", f"    a = {_tuple(f't{j}' for j in range(n))}",
+                "    if not k or gcd(*a[k:]) == 1:",
+                "        found.append((v0, _canonical_sign(a)))",
+                "        if shrink:", "            top = v0"))
+        if outer:
+            lines.append(f"{ind}    t{i} += 1")
+        else:  # t0, t0 + 1, t0 - 1, t0 + 2, ... (or mirrored)
+            lines.extend(f"{ind}    {line}" for line in (
+                f"t{i} += s{i}", f"if not z{i}:", f"    s{i} = -s{i} - 1 if s{i} > 0 else 1 - s{i}"))
 
-    try:
-        if top >= 0:
-            descend(n - 1, 0, True)
-    finally:
-        del descend  # it holds itself through its own cell: no cycle outlives the call
-    return S, found
+    level(top_level, "    ")
+    lines.append("    return S, found")
+    return _compiled("\n".join(lines), f"<search {n}>", lcm=math.lcm, gcd=math.gcd,
+                     EnumerationBudgetExceeded=EnumerationBudgetExceeded,
+                     _canonical_sign=_canonical_sign)
 
 
 def _least_tail_primitive(factor, k: int, budget: int | None

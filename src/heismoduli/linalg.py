@@ -13,7 +13,8 @@ positive definiteness, and the general ``_int_determinant``.  The
 symmetric one, and the float R with Y = R^T R that the spectra read off
 its factor, run as straight-line code generated for each matrix size the
 first time that size is used (``_ldl_kernel``, ``_upper_kernel``);
-``_compiled`` is the one place such code is compiled.
+``_compiled`` is the one place such code is compiled, the lattice
+searches' (``lattice._search_kernel``) included.
 """
 
 from __future__ import annotations
@@ -214,17 +215,19 @@ def symmetrized(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(rows, m.mode)
 
 
-def _compiled(source: str):
-    """The function ``kernel`` that the generated ``source`` defines.
+def _compiled(source: str, filename: str, **names):
+    """The function ``kernel`` that the generated ``source`` defines, its
+    globals the given names.
 
     The one place the package compiles code.  Every source is built from
-    a matrix size alone (``_ldl_kernel``, ``_upper_kernel``),
-    never from input text, and each is compiled once per size, when that
-    size is first used.
+    a size alone (``_ldl_kernel``, ``_upper_kernel``,
+    ``lattice._search_kernel``), never from input text, and each is
+    compiled once per size, when that size is first used.  The filename,
+    such as ``<ldl 4>`` or ``<search 6>``, names the kernel in profiles
+    and tracebacks.
     """
-    namespace = {"lcm": math.lcm, "sqrt": math.sqrt, "NotPositiveDefinite": NotPositiveDefinite}
-    exec(compile(source, "<kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    exec(compile(source, filename, "exec"), names)
+    return names["kernel"]
 
 
 def _tuple(items) -> str:
@@ -254,7 +257,8 @@ def _ldl_kernel(n: int):
     minors = _tuple(["1"] + [a[k][k] for k in range(n)])
     columns = _tuple(_tuple(a[i][k] for i in range(k + 1, n)) for k in range(n))
     lines.append(f"    return den, {minors}, {columns}")
-    return _compiled("\n".join(lines))
+    return _compiled("\n".join(lines), f"<ldl {n}>", lcm=math.lcm,
+                     NotPositiveDefinite=NotPositiveDefinite)
 
 
 def _integer_ldl(entries):
@@ -294,7 +298,7 @@ def _upper_kernel(n: int):
     rows = [["0.0"] * k + [f"sqrt(m{k + 1} * m{k + 1} / s{k})"]
             + [f"({entry(f'v{i}_{k}', k)})" for i in range(k + 1, n)] for k in range(n)]
     lines.append(f"    return [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]")
-    return _compiled("\n".join(lines))
+    return _compiled("\n".join(lines), f"<upper {n}>", sqrt=math.sqrt)
 
 
 def _scaled_ldl(factor, d):

@@ -529,6 +529,13 @@ class TestRejectedInputs:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("r", [[None], [[1]], [{}]])
+    def test_non_number_r_exit_2_as_not_integers(self, capsys, monkeypatch, r):
+        payload = json.dumps({"h": hm.matrix_to_json(hm.identity(2)), "g": 1, "r": r})
+        code, out, err = run(capsys, ["invariants"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err.startswith("error: divisibility tuple entries must be integers")
+
     def test_boolean_entry_exit_2(self, capsys, monkeypatch):
         payload = json.dumps({"mode": "rational", "rows": 2, "cols": 2,
                               "entries": [[True, 0], [0, 1]]})

@@ -655,6 +655,15 @@ class TestMinkowskiMembership:
         with pytest.raises(hm.EnumerationBudgetExceeded):
             hm.minkowski_membership(Y, budget=smallest - 1)
 
+    @pytest.mark.parametrize("rows, smallest", [(SEARCHED, 7), (skewed_unit_lattice(4, 5, 0)[1], 24)])
+    def test_member_budget_boundary(self, rows, smallest):
+        # a member runs the search of every k, so these pin the
+        # tail-primitive searches (k > 0) too
+        R = hm.minkowski_reduce(spd(rows))[0]
+        assert hm.minkowski_membership(R, budget=smallest).member
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.minkowski_membership(R, budget=smallest - 1)
+
     def test_one_search_per_k(self, monkeypatch):
         # a member runs one shrinking search (bound None) for each k
         members = [hm.minkowski_reduce(random_rational_spd(random.Random(n), n))[0]
@@ -717,6 +726,15 @@ class TestMinkowskiReduce:
         assert R.entries == hm.identity(4).entries
         with pytest.raises(hm.EnumerationBudgetExceeded):
             hm.minkowski_reduce(Y, budget=100306)
+
+    def test_budget_boundary_of_later_columns(self):
+        # the smallest budget that succeeds where the columns k > 0, each a
+        # tail-primitive search, try integers too
+        Y = spd(skewed_unit_lattice(4, 5, 0)[1])
+        R, _ = hm.minkowski_reduce(Y, budget=97)
+        assert R.entries == hm.identity(4).entries
+        with pytest.raises(hm.EnumerationBudgetExceeded):
+            hm.minkowski_reduce(Y, budget=96)
 
     def test_one_basis_completion_per_column(self, monkeypatch):
         # the carried basis is completed once per column, from the tail
@@ -837,7 +855,8 @@ class TestDivisibilityTuple:
             hm.DivisibilityTuple((0, 1))
 
     @pytest.mark.parametrize("entries", [(1.5, 3.7), (1.9,), (True,), (1, Fraction(3, 2)),
-                                         (float("inf"),), (1, float("-inf")), (float("nan"),)])
+                                         (float("inf"),), (1, float("-inf")), (float("nan"),),
+                                         (None,), ([1],), ({},), (1 + 2j,)])
     def test_non_integral_entries_rejected(self, entries):
         with pytest.raises(ValueError):
             hm.DivisibilityTuple(entries)
@@ -878,7 +897,7 @@ class TestUnimodularMatrix:
 
     @pytest.mark.parametrize("entries", [((1.5, 0), (0, 1)), ((Fraction(3, 2), 0), (0, 1)),
                                          ((True, 0), (0, 1)), ((1, 0), (0, float("inf"))),
-                                         ()])
+                                         (), ((None, 0), (0, 1))])
     def test_non_integer_or_empty_rejected(self, entries):
         # a truncating int() would turn 1.5 and 3/2 into the identity
         with pytest.raises(ValueError):
