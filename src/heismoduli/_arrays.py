@@ -5,6 +5,12 @@ certificate tables) runs on Python integers and Fractions.  What is
 float by nature goes through LAPACK here: the stacked symplectic
 spectra, the sweeps' draws and both sides of their inequalities, the
 spectral wrappers' eigenvalues and singular values, and ``to_numpy``.
+A full symplectic spectrum comes from an ``svd`` of each skew matrix,
+whose absolute accuracy the small d_k need.  Where only a top singular
+value is read, d_n in the key inequality and s_1(A B) in Bhatia's, it
+comes from one ``eigvalsh`` of scaled Gram matrices instead
+(``_scaled_gram_eigenvalues``).  A spectrum past the float range
+raises ``OverflowError``, never a NaN or an infinity.
 No module imports this one when it loads; each public function that
 needs arrays runs ``from . import _arrays`` when it is called, so a
 command that computes no spectrum never loads numpy.  It imports only
@@ -45,14 +51,14 @@ def _singular_values(m: DenseMatrix) -> tuple[float, ...]:
 
 # --- symplectic spectra ------------------------------------------------
 
-def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
-    """Symplectic spectra of Y = F^T F for a stack of invertible factors F.
+def _skew(F: np.ndarray) -> np.ndarray:
+    """The skew matrices K = F^{-T} J F^{-1} of a stack of invertible factors F.
 
-    Y^{-1} J is similar to the skew matrix K = F^{-T} J F^{-1}, whose
-    singular values are d_n, d_n, ..., d_1, d_1.  Returns an array of
-    shape (..., n) with each row ascending.  A pair whose two values
-    differ by more than ``PAIRING_TOL`` times the largest singular value
-    of its K raises ``PairingFailure`` (numerical breakdown).
+    Y^{-1} J, Y = F^T F, is similar to K, whose singular values are
+    d_n, d_n, ..., d_1, d_1.  A factor singular in floating point raises
+    ``Singular``; an entry of K past the float range (Y near 10^-308)
+    raises ``OverflowError``.  The callers run it with numpy's overflow
+    and invalid-value warnings off, since that case is refused here.
     """
     n = F.shape[-1] // 2
     try:
@@ -61,18 +67,70 @@ def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
         raise Singular("factor is singular in floating point") from None
     # with F^{-1} = [P; Q] in n-row blocks, K = P^T Q - Q^T P exactly skew
     X = np.swapaxes(inv[..., :n, :], -1, -2) @ inv[..., n:, :]
-    s = np.linalg.svd(X - np.swapaxes(X, -1, -2), compute_uv=False)
+    K = X - np.swapaxes(X, -1, -2)
+    if not np.isfinite(K).all():
+        raise OverflowError("symplectic spectrum is past the float range")
+    return K
+
+
+def _paired(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) = (s_1, s_3, ...), (s_2, s_4, ...) of a stack of descending
+    singular values s of skew matrices, which come in equal pairs.
+
+    A pair whose two values differ by more than ``PAIRING_TOL`` times the
+    largest value of its matrix raises ``PairingFailure`` (numerical
+    breakdown).  The tolerance is measured against the spectral scale:
+    singular values carry absolute (not relative) roundoff of order
+    eps * s_max.
+    """
     hi, lo = s[..., 0::2], s[..., 1::2]
-    # mismatch is measured against the spectral scale: singular values
-    # carry absolute (not relative) roundoff of order eps * s_max
     mismatch = np.abs(hi - lo) > PAIRING_TOL * s[..., :1]
     if mismatch.any():
         idx = tuple(np.argwhere(mismatch)[0])
         raise PairingFailure(
-            f"singular value pair {n - idx[-1]} mismatch: "
+            f"singular value pair {hi.shape[-1] - idx[-1]} mismatch: "
             f"{float(lo[idx])!r} vs {float(hi[idx])!r}"
         )
-    return ((hi + lo) / 2.0)[..., ::-1]
+    return hi, lo
+
+
+def _finite(d: np.ndarray) -> np.ndarray:
+    """d itself when every value is finite, else ``OverflowError``."""
+    if not np.isfinite(d).all():
+        raise OverflowError("symplectic spectrum is past the float range")
+    return d
+
+
+def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of Y = F^T F for a stack of invertible factors F.
+
+    Takes every singular value of the skew matrix K (``_skew``) from one
+    ``svd``, which carries an absolute error of order eps * d_n, so the
+    small d_k are as accurate as the large.  Returns an array of shape
+    (..., n) with each row ascending, each d_k the mean of its pair
+    (``_paired``).  A mean past the float range raises ``OverflowError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = _paired(np.linalg.svd(_skew(F), compute_uv=False))
+        return _finite(((hi + lo) / 2.0)[..., ::-1])
+
+
+def _top_symplectic(F: np.ndarray) -> np.ndarray:
+    """d_n of Y = F^T F for a stack of invertible factors F.
+
+    d_n = s_1(K) for the skew matrix K (``_skew``), taken as
+    c sqrt(lambda_max) from one ``_scaled_gram_eigenvalues`` of the K
+    stack: within a relative error of order 2n eps of the SVD's s_1(K),
+    with no SVD.  Every eigenvalue comes in a pair d_k^2, d_k^2, and
+    their square roots are checked by ``_paired``; the absolute error of
+    sqrt(lambda) is about sqrt(eps) d_n, 1.5e-8 d_n, well inside
+    ``PAIRING_TOL``.  A d_n past the float range raises ``OverflowError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, lam = _scaled_gram_eigenvalues(_skew(F))
+        # eigvalsh may return a pair near 0 slightly negative
+        s = c[..., np.newaxis] * np.sqrt(np.maximum(lam, 0.0))[..., ::-1]
+        return _finite(_paired(s)[0][..., 0])
 
 
 def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
@@ -99,6 +157,24 @@ def _spectra(Ys: Sequence[SpdMatrix]) -> list[tuple[float, ...]]:
 
 # --- the inequalities ----------------------------------------------------
 
+def _scaled_gram_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, lambda) for a stack of square M: c is each M's largest |entry|
+    (1 when M = 0), and lambda the ascending eigenvalues of K^T K, K = M / c,
+    from one ``eigvalsh`` of the stack, so s_1(M) = c sqrt(lambda_max).
+
+    The top eigenvalue of a Gram matrix is as accurate as the top
+    singular value, a relative error of order N^2 eps for N x N M (Golub
+    and Van Loan, Matrix Computations, 8.6).  The scaling keeps K's
+    entries in [-1, 1] with one of them +-1, so lambda_max lies in
+    [1, N^2]: the Gram matrix neither overflows nor underflows, and
+    c sqrt(lambda_max) is finite wherever s_1(M) is.
+    """
+    c = np.abs(M).max(axis=(-2, -1), keepdims=True)
+    c[c == 0.0] = 1.0
+    K = M / c
+    return c[..., 0, 0], np.linalg.eigvalsh(np.swapaxes(K, -1, -2) @ K)
+
+
 def _key_inequality_sides(Y: np.ndarray, F: np.ndarray, G: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the key inequality for stacks of Y = F^T F and factors G.
@@ -106,12 +182,14 @@ def _key_inequality_sides(Y: np.ndarray, F: np.ndarray, G: np.ndarray
     F is any invertible factor of Y.  The pullback G^T Y G has the factor
     F G, so neither Gram matrix of G is ever formed.  lambda_max(Y) comes
     from one ``eigvalsh`` of the Y stack, and d_n(G^T G) and d_n(G^T Y G)
-    from one ``_symplectic_spectra`` of the stack (G, F G); LAPACK treats
-    each matrix on its own, so both sides are the bits that separate
-    calls give.
+    from one ``_top_symplectic`` of the stack (G, F G): one stacked
+    ``eigvalsh`` and no SVD, each d_n within a relative error of order
+    2n eps of the SVD's.  LAPACK treats each matrix on its own, so both
+    sides are the bits that separate calls give.  A d_n past the float
+    range raises ``OverflowError``; the lhs is at most the rhs.
     """
     lam_max = np.linalg.eigvalsh(Y)[..., -1]
-    d_max = _symplectic_spectra(np.stack((G, F @ G)))[..., -1]
+    d_max = _top_symplectic(np.stack((G, F @ G)))
     return d_max[0] / lam_max, d_max[1]
 
 
@@ -127,25 +205,16 @@ def _bhatia_sides(A: np.ndarray, B: np.ndarray, i1: np.ndarray
 
     The lhs reads one ``svd`` of the stack of every A and then every B;
     LAPACK treats each matrix on its own, so it is the product of the
-    per-matrix singular values, bit for bit.  The rhs is s_1(M) for
-    M = A B as c sqrt(lambda_max(K^T K)), K = M / c, from one ``eigvalsh``
-    of the stack of Gram matrices, where c is M's largest |entry| (1 when
-    M = 0).  The top eigenvalue of a Gram matrix is as accurate as the
-    top singular value, a relative error of order N^2 eps, and the
-    scaling keeps K's entries in [-1, 1] with one of them +-1, so
-    lambda_max(K^T K) lies in [1, N^2]: the Gram matrix neither overflows
-    nor underflows, and the rhs is finite wherever s_1(M) is.
+    per-matrix singular values, bit for bit.  The rhs is s_1(A B) as
+    c sqrt(lambda_max) from one ``_scaled_gram_eigenvalues`` of the stack
+    of products, finite wherever s_1(A B) is.
     """
     N = A.shape[-1]
     s = np.linalg.svd(np.concatenate((A, B)), compute_uv=False)
     rows = np.arange(len(i1))
     lhs = s[rows, i1 - 1] * s[len(A) + rows, N - i1]
-    M = A @ B
-    c = np.abs(M).max(axis=(-2, -1), keepdims=True)
-    c[c == 0.0] = 1.0
-    M /= c
-    top = np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, -1]
-    return lhs, c[:, 0, 0] * np.sqrt(top)
+    c, lam = _scaled_gram_eigenvalues(A @ B)
+    return lhs, c * np.sqrt(lam[:, -1])
 
 
 def _bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> tuple[float, float]:

@@ -236,11 +236,11 @@ def cmd_counterexample(args) -> int:
         raise ValueError("k must be non-negative")
     if args.sweep:
         rows = []
-        for k in range(args.k + 1):
-            Y = compactness.counterexample_family(k)
+        family = [compactness.counterexample_family(k) for k in range(args.k + 1)]
+        for k, (Y, spectrum) in enumerate(zip(family, heisenberg._d_spectra(family))):
             det = determinant(Y)
             m = lattice.first_minimum(Y).value
-            d1, d2 = heisenberg.d_spectrum(Y).d
+            d1, d2 = spectrum.d
             rows.append({
                 "k": k,
                 "det": scalar_to_json(det),

@@ -270,6 +270,12 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     Holds for every positive definite Y and invertible G; a failing
     report indicates an implementation bug or a tolerance breach.  Y is
     factored as in ``d_spectrum``, so every ``SpdMatrix`` is accepted.
+    Both sides come from ``_arrays._key_inequality_sides`` on stacks of
+    one, as in ``key_inequality_sweep``: each d_n from the top
+    eigenvalue of a scaled Gram matrix, within a relative 8 * 2n * eps
+    of the SVD's top singular value, and no SVD.  A broken eigenvalue
+    pair raises ``PairingFailure``, and a d_n past the float range
+    (G^T G near 10^-308) ``OverflowError``.
     """
     if G.rows != Y.n or not G.is_square:
         raise DimensionMismatch("G must be square of the same size as Y")
@@ -453,11 +459,16 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     entries ``uniform(-10, 10)``, each matrix redrawn while |det| <= 1e-3.
     The generator's words are read in bulk, not one call per entry, and
     B serves as Y's factor, so Y is never factored (``_arrays._key_sweep``).
+    The stack is checked by ``_arrays._key_inequality_sides``, as in
+    ``verify_key_inequality``: one ``eigvalsh`` of every Y gives
+    lambda_max(Y), and one ``eigvalsh`` of the scaled Gram matrices of
+    the skew matrices of every G and every B G gives each d_n.  An odd
+    dimension raises ``OddDimension``.
     """
     samples, dim, seed = _sweep_sizes(samples=(samples, 1), dimension=(dim, 1),
                                       seed=(seed, None))
     if dim % 2:
-        raise ValueError("dimension must be even")
+        raise OddDimension("symplectic spectrum requires even size")
     from . import _arrays
     return _sweep_result(*_arrays._key_sweep(dim, samples, seed))
 

@@ -294,6 +294,8 @@ class KaplanSpectrum:
     d: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.d)):
+            raise ValueError(f"spectrum values must be finite, got {self.d!r}")
         if list(self.d) != sorted(self.d):
             raise ValueError("spectrum must be sorted ascending")
         if self.d and self.d[0] <= 0:  # sorted: d_1 is the least
@@ -328,7 +330,8 @@ def _d_spectra(Ys: Sequence[SpdMatrix]) -> list[KaplanSpectrum]:
     One ``_arrays._upper_factors`` (each read off its member's exact
     LDL^T) and one ``_arrays._symplectic_spectra`` for all of Ys; each
     spectrum is the one Y would have alone.  The first member whose pairs
-    fail to match raises ``PairingFailure``.
+    fail to match raises ``PairingFailure``, and a spectrum past the float
+    range (a Gram matrix near 10^-308) ``OverflowError``.
     """
     if Ys[0].n % 2:
         raise OddDimension("symplectic spectrum requires even size")
@@ -343,7 +346,8 @@ def d_spectrum(Y: SpdMatrix) -> KaplanSpectrum:
     takes the singular values of the skew matrix R^{-T} J R^{-1}, which come
     in equal pairs d_k, d_k.  This never squares the condition number of Y.
     A pair that fails to match within ``_arrays.PAIRING_TOL`` times the
-    largest value raises ``PairingFailure`` (numerical breakdown).
+    largest value raises ``PairingFailure`` (numerical breakdown), and a
+    value past the float range ``OverflowError``.
     """
     return _d_spectra([Y])[0]
 
@@ -438,7 +442,7 @@ def _curvature_bound(spectrum: KaplanSpectrum, g: Scalar) -> float:
     """g^{-1} d_n^2 for the spectrum d of h; ``OverflowError`` when it is
     past the float range (a small g), rather than an infinite float."""
     bound = spectrum.d_max ** 2 / _float_g(g)
-    if bound == math.inf:
+    if not bound < math.inf:  # NaN fails too
         raise OverflowError("curvature bound g^-1 d_n^2 is past the float range")
     return bound
 

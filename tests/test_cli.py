@@ -59,6 +59,24 @@ class TestCounterexampleCommand:
         assert all(r["det"] == "1" and r["m"] == "1" for r in rows)
         assert rows[1]["d2"] == pytest.approx(1.6180339887, abs=1e-9)
 
+    def test_sweep_spectra_are_one_stack(self, capsys, monkeypatch):
+        # the k + 1 spectra come from one stacked SVD, each the bits that
+        # d_spectrum gives the member alone
+        real, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        code, out, err = run(capsys, ["counterexample", "--k", "40", "--sweep"])
+        assert code == 0 and err == ""
+        assert calls == [(41, 4, 4)]
+        monkeypatch.undo()
+        for row in json.loads(out)["sweep"]:
+            d = hm.d_spectrum(hm.counterexample_family(row["k"])).d
+            assert (row["d1"], row["d2"]) == d
+
 
 class TestInvariantsCommand:
     def test_flat_metric(self, capsys, monkeypatch):
@@ -269,6 +287,12 @@ class TestVerifyInequalityCommand:
                                     "--seed", "3", "--dim", "4", "--bhatia"])
         assert code == 0
         assert json.loads(out)["held"] == 50
+
+    def test_odd_dimension_exit_2(self, capsys):
+        code, out, err = run(capsys, ["verify-inequality", "--samples", "4",
+                                      "--seed", "1", "--dim", "3"])
+        assert code == 2
+        assert out == "" and err == "error: symplectic spectrum requires even size\n"
 
 
 class TestRandomSymplecticCommand:
@@ -556,6 +580,25 @@ class TestRejectedInputs:
         code, out, err = run(capsys, ["shortest-vector"], stdin=payload, monkeypatch=monkeypatch)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    # valid Gram matrices whose spectrum is past the float range; each
+    # command replied with a NaN or an Infinity and exit 0 before
+    @pytest.mark.parametrize("h", [
+        {"mode": "float", "rows": 2, "cols": 2, "entries": [[1e-310, 0.0], [0.0, 1e-310]]},
+        {"mode": "rational", "rows": 2, "cols": 2,
+         "entries": [[f"1/{10**308}", "0"], ["0", f"1/{10**308}"]]},
+        {"mode": "rational", "rows": 2, "cols": 2,
+         "entries": [[f"1/{10**309}", "0"], ["0", f"1/{10**309}"]]},
+    ])
+    @pytest.mark.parametrize("command", ["spectrum", "invariants", "certify", "heis-type",
+                                         "curvature-bound"])
+    def test_spectrum_past_the_float_range_exit_2(self, capsys, monkeypatch, h, command):
+        metric = {"h": h, "g": 1, "r": [1]}
+        payload = {"spectrum": h, "certify": [metric]}.get(command, metric)
+        code, out, err = run(capsys, [command], stdin=json.dumps(payload),
+                             monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err == "error: symplectic spectrum is past the float range\n"
 
     def test_zero_denominator_entry_exit_2(self, capsys, monkeypatch):
         payload = json.dumps({"mode": "rational", "rows": 2, "cols": 2,

@@ -458,15 +458,18 @@ class TestKeyInequality:
         expected = _replay_key_samples(dim, samples, seed)
         assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
 
-    # recorded with one _symplectic_spectra call for G and another for F G
-    # (numpy 2.4.6, x86-64); LAPACK treats each matrix on its own, so the
-    # one stacked call must give the same bits
+    # recorded with each d_n taken as c sqrt(lambda_max) of the scaled Gram
+    # matrix of its skew matrix, one _top_symplectic call for G and another
+    # for F G (numpy 2.4.6, x86-64); LAPACK treats each matrix on its own,
+    # so the one stacked call must give the same bits.  Three of the six
+    # differ by 2 ulp from the values an SVD of each skew matrix gave;
+    # test_top_value_matches_svd bounds that gap on every sample
     @pytest.mark.parametrize("args, held, worst_slack", [
         ((2, 50, 3), 50, 0.00016631155065840748),
-        ((4, 50, 7), 50, 0.007232850957914964),
+        ((4, 50, 7), 50, 0.007232850957914966),
         ((6, 50, 11), 50, 0.012414876212731477),
-        ((6, 160, 612177327), 160, 0.009846757589123276),
-        ((4, 160, 2**70 + 3), 160, 0.004284087011410313),
+        ((6, 160, 612177327), 160, 0.009846757589123279),
+        ((4, 160, 2**70 + 3), 160, 0.004284087011410314),
         ((2, 1000, 13), 1000, 0.00013819975180947783),
     ])
     def test_sweep_results_pinned(self, args, held, worst_slack):
@@ -483,6 +486,61 @@ class TestKeyInequality:
             one = _arrays._key_inequality_sides(Y[j], B[j], G[j])
             assert one[0].shape == one[1].shape == ()
             assert (one[0], one[1]) == (lhs[j], rhs[j])
+
+    # each d_n is c sqrt(lambda_max) of a scaled Gram matrix, against the
+    # SVD's top singular value of the same skew matrix; seeds 612177327 and
+    # 3993805642 each draw an ill-conditioned sample at dim 6
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 4, 6]), st.integers(1, 40), SWEEP_SEEDS)
+    @example(6, 160, 612177327)
+    @example(6, 160, 3993805642)
+    def test_top_value_matches_svd(self, dim, samples, seed):
+        (B, G), _ = _arrays._draw_samples(random.Random(seed), dim, samples,
+                                          (math.sqrt(10.0 / dim), 10.0))
+        F = np.stack((G, B @ G))
+        top = _arrays._top_symplectic(F)
+        oracle = _arrays._symplectic_spectra(F)[..., -1]
+        assert top.shape == oracle.shape == (2, samples)
+        assert np.all(np.abs(top - oracle) <= 8 * dim * np.finfo(float).eps * oracle)
+
+    @pytest.mark.parametrize("sample", [0, 3])
+    def test_pairing_guard(self, monkeypatch, sample):
+        # break the top pair of one sample's eigenvalues in every eigvalsh
+        # call; lambda_max(Y) may move, the skew matrices' pairs must not
+        real = np.linalg.eigvalsh
+
+        def perturbed(m, *args, **kwargs):
+            vals = real(m, *args, **kwargs).copy()
+            flat = vals.reshape(-1, vals.shape[-1])
+            flat[min(sample, len(flat) - 1), -1] *= 1.01
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(hm.PairingFailure, match=r"^singular value pair 2 mismatch: "):
+            hm.key_inequality_sweep(4, 5, 17)
+        with pytest.raises(hm.PairingFailure, match=r"^singular value pair 1 mismatch: "):
+            hm.verify_key_inequality(hm.SpdMatrix(hm.identity(2)),
+                                     hm.DenseMatrix.from_rows([[2, 1], [0, 1]]))
+
+    def test_no_svd_on_the_key_path(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        assert hm.key_inequality_sweep(6, 40, 3).all_hold
+        assert hm.verify_key_inequality(hm.SpdMatrix(hm.identity(4)),
+                                        hm.counterexample_family(2).matrix).holds
+
+    def test_pullback_past_the_float_range_refused(self):
+        # G^T G = 1e-310 I: the skew matrix of G overflows, which gave
+        # lhs = rhs = nan before
+        G = hm.DenseMatrix.from_rows([[1e-155, 0.0], [0.0, 1e-155]])
+        with pytest.raises(OverflowError, match="past the float range"):
+            hm.verify_key_inequality(hm.SpdMatrix(hm.identity(2, hm.FLOAT)), G)
+
+    def test_odd_dimension_sweep_refused(self):
+        with pytest.raises(hm.OddDimension):
+            hm.key_inequality_sweep(3, 4, 1)
 
 
 class TestBhatiaInequality:

@@ -419,6 +419,21 @@ class TestDSpectrum:
             np.linalg.cholesky(Y.to_numpy())
         assert hm.d_spectrum(Y).d == pytest.approx((2**24.5,), rel=1e-14)
 
+    # valid Gram matrices whose spectrum is past the float range: the skew
+    # matrix overflows at 1e-310 and 1/10^309, the mean of its top pair at
+    # 1/10^308; each was a NaN or an infinity in the spectrum before
+    @pytest.mark.parametrize("rows, mode", [
+        ([[1e-310, 0.0], [0.0, 1e-310]], hm.FLOAT),
+        ([[Fraction(1, 10**308), 0], [0, Fraction(1, 10**308)]], hm.RATIONAL),
+        ([[Fraction(1, 10**309), 0], [0, Fraction(1, 10**309)]], hm.RATIONAL),
+    ])
+    def test_spectrum_past_the_float_range_refused(self, rows, mode):
+        Y = hm.SpdMatrix.from_rows(rows, mode)
+        with pytest.raises(OverflowError, match="past the float range"):
+            hm.d_spectrum(Y)
+        with pytest.raises(OverflowError, match="past the float range"):
+            hm.curvature_upper_bound(hm.NormalizedMetric(Y, 1, hm.DivisibilityTuple((1,))))
+
     def test_pairing_guard(self, monkeypatch):
         # inject a broken singular-value pair; the guard must refuse to average it
         real = np.linalg.svd
@@ -866,6 +881,12 @@ class TestConstructorChecks:
                                    (-1.0, 0.0, 1.0), (-0.0, 0.0, 2.0), (0.0, -0.0)])
     def test_nonpositive_spectrum_rejected(self, d):
         with pytest.raises(ValueError, match="positive"):
+            hm.KaplanSpectrum(d)
+
+    @pytest.mark.parametrize("d", [(math.nan,), (math.inf,), (1.0, math.nan, 2.0),
+                                   (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_non_finite_spectrum_rejected(self, d):
+        with pytest.raises(ValueError, match="finite"):
             hm.KaplanSpectrum(d)
 
     @pytest.mark.parametrize("d", [(), (0.5,), (0.5, 0.5), (1e-300, 1.0, 2.0)])
