@@ -207,14 +207,20 @@ def _bhatia_sides(A: np.ndarray, B: np.ndarray, i1: np.ndarray
     LAPACK treats each matrix on its own, so it is the product of the
     per-matrix singular values, bit for bit.  The rhs is s_1(A B) as
     c sqrt(lambda_max) from one ``_scaled_gram_eigenvalues`` of the stack
-    of products, finite wherever s_1(A B) is.
+    of products, finite wherever s_1(A B) is.  A side past the float range
+    (A B or a singular value beyond 10^308) raises ``OverflowError``.
     """
     N = A.shape[-1]
-    s = np.linalg.svd(np.concatenate((A, B)), compute_uv=False)
-    rows = np.arange(len(i1))
-    lhs = s[rows, i1 - 1] * s[len(A) + rows, N - i1]
-    c, lam = _scaled_gram_eigenvalues(A @ B)
-    return lhs, c * np.sqrt(lam[:, -1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.linalg.svd(np.concatenate((A, B)), compute_uv=False)
+        rows = np.arange(len(i1))
+        lhs = s[rows, i1 - 1] * s[len(A) + rows, N - i1]
+        c, lam = _scaled_gram_eigenvalues(A @ B)
+        rhs = c * np.sqrt(lam[:, -1])
+        # both sides are nonnegative, so their difference is finite exactly when both are
+        if not np.isfinite(lhs - rhs).all():
+            raise OverflowError("singular values are past the float range")
+    return lhs, rhs
 
 
 def _bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> tuple[float, float]:

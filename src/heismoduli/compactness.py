@@ -9,7 +9,8 @@ per-member values, the side (min or max) that picks the extreme and its
 witness, and the threshold.  The verdict states whether every
 user-supplied threshold is met; the compactness conclusion itself is
 the mathematical content the certificate asserts and is never
-re-verified topologically.
+re-verified topologically.  A ``budget`` caps each member's search
+and is resolved once per family (``lattice._enumeration_budget``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .heisenberg import (
     _tolerance,
     symplectic_j,
 )
-from .lattice import DivisibilityTuple, first_minimum, first_minimum_r
+from .lattice import DivisibilityTuple, _enumeration_budget, first_minimum, first_minimum_r
 from .linalg import (
     RATIONAL,
     DenseMatrix,
@@ -182,7 +183,8 @@ def mahler_certificate(family: Sequence[SpdMatrix], C0: Scalar | None = None,
     n = family[0].n
     if any(m.n != n for m in family):
         raise DimensionMismatch("family members of different size")
-    minima = [first_minimum(Y, budget).value for Y in family]
+    cap = _enumeration_budget(budget)
+    minima = [first_minimum(Y, cap).value for Y in family]
     dets = [determinant(Y) for Y in family]
     return _certificate({"C0": C0, "C1": C1},
                         [("c0", minima, min, C0), ("c1", dets, max, C1)])
@@ -194,8 +196,8 @@ def heisenberg_certificate(family: MetricFamily, C0: Scalar | None = None,
                            budget: int | None = None) -> PrecompactnessCertificate:
     """Certificate for normalized metrics: adds the d_n bound and the g range."""
     members = family.members
-    r = family.r
-    minima = [first_minimum_r(m.h, r, budget).value for m in members]
+    cap = _enumeration_budget(budget)
+    minima = [first_minimum_r(m.h, family.r, cap).value for m in members]
     dets = [determinant(m.h) for m in members]
     dns = [s.d_max for s in _d_spectra([m.h for m in members])]
     return _certificate({"C0": C0, "C1": C1, "C2": C2, "I": I}, [
@@ -223,10 +225,9 @@ def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
     for idx, (m, spectrum) in enumerate(zip(members, spectra)):
         if not _is_heisenberg_spectrum(spectrum, m.g, tol):
             raise NotHeisenbergType(idx)
-    r = family.r
-    n = r.n
-    minima = [first_minimum_r(m.h, r, budget).value for m in members]
-    dets = [m.g ** n for m in members]
+    cap = _enumeration_budget(budget)
+    minima = [first_minimum_r(m.h, family.r, cap).value for m in members]
+    dets = [m.g ** family.r.n for m in members]
     dns = [1.0 / math.sqrt(_float_g(m.g)) for m in members]
     return _certificate({"C0": C0, "I": I}, [
         ("c0", minima, min, C0), ("c1", dets, max, None), ("c2", dns, max, None),
@@ -239,8 +240,10 @@ def counterexample_family(k: int) -> SpdMatrix:
 
     Member k is the Gram matrix of the unimodular shear [[1,k],[0,1]] on
     the first two coordinates; its top spectrum value grows like k, so
-    no finite d_n threshold certifies the whole family.
+    no finite d_n threshold certifies the whole family.  k is an integer
+    (``_sweep_sizes``), at least 0.
     """
+    (k,) = _sweep_sizes(k=(k, None))
     if k < 0:
         raise ValueError("k must be non-negative")
     return SpdMatrix.from_rows(
@@ -295,10 +298,12 @@ def verify_bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> InequalityRepor
     lhs from the singular values of A and B (one ``svd``), the rhs from
     the top eigenvalue of the Gram matrix of A B scaled by its largest
     |entry| (one ``eigvalsh``), within a relative N^2 eps of A B's top
-    singular value and finite wherever that is.
+    singular value and finite wherever that is.  i1 is an integer
+    (``_sweep_sizes``); a side past the float range raises ``OverflowError``.
     """
     if A.rows != B.rows or A.cols != B.cols or not A.is_square:
         raise DimensionMismatch("A and B must be square of equal size")
+    (i1,) = _sweep_sizes(index=(i1, None))
     if not 1 <= i1 <= A.rows:
         raise ValueError("index out of range")
     from . import _arrays

@@ -353,8 +353,13 @@ def d_spectrum(Y: SpdMatrix) -> KaplanSpectrum:
 
 
 def _tolerance(tol: float) -> float:
-    """tol itself when it is finite and nonnegative, else ``ValueError``."""
-    if not 0 <= tol < math.inf:  # NaN fails both comparisons
+    """tol itself when it is finite and nonnegative, else ``ValueError``;
+    a bool, numpy's too, is no tolerance."""
+    try:  # _python_scalar refuses a bool
+        ok = 0 <= _python_scalar(tol) < math.inf  # NaN fails both comparisons
+    except ValueError:
+        ok = False
+    if not ok:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     return tol
 

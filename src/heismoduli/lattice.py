@@ -18,8 +18,9 @@ least violator in canonical order, so a badly reduced basis costs far
 less than the ellipsoid below its diagonal.  The search runs as
 straight-line code, one nested loop per coordinate, generated the first
 time each number of coordinates (at most 20) is searched.  The budget
-counts every integer tried.  A float is the dyadic rational it holds, so
-every answer is exact on the given entries in both modes.
+counts every integer tried, its cap fixed once where a public call
+begins.  A float is the dyadic rational it holds, so every answer is
+exact on the given entries in both modes.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def _enumeration_budget(budget: int | None) -> int:
     """The cap on integers tried: budget, or when it is None the
     ``HEIS_ENUM_BUDGET`` environment value, else the default.  Either must
     be a nonnegative integer, a numpy integer counting as its int; a bool,
-    any other value or a negative one raises ``ValueError``."""
-    if type(budget) is int and budget >= 0:
-        return budget
+    any other value or a negative one raises ``ValueError``.  Each public
+    call runs this once, where it begins, whether or not a search follows;
+    no other function reads the environment."""
     what = "enumeration budget"
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
@@ -188,7 +189,7 @@ def _witness_key(a: tuple[int, ...]):
     return tuple(map(abs, r)), r
 
 
-def _short_vectors(factor, bound: Scalar | None, budget: int | None = None,
+def _short_vectors(factor, bound: Scalar | None, cap: int,
                    k: int = 0) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """(S, [(S Y[a], a), ...]) for the nonzero integer a with Y[a] <= bound, up to sign.
 
@@ -206,7 +207,7 @@ def _short_vectors(factor, bound: Scalar | None, budget: int | None = None,
     S Y[e_{k+1}] = W_k Delta_{k+1}^2 + sum_{i<k} W_i lambda_ki^2 and
     shrinking, inclusive, to each value listed, so the values never
     increase and the list ends with every such vector of least value.
-    Values are the exact integers S Y[a] in both modes.  The budget counts
+    Values are the exact integers S Y[a] in both modes.  The int cap counts
     every integer tried.  Vectors have their first nonzero entry positive.
     The search runs in ``_search_kernel(n)``, straight-line code with one
     loop per level, generated for each number n of coordinates the first
@@ -214,7 +215,7 @@ def _short_vectors(factor, bound: Scalar | None, budget: int | None = None,
     locals.  More than ``_SEARCH_LIMIT`` (20) coordinates raise
     ``ValueError``.
     """
-    return _search_kernel(len(factor[2]))(factor, bound, _enumeration_budget(budget), k)
+    return _search_kernel(len(factor[2]))(factor, bound, cap, k)
 
 
 _SEARCH_LIMIT = 20  # Python compiles at most 20 statically nested loops
@@ -293,12 +294,11 @@ def _search_kernel(n: int):
                      _canonical_sign=_canonical_sign)
 
 
-def _least_tail_primitive(factor, k: int, budget: int | None
-                          ) -> tuple[int, int, list[tuple[int, ...]]]:
+def _least_tail_primitive(factor, k: int, cap: int) -> tuple[int, int, list[tuple[int, ...]]]:
     """(S, S m, [a, ...]): m the least Y[a] over integer a with primitive
     tail a[k:], Y given by its factor, and every a attaining it, up to
     sign, in canonical order."""
-    S, found = _short_vectors(factor, None, budget, k)
+    S, found = _short_vectors(factor, None, cap, k)
     least = found[-1][0]
     vectors = [a for v, a in found if v == least]
     if len(vectors) > 1:
@@ -321,22 +321,20 @@ def enumerate_below(Y: SpdMatrix, bound: Scalar, budget: int | None = None
     bound = _python_scalar(bound)
     if not -math.inf < bound < math.inf:  # NaN fails both comparisons
         raise ValueError(f"bound must be finite, got {bound!r}")
-    found = [a for _, a in _short_vectors(Y.integer_ldl, bound, budget)[1]]
+    found = [a for _, a in _short_vectors(Y.integer_ldl, bound, _enumeration_budget(budget))[1]]
     found.sort(key=_witness_key)
     return found
 
 
-def _first_minimum(factor, mode: str, budget: int | None) -> ShortVectorResult:
-    """``first_minimum`` of the Gram matrix whose factor is given, its value
-    the exact minimum divided out once in mode (``linalg._ratio``)."""
-    if budget is not None:  # checked before any shortcut; the environment's when a search runs
-        budget = _enumeration_budget(budget)
+def _first_minimum(factor, mode: str, cap: int) -> ShortVectorResult:
+    """``first_minimum`` of the factor's Gram matrix under the int cap, its
+    value the exact minimum divided out once in mode (``linalg._ratio``)."""
     den, minors, _ = factor
     n = len(minors) - 1
     m1 = minors[1]
     if all(m1 * minors[m] <= minors[m + 1] for m in range(1, n)):
         return ShortVectorResult(_ratio(mode)(m1, den), (1,) + (0,) * (n - 1))
-    S, value, vectors = _least_tail_primitive(factor, 0, budget)
+    S, value, vectors = _least_tail_primitive(factor, 0, cap)
     return ShortVectorResult(_ratio(mode)(value, S), vectors[0])
 
 
@@ -356,7 +354,7 @@ def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
     exact minimum of its entries, rounded once.  The budget counts every
     integer tried by an enumeration.
     """
-    return _first_minimum(Y.integer_ldl, Y.mode, budget)
+    return _first_minimum(Y.integer_ldl, Y.mode, _enumeration_budget(budget))
 
 
 def _scaling_diagonal(Y: SpdMatrix, r: DivisibilityTuple) -> tuple[int, ...] | None:
@@ -379,7 +377,7 @@ def first_minimum_r(Y: SpdMatrix, r: DivisibilityTuple,
     """
     d = _scaling_diagonal(Y, r)
     factor = Y.integer_ldl if d is None else _scaled_ldl(Y.integer_ldl, d)
-    return _first_minimum(factor, Y.mode, budget)
+    return _first_minimum(factor, Y.mode, _enumeration_budget(budget))
 
 
 def psi_r(Y: SpdMatrix, r: DivisibilityTuple) -> SpdMatrix:
@@ -400,15 +398,15 @@ def minkowski_membership(Y: SpdMatrix, budget: int | None = None) -> MinkowskiRe
     gcd(a_k,...,a_n) = 1 has Y[a] < y_{k,k}.  Each k runs one
     shrinking-radius search for the least such Y[a], as each column of
     ``minkowski_reduce`` does; the witness is a least-valued violator,
-    canonical order breaking ties.  Exact on the given entries in both modes.
+    canonical order breaking ties.  Exact on the given entries in both
+    modes.  A bad budget is refused even where a sign condition fails.
     """
-    if budget is not None:  # checked before any shortcut; the environment's when a search runs
-        budget = _enumeration_budget(budget)
+    cap = _enumeration_budget(budget)
     for k in range(Y.n - 1):
         if Y.entries[k][k + 1] < 0:
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "sign", None))
     for k, ykk in enumerate(Y.diagonal()):
-        S, least, (a, *_) = _least_tail_primitive(Y.integer_ldl, k, budget)
+        S, least, (a, *_) = _least_tail_primitive(Y.integer_ldl, k, cap)
         if Fraction(least, S) < ykk:  # exact, a float ykk too
             return MinkowskiReport(False, MinkowskiViolation(k + 1, "short_vector", a))
     return MinkowskiReport(True, None)
@@ -472,12 +470,13 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     n = Y.n
     if n > 8:
         raise ValueError("reduction is only supported up to dimension 8")
+    cap = _enumeration_budget(budget)
     den = Y.integer_ldl[0]  # den Y[B] = B^T A B: a search compares only its own values
     A = [[int(Fraction(x) * den) for x in r] for r in Y.entries]
     B = [tuple(int(i == j) for i in range(n)) for j in range(n)]  # columns, carried
     for k in range(n):
         found = []
-        for b in _least_tail_primitive(_integer_ldl(_pullback(A, B)), k, budget)[2]:
+        for b in _least_tail_primitive(_integer_ldl(_pullback(A, B)), k, cap)[2]:
             a = tuple(sum(map(mul, row, b)) for row in zip(*B))
             if next(x for x in a if x) < 0:  # a made canonical, b negated with it
                 a, b = tuple(-x for x in a), tuple(-x for x in b)

@@ -369,6 +369,20 @@ class TestErrorPaths:
                            monkeypatch=monkeypatch)
         assert code == 3
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["shortest-vector"], hm.matrix_to_json(hm.identity(2))),
+        (["certify-torus"], [hm.matrix_to_json(hm.identity(2))]),
+    ])
+    def test_invalid_env_budget_exit_2_without_a_search(self, capsys, monkeypatch, argv,
+                                                         payload):
+        # the factor proves I_2's first minimum, but the cap is read where
+        # the command begins
+        monkeypatch.setenv("HEIS_ENUM_BUDGET", "ten")
+        code, out, err = run(capsys, argv, stdin=json.dumps(payload), monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err == ("error: HEIS_ENUM_BUDGET must be a nonnegative integer, "
+                                     "got 'ten'\n")
+
     def test_odd_dim_spectrum_exit_2(self, capsys, monkeypatch):
         payload = json.dumps(hm.matrix_to_json(hm.identity(3)))
         code, _, _ = run(capsys, ["spectrum"], stdin=payload, monkeypatch=monkeypatch)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,18 @@ class TestCounterexampleFamily:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             hm.counterexample_family(-1)
+
+    @pytest.mark.parametrize("k", [True, np.True_, 2.5, 2.0, np.float64(2.0), Fraction(5, 2)])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 once gave the Gram matrix of the non-integral shear [[1, 5/2], [0, 1]]
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hm.counterexample_family(k)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_k_is_its_int(self, k):
+        Y = hm.counterexample_family(k)
+        assert Y.entries == hm.counterexample_family(3).entries
+        assert all(type(x) is Fraction for row in Y.entries for x in row)
 
     @pytest.mark.parametrize("k", [10**3, 10**4, 3 * 10**4])
     def test_spectrum_closed_form_at_large_k(self, k):
@@ -133,7 +146,8 @@ class TestHeisenbergTypeCertificate:
         assert cert.certified
         assert hm.heisenberg_type_certificate(fam, C0=1, I=(1, 1), tol=0).certified
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf,
+                                     True, np.True_])
     def test_negative_or_non_finite_tolerance_rejected(self, tol):
         fam = metric_family([hm.SpdMatrix(hm.identity(4))])
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
@@ -566,6 +580,33 @@ class TestBhatiaInequality:
     def test_dimension_mismatch(self):
         with pytest.raises(hm.DimensionMismatch):
             hm.verify_bhatia_k1(hm.identity(2), hm.identity(4), 1)
+
+    @pytest.mark.parametrize("i1", [True, np.True_, 1.0, 2.0, np.float64(1.0), Fraction(1)])
+    def test_non_integer_index_rejected(self, i1):
+        # True once ran as i1 = 1, and a float index raised numpy's IndexError
+        with pytest.raises(ValueError, match="index must be an integer"):
+            hm.verify_bhatia_k1(hm.identity(2), hm.identity(2), i1)
+
+    @pytest.mark.parametrize("i1", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_index_is_its_int(self, i1):
+        A = hm.DenseMatrix.from_rows([[2, 1], [0, 3]])
+        assert hm.verify_bhatia_k1(A, A, i1) == hm.verify_bhatia_k1(A, A, 2)
+
+    @pytest.mark.parametrize("A, B", [
+        # A B = 1e400 I: the scale of the Gram matrix is infinite
+        ([[1e200, 0.0], [0.0, 1e200]], [[1e200, 0.0], [0.0, 1e200]]),
+        # A B holds inf - inf, a NaN
+        ([[1e200, 1e200], [0.0, 1.0]], [[1e200, 0.0], [-1e200, 1.0]]),
+        # A B is finite, but A's singular values, 2.1e308, are not
+        ([[1.5e308, 1.5e308], [1.5e308, -1.5e308]], [[1e-300, 0.0], [0.0, 1e-300]]),
+    ])
+    @pytest.mark.parametrize("i1", [1, 2])
+    def test_past_the_float_range_refused(self, A, B, i1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="singular values are past the float range"):
+                hm.verify_bhatia_k1(hm.DenseMatrix.from_rows(A), hm.DenseMatrix.from_rows(B),
+                                    i1)
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_seeded_sweep(self, dim):

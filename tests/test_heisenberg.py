@@ -636,7 +636,8 @@ class TestHeisenbergType:
         assert hm.is_heisenberg_type(rational_metric(h, Fraction(1)), tol=tol) is verdict
 
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf,
+                                     True, np.True_])
     def test_negative_or_non_finite_tolerance_rejected(self, tol):
         m = rational_metric(hm.SpdMatrix(hm.identity(4)), Fraction(1))
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
@@ -673,7 +674,8 @@ class TestSameOrbit:
                                      for j in range(4)] for i in range(4)])
         assert hm.same_symplectic_orbit(hm.SpdMatrix(hm.identity(4)), Y, tol=tol) is verdict
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf,
+                                     True, np.True_])
     def test_negative_or_non_finite_tolerance_rejected(self, tol):
         Y = hm.SpdMatrix(hm.identity(4))
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):

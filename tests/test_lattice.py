@@ -128,7 +128,8 @@ BUDGET_CALLS = [
 
 class TestBudgetValidation:
     """A budget is a nonnegative integer, a numpy one counting as its int;
-    anything else is a ValueError, a given one also where no search runs."""
+    anything else is a ValueError, given or from the environment, also
+    where no search runs."""
 
     @pytest.mark.parametrize("call", BUDGET_CALLS)
     @pytest.mark.parametrize("rows", [SEARCHED, [[1, 0], [0, 1]]])
@@ -153,10 +154,12 @@ class TestBudgetValidation:
     @pytest.mark.parametrize("env", ["-5", "2.5", "ten", "True", "1e6"])
     @pytest.mark.parametrize("call", BUDGET_CALLS)
     def test_invalid_env_budget_rejected(self, monkeypatch, env, call):
-        # the environment is read when a search runs, so on a Gram that needs one
+        # the environment is read where the call begins, so also on the
+        # identity, whose first minimum its factor proves without a search
         monkeypatch.setenv("HEIS_ENUM_BUDGET", env)
-        with pytest.raises(ValueError, match="HEIS_ENUM_BUDGET must be a nonnegative integer"):
-            call(spd(SEARCHED), None)
+        for rows in (SEARCHED, [[1, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="HEIS_ENUM_BUDGET must be a nonnegative integer"):
+                call(spd(rows), None)
 
     def test_env_budget_boundary(self, monkeypatch):
         Y = spd(SEARCHED)
@@ -165,6 +168,49 @@ class TestBudgetValidation:
         monkeypatch.setenv("HEIS_ENUM_BUDGET", "11")
         with pytest.raises(hm.EnumerationBudgetExceeded):
             hm.first_minimum(Y)
+
+
+# Gram matrices whose first minimum needs a search: y_11 is not the least pivot
+SEARCHED_3 = [SEARCHED, [[2, 1, 0], [1, 1, 0], [0, 0, 1]], [[3, 0, 1], [0, 2, 0], [1, 0, 1]]]
+SEARCHED_4 = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+READ_ONCE_CALLS = {  # (call, the searches it runs)
+    "first_minimum": (lambda: hm.first_minimum(spd(SEARCHED)), 1),
+    "first_minimum_r": (lambda: hm.first_minimum_r(spd(SEARCHED_4),
+                                                   hm.DivisibilityTuple((1, 2))), 1),
+    "enumerate_below": (lambda: hm.enumerate_below(spd(SEARCHED), 3), 1),
+    "minkowski_membership": (lambda: hm.minkowski_membership(spd(hm.identity(4).entries)), 4),
+    "minkowski_reduce": (lambda: hm.minkowski_reduce(spd(SEARCHED_4)), 4),
+    "mahler_certificate": (lambda: hm.mahler_certificate([spd(g) for g in SEARCHED_3]), 3),
+    "heisenberg_certificate": (lambda: hm.heisenberg_certificate(hm.MetricFamily(tuple(
+        hm.NormalizedMetric(spd(h), 1, hm.DivisibilityTuple((1, 1)))
+        for h in (SEARCHED_4, SEARCHED_4, hm.identity(4).entries)))), 2),
+}
+
+
+@pytest.mark.parametrize("name", READ_ONCE_CALLS)
+def test_environment_read_once_per_call(monkeypatch, name):
+    # the cap is fixed where a public call begins and handed to every
+    # search and every member as an int
+    call, searches = READ_ONCE_CALLS[name]
+    real_budget, real_search, reads, searched = (hm.lattice._enumeration_budget,
+                                                 hm.lattice._short_vectors, [], [])
+
+    def counted_budget(budget):
+        if budget is None:
+            reads.append(budget)
+        return real_budget(budget)
+
+    def counted_search(*args):
+        searched.append(type(args[2]))
+        return real_search(*args)
+
+    for module in (hm.lattice, hm.compactness):
+        monkeypatch.setattr(module, "_enumeration_budget", counted_budget)
+    monkeypatch.setattr(hm.lattice, "_short_vectors", counted_search)
+    monkeypatch.setenv("HEIS_ENUM_BUDGET", "1000")
+    call()
+    assert len(reads) == 1
+    assert searched == [int] * searches
 
 
 @st.composite
@@ -202,7 +248,8 @@ class TestIntegerCore:
         assume(len(below_diag) < 500)
         expected = box_short_vectors(Y, bound)
         assert hm.enumerate_below(Y, bound) == sorted(expected, key=witness_order)
-        S, found = hm.lattice._short_vectors(Y.integer_ldl, bound)
+        S, found = hm.lattice._short_vectors(Y.integer_ldl, bound,
+                                             hm.lattice.DEFAULT_ENUMERATION_BUDGET)
         assert dict((a, Fraction(v, S)) for v, a in found) == expected
         res = hm.first_minimum(Y)
         assert res.value == min(below_diag.values())
@@ -349,7 +396,8 @@ class TestFactorBound:
 
     @staticmethod
     def searched(Y):
-        S, value, vectors = hm.lattice._least_tail_primitive(Y.integer_ldl, 0, None)
+        S, value, vectors = hm.lattice._least_tail_primitive(
+            Y.integer_ldl, 0, hm.lattice.DEFAULT_ENUMERATION_BUDGET)
         return hm.ShortVectorResult(value / S if Y.mode == hm.FLOAT else Fraction(value, S),
                                     vectors[0])
 

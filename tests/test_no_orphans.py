@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Eleven rules, read off the syntax trees: a module (``__init__`` aside, it
+Twelve rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -25,7 +25,10 @@ alone, and in ``lattice`` every ``SpdMatrix(...)`` or
 layer builds a matrix only to hand it back, and its searches read factors,
 and no module but ``_arrays`` imports numpy: every array computation
 lives there, loaded by the first call that needs it, so the exact core
-runs without numpy.
+runs without numpy, and no function but ``lattice._enumeration_budget``
+reads ``os.environ``, and no ``_private`` function calls it: the
+enumeration cap is fixed where a public call begins, and the searches
+take it as an int.
 """
 
 import ast
@@ -259,3 +262,46 @@ def test_numpy_imported_by_arrays_only(module):
 def test_arrays_imports_numpy():
     # the rule above would pass vacuously if the module were renamed
     assert any(_imports_numpy(node) for node in ast.walk(TREES[ARRAYS]))
+
+
+BUDGET = ("lattice", "_enumeration_budget")
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    """Whether node names ``environ`` or ``getenv``, bare or as an attribute."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return isinstance(node, (ast.Name, ast.Attribute)) and name in ("environ", "getenv")
+
+
+def _budget_callers(tree: ast.Module) -> set[str]:
+    """Names of the functions, nested ones too, whose body calls
+    ``_enumeration_budget``, bare or as an attribute."""
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == BUDGET[1]}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_environment_read_in_one_function(module):
+    tree = TREES[module]
+    allowed = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and (module, fn.name) == BUDGET
+               for node in ast.walk(fn)}
+    reads = [node.lineno for node in ast.walk(tree)
+             if _reads_environment(node) and id(node) not in allowed]
+    assert reads == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_cap_resolved_by_public_calls_only(module):
+    assert sorted(name for name in _budget_callers(TREES[module]) if name.startswith("_")) == []
+
+
+def test_budget_rule_is_not_vacuous():
+    # the rules above would pass vacuously if the reader were renamed or
+    # no public call resolved its cap
+    reader = next(fn for fn in TREES["lattice"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == BUDGET[1])
+    assert any(_reads_environment(node) for node in ast.walk(reader))
+    callers = set().union(*map(_budget_callers, TREES.values()))
+    assert {"first_minimum", "minkowski_reduce", "mahler_certificate"} <= callers
