@@ -7,10 +7,12 @@ spectra, the sweeps' draws and both sides of their inequalities, the
 spectral wrappers' eigenvalues and singular values, and ``to_numpy``.
 A full symplectic spectrum comes from an ``svd`` of each skew matrix,
 whose absolute accuracy the small d_k need.  Where only a top singular
-value is read, d_n in the key inequality and s_1(A B) in Bhatia's, it
-comes from one ``eigvalsh`` of scaled Gram matrices instead
-(``_scaled_gram_eigenvalues``).  A spectrum past the float range
-raises ``OverflowError``, never a NaN or an infinity.
+value is read, it runs no SVD: d_n in the key inequality is read in
+closed form at n <= 2 and from one ``eigvalsh`` of scaled Gram matrices
+at n >= 3 (``_top_symplectic``), and s_1(A B) in Bhatia's from one
+``eigvalsh`` (``_scaled_gram_eigenvalues``).  A spectrum past the float
+range raises ``OverflowError``, never a NaN or an infinity.  The sweeps
+draw and check their samples one window of ``_DRAW_WINDOW`` at a time.
 No module imports this one when it loads; each public function that
 needs arrays runs ``from . import _arrays`` when it is called, so a
 command that computes no spectrum never loads numpy.  It imports only
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -116,21 +118,49 @@ def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
 
 
 def _top_symplectic(F: np.ndarray) -> np.ndarray:
-    """d_n of Y = F^T F for a stack of invertible factors F.
+    """d_n of Y = F^T F for a stack of 2n x 2n invertible factors F.
 
-    d_n = s_1(K) for the skew matrix K (``_skew``), taken as
-    c sqrt(lambda_max) from one ``_scaled_gram_eigenvalues`` of the K
-    stack: within a relative error of order 2n eps of the SVD's s_1(K),
-    with no SVD.  Every eigenvalue comes in a pair d_k^2, d_k^2, and
-    their square roots are checked by ``_paired``; the absolute error of
-    sqrt(lambda) is about sqrt(eps) d_n, 1.5e-8 d_n, well inside
-    ``PAIRING_TOL``.  A d_n past the float range raises ``OverflowError``.
+    d_n = s_1(K) for the skew matrix K (``_skew``), in closed form at
+    n <= 2 and from one ``eigvalsh`` at n >= 3; no size runs an SVD.
+
+    - n = 1: K = k J, so d_1 = |k|.
+    - n = 2: so(4) = su(2) + su(2) splits K / c (``_scaled``) into a
+      self-dual and an anti-self-dual part, with norms a and b (``_norm3``),
+      and s_1(K / c) = (a + b) / 2.  Both are square roots of sums of
+      squares, so the value is within a few ulp of s_1, also when
+      d_1 = d_2.
+    - n >= 3: c sqrt(lambda_max) from one ``_scaled_gram_eigenvalues`` of
+      the K stack, within a relative error of order 2n eps of the SVD's
+      s_1(K).  Every eigenvalue comes in a pair d_k^2, d_k^2, and their
+      square roots are checked by ``_paired``, which raises
+      ``PairingFailure``; the absolute error of sqrt(lambda) is about
+      sqrt(eps) d_n, 1.5e-8 d_n, well inside ``PAIRING_TOL``.
+
+    A d_n past the float range raises ``OverflowError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        c, lam = _scaled_gram_eigenvalues(_skew(F))
+        K = _skew(F)
+        n = K.shape[-1] // 2
+        if n == 1:
+            return np.abs(K[..., 0, 1])
+        if n == 2:
+            c, k = _scaled(K)
+            # K is exactly skew (``_skew``), so k_31 = -k_13: u + v and
+            # u - v are (k01 + k23, k02 - k13, k03 + k12) and
+            # (k01 - k23, k02 + k13, k03 - k12)
+            u, v = k[..., (0, 0, 0), (1, 2, 3)], k[..., (2, 3, 1), (3, 1, 2)]
+            return _finite(c[..., 0, 0] * ((_norm3(u + v) + _norm3(u - v)) * 0.5))
+        c, lam = _scaled_gram_eigenvalues(K)
         # eigvalsh may return a pair near 0 slightly negative
         s = c[..., np.newaxis] * np.sqrt(np.maximum(lam, 0.0))[..., ::-1]
         return _finite(_paired(s)[0][..., 0])
+
+
+def _norm3(w: np.ndarray) -> np.ndarray:
+    """Euclidean norms of a stack of 3-vectors, each summed in one fixed
+    order, so a vector's norm does not depend on the stack it is in."""
+    x, y, z = w[..., 0], w[..., 1], w[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
@@ -157,10 +187,20 @@ def _spectra(Ys: Sequence[SpdMatrix]) -> list[tuple[float, ...]]:
 
 # --- the inequalities ----------------------------------------------------
 
+def _scaled(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, M / c) for a stack of matrices M: c, of shape (..., 1, 1), is
+    each M's largest |entry|, or 1 when M = 0, so M / c has its entries
+    in [-1, 1]."""
+    c = np.abs(M).max(axis=(-2, -1), keepdims=True)
+    c[c == 0.0] = 1.0
+    return c, M / c
+
+
 def _scaled_gram_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, lambda) for a stack of square M: c is each M's largest |entry|
-    (1 when M = 0), and lambda the ascending eigenvalues of K^T K, K = M / c,
-    from one ``eigvalsh`` of the stack, so s_1(M) = c sqrt(lambda_max).
+    (1 when M = 0), and lambda the ascending eigenvalues of K^T K, K = M / c
+    (``_scaled``), from one ``eigvalsh`` of the stack, so
+    s_1(M) = c sqrt(lambda_max).
 
     The top eigenvalue of a Gram matrix is as accurate as the top
     singular value, a relative error of order N^2 eps for N x N M (Golub
@@ -169,9 +209,7 @@ def _scaled_gram_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [1, N^2]: the Gram matrix neither overflows nor underflows, and
     c sqrt(lambda_max) is finite wherever s_1(M) is.
     """
-    c = np.abs(M).max(axis=(-2, -1), keepdims=True)
-    c[c == 0.0] = 1.0
-    K = M / c
+    c, K = _scaled(M)
     return c[..., 0, 0], np.linalg.eigvalsh(np.swapaxes(K, -1, -2) @ K)
 
 
@@ -182,11 +220,13 @@ def _key_inequality_sides(Y: np.ndarray, F: np.ndarray, G: np.ndarray
     F is any invertible factor of Y.  The pullback G^T Y G has the factor
     F G, so neither Gram matrix of G is ever formed.  lambda_max(Y) comes
     from one ``eigvalsh`` of the Y stack, and d_n(G^T G) and d_n(G^T Y G)
-    from one ``_top_symplectic`` of the stack (G, F G): one stacked
-    ``eigvalsh`` and no SVD, each d_n within a relative error of order
-    2n eps of the SVD's.  LAPACK treats each matrix on its own, so both
-    sides are the bits that separate calls give.  A d_n past the float
-    range raises ``OverflowError``; the lhs is at most the rhs.
+    from one ``_top_symplectic`` of the stack (G, F G): in closed form at
+    n <= 2, and from one more stacked ``eigvalsh`` at n >= 3, where a
+    broken eigenvalue pair raises ``PairingFailure``.  No SVD runs, and
+    each d_n is within a relative error of order 2n eps of the SVD's.
+    Every value is computed matrix by matrix, so both sides are the bits
+    that separate calls give.  A d_n past the float range raises
+    ``OverflowError``; the lhs is at most the rhs.
     """
     lam_max = np.linalg.eigvalsh(Y)[..., -1]
     d_max = _top_symplectic(np.stack((G, F @ G)))
@@ -232,8 +272,9 @@ def _bhatia_k1(A: DenseMatrix, B: DenseMatrix, i1: int) -> tuple[float, float]:
 
 # --- the sweeps ----------------------------------------------------------
 
-# samples laid out per pass of _draw_samples: a redraw repeats at most this
-# many samples' conversion, and the pass's temporary arrays stay small
+# samples drawn and checked per window of a sweep: every array a sweep
+# holds, and the conversion a redraw repeats, is at most this many
+# samples long, whatever the number of samples
 _DRAW_WINDOW = 256
 
 
@@ -266,6 +307,13 @@ def _draw_samples(rng: random.Random, dim: int, samples: int,
     resumes from the word just after the rejected matrix.  Returns one
     (samples, dim, dim) stack per bound and the (samples,) array of
     indices, left unset without `index`.
+
+    No word is fetched that the one-value-at-a-time draw would not read:
+    the layout assumes one ``randrange`` try per sample and no redraw,
+    so it never reaches past where the real draw reads, and a shortfall
+    is fetched when a layout or a try reaches it.  So ``rng`` is left
+    where that draw leaves it, and consecutive calls on one generator
+    draw the samples that one call for all of them would.
     """
     fields = len(bounds)
     per = 2 * dim * dim  # words per matrix, two per uniform()
@@ -275,9 +323,7 @@ def _draw_samples(rng: random.Random, dim: int, samples: int,
     span = b - -b  # uniform(-b, b) is -b + (b - -b) * random()
     out = np.empty((samples * fields, dim, dim))
     picks = np.empty(samples, dtype=int)
-    # a randrange takes at most two tries per sample on average; one
-    # spare sample's words cover a redraw or two
-    words = _words(rng, samples * (stride + 3 * index) + stride)
+    words = _words(rng, samples * (stride + index))
     i, f, s = 0, 0, 0  # first sample not done, its first field not done, its start word
     while i < samples:
         m = min(samples - i, _DRAW_WINDOW)
@@ -291,8 +337,9 @@ def _draw_samples(rng: random.Random, dim: int, samples: int,
                 while t >= end or view[t] >> shift >= dim:
                     if t < end:
                         t += 1
-                    else:
-                        words = np.concatenate((words, _words(rng, (m - k) * (stride + 3))))
+                    else:  # up to this try, and the least each later sample reads
+                        short = t + 1 + (m - k - 1) * (stride + 1) - end
+                        words = np.concatenate((words, _words(rng, short)))
                         view = memoryview(words)
                         end = len(view)
                 starts.append(s)
@@ -332,23 +379,45 @@ def _draw_samples(rng: random.Random, dim: int, samples: int,
     return list(out.reshape(samples, fields, dim, dim).swapaxes(0, 1)), picks
 
 
-def _key_sweep(dim: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the key inequality on ``key_inequality_sweep``'s samples;
-    the drawn B is Y's factor, so Y is never factored."""
-    (B, G), _ = _draw_samples(random.Random(seed), dim, samples,
-                              (math.sqrt(10.0 / dim), 10.0))
-    return _key_inequality_sides(np.swapaxes(B, -1, -2) @ B, B, G)
+def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
+             index: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """``_draw_samples`` of ``random.Random(seed)`` in windows of
+    ``_DRAW_WINDOW`` samples, the last one shorter: consecutive draws on
+    one generator, so together the samples one draw of all of them gives."""
+    rng = random.Random(seed)
+    for done in range(0, samples, _DRAW_WINDOW):
+        yield _draw_samples(rng, dim, min(samples - done, _DRAW_WINDOW), bounds, index)
 
 
-def _bhatia_sweep(dim: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the k = 1 inequality on ``bhatia_sweep``'s samples."""
-    (A, B), i1 = _draw_samples(random.Random(seed), dim, samples, (10.0, 10.0),
-                               index=True)
-    return _bhatia_sides(A, B, i1)
+def _key_sweep(dim: int, samples: int, seed: int
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Both sides of the key inequality on ``key_inequality_sweep``'s
+    samples, one window at a time (``_windows``); the drawn B is Y's
+    factor, so Y is never factored."""
+    for (B, G), _ in _windows(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0)):
+        yield _key_inequality_sides(np.swapaxes(B, -1, -2) @ B, B, G)
 
 
-def _tally(lhs: np.ndarray, rhs: np.ndarray, slack: float) -> tuple[int, int, float]:
-    """(total, held, worst slack) of lhs <= rhs + slack max(1, |rhs|) over
-    stacks of both sides, the rule of ``InequalityReport``."""
-    holds = lhs <= rhs + slack * np.maximum(1.0, np.abs(rhs))
-    return len(lhs), int(holds.sum()), float((rhs - lhs).min(initial=math.inf))
+def _bhatia_sweep(dim: int, samples: int, seed: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Both sides of the k = 1 inequality on ``bhatia_sweep``'s samples, one
+    window at a time (``_windows``)."""
+    for (A, B), i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
+        yield _bhatia_sides(A, B, i1)
+
+
+def _tally(windows: Iterable[tuple[np.ndarray, np.ndarray]], slack: float
+           ) -> tuple[int, int, float]:
+    """(total, held, worst slack) of lhs <= rhs + slack max(1, |rhs|), the
+    rule of ``InequalityReport``, over each window's stacks of both sides.
+
+    Totals and helds add up and the worst slack is the least of the
+    windows', the same numbers one stack of every sample gives; a window
+    is let go once it is counted, so a sweep holds one at a time.
+    """
+    total, held, worst = 0, 0, math.inf
+    for lhs, rhs in windows:
+        total += len(lhs)
+        held += int((lhs <= rhs + slack * np.maximum(1.0, np.abs(rhs))).sum())
+        worst = min(worst, float((rhs - lhs).min(initial=math.inf)))
+    return total, held, worst

@@ -44,6 +44,7 @@ from .linalg import (
     Scalar,
     SpdMatrix,
     _int_determinant,
+    _is_singular,
     _python_int,
     congruence,
     determinant,
@@ -271,18 +272,22 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     """Check d_n(G^T G) / lambda_max(Y) <= d_n(G^T Y G).
 
     Holds for every positive definite Y and invertible G; a failing
-    report indicates an implementation bug or a tolerance breach.  Y is
-    factored as in ``d_spectrum``, so every ``SpdMatrix`` is accepted.
-    Both sides come from ``_arrays._key_inequality_sides`` on stacks of
-    one, as in ``key_inequality_sweep``: each d_n from the top
-    eigenvalue of a scaled Gram matrix, within a relative 8 * 2n * eps
-    of the SVD's top singular value, and no SVD.  A broken eigenvalue
-    pair raises ``PairingFailure``, and a d_n past the float range
-    (G^T G near 10^-308) ``OverflowError``.
+    report indicates an implementation bug or a tolerance breach.  G is
+    refused as singular only when it is exactly singular
+    (``linalg._is_singular``), never for a float determinant that
+    underflows or overflows.  Y is factored as in ``d_spectrum``, so
+    every ``SpdMatrix`` is accepted.  Both sides come from
+    ``_arrays._key_inequality_sides`` on stacks of one, as in
+    ``key_inequality_sweep``: each d_n in closed form at n <= 2, and from
+    the top eigenvalue of a scaled Gram matrix at n >= 3, within a
+    relative 8 * 2n * eps of the SVD's top singular value, and no SVD.
+    At n >= 3 a broken eigenvalue pair raises ``PairingFailure``; at any
+    n a d_n past the float range (G^T G near 10^-308) raises
+    ``OverflowError``.
     """
     if G.rows != Y.n or not G.is_square:
         raise DimensionMismatch("G must be square of the same size as Y")
-    if determinant(G) == 0:
+    if _is_singular(G):
         raise Singular("G must be invertible")
     if Y.n % 2:
         raise OddDimension("symplectic spectrum requires even size")
@@ -428,11 +433,11 @@ class SweepResult:
         return self.held == self.total
 
 
-def _sweep_result(lhs, rhs) -> SweepResult:
-    """Tally the rule of ``InequalityReport`` over stacks of both sides
-    (``_arrays._tally``)."""
+def _sweep_result(windows) -> SweepResult:
+    """Tally the rule of ``InequalityReport`` over each window's stacks of
+    both sides, one window at a time (``_arrays._tally``)."""
     from . import _arrays
-    return SweepResult(*_arrays._tally(lhs, rhs, INEQUALITY_SLACK))
+    return SweepResult(*_arrays._tally(windows, INEQUALITY_SLACK))
 
 
 def _sweep_sizes(**values: tuple) -> tuple[int, ...]:
@@ -457,36 +462,42 @@ def _sweep_sizes(**values: tuple) -> tuple[int, ...]:
 def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     """Seeded random sweep of the key inequality in one even dimension.
 
-    Every sample is drawn first and all of them are checked as one stack.
-    The samples are exactly those of ``random.Random(seed)`` called in
-    order: per sample the factor B of the Gram matrix Y = B^T B, entries
-    ``uniform(-b, b)`` row by row with b = sqrt(10 / dim), then G with
-    entries ``uniform(-10, 10)``, each matrix redrawn while |det| <= 1e-3.
+    The samples are drawn and checked in windows of
+    ``_arrays._DRAW_WINDOW`` samples, each window as one stack, and the
+    windows' tallies are merged, so memory stays bounded however many
+    samples there are.  The samples are exactly those of
+    ``random.Random(seed)`` called in order: per sample the factor B of
+    the Gram matrix Y = B^T B, entries ``uniform(-b, b)`` row by row with
+    b = sqrt(10 / dim), then G with entries ``uniform(-10, 10)``, each
+    matrix redrawn while |det| <= 1e-3.
     The generator's words are read in bulk, not one call per entry, and
     B serves as Y's factor, so Y is never factored (``_arrays._key_sweep``).
-    The stack is checked by ``_arrays._key_inequality_sides``, as in
+    A window is checked by ``_arrays._key_inequality_sides``, as in
     ``verify_key_inequality``: one ``eigvalsh`` of every Y gives
-    lambda_max(Y), and one ``eigvalsh`` of the scaled Gram matrices of
-    the skew matrices of every G and every B G gives each d_n.  An odd
-    dimension raises ``OddDimension``.
+    lambda_max(Y), and each d_n of the skew matrices of every G and every
+    B G is read in closed form at dims 2 and 4, and from one ``eigvalsh``
+    of their scaled Gram matrices at dim 6 and up, where a broken
+    eigenvalue pair raises ``PairingFailure``.  An odd dimension raises
+    ``OddDimension``.
     """
     samples, dim, seed = _sweep_sizes(samples=(samples, 1), dimension=(dim, 1),
                                       seed=(seed, None))
     if dim % 2:
         raise OddDimension("symplectic spectrum requires even size")
     from . import _arrays
-    return _sweep_result(*_arrays._key_sweep(dim, samples, seed))
+    return _sweep_result(_arrays._key_sweep(dim, samples, seed))
 
 
 def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     """Seeded random sweep of the k = 1 singular-value inequality.
 
-    Every sample is drawn first and all of them are checked as one stack.
+    The samples are drawn and checked in windows of
+    ``_arrays._DRAW_WINDOW`` samples, as in ``key_inequality_sweep``.
     The samples are exactly those of ``random.Random(seed)`` called in
     order: per sample A, then B, entries ``uniform(-10, 10)`` row by row,
     each matrix redrawn while |det| <= 1e-3, then the index
     i1 = ``randrange(1, dim + 1)``.  The generator's words are read in
-    bulk, not one call per entry.  The stack is checked by
+    bulk, not one call per entry.  A window is checked by
     ``_arrays._bhatia_sides``: one ``svd`` of every A and B gives each
     lhs, and one ``eigvalsh`` of the scaled Gram matrices of the products
     A B each rhs, as in ``verify_bhatia_k1``.
@@ -494,4 +505,4 @@ def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     samples, dim, seed = _sweep_sizes(samples=(samples, 1), dimension=(dim, 1),
                                       seed=(seed, None))
     from . import _arrays
-    return _sweep_result(*_arrays._bhatia_sweep(dim, samples, seed))
+    return _sweep_result(_arrays._bhatia_sweep(dim, samples, seed))

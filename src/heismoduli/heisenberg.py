@@ -36,11 +36,11 @@ from .linalg import (
     Scalar,
     SpdMatrix,
     _coerce_rows,
+    _is_singular,
     _json_list,
     _python_scalar,
     _scalar_parser,
     congruence,
-    determinant,
     matrix_from_json,
     matrix_inverse,
     matrix_to_json,
@@ -218,8 +218,7 @@ def pullback_metric(m: SpdMatrix, phi: DenseMatrix) -> SpdMatrix:
     """phi^T m phi, the pullback of the metric along phi."""
     if phi.rows != m.n or not phi.is_square:
         raise DimensionMismatch("pullback requires a square matrix of matching size")
-    det = determinant(phi)
-    if det == 0:
+    if _is_singular(phi):
         raise Singular("pullback along a singular matrix")
     return SpdMatrix(congruence(m, phi))
 

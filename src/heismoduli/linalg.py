@@ -471,6 +471,14 @@ def _integer_rows(m: DenseMatrix) -> tuple[list[list[int]], list[int]]:
     return [[p * (s // q) for p, q in r] for r, s in zip(ratios, scales)], scales
 
 
+def _is_singular(G: DenseMatrix | SpdMatrix) -> bool:
+    """Whether the square G is singular, decided on its exact integer rows
+    (``_integer_rows``) by ``_int_determinant``: the float ``determinant``
+    can underflow to 0.0 on an invertible G, or overflow, and neither is
+    an answer to this question."""
+    return _int_determinant(_integer_rows(_dense(G))[0]) == 0
+
+
 def determinant(Y: DenseMatrix | SpdMatrix) -> Scalar:
     """Determinant, exact in both modes and rounded once in float mode.
 

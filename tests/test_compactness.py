@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
-from conftest import random_unimodular
+from conftest import givens_orthogonal, random_unimodular
 from heismoduli import _arrays, compactness
 
 
@@ -457,7 +459,7 @@ class TestKeyInequality:
         B, G = _replay_key_samples(dim, samples, seed)
         # the drawn B is Y's factor
         Y = np.swapaxes(B, -1, -2) @ B
-        expected = compactness._sweep_result(*_arrays._key_inequality_sides(Y, B, G))
+        expected = compactness._sweep_result([_arrays._key_inequality_sides(Y, B, G)])
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,
@@ -472,18 +474,20 @@ class TestKeyInequality:
         expected = _replay_key_samples(dim, samples, seed)
         assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
 
-    # recorded with each d_n taken as c sqrt(lambda_max) of the scaled Gram
-    # matrix of its skew matrix, one _top_symplectic call for G and another
-    # for F G (numpy 2.4.6, x86-64); LAPACK treats each matrix on its own,
-    # so the one stacked call must give the same bits.  Three of the six
-    # differ by 2 ulp from the values an SVD of each skew matrix gave;
-    # test_top_value_matches_svd bounds that gap on every sample
+    # recorded with each d_n read by _top_symplectic (numpy 2.4.6, x86-64):
+    # |k| at dim 2, the self-dual split's (a + b) / 2 at dim 4, and
+    # c sqrt(lambda_max) of the scaled Gram matrix of its skew matrix at
+    # dim 6.  Each value is computed matrix by matrix, so a stack, or a
+    # window of one, gives the same bits.  The dim-4 values sit 1 and 2 ulp
+    # from the eigvalsh ones, and three of the six 2 ulp from an SVD of
+    # each skew matrix; test_top_value_matches_svd bounds that gap on
+    # every sample.  (2, 1000, 13) spans four windows
     @pytest.mark.parametrize("args, held, worst_slack", [
         ((2, 50, 3), 50, 0.00016631155065840748),
-        ((4, 50, 7), 50, 0.007232850957914966),
+        ((4, 50, 7), 50, 0.007232850957914967),
         ((6, 50, 11), 50, 0.012414876212731477),
         ((6, 160, 612177327), 160, 0.009846757589123279),
-        ((4, 160, 2**70 + 3), 160, 0.004284087011410314),
+        ((4, 160, 2**70 + 3), 160, 0.004284087011410313),
         ((2, 1000, 13), 1000, 0.00013819975180947783),
     ])
     def test_sweep_results_pinned(self, args, held, worst_slack):
@@ -517,10 +521,31 @@ class TestKeyInequality:
         assert top.shape == oracle.shape == (2, samples)
         assert np.all(np.abs(top - oracle) <= 8 * dim * np.finfo(float).eps * oracle)
 
+    # K = Q blocks(d_1 J, d_2 J) Q^T, the skew matrix of F = Q D^(-1/2):
+    # d_1 = d_2 exactly, d_1 / d_2 down to 2^-60, and scales 2^+-500
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(0, 2**32),
+           st.integers(-500, 500), st.integers(-60, 0), st.floats(0.5, 1.0))
+    @example(2, 3, 7, 0, 0, 1.0)
+    @example(2, 1, 11, 500, 0, 1.0)
+    @example(2, 2, 12, -500, -60, 0.75)
+    @example(1, 2, 5, -500, 0, 1.0)
+    def test_closed_form_matches_svd(self, n, samples, seed, scale, ratio, mantissa):
+        rng = random.Random(seed)
+        d = np.ldexp(np.array([math.ldexp(mantissa, ratio), 1.0][:n]), scale)
+        F = np.array([givens_orthogonal(rng, 2 * n).to_numpy() * np.tile(d ** -0.5, 2)
+                      for _ in range(samples)])
+        top = _arrays._top_symplectic(F)
+        oracle = np.linalg.svd(_arrays._skew(F), compute_uv=False)[:, 0]
+        assert np.all(np.isfinite(oracle))
+        assert np.all(np.abs(top - oracle) <= 8 * 2 * n * np.finfo(float).eps * oracle)
+
     @pytest.mark.parametrize("sample", [0, 3])
     def test_pairing_guard(self, monkeypatch, sample):
         # break the top pair of one sample's eigenvalues in every eigvalsh
-        # call; lambda_max(Y) may move, the skew matrices' pairs must not
+        # call; lambda_max(Y) may move, the skew matrices' pairs must not.
+        # Dim 6 is the smallest size whose d_n comes from eigvalsh and is
+        # paired; dims 2 and 4 read it in closed form
         real = np.linalg.eigvalsh
 
         def perturbed(m, *args, **kwargs):
@@ -530,11 +555,31 @@ class TestKeyInequality:
             return vals
 
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
-        with pytest.raises(hm.PairingFailure, match=r"^singular value pair 2 mismatch: "):
-            hm.key_inequality_sweep(4, 5, 17)
-        with pytest.raises(hm.PairingFailure, match=r"^singular value pair 1 mismatch: "):
-            hm.verify_key_inequality(hm.SpdMatrix(hm.identity(2)),
-                                     hm.DenseMatrix.from_rows([[2, 1], [0, 1]]))
+        G = [[int(i == j) + int((i, j) == (0, 1)) for j in range(6)] for i in range(6)]
+        with pytest.raises(hm.PairingFailure, match=r"^singular value pair 3 mismatch: "):
+            hm.key_inequality_sweep(6, 5, 17)
+        with pytest.raises(hm.PairingFailure, match=r"^singular value pair 3 mismatch: "):
+            hm.verify_key_inequality(hm.SpdMatrix(hm.identity(6)),
+                                     hm.DenseMatrix.from_rows(G))
+
+    # lambda_max(Y) is one eigvalsh per window, and each d_n one more at
+    # dim 6 only; no size runs an svd.  A LAPACK call put back on the key
+    # path changes these counts
+    @pytest.mark.parametrize("dim, per_window", [(2, 1), (4, 1), (6, 2)])
+    def test_lapack_calls_per_window(self, monkeypatch, dim, per_window):
+        calls = Counter()
+        for name in ("eigvalsh", "svd"):
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert hm.key_inequality_sweep(dim, 2 * _arrays._DRAW_WINDOW + 1, 3).all_hold
+        assert calls == {"eigvalsh": 3 * per_window}
+        calls.clear()
+        assert hm.verify_key_inequality(hm.SpdMatrix(hm.identity(dim)),
+                                        hm.identity(dim)).holds
+        assert calls == {"eigvalsh": per_window}
 
     def test_no_svd_on_the_key_path(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -547,10 +592,22 @@ class TestKeyInequality:
 
     def test_pullback_past_the_float_range_refused(self):
         # G^T G = 1e-310 I: the skew matrix of G overflows, which gave
-        # lhs = rhs = nan before
-        G = hm.DenseMatrix.from_rows([[1e-155, 0.0], [0.0, 1e-155]])
-        with pytest.raises(OverflowError, match="past the float range"):
-            hm.verify_key_inequality(hm.SpdMatrix(hm.identity(2, hm.FLOAT)), G)
+        # lhs = rhs = nan before; at dim 4 the float det(G), 1e-620, is 0
+        for dim in (2, 4):
+            G = hm.DenseMatrix.from_rows([[1e-155 * (i == j) for j in range(dim)]
+                                          for i in range(dim)])
+            with pytest.raises(OverflowError, match="past the float range"):
+                hm.verify_key_inequality(hm.SpdMatrix(hm.identity(dim, hm.FLOAT)), G)
+
+    # G = c I is invertible at every float c, though its float determinant
+    # c^4 underflows to 0 at 1e-90 and overflows a float at 1e80
+    @pytest.mark.parametrize("c", [1e-90, 1e80])
+    def test_invertible_past_the_float_determinant(self, c):
+        G = hm.DenseMatrix.from_rows([[c * (i == j) for j in range(4)] for i in range(4)])
+        rep = hm.verify_key_inequality(hm.SpdMatrix(hm.identity(4)), G)
+        assert rep.lhs == pytest.approx(c ** -2, rel=1e-14, abs=0)
+        assert rep.rhs == pytest.approx(c ** -2, rel=1e-14, abs=0)
+        assert rep.holds
 
     def test_odd_dimension_sweep_refused(self):
         with pytest.raises(hm.OddDimension):
@@ -633,7 +690,7 @@ class TestBhatiaInequality:
     @example(2, 100, 372)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         A, B, i1 = _replay_bhatia_samples(dim, samples, seed)
-        expected = compactness._sweep_result(*_arrays._bhatia_sides(A, B, i1))
+        expected = compactness._sweep_result([_arrays._bhatia_sides(A, B, i1)])
         assert hm.bhatia_sweep(dim, samples, seed) == expected
 
     # a single sample at dim 1, seed 5 rejects index tries past the first fetch
@@ -755,6 +812,44 @@ class TestSweepSizes:
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint16(5), np.int8(5)])
     def test_numpy_integer_seed_is_its_int(self, sweep, seed):
         assert sweep(2, 4, seed) == sweep(2, 4, 5)
+
+
+# the sweeps draw window after window on one generator, so each draw must
+# leave it where the one-value-at-a-time draw does; the key-bound seeds
+# redraw B, the Bhatia ones a matrix or an index try past the first fetch
+@pytest.mark.parametrize("dim, seed, bound, index", [
+    (2, 13, math.sqrt(5.0), False), (4, 38, math.sqrt(2.5), False),
+    (6, 4, math.sqrt(10.0 / 6), False), (2, 174, 10.0, True), (2, 372, 10.0, True),
+    (1, 5, 10.0, True), (3, -5, 10.0, True), (6, 2**70 + 3, 10.0, True)])
+def test_draws_read_exactly_the_replays_words(dim, seed, bound, index):
+    bounds = (bound, 10.0)
+    rng, replay = random.Random(seed), random.Random(seed)
+    parts = [_arrays._draw_samples(rng, dim, n, bounds, index) for n in (37, 1, 62)]
+    whole = _arrays._draw_samples(random.Random(seed), dim, 100, bounds, index)
+    for field in range(2):
+        assert np.array_equal(np.concatenate([p[0][field] for p in parts]), whole[0][field])
+    if index:
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), whole[1])
+    for _ in range(100):
+        _replay_invertible(replay, dim, bound)
+        _replay_invertible(replay, dim)
+        if index:
+            replay.randrange(1, dim + 1)
+    assert rng.getstate() == replay.getstate()
+
+
+@pytest.mark.parametrize("sweep", [hm.key_inequality_sweep, hm.bhatia_sweep])
+def test_sweep_holds_one_window(sweep):
+    # eight windows of samples must peak where two do, not four times higher
+    peaks = []
+    for windows in (2, 8):
+        tracemalloc.start()
+        try:
+            sweep(6, windows * _arrays._DRAW_WINDOW, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_sweeps_do_not_import_numpy_random():

@@ -274,6 +274,15 @@ class TestPullback:
                 hm.SpdMatrix(hm.identity(2)), hm.DenseMatrix.from_rows([[1, 1], [1, 1]])
             )
 
+    # phi = c I is invertible at every float c, though its float determinant
+    # c^4 underflows to 0 at 1e-90 and overflows a float at 1e80
+    @pytest.mark.parametrize("c", [1e-90, 1e80])
+    def test_invertible_past_the_float_determinant(self, c):
+        phi = hm.DenseMatrix.from_rows([[c * (i == j) for j in range(4)] for i in range(4)])
+        got = hm.pullback_metric(hm.SpdMatrix(hm.identity(4)), phi)
+        assert got.entries == hm.congruence(hm.identity(4), phi).entries
+        assert got.entries[0][0] == float(Fraction(c) ** 2)
+
 
 class TestLatticeSubgroup:
     def test_center_always_member(self):

@@ -266,6 +266,18 @@ class TestDeterminant:
         with pytest.raises(hm.Singular):
             hm.pullback_metric(Y, G)
 
+    # singularity is decided on the exact integer rows: the float
+    # determinant of c I underflows to 0.0 at 1e-90 and overflows at 1e80
+    @pytest.mark.parametrize("rows, singular", [
+        ([[1e-90 * (i == j) for j in range(4)] for i in range(4)], False),
+        ([[1e80 * (i == j) for j in range(4)] for i in range(4)], False),
+        ([[1.0, 1.0], [1.0, 1.0]], True),
+        ([[frac(1, 3), frac(1, 2)], [frac(2, 3), frac(1)]], True),
+        ([[1, 1], [1, 1 + frac(1, 10**20)]], False),
+    ])
+    def test_singularity_decided_exactly(self, rows, singular):
+        assert hm.linalg._is_singular(hm.DenseMatrix.from_rows(rows)) is singular
+
 
 @st.composite
 def _symmetric_rationals(draw):
