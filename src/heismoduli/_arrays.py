@@ -11,8 +11,8 @@ value is read, it runs no SVD: d_n in the key inequality is read in
 closed form at n <= 2 and from one ``eigvalsh`` of scaled Gram matrices
 at n >= 3 (``_top_symplectic``), and s_1(A B) in Bhatia's from one
 ``eigvalsh`` (``_scaled_gram_eigenvalues``).  A spectrum past the float
-range raises ``OverflowError``, never a NaN or an infinity.  The sweeps
-draw and check their samples one window of ``_DRAW_WINDOW`` at a time.
+range raises ``OverflowError``, never a NaN or an infinity.  Each sweep
+draws from a generator of its own, one window of ``_DRAW_WINDOW`` at a time.
 No module imports this one when it loads; each public function that
 needs arrays runs ``from . import _arrays`` when it is called, so a
 command that computes no spectrum never loads numpy.  It imports only
@@ -288,112 +288,102 @@ def _words(rng: random.Random, n: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
 
 
-def _draw_samples(rng: random.Random, dim: int, samples: int,
-                  bounds: Sequence[float], index: bool = False
-                  ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The sweeps' samples, exactly as ``rng`` draws them one value at a time.
+def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
+             index: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """The sweeps' samples, exactly as ``random.Random(seed)`` draws them
+    one value at a time, in windows of ``_DRAW_WINDOW`` samples.
 
     A sample is one dim x dim matrix per bound b, with entries
-    ``rng.uniform(-b, b)`` row by row, each matrix redrawn while
-    |det| <= 1e-3; then, when `index` is set, ``rng.randrange(1, dim + 1)``.
+    ``uniform(-b, b)`` row by row, each matrix redrawn while
+    |det| <= 1e-3; then, when `index` is set, ``randrange(1, dim + 1)``.
     The words are fetched in bulk and turned into values by CPython's own
     operations: ``random()`` is ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53,
     ``uniform(a, b)`` is a + (b - a) * random(), and each ``randrange``
     try keeps the top bits of one word, rejected while they reach dim.
 
-    Up to ``_DRAW_WINDOW`` of the remaining samples are laid out as if
-    nothing is redrawn and their determinants taken as one stack.  The
-    matrices before the first small determinant are kept, and the layout
-    resumes from the word just after the rejected matrix.  Returns one
-    (samples, dim, dim) stack per bound and the (samples,) array of
-    indices, left unset without `index`.
-
-    No word is fetched that the one-value-at-a-time draw would not read:
-    the layout assumes one ``randrange`` try per sample and no redraw,
-    so it never reaches past where the real draw reads, and a shortfall
-    is fetched when a layout or a try reaches it.  So ``rng`` is left
-    where that draw leaves it, and consecutive calls on one generator
-    draw the samples that one call for all of them would.
+    A window's remaining samples are laid out as if nothing is redrawn,
+    with their determinants as one stack; the matrices before the first
+    small one are kept, and the layout resumes from the word just after
+    the rejected matrix.  Each layout first tops the words up to the least
+    it reads, counting two ``randrange`` tries per sample; a try walk that
+    runs past them fetches the rest, and a window's unread words are the
+    next one's.  A window is one (samples, dim, dim) stack per bound and
+    the (samples,) indices, unset without `index`.
     """
+    rng = random.Random(seed)
     fields = len(bounds)
     per = 2 * dim * dim  # words per matrix, two per uniform()
     stride = fields * per  # matrix words per sample
+    reads = stride + 2 * index  # the least words per sample the top-up counts
     shift = 32 - dim.bit_length()
     b = np.array(bounds)[:, None]
     span = b - -b  # uniform(-b, b) is -b + (b - -b) * random()
-    out = np.empty((samples * fields, dim, dim))
-    picks = np.empty(samples, dtype=int)
-    words = _words(rng, samples * (stride + index))
-    i, f, s = 0, 0, 0  # first sample not done, its first field not done, its start word
-    while i < samples:
-        m = min(samples - i, _DRAW_WINDOW)
-        if index:
-            # each try is a Python int read through a memoryview: a numpy
-            # scalar and a numpy setitem per sample cost more than the try
-            starts, drawn, view = [], [], memoryview(words)
-            end = len(view)
-            for k in range(m):
-                t = s + stride
-                while t >= end or view[t] >> shift >= dim:
-                    if t < end:
-                        t += 1
-                    else:  # up to this try, and the least each later sample reads
-                        short = t + 1 + (m - k - 1) * (stride + 1) - end
-                        words = np.concatenate((words, _words(rng, short)))
-                        view = memoryview(words)
-                        end = len(view)
-                starts.append(s)
-                drawn.append(1 + (view[t] >> shift))
-                s = t + 1
-            starts, drawn = np.array(starts, dtype=np.intp), np.array(drawn)
-            # row p of this view is words[p:p + stride]; every start is below
-            # a kept try, so its row lies inside the buffer
-            w = as_strided(words, (len(words) - stride + 1, stride), words.strides * 2,
-                           writeable=False)[starts]
-        else:
-            starts = s + stride * np.arange(m)
-            if s + m * stride > len(words):
-                words = np.concatenate((words, _words(rng, s + m * stride - len(words))))
-            w = words[s:s + m * stride]
-            s += m * stride
-        w = w.reshape(m, fields, per)
-        u = (w[..., 0::2] >> 5) * 67108864.0
-        u += w[..., 1::2] >> 6
-        u *= 1.0 / 9007199254740992.0
-        u *= span
-        u -= b  # the same IEEE sum as -b + u
-        mats = u.reshape(m * fields, dim, dim)
-        bad = np.abs(np.linalg.det(mats)) <= 1e-3
-        bad[:f] = False  # fields of sample i kept by an earlier pass
-        hits = np.flatnonzero(bad)
-        first = int(hits[0]) if len(hits) else m * fields
-        out[i * fields + f:i * fields + first] = mats[f:first]
-        if index:
-            picks[i:i + first // fields] = drawn[:first // fields]
-        if first == m * fields:
-            i, f = i + m, 0
-        else:
+    words, s = _words(rng, min(samples, _DRAW_WINDOW) * reads), 0  # s: next sample's start
+    for done in range(0, samples, _DRAW_WINDOW):
+        n = min(samples - done, _DRAW_WINDOW)
+        out = np.empty((n * fields, dim, dim))
+        picks = np.empty(n, dtype=int)
+        i, f = 0, 0  # first sample not done, its first field not done
+        while True:
+            m = n - i
+            if s + m * reads > len(words):  # fetch the shortfall
+                words = np.concatenate((words, _words(rng, s + m * reads - len(words))))
+            if index:
+                # each try is a Python int read through a memoryview: a numpy
+                # scalar and a numpy setitem per sample cost more than the try
+                starts, drawn, view = [], [], memoryview(words)
+                end = len(view)
+                for k in range(m):
+                    t = s + stride
+                    while t >= end or view[t] >> shift >= dim:
+                        if t < end:
+                            t += 1
+                        else:  # the top-up's count for this sample and each later one
+                            words = np.concatenate((words, _words(rng, (m - k) * reads)))
+                            view = memoryview(words)
+                            end = len(view)
+                    starts.append(s)
+                    drawn.append(1 + (view[t] >> shift))
+                    s = t + 1
+                # row p of this view is words[p:p + stride]; every start is below
+                # a kept try, so its row lies inside the buffer
+                w = as_strided(words, (len(words) - stride + 1, stride), words.strides * 2,
+                               writeable=False)[starts]
+            else:
+                starts = s + stride * np.arange(m)
+                w = words[s:s + m * stride]
+                s += m * stride
+            w = w.reshape(m, fields, per)
+            u = (w[..., 0::2] >> 5) * 67108864.0
+            u += w[..., 1::2] >> 6
+            u *= 1.0 / 9007199254740992.0
+            u *= span
+            u -= b  # the same IEEE sum as -b + u
+            mats = u.reshape(m * fields, dim, dim)
+            bad = np.abs(np.linalg.det(mats)) <= 1e-3
+            bad[:f] = False  # fields of sample i kept by an earlier pass
+            hits = np.flatnonzero(bad)
+            first = int(hits[0]) if len(hits) else m * fields
+            out[i * fields + f:i * fields + first] = mats[f:first]
+            if index:
+                picks[i:i + first // fields] = drawn[:first // fields]
+            if first == m * fields:
+                break
             # the rejected matrix's field now starts one matrix later
             k, f = divmod(first, fields)
             i, s = i + k, int(starts[k]) + per
-    return list(out.reshape(samples, fields, dim, dim).swapaxes(0, 1)), picks
-
-
-def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
-             index: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-    """``_draw_samples`` of ``random.Random(seed)`` in windows of
-    ``_DRAW_WINDOW`` samples, the last one shorter: consecutive draws on
-    one generator, so together the samples one draw of all of them gives."""
-    rng = random.Random(seed)
-    for done in range(0, samples, _DRAW_WINDOW):
-        yield _draw_samples(rng, dim, min(samples - done, _DRAW_WINDOW), bounds, index)
+        # keep only the unread words, and let the layout's arrays go before the
+        # caller checks the window: held through the yield, they slowed the checks
+        words, s = words[s:].copy(), 0
+        del w, u, mats
+        yield list(out.reshape(n, fields, dim, dim).swapaxes(0, 1)), picks
 
 
 def _key_sweep(dim: int, samples: int, seed: int
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the key inequality on ``key_inequality_sweep``'s
-    samples, one window at a time (``_windows``); the drawn B is Y's
-    factor, so Y is never factored."""
+    samples, one window of ``_windows`` at a time, for ``_tally``; the
+    drawn B is Y's factor, so Y is never factored."""
     for (B, G), _ in _windows(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0)):
         yield _key_inequality_sides(np.swapaxes(B, -1, -2) @ B, B, G)
 
@@ -401,7 +391,7 @@ def _key_sweep(dim: int, samples: int, seed: int
 def _bhatia_sweep(dim: int, samples: int, seed: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the k = 1 inequality on ``bhatia_sweep``'s samples, one
-    window at a time (``_windows``)."""
+    window of ``_windows`` at a time, for ``_tally``."""
     for (A, B), i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
         yield _bhatia_sides(A, B, i1)
 

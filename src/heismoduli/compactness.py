@@ -228,7 +228,10 @@ def heisenberg_type_certificate(family: MetricFamily, C0: Scalar | None = None,
             raise NotHeisenbergType(idx)
     cap = _enumeration_budget(budget)
     minima = [first_minimum_r(m.h, family.r, cap).value for m in members]
-    dets = [m.g ** family.r.n for m in members]
+    try:
+        dets = [m.g ** family.r.n for m in members]
+    except OverflowError:  # a float g, and g^n past the float range
+        raise OverflowError("c1 = g^n is past the float range") from None
     dns = [1.0 / math.sqrt(_float_g(m.g)) for m in members]
     return _certificate({"C0": C0, "I": I}, [
         ("c0", minima, min, C0), ("c1", dets, max, None), ("c2", dns, max, None),
@@ -244,9 +247,7 @@ def counterexample_family(k: int) -> SpdMatrix:
     no finite d_n threshold certifies the whole family.  k is an integer
     (``_sweep_sizes``), at least 0.
     """
-    (k,) = _sweep_sizes(k=(k, None))
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    (k,) = _sweep_sizes(k=(k, 0))
     return SpdMatrix.from_rows(
         [
             [1, k, 0, 0],
@@ -259,12 +260,21 @@ def counterexample_family(k: int) -> SpdMatrix:
 
 
 def counterexample_spectrum(k: int) -> tuple[float, float]:
-    """Closed-form (d_1, d_2) of the k-th family member.
+    """Closed-form (d_1, d_2) of the k-th family member, k an integer of at
+    least 0 (``_sweep_sizes``).
 
-    d_2^2 = (k^2 + 2 + k sqrt(k^2 + 4)) / 2, and det = 1 gives d_1 = 1/d_2
-    (the closed form for d_1^2 cancels catastrophically at large k).
+    d_2 = (k + sqrt(k^2 + 4)) / 2, computed as k/2 + hypot(k/2, 1) so that
+    nothing squares k, and det = 1 gives d_1 = 1/d_2 (the closed form for
+    d_1 cancels catastrophically at large k).  d_2 is finite exactly when
+    k rounds to a finite float, up to about 1.8e308; past that it raises
+    ``OverflowError``.
     """
-    d2 = math.sqrt((k * k + 2.0 + k * math.sqrt(k * k + 4.0)) / 2.0)
+    (k,) = _sweep_sizes(k=(k, 0))
+    try:
+        half = float(k) / 2
+    except OverflowError:
+        raise OverflowError("d_2 is past the float range") from None
+    d2 = half + math.hypot(half, 1.0)
     return 1.0 / d2, d2
 
 
@@ -433,13 +443,6 @@ class SweepResult:
         return self.held == self.total
 
 
-def _sweep_result(windows) -> SweepResult:
-    """Tally the rule of ``InequalityReport`` over each window's stacks of
-    both sides, one window at a time (``_arrays._tally``)."""
-    from . import _arrays
-    return SweepResult(*_arrays._tally(windows, INEQUALITY_SLACK))
-
-
 def _sweep_sizes(**values: tuple) -> tuple[int, ...]:
     """The sizes and seeds of a seeded draw as Python ints, in order.
 
@@ -470,7 +473,7 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     the Gram matrix Y = B^T B, entries ``uniform(-b, b)`` row by row with
     b = sqrt(10 / dim), then G with entries ``uniform(-10, 10)``, each
     matrix redrawn while |det| <= 1e-3.
-    The generator's words are read in bulk, not one call per entry, and
+    The sweep's own generator is read in bulk, not one call per entry, and
     B serves as Y's factor, so Y is never factored (``_arrays._key_sweep``).
     A window is checked by ``_arrays._key_inequality_sides``, as in
     ``verify_key_inequality``: one ``eigvalsh`` of every Y gives
@@ -485,7 +488,8 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     if dim % 2:
         raise OddDimension("symplectic spectrum requires even size")
     from . import _arrays
-    return _sweep_result(_arrays._key_sweep(dim, samples, seed))
+    windows = _arrays._key_sweep(dim, samples, seed)
+    return SweepResult(*_arrays._tally(windows, INEQUALITY_SLACK))
 
 
 def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
@@ -496,7 +500,7 @@ def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     The samples are exactly those of ``random.Random(seed)`` called in
     order: per sample A, then B, entries ``uniform(-10, 10)`` row by row,
     each matrix redrawn while |det| <= 1e-3, then the index
-    i1 = ``randrange(1, dim + 1)``.  The generator's words are read in
+    i1 = ``randrange(1, dim + 1)``.  The sweep's own generator is read in
     bulk, not one call per entry.  A window is checked by
     ``_arrays._bhatia_sides``: one ``svd`` of every A and B gives each
     lhs, and one ``eigvalsh`` of the scaled Gram matrices of the products
@@ -505,4 +509,5 @@ def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     samples, dim, seed = _sweep_sizes(samples=(samples, 1), dimension=(dim, 1),
                                       seed=(seed, None))
     from . import _arrays
-    return _sweep_result(_arrays._bhatia_sweep(dim, samples, seed))
+    windows = _arrays._bhatia_sweep(dim, samples, seed)
+    return SweepResult(*_arrays._tally(windows, INEQUALITY_SLACK))

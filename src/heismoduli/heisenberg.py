@@ -39,6 +39,7 @@ from .linalg import (
     _is_singular,
     _json_list,
     _python_scalar,
+    _ratio,
     _scalar_parser,
     congruence,
     matrix_from_json,
@@ -316,11 +317,16 @@ def kaplan_matrix(m: NormalizedMetric) -> DenseMatrix:
     Always float: each entry of the exact h^{-1} J is rounded once, then
     scaled by -g^{1/2}.  Column j of h^{-1} J is minus column j + n of
     h^{-1} for j < n, and column j - n for j >= n.  The result M satisfies
-    h M = -(h M)^T up to roundoff (skew-symmetry with respect to h).
+    h M = -(h M)^T up to roundoff (skew-symmetry with respect to h).  An
+    entry past the float range raises ``OverflowError``.
     """
     n, s = m.n, -math.sqrt(float(m.g))
-    return DenseMatrix.from_rows([[s * float(x) for x in (*(-y for y in r[n:]), *r[:n])]
-                                  for r in _inverse(m.h)], FLOAT)
+    div = _ratio(FLOAT, "Kaplan matrix entry")
+    rows = [[s * div(x.numerator, x.denominator) for x in (*(-y for y in r[n:]), *r[:n])]
+            for r in _inverse(m.h)]
+    if not all(math.isfinite(x) for r in rows for x in r):
+        raise OverflowError("Kaplan matrix entry is past the float range")
+    return DenseMatrix.from_rows(rows, FLOAT)
 
 
 def _d_spectra(Ys: Sequence[SpdMatrix]) -> list[KaplanSpectrum]:

@@ -332,10 +332,11 @@ def _first_minimum(factor, mode: str, cap: int) -> ShortVectorResult:
     den, minors, _ = factor
     n = len(minors) - 1
     m1 = minors[1]
+    div = _ratio(mode, "first minimum")
     if all(m1 * minors[m] <= minors[m + 1] for m in range(1, n)):
-        return ShortVectorResult(_ratio(mode)(m1, den), (1,) + (0,) * (n - 1))
+        return ShortVectorResult(div(m1, den), (1,) + (0,) * (n - 1))
     S, value, vectors = _least_tail_primitive(factor, 0, cap)
-    return ShortVectorResult(_ratio(mode)(value, S), vectors[0])
+    return ShortVectorResult(div(value, S), vectors[0])
 
 
 def first_minimum(Y: SpdMatrix, budget: int | None = None) -> ShortVectorResult:
@@ -493,7 +494,8 @@ def minkowski_reduce(Y: SpdMatrix, budget: int | None = None
     signs = [1] * n
     for k in range(1, n):
         signs[k] = signs[k - 1] if M[k - 1][k] >= 0 else -signs[k - 1]
-    div = _ratio(Y.mode)  # rounded once in float mode; an integer 0 gives 0.0, never -0.0
+    # rounded once in float mode; an integer 0 gives 0.0, never -0.0
+    div = _ratio(Y.mode, "reduced entry")
     R = [[div(signs[i] * signs[j] * x, den) for j, x in enumerate(r)] for i, r in enumerate(M)]
     U = tuple(tuple(c[i] * s for c, s in zip(B, signs)) for i in range(n))
     return SpdMatrix.from_rows(R, Y.mode), UnimodularMatrix(U)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -407,7 +406,7 @@ def ldl_decompose(Y: SpdMatrix | DenseMatrix) -> tuple[DenseMatrix, tuple[Scalar
     """
     Y = Y if isinstance(Y, SpdMatrix) else SpdMatrix(Y)
     den, minors, columns = Y.integer_ldl
-    div = _ratio(Y.mode)
+    div = _ratio(Y.mode, "LDL^T entry")
     one, zero = div(1, 1), div(0, 1)
     L = tuple(tuple(div(columns[j][i - j - 1], minors[j + 1]) if i > j
                     else one if i == j else zero for j in range(Y.n))
@@ -457,9 +456,19 @@ def _int_determinant(a: list) -> int:
     return sign * prev
 
 
-def _ratio(mode: str):
-    """Integers p, q to p / q: a Fraction, or in float mode int / int, rounded once."""
-    return Fraction if mode == RATIONAL else operator.truediv
+def _ratio(mode: str, what: str):
+    """Integers p, q to p / q: a Fraction, or in float mode int / int, rounded
+    once; a float quotient past the float range raises ``OverflowError``
+    naming `what`, and one below it rounds to 0.0."""
+    if mode == RATIONAL:
+        return Fraction
+
+    def div(p: int, q: int) -> float:
+        try:
+            return p / q
+        except OverflowError:
+            raise OverflowError(f"{what} is past the float range") from None
+    return div
 
 
 def _integer_rows(m: DenseMatrix) -> tuple[list[list[int]], list[int]]:
@@ -485,12 +494,15 @@ def determinant(Y: DenseMatrix | SpdMatrix) -> Scalar:
     An ``SpdMatrix`` reads it off its kept factor as minors[n] / den^n.
     Any other matrix is cleared of denominators row by row and goes
     through the integer Bareiss elimination; dividing by the product of
-    the row scales is exact.  An exactly singular matrix gives 0.
+    the row scales is exact.  An exactly singular matrix gives 0.  In
+    float mode a determinant past the float range raises ``OverflowError``,
+    and one below it rounds to 0.0, so an ``SpdMatrix`` near 10^-90 I_4
+    can read 0.0 (``_is_singular`` decides invertibility exactly).
     """
     m = _dense(Y)
     if not m.is_square:
         raise ValueError("determinant expects a square matrix")
-    div = _ratio(m.mode)
+    div = _ratio(m.mode, "determinant")
     if isinstance(Y, SpdMatrix):
         den, minors, _ = Y.integer_ldl
         return div(minors[-1], den ** Y.n)
@@ -503,7 +515,8 @@ def matrix_inverse(G: DenseMatrix | SpdMatrix) -> DenseMatrix:
 
     With A = S^{-1} B, B the integer rows and S the diagonal of their
     scales, one Bareiss elimination of [B | S] leaves p B^{-1} S =
-    p A^{-1}.  An exactly singular matrix raises ``Singular``.
+    p A^{-1}.  An exactly singular matrix raises ``Singular``, and in
+    float mode an entry past the float range ``OverflowError``.
     """
     m = _dense(G)
     if not m.is_square:
@@ -514,7 +527,7 @@ def matrix_inverse(G: DenseMatrix | SpdMatrix) -> DenseMatrix:
          for i, (r, s) in enumerate(zip(rows, scales))]
     if _int_determinant(a) == 0:
         raise Singular(f"{m.mode} matrix is singular")
-    div, p = _ratio(m.mode), a[0][0]
+    div, p = _ratio(m.mode, "inverse entry"), a[0][0]
     return DenseMatrix(tuple(tuple(div(x, p) for x in r[n:]) for r in a), m.mode)
 
 

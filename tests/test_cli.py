@@ -614,6 +614,24 @@ class TestRejectedInputs:
         assert code == 2
         assert out == "" and err == "error: symplectic spectrum is past the float range\n"
 
+    # a float determinant, and a Heisenberg-type c1 = g^n, past the float
+    # range: the error line names the quantity
+    @pytest.mark.parametrize("argv, c, g, what", [
+        (["certify-torus"], 1e80, None, "determinant"),
+        (["invariants"], 1e80, 1, "determinant"),
+        (["certify"], 1e80, 1, "determinant"),
+        (["certify", "--heisenberg-type"], 1e100, 1e200, "c1 = g^n"),
+    ])
+    def test_float_result_past_the_float_range_exit_2(self, capsys, monkeypatch, argv, c, g,
+                                                       what):
+        h = {"mode": "float", "rows": 4, "cols": 4,
+             "entries": [[c * (i == j) for j in range(4)] for i in range(4)]}
+        metric = {"h": h, "g": g, "r": [1, 1]}
+        payload = {"certify-torus": [h], "certify": [metric]}.get(argv[0], metric)
+        code, out, err = run(capsys, argv, stdin=json.dumps(payload), monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == "" and err == f"error: {what} is past the float range\n"
+
     def test_zero_denominator_entry_exit_2(self, capsys, monkeypatch):
         payload = json.dumps({"mode": "rational", "rows": 2, "cols": 2,
                               "entries": [["1/0", "0"], ["0", "1"]]})

@@ -58,6 +58,25 @@ class TestCounterexampleFamily:
         assert Y.entries == hm.counterexample_family(3).entries
         assert all(type(x) is Fraction for row in Y.entries for x in row)
 
+    @pytest.mark.parametrize("k", [-1, True, np.True_, 2.5, np.float64(2.0), Fraction(3)])
+    def test_spectrum_of_a_non_member_rejected(self, k):
+        # k is an integer of at least 0; at -1 the closed form is a descending pair
+        with pytest.raises(ValueError, match="^k must be"):
+            hm.counterexample_spectrum(k)
+
+    # nothing squares k, so d_2 is finite wherever k rounds to a finite float
+    @pytest.mark.parametrize("k", [10**154, 10**155, 10**300, 2**1024 - 2**970 - 1],
+                             ids=["1e154", "1e155", "1e300", "largest"])
+    def test_spectrum_finite_at_huge_k(self, k):
+        d1, d2 = hm.counterexample_spectrum(k)
+        assert d2 == float(k) and d1 == 1.0 / d2 and d1 > 0.0
+
+    # the largest k that rounds to a finite float, above, and the least that does not
+    @pytest.mark.parametrize("k", [2**1024 - 2**970, 10**309], ids=["least", "1e309"])
+    def test_spectrum_past_the_float_range_refused(self, k):
+        with pytest.raises(OverflowError, match="^d_2 is past the float range$"):
+            hm.counterexample_spectrum(k)
+
     @pytest.mark.parametrize("k", [10**3, 10**4, 3 * 10**4])
     def test_spectrum_closed_form_at_large_k(self, k):
         d1, d2 = hm.counterexample_spectrum(k)
@@ -171,6 +190,16 @@ class TestHeisenbergTypeCertificate:
         assert cert.c2 == pytest.approx(0.5)  # (min g)^{-1/2}
         for m in members:
             assert hm.determinant(m.h.matrix) == 16
+
+    def test_c1_past_the_float_range_refused(self):
+        # a valid member whose float c1 = g^n = 1e400 is past the float range;
+        # a Fraction g of that size is exact
+        h = hm.SpdMatrix.from_rows([[1e100 * (i == j) for j in range(4)] for i in range(4)])
+        with pytest.raises(OverflowError, match="^c1 = g\\^n is past the float range$"):
+            hm.heisenberg_type_certificate(metric_family([h], g=1e200))
+        h = scaled_identity(4, 10**100)
+        assert hm.heisenberg_type_certificate(metric_family([h], g=Fraction(10**200))).c1 \
+            == 10**400
 
     def test_non_type_member_rejected(self):
         fam = metric_family([hm.counterexample_family(1)])
@@ -369,6 +398,14 @@ def _replay_bhatia_samples(dim, samples, seed):
     return np.array(A), np.array(B), np.array(i1)
 
 
+def _drawn(seed, dim, samples, bounds, index=False):
+    """Every window of ``_arrays._windows`` joined: one stack per bound and
+    the indices, as the sweep draws them."""
+    windows = list(_arrays._windows(seed, dim, samples, bounds, index))
+    return ([np.concatenate([w[0][j] for w in windows]) for j in range(len(bounds))],
+            np.concatenate([w[1] for w in windows]))
+
+
 SWEEP_SEEDS = st.integers(-(2**80), 2**80)
 
 
@@ -459,18 +496,20 @@ class TestKeyInequality:
         B, G = _replay_key_samples(dim, samples, seed)
         # the drawn B is Y's factor
         Y = np.swapaxes(B, -1, -2) @ B
-        expected = compactness._sweep_result([_arrays._key_inequality_sides(Y, B, G)])
+        expected = compactness.SweepResult(*_arrays._tally(
+            [_arrays._key_inequality_sides(Y, B, G)], compactness.INEQUALITY_SLACK))
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,
-    # so the redraw cases also compare the drawn stacks themselves; at 1000
-    # samples seed 13 redraws often enough to fetch more words twice
+    # so the redraw cases also compare the drawn stacks themselves.  From
+    # 600 samples on a sweep spans windows, and the words one window leaves
+    # unread are the next one's; at 1000 samples seed 13 redraws often
+    # enough to fetch more words inside three of its four windows
     @pytest.mark.parametrize("dim, seed, samples", [
         (2, 13, 100), (4, 38, 100), (6, 4, 100), (2, 174, 100), (6, -5, 100),
-        (4, 2**70 + 3, 100), (2, 13, 1000)])
+        (4, 2**70 + 3, 100), (2, 13, 1000), (4, 38, 600), (6, 4, 600)])
     def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
-        (B, G), _ = _arrays._draw_samples(random.Random(seed), dim, samples,
-                                              (math.sqrt(10.0 / dim), 10.0))
+        (B, G), _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
         expected = _replay_key_samples(dim, samples, seed)
         assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
 
@@ -497,7 +536,7 @@ class TestKeyInequality:
     def test_unstacked_sides_match_stacked(self):
         # verify_key_inequality passes single matrices; each side must be
         # the one a stack of samples gives for the same matrices
-        (B, G), _ = _arrays._draw_samples(random.Random(5), 4, 3, (math.sqrt(2.5), 10.0))
+        (B, G), _ = _drawn(5, 4, 3, (math.sqrt(2.5), 10.0))
         Y = np.swapaxes(B, -1, -2) @ B
         lhs, rhs = _arrays._key_inequality_sides(Y, B, G)
         for j in range(3):
@@ -513,8 +552,7 @@ class TestKeyInequality:
     @example(6, 160, 612177327)
     @example(6, 160, 3993805642)
     def test_top_value_matches_svd(self, dim, samples, seed):
-        (B, G), _ = _arrays._draw_samples(random.Random(seed), dim, samples,
-                                          (math.sqrt(10.0 / dim), 10.0))
+        (B, G), _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
         F = np.stack((G, B @ G))
         top = _arrays._top_symplectic(F)
         oracle = _arrays._symplectic_spectra(F)[..., -1]
@@ -690,24 +728,27 @@ class TestBhatiaInequality:
     @example(2, 100, 372)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         A, B, i1 = _replay_bhatia_samples(dim, samples, seed)
-        expected = compactness._sweep_result([_arrays._bhatia_sides(A, B, i1)])
+        expected = compactness.SweepResult(*_arrays._tally(
+            [_arrays._bhatia_sides(A, B, i1)], compactness.INEQUALITY_SLACK))
         assert hm.bhatia_sweep(dim, samples, seed) == expected
 
-    # a single sample at dim 1, seed 5 rejects index tries past the first fetch
+    # a single sample at dim 1, seed 5 rejects index tries past the first
+    # fetch.  600 samples span three windows: at dim 2, seeds 174 and 372
+    # run short of index tries at the last sample of the first and of the
+    # second window, and at dim 1 seed 0 runs short near the end of the first
     @pytest.mark.parametrize("dim, seed, samples", [
         (2, 174, 100), (2, 372, 100), (1, 5, 100), (3, -5, 100),
-        (5, 2**70 + 3, 100), (1, 5, 1)])
+        (5, 2**70 + 3, 100), (1, 5, 1), (1, 0, 600), (2, 174, 600), (2, 372, 600),
+        (6, 2**70 + 3, 600)])
     def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
-        (A, B), i1 = _arrays._draw_samples(random.Random(seed), dim, samples,
-                                               (10.0, 10.0), index=True)
+        (A, B), i1 = _drawn(seed, dim, samples, (10.0, 10.0), index=True)
         expected = _replay_bhatia_samples(dim, samples, seed)
         assert all(np.array_equal(x, y) for x, y in zip((A, B, i1), expected))
 
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("seed", [0, 7, 174, -5])
     def test_lhs_is_the_per_matrix_svd_product(self, dim, seed):
-        (A, B), i1 = _arrays._draw_samples(random.Random(seed), dim, 60, (10.0, 10.0),
-                                               index=True)
+        (A, B), i1 = _drawn(seed, dim, 60, (10.0, 10.0), index=True)
         lhs, _ = _arrays._bhatia_sides(A, B, i1)
         for a, b, i, got in zip(A, B, i1, lhs):
             sa = np.linalg.svd(a, compute_uv=False)
@@ -812,30 +853,6 @@ class TestSweepSizes:
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint16(5), np.int8(5)])
     def test_numpy_integer_seed_is_its_int(self, sweep, seed):
         assert sweep(2, 4, seed) == sweep(2, 4, 5)
-
-
-# the sweeps draw window after window on one generator, so each draw must
-# leave it where the one-value-at-a-time draw does; the key-bound seeds
-# redraw B, the Bhatia ones a matrix or an index try past the first fetch
-@pytest.mark.parametrize("dim, seed, bound, index", [
-    (2, 13, math.sqrt(5.0), False), (4, 38, math.sqrt(2.5), False),
-    (6, 4, math.sqrt(10.0 / 6), False), (2, 174, 10.0, True), (2, 372, 10.0, True),
-    (1, 5, 10.0, True), (3, -5, 10.0, True), (6, 2**70 + 3, 10.0, True)])
-def test_draws_read_exactly_the_replays_words(dim, seed, bound, index):
-    bounds = (bound, 10.0)
-    rng, replay = random.Random(seed), random.Random(seed)
-    parts = [_arrays._draw_samples(rng, dim, n, bounds, index) for n in (37, 1, 62)]
-    whole = _arrays._draw_samples(random.Random(seed), dim, 100, bounds, index)
-    for field in range(2):
-        assert np.array_equal(np.concatenate([p[0][field] for p in parts]), whole[0][field])
-    if index:
-        assert np.array_equal(np.concatenate([p[1] for p in parts]), whole[1])
-    for _ in range(100):
-        _replay_invertible(replay, dim, bound)
-        _replay_invertible(replay, dim)
-        if index:
-            replay.randrange(1, dim + 1)
-    assert rng.getstate() == replay.getstate()
 
 
 @pytest.mark.parametrize("sweep", [hm.key_inequality_sweep, hm.bhatia_sweep])

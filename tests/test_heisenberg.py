@@ -357,6 +357,14 @@ class TestKaplanMatrix:
             got = hm.kaplan_matrix(hm.NormalizedMetric(h, g, hm.DivisibilityTuple((1, 1))))
             assert got.mode == hm.FLOAT and [list(r) for r in got.entries] == want
 
+    # an entry of h^{-1} past the float range, and a finite one that -g^{1/2}
+    # carries past it
+    @pytest.mark.parametrize("c, g", [(1e-310, 1.0), (1e-300, 1e100)])
+    def test_entry_past_the_float_range_refused(self, c, g):
+        h = hm.SpdMatrix.from_rows([[c, 0.0], [0.0, 1.0]])
+        with pytest.raises(OverflowError, match="^Kaplan matrix entry is past the float range$"):
+            hm.kaplan_matrix(hm.NormalizedMetric(h, g, hm.DivisibilityTuple((1,))))
+
 
 class TestDSpectrum:
     def test_flat(self):

@@ -60,6 +60,12 @@ class TestLdl:
             hm.SpdMatrix(A @ A)
         assert exc.value.pivot_index == 1
 
+    def test_entry_past_the_float_range_refused(self):
+        # a valid float Y whose L_21 = y_21 / y_11 is 1e314
+        Y = hm.SpdMatrix.from_rows([[1e-320, 1e-6], [1e-6, 1.7e308]])
+        with pytest.raises(OverflowError, match="^LDL\\^T entry is past the float range$"):
+            hm.ldl_decompose(Y)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
     def test_reconstruction_exact(self, n, rnd):
@@ -277,6 +283,18 @@ class TestDeterminant:
     ])
     def test_singularity_decided_exactly(self, rows, singular):
         assert hm.linalg._is_singular(hm.DenseMatrix.from_rows(rows)) is singular
+
+    # a float determinant past the float range is named in the error, as an
+    # SpdMatrix and as a DenseMatrix
+    @pytest.mark.parametrize("spd", [False, True])
+    def test_past_the_float_range_refused(self, spd):
+        Y = hm.DenseMatrix.from_rows([[1e80 * (i == j) for j in range(4)] for i in range(4)])
+        with pytest.raises(OverflowError, match="^determinant is past the float range$"):
+            hm.determinant(hm.SpdMatrix(Y) if spd else Y)
+
+    def test_below_the_float_range_rounds_to_zero(self):
+        Y = hm.DenseMatrix.from_rows([[1e-90 * (i == j) for j in range(4)] for i in range(4)])
+        assert hm.determinant(hm.SpdMatrix(Y)) == hm.determinant(Y) == 0.0
 
 
 @st.composite
@@ -548,6 +566,12 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(hm.Singular):
             hm.matrix_inverse(hm.DenseMatrix.from_rows([[1, 2], [2, 4]]))
+
+    def test_entry_past_the_float_range_refused(self):
+        G = hm.DenseMatrix.from_rows([[1e-310, 0.0], [0.0, 1.0]])
+        with pytest.raises(OverflowError, match="^inverse entry is past the float range$"):
+            hm.matrix_inverse(G)
+        assert hm.matrix_inverse(G.to_rational()).entries[0][0] == 1 / Fraction(1e-310)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_float_results_correctly_rounded(self, n):

@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Twelve rules, read off the syntax trees: a module (``__init__`` aside, it
+Thirteen rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -28,7 +28,10 @@ lives there, loaded by the first call that needs it, so the exact core
 runs without numpy, and no function but ``lattice._enumeration_budget``
 reads ``os.environ``, and no ``_private`` function calls it: the
 enumeration cap is fixed where a public call begins, and the searches
-take it as an int.
+take it as an int, and in ``_arrays`` only ``_windows`` constructs a
+``random.Random`` and no function but ``_words`` takes an ``rng``: a
+sweep owns the one generator its samples come from, so no draw has to
+leave a shared generator where the next would expect it.
 """
 
 import ast
@@ -305,3 +308,25 @@ def test_budget_rule_is_not_vacuous():
     assert any(_reads_environment(node) for node in ast.walk(reader))
     callers = set().union(*map(_budget_callers, TREES.values()))
     assert {"first_minimum", "minkowski_reduce", "mahler_certificate"} <= callers
+
+
+SWEEP_GENERATOR = ("_windows", "_words")  # its one owner, and the one function it is passed to
+
+
+def _constructs_random(node: ast.AST) -> bool:
+    """Whether node is a call of ``Random``, bare or as ``random.Random``."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Random"
+
+
+def test_one_generator_per_sweep():
+    tree = TREES[ARRAYS]
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    owner = next(fn for fn in functions if fn.name == SWEEP_GENERATOR[0])
+    inside = {id(node) for node in ast.walk(owner)}
+    assert any(_constructs_random(node) for node in ast.walk(owner))
+    assert [node.lineno for node in ast.walk(tree)
+            if _constructs_random(node) and id(node) not in inside] == []
+    assert [fn.name for fn in functions
+            if any(a.arg == "rng" for a in fn.args.posonlyargs + fn.args.args
+                   + fn.args.kwonlyargs)] == [SWEEP_GENERATOR[1]]
