@@ -1,12 +1,14 @@
 """Every array computation of the package, and the one module that imports numpy.
 
 The exact core (factors, determinants, inverses, lattice searches, JSON,
-certificate tables) runs on Python integers and Fractions.  What is
-float by nature goes through LAPACK here: the stacked symplectic
-spectra, the sweeps' draws and both sides of their inequalities, the
-spectral wrappers' eigenvalues and singular values, and ``to_numpy``.
-A full symplectic spectrum comes from an ``svd`` of each skew matrix,
-whose absolute accuracy the small d_k need.  Where only a top singular
+certificate tables) runs on Python integers and Fractions, and so do
+the full symplectic spectra at n <= 2 (``heisenberg._exact_spectrum``).
+What is float by nature goes through LAPACK here: the stacked symplectic
+spectra from n = 3, the sweeps' draws and both sides of their
+inequalities, the spectral wrappers' eigenvalues and singular values,
+and ``to_numpy``.  A full spectrum from n = 3 comes from an ``svd`` of
+each skew matrix, whose absolute accuracy the small d_k need, and its
+pairs are checked by ``_paired``.  Where only a top singular
 value is read, it runs no SVD: d_n in the key inequality is read in
 closed form at n <= 2 and from one ``eigvalsh`` of scaled Gram matrices
 at n >= 3 (``_top_symplectic``), and s_1(A B) in Bhatia's from one
@@ -181,7 +183,8 @@ def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
 
 def _spectra(Ys: Sequence[SpdMatrix]) -> list[tuple[float, ...]]:
     """Each Y's symplectic spectrum, ascending, from one ``_upper_factors``
-    and one ``_symplectic_spectra`` of the stack of all of Ys."""
+    and one ``_symplectic_spectra`` of the stack of all of Ys, for
+    ``heisenberg._d_spectra`` at size 6 and up."""
     return [tuple(row) for row in _symplectic_spectra(_upper_factors(Ys)).tolist()]
 
 

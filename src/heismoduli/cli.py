@@ -232,11 +232,10 @@ def _certificate_lines(cert) -> list[str]:
 
 
 def cmd_counterexample(args) -> int:
-    if args.k < 0:
-        raise ValueError("k must be non-negative")
+    last = compactness.counterexample_family(args.k)  # checks k for both branches
     if args.sweep:
         rows = []
-        family = [compactness.counterexample_family(k) for k in range(args.k + 1)]
+        family = [*map(compactness.counterexample_family, range(args.k)), last]
         for k, (Y, spectrum) in enumerate(zip(family, heisenberg._d_spectra(family))):
             det = determinant(Y)
             m = lattice.first_minimum(Y).value
@@ -253,8 +252,7 @@ def cmd_counterexample(args) -> int:
             *(f"{r['k']} {r['det']} {r['m']} {r['d1']!r} {r['d2']!r}" for r in rows),
         ])
         return EXIT_OK
-    Y = compactness.counterexample_family(args.k)
-    payload = matrix_to_json(Y)
+    payload = matrix_to_json(last)
     _emit(payload, args.format, lambda: [json.dumps([[int(Fraction(x)) for x in row]
                                                      for row in payload["entries"]])])
     return EXIT_OK

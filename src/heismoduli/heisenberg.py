@@ -8,9 +8,11 @@ The symplectic spectrum d_1 <= ... <= d_n of a Gram matrix Y collects
 the positive numbers with +-i d_k the eigenvalues of Y^{-1} J; it is
 invariant under congruence by symplectic similitudes and drives the
 curvature bound and the Heisenberg-type test.  The spectra are float by
-nature: they are computed in ``_arrays``, loaded when the first one is
-asked for.  Everything else here, the Kaplan matrix and curvatures
-included, is exact and rounded once.
+nature.  At n <= 2 each d_k is read off the exact polynomial det(J - t Y)
+with integer square roots and rounded once, with no numpy; from n = 3
+they come from the SVD in ``_arrays``, loaded when the first one is asked
+for.  Everything else here, the Kaplan matrix and curvatures included, is
+exact and rounded once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .linalg import (
     SpdMatrix,
     _coerce_rows,
     _is_singular,
+    _integer_triangle,
     _json_list,
+    _pencil_coefficient,
     _python_scalar,
     _ratio,
     _scalar_parser,
@@ -329,17 +333,84 @@ def kaplan_matrix(m: NormalizedMetric) -> DenseMatrix:
     return DenseMatrix.from_rows(rows, FLOAT)
 
 
-def _d_spectra(Ys: Sequence[SpdMatrix]) -> list[KaplanSpectrum]:
-    """Symplectic spectra of equal-size Gram matrices, as one stack.
+# bits each integer square root of a spectrum carries past a double's 53
+_CARRY = 53 + 64
+# every d_k is below 2^1023 at every size: from there the SVD path's mean
+# of a pair overflows, and the exact spectra refuse the same range
+_SPECTRUM_LIMIT = 2.0 ** 1023
+# the least value that rounds past the largest float
+_PAST_FLOAT = 2**1024 - 2**970
 
-    One ``_arrays._upper_factors`` (each read off its member's exact
-    LDL^T) and one ``_arrays._symplectic_spectra`` for all of Ys; each
-    spectrum is the one Y would have alone.  The first member whose pairs
-    fail to match raises ``PairingFailure``, and a spectrum past the float
-    range (a Gram matrix near 10^-308) ``OverflowError``.
+
+def _root(p: int, q: int, up: bool) -> float:
+    """sqrt(p / q) for positive integers p and q, rounded once.
+
+    x = isqrt(p 4^e / q) carries at least ``_CARRY`` bits, each step
+    rounded down (up, when `up`), and x / 2^e is one correctly rounded
+    division.  So the float is within 1 ulp of sqrt(p / q), and a lower
+    bound never rounds above an upper one.  A value that rounds to
+    ``_SPECTRUM_LIMIT`` or more raises ``OverflowError``.
+    """
+    e = max(0, (2 * _CARRY + 2 + q.bit_length() - p.bit_length()) // 2)
+    m = -(-(p << 2 * e) // q) if up else (p << 2 * e) // q
+    x = math.isqrt(m)
+    if up and x * x < m:
+        x += 1
+    try:
+        d = x / (1 << e)
+    except OverflowError:  # past the largest float
+        d = math.inf
+    if not d < _SPECTRUM_LIMIT:
+        raise OverflowError("symplectic spectrum is past the float range")
+    return d
+
+
+def _exact_spectrum(Y: SpdMatrix) -> tuple[float, ...]:
+    """The symplectic spectrum of a 2 x 2 or 4 x 4 Y from exact integers.
+
+    With A = den Y and M = det A = minors[-1] off Y's kept factor,
+    det(J - t Y) = det(Y) prod_k (t^2 + d_k^2).  At n = 1, d_1^2 = den^2 / M.
+    At n = 2, det(J - t A) = M t^4 + q t^2 + 1 (``_pencil_coefficient``);
+    with delta = q^2 - 4 M >= 0, d_2^2 = den^2 (q + sqrt delta) / (2 M) and
+    d_1^2 = 2 den^2 / (q + sqrt delta), a sum of two nonnegative terms that
+    cancels nothing.  (q + sqrt delta) 2^_CARRY is rounded up to an
+    integer, d_2 read from above and d_1 from below (``_root``), so each
+    d_k is within 1 ulp and d_1 <= d_2 after rounding.  No squared value
+    passes through a float.  A rational Y with an entry past the float
+    range is no input for a float spectrum: it raises ``OverflowError``,
+    as the SVD path does.  Below that, every d_k is at least
+    1 / lambda_max(Y) > 2^-1026, so none rounds to 0.0.
+    """
+    den, minors, _ = Y.integer_ldl
+    a = _integer_triangle(Y)
+    if max(a) >= den * _PAST_FLOAT:  # |a_ij| < max(a_ii, a_jj) off the diagonal
+        raise OverflowError("Gram matrix entry is past the float range")
+    M, den2 = minors[-1], den * den
+    if Y.n == 2:
+        return (_root(den2, M, False),)
+    q = _pencil_coefficient(a)
+    delta = (q * q - 4 * M) << 2 * _CARRY
+    r = math.isqrt(delta)
+    s = (q << _CARRY) + r + (r * r < delta)
+    return _root(den2 << _CARRY + 1, s, False), _root(den2 * s, M << _CARRY + 1, True)
+
+
+def _d_spectra(Ys: Sequence[SpdMatrix]) -> list[KaplanSpectrum]:
+    """Symplectic spectra of equal-size Gram matrices; each is the one Y
+    would have alone.
+
+    At sizes 2 and 4 each member is read off exact integers
+    (``_exact_spectrum``), with no numpy.  From size 6 one
+    ``_arrays._upper_factors`` (each read off its member's exact LDL^T)
+    and one ``_arrays._symplectic_spectra`` serve all of Ys, and the
+    first member whose pairs fail to match raises ``PairingFailure``.  A
+    spectrum past the float range (a Gram matrix near 10^-308) raises
+    ``OverflowError``.
     """
     if Ys[0].n % 2:
         raise OddDimension("symplectic spectrum requires even size")
+    if Ys[0].n <= 4:
+        return [KaplanSpectrum(_exact_spectrum(Y)) for Y in Ys]
     from . import _arrays
     return [KaplanSpectrum(d) for d in _arrays._spectra(Ys)]
 
@@ -347,12 +418,15 @@ def _d_spectra(Ys: Sequence[SpdMatrix]) -> list[KaplanSpectrum]:
 def d_spectrum(Y: SpdMatrix) -> KaplanSpectrum:
     """Symplectic spectrum of a Gram matrix of even size.
 
-    Reads Y = R^T R off Y's exact LDL^T (``_arrays._upper_factors``) and
-    takes the singular values of the skew matrix R^{-T} J R^{-1}, which come
-    in equal pairs d_k, d_k.  This never squares the condition number of Y.
-    A pair that fails to match within ``_arrays.PAIRING_TOL`` times the
-    largest value raises ``PairingFailure`` (numerical breakdown), and a
-    value past the float range ``OverflowError``.
+    At sizes 2 and 4 the d_k are the roots of the exact polynomial
+    det(J - t Y), each within 1 ulp of its exact value
+    (``_exact_spectrum``).  From size 6, Y = R^T R is read off Y's exact
+    LDL^T (``_arrays._upper_factors``) and the d_k are the singular values
+    of the skew matrix R^{-T} J R^{-1}, which come in equal pairs d_k,
+    d_k; this never squares the condition number of Y, and a pair that
+    fails to match within ``_arrays.PAIRING_TOL`` times the largest value
+    raises ``PairingFailure`` (numerical breakdown).  At every size a
+    value past the float range, 2^1023 and up, raises ``OverflowError``.
     """
     return _d_spectra([Y])[0]
 

@@ -14,7 +14,10 @@ symmetric one, and the float R with Y = R^T R that the spectra read off
 its factor, run as straight-line code generated for each matrix size the
 first time that size is used (``_ldl_kernel``, ``_upper_kernel``);
 ``_compiled`` is the one place such code is compiled, the lattice
-searches' (``lattice._search_kernel``) included.
+searches' (``lattice._search_kernel``) included.  The symplectic spectra
+at sizes 2 and 4 need no numpy: they are read off exact integers, the
+kept factor's det(den Y) and ``_pencil_coefficient`` of den Y's
+``_integer_triangle``.
 """
 
 from __future__ import annotations
@@ -454,6 +457,25 @@ def _int_determinant(a: list) -> int:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
     return sign * prev
+
+
+def _integer_triangle(Y: SpdMatrix) -> list[int]:
+    """The lower triangle of the integer A = den Y, row by row (a_00, a_10,
+    a_11, a_20, ...), with den the lcm that Y's kept factor cleared."""
+    den = Y.integer_ldl[0]
+    return [p * (den // q) for p, q in
+            [x.as_integer_ratio() for i, r in enumerate(Y.entries) for x in r[:i + 1]]]
+
+
+def _pencil_coefficient(a: Sequence[int]) -> int:
+    """q with det(J - t A) = det(A) t^4 + q t^2 + 1, for a 4 x 4 symmetric
+    integer A given by its lower triangle a (``_integer_triangle``) and J
+    the standard symplectic form; so det(den J - A) = det A + den^2 q + den^4
+    for every den.  Straight-line: six products, no elimination.
+    q = det(A) (d_1^2 + d_2^2) for A's symplectic spectrum, so q > 0.
+    """
+    a00, a10, a11, a20, a21, a22, a30, a31, a32, a33 = a
+    return a00 * a22 - a20 * a20 + a11 * a33 - a31 * a31 + 2 * (a10 * a32 - a30 * a21)
 
 
 def _ratio(mode: str, what: str):

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import heismoduli as hm
 
@@ -14,6 +15,17 @@ import heismoduli as hm
 # Cholesky rejects; it is also badly reduced: its minimum, along (5, -3),
 # lies far below its smallest diagonal entry 3
 PAST_CHOLESKY = [[3.0, 5.0], [5.0, 8.333333333333334]]
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """numpy's ``svd`` and ``inv`` replaced by stubs that fail when called:
+    a spectrum at n <= 2 makes no LAPACK call."""
+    def refused(*args, **kwargs):
+        raise AssertionError("LAPACK called for a spectrum at n <= 2")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
 
 
 def random_rational_spd(rng: random.Random, n: int, box_cap: int = 400_000) -> hm.SpdMatrix:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import skewed_unit_lattice
+from heismoduli import heisenberg
 from heismoduli.cli import main
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["cases"]
@@ -59,19 +60,20 @@ class TestCounterexampleCommand:
         assert all(r["det"] == "1" and r["m"] == "1" for r in rows)
         assert rows[1]["d2"] == pytest.approx(1.6180339887, abs=1e-9)
 
-    def test_sweep_spectra_are_one_stack(self, capsys, monkeypatch):
-        # the k + 1 spectra come from one stacked SVD, each the bits that
-        # d_spectrum gives the member alone
-        real, calls = np.linalg.svd, []
+    def test_sweep_spectra_are_one_stack(self, capsys, monkeypatch, no_lapack):
+        # the k + 1 spectra come from one stack, 4 x 4 and so read off exact
+        # integers with no svd or inv, each the bits that d_spectrum gives
+        # the member alone
+        real, stacks = heisenberg._d_spectra, []
 
-        def counted(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return real(*args, **kwargs)
+        def counted(Ys):
+            stacks.append(len(Ys))
+            return real(Ys)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(heisenberg, "_d_spectra", counted)
         code, out, err = run(capsys, ["counterexample", "--k", "40", "--sweep"])
         assert code == 0 and err == ""
-        assert calls == [(41, 4, 4)]
+        assert stacks == [41]
         monkeypatch.undo()
         for row in json.loads(out)["sweep"]:
             d = hm.d_spectrum(hm.counterexample_family(row["k"])).d
@@ -329,21 +331,41 @@ print(json.dumps(loaded))
 
 def test_lattice_commands_do_not_load_numpy(tmp_path):
     gram = hm.matrix_to_json(hm.counterexample_family(3))
-    (tmp_path / "gram.json").write_text(json.dumps(gram))
-    (tmp_path / "family.json").write_text(json.dumps([gram, hm.matrix_to_json(hm.identity(4))]))
-    commands = [
-        ["shortest-vector", "--input", str(tmp_path / "gram.json")],
-        ["reduce", "--input", str(tmp_path / "gram.json")],
-        ["certify-torus", "--input", str(tmp_path / "family.json"), "--C0", "1/2"],
+    pair = hm.matrix_to_json(hm.SpdMatrix.from_rows([[2, 1], [1, "3/2"]]))
+    metric = {"h": gram, "g": 1, "r": [1, 1]}
+    payloads = {
+        "gram": gram, "pair": pair, "metric": metric,
+        "family": [gram, hm.matrix_to_json(hm.identity(4))],
+        "metrics": [metric, {"h": hm.matrix_to_json(hm.identity(4)), "g": 1, "r": [1, 1]}],
+        "type": {"h": hm.matrix_to_json(hm.identity(2)), "g": 1, "r": [1]},
+        "six": hm.matrix_to_json(hm.identity(6)),
+    }
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    commands = [[*argv, "--input", str(tmp_path / f"{name}.json"), *rest]
+                for argv, name, rest in [
+        (["shortest-vector"], "gram", []),
+        (["reduce"], "gram", []),
+        (["certify-torus"], "family", ["--C0", "1/2"]),
+        # spectra at n <= 2 are read off exact integers
+        (["spectrum"], "gram", []),
+        (["spectrum"], "pair", []),
+        (["invariants"], "metric", []),
+        (["heis-type"], "type", []),
+        (["curvature-bound"], "metric", []),
+        (["certify"], "metrics", ["--C0", "1/2", "--C2", "4"]),
+    ]] + [
         ["random-symplectic", "--dim", "4", "--seed", "3"],
         ["counterexample", "--k", "3"],
-        ["spectrum", "--input", str(tmp_path / "gram.json")],
+        ["counterexample", "--k", "3", "--sweep"],
+        ["spectrum", "--input", str(tmp_path / "six.json")],
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hm.__file__)))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
-    # the import and the five lattice commands: no numpy; a spectrum loads it
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 6 + [True]
+    # the import and every command on a size of at most 4: no numpy; the
+    # control, a spectrum of size 6, loads it
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * len(commands) + [True]
 
 
 class TestErrorPaths:
@@ -407,6 +429,18 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["counterexample", *args])
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [["--k", "-1"], ["--k", "-1", "--sweep"]])
+    def test_negative_k_refused_by_the_library(self, capsys, monkeypatch, args):
+        # both branches take counterexample_family's one check, and the sweep
+        # stops before it asks for any spectrum
+        def refused(Ys):
+            raise AssertionError("spectra asked for at k = -1")
+
+        monkeypatch.setattr(heisenberg, "_d_spectra", refused)
+        code, out, err = run(capsys, ["counterexample", *args])
+        assert code == 2
+        assert out == "" and err == "error: k must be at least 0\n"
 
     # 10^400 is a valid rational past the float range: a g or Gram entry that
     # large is invalid input for the float spectrum, not a negative verdict
@@ -772,23 +806,26 @@ class TestOneScalarTablePerPayload:
 
 
 class TestOneSpectrumKernelPerCommand:
-    """Each command takes all its spectra from one stacked SVD call."""
+    """Each command takes all its spectra from one stacked SVD call from
+    size 6, and from exact integers with no LAPACK call at sizes 2 and 4."""
 
     @staticmethod
-    def family_json():
+    def family_json(n):
         members = []
         for seed in range(6):
-            S = hm.random_symplectic_integer(2, seed, 6)
-            members.append({"h": hm.matrix_to_json(hm.congruence(hm.identity(4), S)),
-                            "g": 1, "r": [1, 1]})
+            S = hm.random_symplectic_integer(n, seed, 6)
+            members.append({"h": hm.matrix_to_json(hm.congruence(hm.identity(2 * n), S)),
+                            "g": 1, "r": [1] * n})
         return json.dumps({"members": members})
 
-    @pytest.mark.parametrize("argv, stdin", [
+    COMMANDS = [
         (["certify", "--C0", "1", "--C2", "1e9"], "family"),
         (["certify", "--heisenberg-type", "--C0", "1"], "family"),
         (["invariants"], "metric"),
         (["heis-type"], "metric"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, stdin", COMMANDS)
     def test_one_svd_call(self, capsys, monkeypatch, argv, stdin):
         real, calls = np.linalg.svd, []
 
@@ -797,10 +834,16 @@ class TestOneSpectrumKernelPerCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        payload = self.family_json() if stdin == "family" else identity_metric_json()
+        payload = self.family_json(3) if stdin == "family" else identity_metric_json(3)
         code, _, err = run(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
         assert code == 0 and err == ""
-        assert calls == [(6 if stdin == "family" else 1, 4, 4)]
+        assert calls == [(6 if stdin == "family" else 1, 6, 6)]
+
+    @pytest.mark.parametrize("argv, stdin", COMMANDS)
+    def test_no_lapack_at_n_le_2(self, capsys, monkeypatch, no_lapack, argv, stdin):
+        payload = self.family_json(2) if stdin == "family" else identity_metric_json(2)
+        code, _, err = run(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
 
 
 # JSON strings with quotes, backslashes, control, non-ASCII and lone

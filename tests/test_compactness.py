@@ -225,9 +225,18 @@ class TestHeisenbergTypeCertificate:
             return vals
 
         monkeypatch.setattr(np.linalg, "svd", perturbed)
-        fam = metric_family([hm.counterexample_family(1), hm.SpdMatrix(hm.identity(4))])
+        not_type = hm.SpdMatrix.from_rows([[(1 + (i == 2)) * (i == j) for j in range(6)]
+                                           for i in range(6)])
+        fam = metric_family([not_type, hm.SpdMatrix(hm.identity(6))], r=(1, 1, 1))
         with pytest.raises(hm.PairingFailure):
             hm.heisenberg_type_certificate(fam)
+
+    def test_no_lapack_at_n_le_2(self, no_lapack):
+        # at n <= 2 nothing is paired: member 0 is named, and no svd or inv runs
+        fam = metric_family([hm.counterexample_family(1), hm.SpdMatrix(hm.identity(4))])
+        with pytest.raises(hm.NotHeisenbergType) as exc:
+            hm.heisenberg_type_certificate(fam)
+        assert exc.value.index == 0
 
 
 def scaled_identity(n, c):

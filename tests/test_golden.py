@@ -14,7 +14,9 @@ others so that no earlier input changed.
 A change that should not alter any output must leave this test
 passing.  Regenerate the file (only when an output change is intended,
 and say so in the change log) with the command below; it prints the
-name of each case whose exit code or output changed.
+name of each case whose exit code or output changed.  When only floats
+moved, it lists each of them with its old and new value and how many
+floats apart they are; any other change is marked as such.
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,6 +28,8 @@ import io
 import json
 import os
 import random
+import re
+import struct
 import sys
 from fractions import Fraction
 
@@ -271,14 +275,51 @@ def _heis_type_metric(rng, n, rational, g="1"):
     return {"h": _matrix_json(h), "g": g, "r": rng.choice(R_TUPLES[n])}
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _ulps(a: float, b: float) -> int:
+    """How many floats apart a and b are: their IEEE bits as integers that
+    grow with the value, subtracted."""
+    def key(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i + 2**63)
+    return abs(key(a) - key(b))
+
+
+def _moved_floats(old: str, new: str) -> list[tuple[str, str, int]] | None:
+    """(old, new, ulps) of each float of `old` that moved in `new`, or None
+    when anything but a float moved; a float is a number written with a
+    point or an exponent, as ``repr`` writes one."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return None
+    moved = []
+    for x, y in zip(_NUMBER.findall(old), _NUMBER.findall(new)):
+        if x != y:
+            if not all(any(c in t for c in ".e") for t in (x, y)):
+                return None
+            moved.append((x, y, _ulps(float(x), float(y))))
+    return moved
+
+
 def regenerate(path=DATA):
-    """Rewrite the data file, printing each case whose output it changes."""
+    """Rewrite the data file, printing each case whose output it changes
+    and, where only floats moved, each moved float."""
     old = {c["name"]: (c["exit"], c["stdout"]) for c in _load(path)} if os.path.exists(path) else {}
     cases = generate_cases()
     for case in cases:
         case["exit"], case["stdout"] = run_case(case["argv"], case["stdin"])
-        if old.get(case["name"]) != (case["exit"], case["stdout"]):
-            print(f"changed: {case['name']}")
+        was = old.get(case["name"])
+        if was == (case["exit"], case["stdout"]):
+            continue
+        moved = None if was is None or was[0] != case["exit"] else (
+            _moved_floats(was[1], case["stdout"]))
+        if moved is None:
+            print(f"changed: {case['name']} (exit code or more than floats)")
+            continue
+        print(f"changed: {case['name']}")
+        for x, y, ulps in moved:
+            print(f"    {x} -> {y}  ({ulps} ulp)")
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"seed": SEED, "cases": cases}, fh, indent=1)

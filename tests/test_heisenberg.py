@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
@@ -371,10 +371,10 @@ class TestDSpectrum:
         assert hm.d_spectrum(hm.SpdMatrix(hm.identity(4))).d == pytest.approx((1.0, 1.0))
 
     def test_counterexample_closed_form(self):
-        for k in range(6):
+        for k in (*range(6), 10**6, 10**15):
             d = hm.d_spectrum(hm.counterexample_family(k)).d
             expected = hm.counterexample_spectrum(k)
-            assert d == pytest.approx(expected, rel=1e-10)
+            assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(d, expected))
 
     def test_two_block_diagonal(self):
         # diag(a..a, b..b) squares to -(ab)^{-1} Id under Y^{-1} J
@@ -462,7 +462,12 @@ class TestDSpectrum:
 
         monkeypatch.setattr(np.linalg, "svd", perturbed)
         with pytest.raises(hm.PairingFailure):
-            hm.d_spectrum(hm.SpdMatrix(hm.identity(4, hm.FLOAT)))
+            hm.d_spectrum(hm.SpdMatrix(hm.identity(6, hm.FLOAT)))
+
+    def test_no_lapack_at_n_le_2(self, no_lapack):
+        # sizes 2 and 4 pair no singular values: they call no svd or inv
+        assert hm.d_spectrum(hm.SpdMatrix(hm.identity(2, hm.FLOAT))).d == (1.0,)
+        assert hm.d_spectrum(hm.SpdMatrix(hm.identity(4, hm.FLOAT))).d == (1.0, 1.0)
 
 
 # a valid float Gram near the boundary of P_2: det is about 2^-49 1e600, and
@@ -499,6 +504,80 @@ def _pair_gram(blocks, mode):
     return hm.SpdMatrix.from_rows(rows, mode)
 
 
+def _unit_pair(Y):
+    """The 6 x 6 Gram matrix of a 4 x 4 Y and a third symplectic pair
+    (x_3, y_3) of unit vectors orthogonal to it: Y's spectrum and 1."""
+    at = (0, 1, 3, 4)
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    for i, a in enumerate(at):
+        for j, b in enumerate(at):
+            rows[a][b] = Y.entries[i][j]
+    return hm.SpdMatrix.from_rows(rows, Y.mode)
+
+
+def _roots_below(Y, x, strict):
+    """How many d_k^2 of a 2 x 2 or 4 x 4 Y lie below the Fraction x (or
+    at x, unless strict), in exact rational arithmetic: decided by the
+    sign of p(x) = det(J - t Y) at t^2 = -x, whose coefficients are read
+    off two rational determinants, and at n = 2 by x's side of p's vertex.
+    """
+    Y = Y.matrix.to_rational()
+    det = hm.determinant(Y)
+    if Y.rows == 2:  # det(J - t Y) = det t^2 + 1
+        p = 1 - det * x
+        return int(p < 0 or p == 0 and not strict)
+    # det(J - t Y) = det t^4 + c t^2 + 1, so p(x) = det (d_1^2 - x)(d_2^2 - x)
+    c = hm.determinant(hm.DenseMatrix.from_rows(
+        [[j - y for j, y in zip(rj, ry)] for rj, ry in zip(hm.symplectic_j(2).entries,
+                                                           Y.entries)])) - det - 1
+    p, vertex = det * x * x - c * x + 1, c / (2 * det)
+    if p != 0:
+        return 1 if p < 0 else 0 if x < vertex else 2
+    if c * c == 4 * det:  # x is the double root
+        return 0 if strict else 2
+    return (x > vertex) + (not strict)
+
+
+def _within_one_ulp(Y, d):
+    """Whether each d_k lies within 1 ulp of the exact k-th value: the k-th
+    root d_k^2 lies in [(d_k - ulp)^2, (d_k + ulp)^2] (``_roots_below``)."""
+    for k, dk in enumerate(d, 1):
+        u = Fraction(math.ulp(dk))
+        lo, hi = (Fraction(dk) - u) ** 2, (Fraction(dk) + u) ** 2
+        if not _roots_below(Y, lo, True) < k <= _roots_below(Y, hi, False):
+            return False
+    return True
+
+
+@st.composite
+def _small_grams(draw):
+    """(rows, mode) of a 2 x 2 or 4 x 4 Gram matrix, rational or float:
+    B^T B plus 1/2 or 2^-40 times I, or c S^T S for an integer symplectic
+    word S (equal d_k); scaled by 1, 2^600 or 2^-600."""
+    dim = draw(st.sampled_from([2, 4]))
+    mode = draw(st.sampled_from([hm.RATIONAL, hm.FLOAT]))
+    one = Fraction(1) if mode == hm.RATIONAL else 1.0
+    if draw(st.booleans()):
+        entry = (st.fractions(-8, 8, max_denominator=4) if mode == hm.RATIONAL
+                 else st.floats(-8, 8))
+        B = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+        ridge = one / draw(st.sampled_from([2, 2**40]))
+        rows = [[sum(B[k][i] * B[k][j] for k in range(dim)) + ridge * (i == j)
+                 for j in range(dim)] for i in range(dim)]
+    else:
+        S = hm.random_symplectic_integer(dim // 2, draw(st.integers(0, 2**32)),
+                                         draw(st.integers(0, 20)))
+        c = one * draw(st.sampled_from([1, 3, Fraction(1, 7)]))
+        rows = [[c * x for x in r] for r in hm.congruence(hm.identity(dim), S).entries]
+    scale = one * 2 ** draw(st.sampled_from([0, 600, -600]))
+    return [[x * scale for x in r] for r in rows], mode
+
+
+# NEAR_SINGULAR and PAST_CHOLESKY on the two symplectic pairs of a 4 x 4 Gram
+NEAR_AND_PAST = [[1e300, 0.0, 1e300 * (1 - 2**-50), 0.0], [0.0, 3.0, 0.0, 5.0],
+                 [1e300 * (1 - 2**-50), 0.0, 1e300, 0.0], [0.0, 5.0, 0.0, 8.333333333333334]]
+
+
 class TestSpectrumOracle:
     # pair k of a block-diagonal Gram alone has d = 1 / sqrt(det(block k)),
     # read off the block's exact determinant; the SVD's own bound on each
@@ -529,6 +608,39 @@ class TestSpectrumOracle:
         d = hm.d_spectrum(hm.SpdMatrix.from_rows(NEAR_SINGULAR, hm.FLOAT)).d
         assert abs(d[0] - exact) <= 4 * math.ulp(exact)
 
+    # sizes 2 and 4 read each d_k off the exact polynomial, rounded once
+    @settings(max_examples=300, deadline=None)
+    @given(_small_grams())
+    @example((NEAR_SINGULAR, hm.FLOAT))
+    @example((PAST_CHOLESKY, hm.FLOAT))
+    @example((NEAR_AND_PAST, hm.FLOAT))
+    @example(([[x * 2.0**-600 for x in r] for r in NEAR_AND_PAST], hm.FLOAT))
+    @example(([[Fraction(3, 2**600), Fraction(1, 2**600)], [Fraction(1, 2**600),
+                                                            Fraction(5, 2**600)]], hm.RATIONAL))
+    @example(([[3 * 2.0**600, 2.0**600], [2.0**600, 5 * 2.0**600]], hm.FLOAT))
+    def test_exact_within_one_ulp(self, gram):
+        rows, mode = gram
+        try:
+            Y = hm.SpdMatrix.from_rows(rows, mode)
+        except hm.NotPositiveDefinite:  # B^T B + 2^-40 I rounded in floats
+            assume(False)
+        d = hm.d_spectrum(Y).d
+        assert _within_one_ulp(Y, d)
+        assert list(d) == sorted(d)
+
+    @pytest.mark.parametrize("k", [10**3, 10**6, 10**9, 10**12])
+    def test_counterexample_within_one_ulp(self, k):
+        Y = hm.counterexample_family(k)
+        assert _within_one_ulp(Y, hm.d_spectrum(Y).d)
+
+    def test_oracle_refuses_a_neighbour(self):
+        # the 1-ulp check is not vacuous: the next float up or down fails it
+        Y = hm.counterexample_family(10**6)
+        d1, d2 = hm.d_spectrum(Y).d
+        for e in (-2, 2):
+            assert not _within_one_ulp(Y, (d1 + e * math.ulp(d1), d2))
+            assert not _within_one_ulp(Y, (d1, d2 + e * math.ulp(d2)))
+
 
 def _random_gram(rng, dim, mode):
     """B^T B + I/2, with B rational (denominators up to 4) or float."""
@@ -553,9 +665,11 @@ class TestStackedSpectra:
             family = [_random_gram(rng, dim, mode) for _ in range(rng.randint(1, 8))]
             stacked = [s.d for s in heisenberg._d_spectra(family)]
             assert stacked == [hm.d_spectrum(Y).d for Y in family]
-            # and each member alone through the 2-D kernel on its own factor
-            assert stacked == [tuple(_arrays._symplectic_spectra(
-                _arrays._upper_factors([Y])[0]).tolist()) for Y in family]
+            if dim >= 6:  # each member alone through the 2-D kernel on its own factor
+                assert stacked == [tuple(_arrays._symplectic_spectra(
+                    _arrays._upper_factors([Y])[0]).tolist()) for Y in family]
+            else:  # each member read off its exact polynomial
+                assert all(_within_one_ulp(Y, d) for Y, d in zip(family, stacked))
 
     def test_member_past_float_cholesky(self):
         # a member whose float Cholesky fails takes the same factor path as
@@ -568,8 +682,7 @@ class TestStackedSpectra:
             np.linalg.cholesky(np.array([X.to_numpy() for X in family]))
         stacked = [s.d for s in heisenberg._d_spectra(family)]
         assert stacked == [hm.d_spectrum(X).d for X in family]
-        assert stacked == [tuple(_arrays._symplectic_spectra(
-            _arrays._upper_factors([X])[0]).tolist()) for X in family]
+        assert all(_within_one_ulp(X, d) for X, d in zip(family, stacked))
 
     def test_certificate_past_float_cholesky_in_a_skewed_basis(self):
         # PAST_CHOLESKY is also badly reduced: its minimum, along (5, -3),
@@ -624,7 +737,13 @@ class TestStackedSpectra:
 
         monkeypatch.setattr(np.linalg, "svd", perturbed)
         with pytest.raises(hm.PairingFailure):
-            heisenberg._d_spectra([hm.SpdMatrix(hm.identity(4))] * 3)
+            heisenberg._d_spectra([hm.SpdMatrix(hm.identity(6))] * 3)
+
+    def test_exact_stack_runs_no_lapack(self, no_lapack):
+        family = [hm.SpdMatrix(hm.identity(4)), hm.counterexample_family(3)] * 2
+        stacked = [s.d for s in heisenberg._d_spectra(family)]
+        assert stacked == [hm.d_spectrum(Y).d for Y in family]
+        assert stacked[0] == (1.0, 1.0) and _within_one_ulp(family[1], stacked[1])
 
 
 class TestHeisenbergType:
@@ -638,6 +757,14 @@ class TestHeisenbergType:
             base = hm.congruence(hm.identity(4), S)
             h = hm.SpdMatrix.from_rows([[scale * x for x in row] for row in base.entries])
             assert hm.is_heisenberg_type(rational_metric(h, g))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_long_symplectic_word_is_type(self, seed):
+        # S^T S for a 300-step integer symplectic word has every d_k exactly 1
+        S = hm.random_symplectic_integer(2, seed, 300)
+        h = hm.SpdMatrix(hm.congruence(hm.identity(4), S))
+        assert hm.d_spectrum(h).d == (1.0, 1.0)
+        assert hm.is_heisenberg_type(rational_metric(h, Fraction(1)))
 
     def test_counterexample_not_type(self):
         m = rational_metric(hm.counterexample_family(1), Fraction(1))
@@ -710,9 +837,16 @@ class TestSameOrbit:
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
+        assert not hm.same_symplectic_orbit(hm.SpdMatrix(hm.identity(6)),
+                                            _unit_pair(hm.counterexample_family(1)))
+        assert shapes == [(2, 6, 6)]
+
+    def test_no_lapack_at_n_le_2(self, no_lapack):
         assert not hm.same_symplectic_orbit(hm.SpdMatrix(hm.identity(4)),
                                             hm.counterexample_family(1))
-        assert shapes == [(2, 4, 4)]
+        Y = hm.counterexample_family(1)
+        assert hm.same_symplectic_orbit(Y, hm.SpdMatrix(hm.congruence(
+            Y.matrix, hm.random_symplectic_integer(2, 5, 40))), tol=0)
 
 
 class TestSectionalCurvature:

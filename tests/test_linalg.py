@@ -5,10 +5,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heismoduli as hm
+from heismoduli import linalg
 from conftest import fraction_ldl, givens_orthogonal, random_rational_spd
 
 
@@ -318,6 +319,32 @@ def _symmetric_rationals(draw):
         k = draw(st.integers(0, n - 1))
         rows[k][k] -= draw(st.fractions(0, math.ceil(rows[k][k]) + 1, max_denominator=12))
     return rows
+
+
+class TestPencilCoefficient:
+    # det(den J - A) = det A + den^2 q + den^4, checked against the general
+    # integer elimination on the rows of den J - A
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(-50, 50, max_denominator=12), min_size=16, max_size=16)
+           | st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
+    def test_matches_the_determinant(self, entries):
+        B = [entries[4 * i:4 * i + 4] for i in range(4)]
+        try:
+            Y = hm.SpdMatrix.from_rows([[sum(B[k][i] * B[k][j] for k in range(4))
+                                         + (i == j) for j in range(4)] for i in range(4)])
+        except hm.NotPositiveDefinite:  # rounded in floats
+            assume(False)
+        den, minors, _ = Y.integer_ldl
+        a = linalg._integer_triangle(Y)
+        A = [[a[max(i, j) * (max(i, j) + 1) // 2 + min(i, j)] for j in range(4)]
+             for i in range(4)]
+        assert [[Fraction(x) for x in r] for r in A] == [
+            [den * Fraction(x) for x in r] for r in Y.entries]
+        J = hm.symplectic_j(2).entries
+        rows = [[den * int(J[i][j]) - A[i][j] for j in range(4)] for i in range(4)]
+        q = linalg._pencil_coefficient(a)
+        assert linalg._int_determinant(rows) == minors[-1] + den**2 * q + den**4
+        assert q > 0
 
 
 class TestIntegerLdl:
