@@ -9,12 +9,16 @@ inequalities, the spectral wrappers' eigenvalues and singular values,
 and ``to_numpy``.  A full spectrum from n = 3 comes from an ``svd`` of
 each skew matrix, whose absolute accuracy the small d_k need, and its
 pairs are checked by ``_paired``.  Where only a top singular
-value is read, it runs no SVD: d_n in the key inequality is read in
-closed form at n <= 2 and from one ``eigvalsh`` of scaled Gram matrices
-at n >= 3 (``_top_symplectic``), and s_1(A B) in Bhatia's from one
-``eigvalsh`` (``_scaled_gram_eigenvalues``).  A spectrum past the float
-range raises ``OverflowError``, never a NaN or an infinity.  Each sweep
-draws from a generator of its own, one window of ``_DRAW_WINDOW`` at a time.
+value is read, it runs no SVD: d_n in the key inequality is read off
+F J F^T and det F at n <= 2, with no ``inv``; from n = 3 it inverts F
+and takes one ``eigvalsh`` of scaled Gram matrices of the skew matrices
+F^{-T} J F^{-1} (``_top_symplectic``).  s_1(A B) in Bhatia's comes
+from one ``eigvalsh`` (``_scaled_gram_eigenvalues``).  A
+spectrum past the float range raises ``OverflowError``, never a NaN or
+an infinity.  Each sweep draws from a generator of its own, one window
+of ``_DRAW_WINDOW`` at a time, and ``_windows`` yields with each window
+the determinants its redraw rule computed, which the key inequality
+reuses at n <= 2.
 No module imports this one when it loads; each public function that
 needs arrays runs ``from . import _arrays`` when it is called, so a
 command that computes no spectrum never loads numpy.  It imports only
@@ -119,43 +123,72 @@ def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
         return _finite(((hi + lo) / 2.0)[..., ::-1])
 
 
-def _top_symplectic(F: np.ndarray) -> np.ndarray:
+def _top_symplectic(F: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
     """d_n of Y = F^T F for a stack of 2n x 2n invertible factors F.
 
-    d_n = s_1(K) for the skew matrix K (``_skew``), in closed form at
-    n <= 2 and from one ``eigvalsh`` at n >= 3; no size runs an SVD.
+    At n <= 2 it reads d_n off F J F^T and det F, with no ``inv``: K =
+    -(F J F^T)^{-1} (``_skew``) and Pf(F J F^T) = det F, so the singular
+    values of S = F J F^T are s_1, s_1, s_2, s_2 with s_1 s_2 = |det F|.
+    `det` is det F of each factor, as the sweeps' draw computes it; when
+    it is None, one ``det`` of the scaled stack is taken here.  Each F
+    is first scaled by a power of two, its largest |entry| into [1/2, 1),
+    and `det` exactly with it (``ldexp``), so neither det F nor S leaves
+    the float range where d_n is inside it.
 
-    - n = 1: K = k J, so d_1 = |k|.
-    - n = 2: so(4) = su(2) + su(2) splits K / c (``_scaled``) into a
-      self-dual and an anti-self-dual part, with norms a and b (``_norm3``),
-      and s_1(K / c) = (a + b) / 2.  Both are square roots of sums of
-      squares, so the value is within a few ulp of s_1, also when
-      d_1 = d_2.
-    - n >= 3: c sqrt(lambda_max) from one ``_scaled_gram_eigenvalues`` of
-      the K stack, within a relative error of order 2n eps of the SVD's
-      s_1(K).  Every eigenvalue comes in a pair d_k^2, d_k^2, and their
-      square roots are checked by ``_paired``, which raises
-      ``PairingFailure``; the absolute error of sqrt(lambda) is about
-      sqrt(eps) d_n, 1.5e-8 d_n, well inside ``PAIRING_TOL``.
+    - n = 1: d_1 = 1 / |det F|.
+    - n = 2: with F = [P | Q] in n-column blocks, S = P Q^T - Q P^T is
+      exactly skew, and d_2 = s_1(S) / |det F|.  so(4) = su(2) + su(2)
+      splits S / c (``_scaled``) into a self-dual and an anti-self-dual
+      part, with norms a and b (``_norm3``), and s_1(S / c) = (a + b) / 2,
+      within a few ulp of s_1 also when d_1 = d_2.
+    - n >= 3: `det` is not read.  c sqrt(lambda_max) of the skew matrix
+      K (``_skew``) from one ``_scaled_gram_eigenvalues`` of the K stack,
+      within a relative error of order 2n eps of the SVD's s_1(K).  Every
+      eigenvalue comes in a pair d_k^2, d_k^2, and their square roots are
+      checked by ``_paired``, which raises ``PairingFailure``; the
+      absolute error of sqrt(lambda) is about sqrt(eps) d_n, 1.5e-8 d_n,
+      well inside ``PAIRING_TOL``.
 
-    A d_n past the float range raises ``OverflowError``.
+    No size runs an SVD.  A factor singular in floating point raises
+    ``Singular``, and a d_n past the float range ``OverflowError``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = _skew(F)
-        n = K.shape[-1] // 2
+    n = F.shape[-1] // 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if n >= 3:
+            c, lam = _scaled_gram_eigenvalues(_skew(F))
+            # eigvalsh may return a pair near 0 slightly negative
+            s = c[..., np.newaxis] * np.sqrt(np.maximum(lam, 0.0))[..., ::-1]
+            return _finite(_paired(s)[0][..., 0])
+        e = 0  # a given det F at n = 1 is all that d_1 needs
+        if n == 2 or det is None:
+            e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
+            F = np.ldexp(F, -e[..., np.newaxis, np.newaxis])
+            if det is not None:
+                det = np.ldexp(det, -2 * n * e)
+            elif n == 1:  # one rounding per product, not ``det``'s exp(log|det|)
+                det = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+            else:
+                det = np.linalg.det(F)
+        if not det.all():
+            raise Singular("factor is singular in floating point")
         if n == 1:
-            return np.abs(K[..., 0, 1])
-        if n == 2:
-            c, k = _scaled(K)
-            # K is exactly skew (``_skew``), so k_31 = -k_13: u + v and
-            # u - v are (k01 + k23, k02 - k13, k03 + k12) and
-            # (k01 - k23, k02 + k13, k03 - k12)
+            d = 1.0 / np.abs(det)
+        else:
+            X = F[..., :, :2] @ np.swapaxes(F[..., :, 2:], -1, -2)
+            c, k = _scaled(X - np.swapaxes(X, -1, -2))
+            # k is exactly skew, so k_31 = -k_13: u + v and u - v are
+            # (k01 + k23, k02 - k13, k03 + k12) and (k01 - k23, k02 + k13, k03 - k12)
             u, v = k[..., (0, 0, 0), (1, 2, 3)], k[..., (2, 3, 1), (3, 1, 2)]
-            return _finite(c[..., 0, 0] * ((_norm3(u + v) + _norm3(u - v)) * 0.5))
-        c, lam = _scaled_gram_eigenvalues(K)
-        # eigvalsh may return a pair near 0 slightly negative
-        s = c[..., np.newaxis] * np.sqrt(np.maximum(lam, 0.0))[..., ::-1]
-        return _finite(_paired(s)[0][..., 0])
+            d = c[..., 0, 0] * ((_norm3(u + v) + _norm3(u - v)) * 0.5) / np.abs(det)
+        # F / 2^e has d_n 2^{2e} times F's
+        return _finite(np.ldexp(d, -2 * e))
+
+
+def _top_singular_2x2(M: np.ndarray) -> np.ndarray:
+    """s_1 of a stack of 2 x 2 matrices M, in closed form:
+    (hypot(m00 + m11, m10 - m01) + hypot(m00 - m11, m01 + m10)) / 2."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    return (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) * 0.5
 
 
 def _norm3(w: np.ndarray) -> np.ndarray:
@@ -173,12 +206,16 @@ def _upper_factors(Ys: Sequence[SpdMatrix]) -> np.ndarray:
     minors[k+1] on the diagonal and v = columns[k][i - k - 1] at i > k.
     Each entry is one correctly rounded integer quotient, at most y_ii,
     and one square root.  A y_ii past the float range raises
-    ``OverflowError``; there is no other failure branch.  The Ys are of
-    equal size n, and one ``linalg._upper_kernel(n)``, generated the first
-    time n is used, reads every member.
+    ``OverflowError`` with the message ``heisenberg._exact_spectrum``
+    gives at sizes 2 and 4; there is no other failure branch.  The Ys are
+    of equal size n, and one ``linalg._upper_kernel(n)``, generated the
+    first time n is used, reads every member.
     """
     upper = _upper_kernel(Ys[0].n)
-    return np.array([upper(*Y.integer_ldl) for Y in Ys])
+    try:
+        return np.array([upper(*Y.integer_ldl) for Y in Ys])
+    except OverflowError:  # an integer quotient too large for a float
+        raise OverflowError("Gram matrix entry is past the float range") from None
 
 
 def _spectra(Ys: Sequence[SpdMatrix]) -> list[tuple[float, ...]]:
@@ -216,29 +253,40 @@ def _scaled_gram_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c[..., 0, 0], np.linalg.eigvalsh(np.swapaxes(K, -1, -2) @ K)
 
 
-def _key_inequality_sides(Y: np.ndarray, F: np.ndarray, G: np.ndarray
+def _key_inequality_sides(F: np.ndarray, G: np.ndarray, det_F: np.ndarray | None = None,
+                          det_G: np.ndarray | None = None, Y: np.ndarray | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the key inequality for stacks of Y = F^T F and factors G.
+    """Both sides of the key inequality for stacks of factors F of Y and G.
 
-    F is any invertible factor of Y.  The pullback G^T Y G has the factor
-    F G, so neither Gram matrix of G is ever formed.  lambda_max(Y) comes
-    from one ``eigvalsh`` of the Y stack, and d_n(G^T G) and d_n(G^T Y G)
-    from one ``_top_symplectic`` of the stack (G, F G): in closed form at
-    n <= 2, and from one more stacked ``eigvalsh`` at n >= 3, where a
-    broken eigenvalue pair raises ``PairingFailure``.  No SVD runs, and
-    each d_n is within a relative error of order 2n eps of the SVD's.
-    Every value is computed matrix by matrix, so both sides are the bits
-    that separate calls give.  A d_n past the float range raises
-    ``OverflowError``; the lhs is at most the rhs.
+    F is any invertible factor of Y = F^T F, and Y, when given, is the
+    Gram matrix itself, else F^T F is formed.  The pullback G^T Y G has
+    the factor F G, so neither Gram matrix of G is ever formed.  d_n(G^T G)
+    and d_n(G^T Y G) come from one ``_top_symplectic`` of the stack
+    (G, F G), which at n <= 2 reads det F and det G when both are given,
+    with det(F G) = det F det G, and at n >= 3 runs one more stacked
+    ``eigvalsh``, where a broken eigenvalue pair raises ``PairingFailure``.
+    lambda_max(Y) is s_1(F)^2 in closed form at dim 2, and from one
+    ``eigvalsh`` of the Y stack from dim 4.  No SVD runs, and no ``inv``
+    at n <= 2.  Every value is computed matrix by matrix, so both sides
+    are the bits that separate calls give.  A d_n past the float range
+    raises ``OverflowError``; the lhs is at most the rhs.
     """
-    lam_max = np.linalg.eigvalsh(Y)[..., -1]
-    d_max = _top_symplectic(np.stack((G, F @ G)))
+    det = None if det_F is None else np.stack((det_G, det_F * det_G))
+    d_max = _top_symplectic(np.stack((G, F @ G)), det)
+    if F.shape[-1] == 2:
+        s = _top_singular_2x2(F)
+        lam_max = s * s
+    else:
+        lam_max = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F if Y is None else Y)[..., -1]
     return d_max[0] / lam_max, d_max[1]
 
 
 def _key_inequality(Y: SpdMatrix, G: DenseMatrix) -> tuple[float, float]:
-    """``_key_inequality_sides`` of one Y, factored as in ``_upper_factors``, and G."""
-    lhs, rhs = _key_inequality_sides(_to_numpy(Y.matrix), _upper_factors([Y])[0], _to_numpy(G))
+    """``_key_inequality_sides`` of one Y, factored as in ``_upper_factors``
+    into R, and G, with no determinants given: at n <= 2
+    ``_top_symplectic`` takes det G and det(R G) of its scaled stack."""
+    lhs, rhs = _key_inequality_sides(_upper_factors([Y])[0], _to_numpy(G),
+                                     Y=_to_numpy(Y.matrix))
     return float(lhs), float(rhs)
 
 
@@ -292,7 +340,8 @@ def _words(rng: random.Random, n: int) -> np.ndarray:
 
 
 def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
-             index: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+             index: bool = False
+             ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray], np.ndarray]]:
     """The sweeps' samples, exactly as ``random.Random(seed)`` draws them
     one value at a time, in windows of ``_DRAW_WINDOW`` samples.
 
@@ -310,8 +359,10 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
     the rejected matrix.  Each layout first tops the words up to the least
     it reads, counting two ``randrange`` tries per sample; a try walk that
     runs past them fetches the rest, and a window's unread words are the
-    next one's.  A window is one (samples, dim, dim) stack per bound and
-    the (samples,) indices, unset without `index`.
+    next one's.  A window is one (samples, dim, dim) stack per bound, the
+    determinants of its matrices as one (samples,) array per bound, the
+    very values the redraw rule read, and the (samples,) indices, unset
+    without `index`.
     """
     rng = random.Random(seed)
     fields = len(bounds)
@@ -325,6 +376,7 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
     for done in range(0, samples, _DRAW_WINDOW):
         n = min(samples - done, _DRAW_WINDOW)
         out = np.empty((n * fields, dim, dim))
+        out_det = np.empty(n * fields)
         picks = np.empty(n, dtype=int)
         i, f = 0, 0  # first sample not done, its first field not done
         while True:
@@ -363,11 +415,13 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
             u *= span
             u -= b  # the same IEEE sum as -b + u
             mats = u.reshape(m * fields, dim, dim)
-            bad = np.abs(np.linalg.det(mats)) <= 1e-3
+            det = np.linalg.det(mats)
+            bad = np.abs(det) <= 1e-3
             bad[:f] = False  # fields of sample i kept by an earlier pass
             hits = np.flatnonzero(bad)
             first = int(hits[0]) if len(hits) else m * fields
             out[i * fields + f:i * fields + first] = mats[f:first]
+            out_det[i * fields + f:i * fields + first] = det[f:first]
             if index:
                 picks[i:i + first // fields] = drawn[:first // fields]
             if first == m * fields:
@@ -379,23 +433,27 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
         # caller checks the window: held through the yield, they slowed the checks
         words, s = words[s:].copy(), 0
         del w, u, mats
-        yield list(out.reshape(n, fields, dim, dim).swapaxes(0, 1)), picks
+        yield (list(out.reshape(n, fields, dim, dim).swapaxes(0, 1)),
+               list(out_det.reshape(n, fields).T), picks)
 
 
 def _key_sweep(dim: int, samples: int, seed: int
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the key inequality on ``key_inequality_sweep``'s
-    samples, one window of ``_windows`` at a time, for ``_tally``; the
-    drawn B is Y's factor, so Y is never factored."""
-    for (B, G), _ in _windows(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0)):
-        yield _key_inequality_sides(np.swapaxes(B, -1, -2) @ B, B, G)
+    samples, one window of ``_windows`` at a time, for ``_tally``.  The
+    drawn B is Y's factor, so Y is never factored, and the draw's own
+    determinants of B and G serve d_n at n <= 2, so the window makes no
+    ``det`` call of its own."""
+    for (B, G), (det_B, det_G), _ in _windows(seed, dim, samples,
+                                             (math.sqrt(10.0 / dim), 10.0)):
+        yield _key_inequality_sides(B, G, det_B, det_G)
 
 
 def _bhatia_sweep(dim: int, samples: int, seed: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the k = 1 inequality on ``bhatia_sweep``'s samples, one
     window of ``_windows`` at a time, for ``_tally``."""
-    for (A, B), i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
+    for (A, B), _, i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
         yield _bhatia_sides(A, B, i1)
 
 

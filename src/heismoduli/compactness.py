@@ -264,10 +264,13 @@ def counterexample_spectrum(k: int) -> tuple[float, float]:
     least 0 (``_sweep_sizes``).
 
     d_2 = (k + sqrt(k^2 + 4)) / 2, computed as k/2 + hypot(k/2, 1) so that
-    nothing squares k, and det = 1 gives d_1 = 1/d_2 (the closed form for
-    d_1 cancels catastrophically at large k).  d_2 is finite exactly when
-    k rounds to a finite float, up to about 1.8e308; past that it raises
-    ``OverflowError``.
+    no float squares k.  d_1 = 1 / d_2 = 2 / (k + sqrt(k^2 + 4)), the form
+    that does not cancel at large k, is one correctly rounded quotient of
+    integers, with sqrt(k^2 + 4) 2^p taken by ``math.isqrt`` at p = 128:
+    its floor puts a relative error below 2^-129 in the denominator, so
+    d_1 is correctly rounded unless it lies that close to a rounding
+    boundary.  d_2 is finite exactly when k rounds to a finite float, up
+    to about 1.8e308; past that it raises ``OverflowError``.
     """
     (k,) = _sweep_sizes(k=(k, 0))
     try:
@@ -275,7 +278,8 @@ def counterexample_spectrum(k: int) -> tuple[float, float]:
     except OverflowError:
         raise OverflowError("d_2 is past the float range") from None
     d2 = half + math.hypot(half, 1.0)
-    return 1.0 / d2, d2
+    p = 128
+    return (2 << p) / ((k << p) + math.isqrt((k * k + 4) << 2 * p)), d2
 
 
 def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
@@ -288,12 +292,15 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     underflows or overflows.  Y is factored as in ``d_spectrum``, so
     every ``SpdMatrix`` is accepted.  Both sides come from
     ``_arrays._key_inequality_sides`` on stacks of one, as in
-    ``key_inequality_sweep``: each d_n in closed form at n <= 2, and from
-    the top eigenvalue of a scaled Gram matrix at n >= 3, within a
-    relative 8 * 2n * eps of the SVD's top singular value, and no SVD.
-    At n >= 3 a broken eigenvalue pair raises ``PairingFailure``; at any
-    n a d_n past the float range (G^T G near 10^-308) raises
-    ``OverflowError``.
+    ``key_inequality_sweep``.  At n <= 2 each d_n is s_1(F J F^T) / |det F|
+    (1 / |det F| at n = 1) for F = G and F = R G, R the float factor of
+    Y, with det F taken here of F scaled by a power of two, and no
+    ``inv``; its relative error is of order eps kappa_2(F), as the SVD's
+    of the inverted factor is.  At n >= 3 it is the top eigenvalue of a
+    scaled Gram matrix, within a relative 8 * 2n * eps of the SVD's top
+    singular value, and a broken eigenvalue pair raises
+    ``PairingFailure``.  No SVD runs.  At any n a d_n past the float
+    range (G^T G near 10^-308) raises ``OverflowError``.
     """
     if G.rows != Y.n or not G.is_square:
         raise DimensionMismatch("G must be square of the same size as Y")
@@ -476,12 +483,14 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     The sweep's own generator is read in bulk, not one call per entry, and
     B serves as Y's factor, so Y is never factored (``_arrays._key_sweep``).
     A window is checked by ``_arrays._key_inequality_sides``, as in
-    ``verify_key_inequality``: one ``eigvalsh`` of every Y gives
-    lambda_max(Y), and each d_n of the skew matrices of every G and every
-    B G is read in closed form at dims 2 and 4, and from one ``eigvalsh``
-    of their scaled Gram matrices at dim 6 and up, where a broken
-    eigenvalue pair raises ``PairingFailure``.  An odd dimension raises
-    ``OddDimension``.
+    ``verify_key_inequality``.  lambda_max(Y) is s_1(B)^2 in closed form
+    at dim 2 and one ``eigvalsh`` of every Y from dim 4.  At dims 2 and 4
+    each d_n of every G and every B G is read off F J F^T and the draw's
+    own det B and det G, with det(B G) = det B det G, so the window runs
+    no ``inv`` and no ``det`` beyond the draw's, and at dim 2 no
+    ``eigvalsh``.  From dim 6 it comes from one ``eigvalsh`` of the scaled
+    Gram matrices of their skew matrices, where a broken eigenvalue pair
+    raises ``PairingFailure``.  An odd dimension raises ``OddDimension``.
     """
     samples, dim, seed = _sweep_sizes(samples=(samples, 1), dimension=(dim, 1),
                                       seed=(seed, None))

@@ -447,15 +447,25 @@ class TestErrorPaths:
     BIG = "1" + "0" * 400
     BIG_GRAM = {"mode": "rational", "rows": 2, "cols": 2, "entries": [[BIG, "0"], ["0", "1"]]}
     BIG_G = {"h": hm.matrix_to_json(hm.identity(2)), "g": BIG, "r": [1]}
+    # diag(10^400, 1, 1, 1, 1, 1): from size 6 the float factor's integer
+    # quotient overflows, and it is named as at size 2
+    BIG_GRAM_6 = {"mode": "rational", "rows": 6, "cols": 6,
+                  "entries": [[BIG] + ["0"] * 5] + [["0"] * i + ["1"] + ["0"] * (5 - i)
+                                                    for i in range(1, 6)]}
+    BIG_GRAM_ERROR = "error: Gram matrix entry is past the float range\n"
 
-    @pytest.mark.parametrize("argv, payload", [
-        (["invariants"], BIG_G), (["curvature-bound"], BIG_G), (["heis-type"], BIG_G),
-        (["spectrum"], BIG_GRAM), (["certify", "--heisenberg-type"], [BIG_G]),
-    ], ids=["invariants", "curvature-bound", "heis-type", "spectrum", "certify-heis-type"])
-    def test_past_float_range_exit_2(self, capsys, monkeypatch, argv, payload):
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["invariants"], BIG_G, None), (["curvature-bound"], BIG_G, None),
+        (["heis-type"], BIG_G, None), (["spectrum"], BIG_GRAM, BIG_GRAM_ERROR),
+        (["certify", "--heisenberg-type"], [BIG_G], None),
+        (["spectrum"], BIG_GRAM_6, BIG_GRAM_ERROR),
+    ], ids=["invariants", "curvature-bound", "heis-type", "spectrum", "certify-heis-type",
+            "spectrum-6"])
+    def test_past_float_range_exit_2(self, capsys, monkeypatch, argv, payload, message):
         code, out, err = run(capsys, argv, stdin=json.dumps(payload), monkeypatch=monkeypatch)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+        assert message is None or err == message
 
     # g = 10^-400 rounds to 0.0, so g^-1 is past the float range; at 10^-320
     # (a subnormal float) only g^-1 d_n^2 is, and heis-type still decides

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import givens_orthogonal, random_unimodular
-from heismoduli import _arrays, compactness
+from heismoduli import _arrays, compactness, heisenberg
 
 
 def metric_family(grams, g=Fraction(1), r=(1, 1)):
@@ -76,6 +76,11 @@ class TestCounterexampleFamily:
     def test_spectrum_past_the_float_range_refused(self, k):
         with pytest.raises(OverflowError, match="^d_2 is past the float range$"):
             hm.counterexample_spectrum(k)
+
+    # d_1 = 2 / (k + sqrt(k^2 + 4)) rounded once; 1 / d_2, rounded twice, is 1 ulp low here
+    @pytest.mark.parametrize("k, d1", [(1, 0.6180339887498949), (3, 0.3027756377319947)])
+    def test_spectrum_d1_correctly_rounded(self, k, d1):
+        assert hm.counterexample_spectrum(k)[0] == d1
 
     @pytest.mark.parametrize("k", [10**3, 10**4, 3 * 10**4])
     def test_spectrum_closed_form_at_large_k(self, k):
@@ -407,12 +412,43 @@ def _replay_bhatia_samples(dim, samples, seed):
     return np.array(A), np.array(B), np.array(i1)
 
 
-def _drawn(seed, dim, samples, bounds, index=False):
-    """Every window of ``_arrays._windows`` joined: one stack per bound and
-    the indices, as the sweep draws them."""
+def _drawn_with_dets(seed, dim, samples, bounds, index=False):
+    """Every window of ``_arrays._windows`` joined: one stack per bound, the
+    draw's determinants of each stack, and the indices, as the sweep draws
+    them."""
     windows = list(_arrays._windows(seed, dim, samples, bounds, index))
-    return ([np.concatenate([w[0][j] for w in windows]) for j in range(len(bounds))],
-            np.concatenate([w[1] for w in windows]))
+    stacks, dets = ([np.concatenate([w[part][j] for w in windows]) for j in range(len(bounds))]
+                    for part in (0, 1))
+    return stacks, dets, np.concatenate([w[2] for w in windows])
+
+
+def _drawn(seed, dim, samples, bounds, index=False):
+    """``_drawn_with_dets`` without the determinants."""
+    stacks, _, picks = _drawn_with_dets(seed, dim, samples, bounds, index)
+    return stacks, picks
+
+
+def _rejected(dim, samples, seed):
+    """How many matrices ``key_inequality_sweep``'s draw rejects for |det| <= 1e-3."""
+    rng, count = random.Random(seed), 0
+    for _ in range(samples):
+        for bound in (math.sqrt(10.0 / dim), 10.0):
+            while abs(np.linalg.det(np.array([[rng.uniform(-bound, bound) for _ in range(dim)]
+                                              for _ in range(dim)]))) <= 1e-3:
+                count += 1
+    return count
+
+
+def _exact_top(F):
+    """d_n of the Gram matrix F^T F of each 2 x 2 or 4 x 4 float factor F,
+    formed exactly from Fractions of its entries, by
+    ``heisenberg._exact_spectrum`` (within 1 ulp)."""
+    out = []
+    for f in F.reshape(-1, *F.shape[-2:]).tolist():
+        rows = [[Fraction(x) for x in row] for row in f]
+        Y = [[sum(r[i] * r[j] for r in rows) for j in range(len(f))] for i in range(len(f))]
+        out.append(heisenberg._exact_spectrum(hm.SpdMatrix.from_rows(Y))[-1])
+    return np.array(out).reshape(F.shape[:-2])
 
 
 SWEEP_SEEDS = st.integers(-(2**80), 2**80)
@@ -503,10 +539,12 @@ class TestKeyInequality:
     @example(2, 100, 174)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         B, G = _replay_key_samples(dim, samples, seed)
-        # the drawn B is Y's factor
-        Y = np.swapaxes(B, -1, -2) @ B
+        # the drawn B is Y's factor, and the draw's determinants are det's
+        det_B, det_G = np.linalg.det(B), np.linalg.det(G)
+        _, drawn_dets, _ = _drawn_with_dets(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
+        assert np.array_equal(det_B, drawn_dets[0]) and np.array_equal(det_G, drawn_dets[1])
         expected = compactness.SweepResult(*_arrays._tally(
-            [_arrays._key_inequality_sides(Y, B, G)], compactness.INEQUALITY_SLACK))
+            [_arrays._key_inequality_sides(B, G, det_B, det_G)], compactness.INEQUALITY_SLACK))
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,
@@ -523,20 +561,21 @@ class TestKeyInequality:
         assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
 
     # recorded with each d_n read by _top_symplectic (numpy 2.4.6, x86-64):
-    # |k| at dim 2, the self-dual split's (a + b) / 2 at dim 4, and
-    # c sqrt(lambda_max) of the scaled Gram matrix of its skew matrix at
-    # dim 6.  Each value is computed matrix by matrix, so a stack, or a
-    # window of one, gives the same bits.  The dim-4 values sit 1 and 2 ulp
-    # from the eigvalsh ones, and three of the six 2 ulp from an SVD of
-    # each skew matrix; test_top_value_matches_svd bounds that gap on
-    # every sample.  (2, 1000, 13) spans four windows
+    # 1 / |det F| at dim 2 and s_1(F J F^T) / |det F| from the self-dual
+    # split at dim 4, each det F the draw's, and c sqrt(lambda_max) of the
+    # scaled Gram matrix of its skew matrix at dim 6; lambda_max(Y) is
+    # s_1(B)^2 at dim 2.  Each value is computed matrix by matrix, so a
+    # stack, or a window of one, gives the same bits.  Reading d_n without
+    # inv moved (2, 50, 3) by 16 ulp, (4, 50, 7) by 8 and (2, 1000, 13) by
+    # 32; test_top_value_matches_exact bounds the error of every sample.
+    # (2, 1000, 13) spans four windows
     @pytest.mark.parametrize("args, held, worst_slack", [
-        ((2, 50, 3), 50, 0.00016631155065840748),
-        ((4, 50, 7), 50, 0.007232850957914967),
+        ((2, 50, 3), 50, 0.0001663115506584079),
+        ((4, 50, 7), 50, 0.007232850957914974),
         ((6, 50, 11), 50, 0.012414876212731477),
         ((6, 160, 612177327), 160, 0.009846757589123279),
         ((4, 160, 2**70 + 3), 160, 0.004284087011410313),
-        ((2, 1000, 13), 1000, 0.00013819975180947783),
+        ((2, 1000, 13), 1000, 0.00013819975180947696),
     ])
     def test_sweep_results_pinned(self, args, held, worst_slack):
         assert hm.key_inequality_sweep(*args) == compactness.SweepResult(args[1], held,
@@ -545,19 +584,20 @@ class TestKeyInequality:
     def test_unstacked_sides_match_stacked(self):
         # verify_key_inequality passes single matrices; each side must be
         # the one a stack of samples gives for the same matrices
-        (B, G), _ = _drawn(5, 4, 3, (math.sqrt(2.5), 10.0))
-        Y = np.swapaxes(B, -1, -2) @ B
-        lhs, rhs = _arrays._key_inequality_sides(Y, B, G)
+        (B, G), drawn_dets, _ = _drawn_with_dets(5, 4, 3, (math.sqrt(2.5), 10.0))
+        det_B, det_G = np.linalg.det(B), np.linalg.det(G)
+        assert np.array_equal(det_B, drawn_dets[0]) and np.array_equal(det_G, drawn_dets[1])
+        lhs, rhs = _arrays._key_inequality_sides(B, G, det_B, det_G)
         for j in range(3):
-            one = _arrays._key_inequality_sides(Y[j], B[j], G[j])
+            one = _arrays._key_inequality_sides(B[j], G[j], det_B[j], det_G[j])
             assert one[0].shape == one[1].shape == ()
             assert (one[0], one[1]) == (lhs[j], rhs[j])
 
-    # each d_n is c sqrt(lambda_max) of a scaled Gram matrix, against the
-    # SVD's top singular value of the same skew matrix; seeds 612177327 and
-    # 3993805642 each draw an ill-conditioned sample at dim 6
+    # at dim 6 each d_n is c sqrt(lambda_max) of a scaled Gram matrix,
+    # against the SVD's top singular value of the same skew matrix; seeds
+    # 612177327 and 3993805642 each draw an ill-conditioned sample
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([2, 4, 6]), st.integers(1, 40), SWEEP_SEEDS)
+    @given(st.just(6), st.integers(1, 40), SWEEP_SEEDS)
     @example(6, 160, 612177327)
     @example(6, 160, 3993805642)
     def test_top_value_matches_svd(self, dim, samples, seed):
@@ -568,8 +608,29 @@ class TestKeyInequality:
         assert top.shape == oracle.shape == (2, samples)
         assert np.all(np.abs(top - oracle) <= 8 * dim * np.finfo(float).eps * oracle)
 
+    # at dims 2 and 4 each d_n, read off the draw's det F, against the
+    # exact value.  An SVD of the skew matrix is no oracle here: it carries
+    # inv's error of order kappa_2(F) eps, and det F carries one of the same
+    # order, so the bound scales with kappa_2(F)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 4]), st.integers(1, 40), SWEEP_SEEDS)
+    @example(2, 100, 13)
+    @example(4, 100, 38)
+    def test_top_value_matches_exact(self, dim, samples, seed):
+        (B, G), (det_B, det_G), _ = _drawn_with_dets(seed, dim, samples,
+                                                      (math.sqrt(10.0 / dim), 10.0))
+        F = np.stack((G, B @ G))
+        top = _arrays._top_symplectic(F, np.stack((det_G, det_B * det_G)))
+        exact = _exact_top(F)
+        assert top.shape == exact.shape == (2, samples)
+        bound = 8 * dim * np.finfo(float).eps * np.linalg.cond(F)
+        assert np.all(np.abs(top - exact) <= bound * exact)
+
     # K = Q blocks(d_1 J, d_2 J) Q^T, the skew matrix of F = Q D^(-1/2):
-    # d_1 = d_2 exactly, d_1 / d_2 down to 2^-60, and scales 2^+-500
+    # d_1 = d_2 exactly, d_1 / d_2 down to 2^-60, and scales 2^+-500.  Each
+    # F's own det is taken, as in verify_key_inequality.  The oracle is the
+    # exact value, not the SVD of K, and the bound scales with kappa_2(F),
+    # as in test_top_value_matches_exact
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(0, 2**32),
            st.integers(-500, 500), st.integers(-60, 0), st.floats(0.5, 1.0))
@@ -583,9 +644,10 @@ class TestKeyInequality:
         F = np.array([givens_orthogonal(rng, 2 * n).to_numpy() * np.tile(d ** -0.5, 2)
                       for _ in range(samples)])
         top = _arrays._top_symplectic(F)
-        oracle = np.linalg.svd(_arrays._skew(F), compute_uv=False)[:, 0]
-        assert np.all(np.isfinite(oracle))
-        assert np.all(np.abs(top - oracle) <= 8 * 2 * n * np.finfo(float).eps * oracle)
+        exact = _exact_top(F)
+        assert np.all(np.isfinite(top))
+        bound = 8 * 2 * n * np.finfo(float).eps * np.linalg.cond(F)
+        assert np.all(np.abs(top - exact) <= bound * exact)
 
     @pytest.mark.parametrize("sample", [0, 3])
     def test_pairing_guard(self, monkeypatch, sample):
@@ -609,24 +671,40 @@ class TestKeyInequality:
             hm.verify_key_inequality(hm.SpdMatrix(hm.identity(6)),
                                      hm.DenseMatrix.from_rows(G))
 
-    # lambda_max(Y) is one eigvalsh per window, and each d_n one more at
-    # dim 6 only; no size runs an svd.  A LAPACK call put back on the key
-    # path changes these counts
-    @pytest.mark.parametrize("dim, per_window", [(2, 1), (4, 1), (6, 2)])
-    def test_lapack_calls_per_window(self, monkeypatch, dim, per_window):
+    # per window, lambda_max(Y) is one eigvalsh from dim 4 (s_1(B)^2 at
+    # dim 2), and each d_n one inv and one more eigvalsh at dim 6 only: at
+    # dims 2 and 4 it is read off the draw's determinants.  The only det
+    # calls of a sweep are the draw's, one per layout: one per window and
+    # one more per rejected matrix.  The verifier takes one det of its own
+    # stack at dim 4; at dim 2 it forms the 2 x 2 determinants by hand.  No
+    # size runs an svd.  A LAPACK call put back on the key path changes
+    # these counts
+    @pytest.mark.parametrize("dim, eigvalsh, inv, verifier_det",
+                             [(2, 0, 0, 0), (4, 1, 0, 1), (6, 2, 1, 0)])
+    def test_lapack_calls_per_window(self, monkeypatch, dim, eigvalsh, inv, verifier_det):
+        samples = 2 * _arrays._DRAW_WINDOW + 1
+        layouts = 3 + _rejected(dim, samples, 3)
         calls = Counter()
-        for name in ("eigvalsh", "svd"):
+        for name in ("eigvalsh", "svd", "inv", "det"):
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        assert hm.key_inequality_sweep(dim, 2 * _arrays._DRAW_WINDOW + 1, 3).all_hold
-        assert calls == {"eigvalsh": 3 * per_window}
+        assert hm.key_inequality_sweep(dim, samples, 3).all_hold
+        assert calls == Counter(eigvalsh=3 * eigvalsh, inv=3 * inv, det=layouts)
         calls.clear()
         assert hm.verify_key_inequality(hm.SpdMatrix(hm.identity(dim)),
                                         hm.identity(dim)).holds
-        assert calls == {"eigvalsh": per_window}
+        assert calls == Counter(eigvalsh=eigvalsh, inv=inv, det=verifier_det)
+
+    def test_no_inv_at_n_le_2(self, no_lapack):
+        assert hm.key_inequality_sweep(2, 40, 3).all_hold
+        assert hm.key_inequality_sweep(4, 40, 3).all_hold
+        assert hm.verify_key_inequality(hm.SpdMatrix.from_rows([[2, 1], [1, 3]]),
+                                        hm.DenseMatrix.from_rows([[1, 2], [0, 1]])).holds
+        assert hm.verify_key_inequality(hm.SpdMatrix(hm.identity(4)),
+                                        hm.counterexample_family(2).matrix).holds
 
     def test_no_svd_on_the_key_path(self, monkeypatch):
         def refused(*args, **kwargs):
