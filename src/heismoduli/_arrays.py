@@ -13,12 +13,11 @@ value is read, it runs no SVD: d_n in the key inequality is read off
 F J F^T and det F at n <= 2, with no ``inv``; from n = 3 it inverts F
 and takes one ``eigvalsh`` of scaled Gram matrices of the skew matrices
 F^{-T} J F^{-1} (``_top_symplectic``).  s_1(A B) in Bhatia's comes
-from one ``eigvalsh`` (``_scaled_gram_eigenvalues``).  A
-spectrum past the float range raises ``OverflowError``, never a NaN or
-an infinity.  Each sweep draws from a generator of its own, one window
-of ``_DRAW_WINDOW`` at a time, and ``_windows`` yields with each window
-the determinants its redraw rule computed, which the key inequality
-reuses at n <= 2.
+from one ``eigvalsh`` (``_scaled_gram_eigenvalues``).  A spectrum past
+the float range raises ``OverflowError``, never a NaN or an infinity.
+Each sweep draws from a generator of its own, one window of
+``_DRAW_WINDOW`` at a time (``_windows``).  One determinant, ``_det``,
+serves both the draw's redraw rule and d_n at n <= 2.
 No module imports this one when it loads; each public function that
 needs arrays runs ``from . import _arrays`` when it is called, so a
 command that computes no spectrum never loads numpy.  It imports only
@@ -55,6 +54,32 @@ def _eigenvalues(m: DenseMatrix) -> tuple[float, ...]:
 def _singular_values(m: DenseMatrix) -> tuple[float, ...]:
     """Singular values of a square m, descending."""
     return tuple(float(v) for v in np.linalg.svd(_to_numpy(m), compute_uv=False))
+
+
+def _det(F: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of N x N matrices F: F itself at N = 1,
+    ad - bc at N = 2, and at N = 4 two steps of Gaussian elimination with
+    partial pivoting, then ad - bc of the 2 x 2 block left, backward stable
+    as LAPACK's LU is.  Other sizes (3 and 5 only in the Bhatia draw) call
+    ``det``, whose exp(sum log |u_ii|) is inexact even on integer diagonals."""
+    N = F.shape[-1]
+    if N == 1:
+        return F[..., 0, 0]
+    if N == 2:
+        return F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    if N != 4:
+        return np.linalg.det(F)
+    # row k swaps with the row p of the largest |entry| in column k, which
+    # takes row k negated so det keeps its sign; a zero pivot divides by 1
+    U = np.moveaxis(F.reshape(-1, 4, 4), 0, -1).copy()  # U[i, j]: every entry (i, j)
+    cols = np.arange(U.shape[-1])
+    for k in range(2):
+        p = k + np.abs(U[k:, k]).argmax(axis=0)
+        U[p, :, cols], U[k] = -U[k].T, U[p, :, cols].T
+        pivot = U[k, k]
+        m = U[k + 1:, k] / np.where(pivot == 0.0, 1.0, pivot)
+        U[k + 1:, k + 1:] -= m[:, np.newaxis] * U[k, k + 1:]
+    return (U[0, 0] * U[1, 1] * (U[2, 2] * U[3, 3] - U[2, 3] * U[3, 2])).reshape(F.shape[:-2])
 
 
 # --- symplectic spectra ------------------------------------------------
@@ -123,17 +148,15 @@ def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
         return _finite(((hi + lo) / 2.0)[..., ::-1])
 
 
-def _top_symplectic(F: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+def _top_symplectic(F: np.ndarray) -> np.ndarray:
     """d_n of Y = F^T F for a stack of 2n x 2n invertible factors F.
 
     At n <= 2 it reads d_n off F J F^T and det F, with no ``inv``: K =
     -(F J F^T)^{-1} (``_skew``) and Pf(F J F^T) = det F, so the singular
     values of S = F J F^T are s_1, s_1, s_2, s_2 with s_1 s_2 = |det F|.
-    `det` is det F of each factor, as the sweeps' draw computes it; when
-    it is None, one ``det`` of the scaled stack is taken here.  Each F
-    is first scaled by a power of two, its largest |entry| into [1/2, 1),
-    and `det` exactly with it (``ldexp``), so neither det F nor S leaves
-    the float range where d_n is inside it.
+    Each F is first scaled by a power of two, its largest |entry| into
+    [1/2, 1), and det F is ``_det`` of the scaled stack, so neither det F
+    nor S leaves the float range where d_n is inside it.
 
     - n = 1: d_1 = 1 / |det F|.
     - n = 2: with F = [P | Q] in n-column blocks, S = P Q^T - Q P^T is
@@ -141,7 +164,7 @@ def _top_symplectic(F: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
       splits S / c (``_scaled``) into a self-dual and an anti-self-dual
       part, with norms a and b (``_norm3``), and s_1(S / c) = (a + b) / 2,
       within a few ulp of s_1 also when d_1 = d_2.
-    - n >= 3: `det` is not read.  c sqrt(lambda_max) of the skew matrix
+    - n >= 3: c sqrt(lambda_max) of the skew matrix
       K (``_skew``) from one ``_scaled_gram_eigenvalues`` of the K stack,
       within a relative error of order 2n eps of the SVD's s_1(K).  Every
       eigenvalue comes in a pair d_k^2, d_k^2, and their square roots are
@@ -159,16 +182,9 @@ def _top_symplectic(F: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
             # eigvalsh may return a pair near 0 slightly negative
             s = c[..., np.newaxis] * np.sqrt(np.maximum(lam, 0.0))[..., ::-1]
             return _finite(_paired(s)[0][..., 0])
-        e = 0  # a given det F at n = 1 is all that d_1 needs
-        if n == 2 or det is None:
-            e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
-            F = np.ldexp(F, -e[..., np.newaxis, np.newaxis])
-            if det is not None:
-                det = np.ldexp(det, -2 * n * e)
-            elif n == 1:  # one rounding per product, not ``det``'s exp(log|det|)
-                det = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-            else:
-                det = np.linalg.det(F)
+        e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
+        F = np.ldexp(F, -e[..., np.newaxis, np.newaxis])
+        det = _det(F)
         if not det.all():
             raise Singular("factor is singular in floating point")
         if n == 1:
@@ -253,40 +269,33 @@ def _scaled_gram_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c[..., 0, 0], np.linalg.eigvalsh(np.swapaxes(K, -1, -2) @ K)
 
 
-def _key_inequality_sides(F: np.ndarray, G: np.ndarray, det_F: np.ndarray | None = None,
-                          det_G: np.ndarray | None = None, Y: np.ndarray | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def _key_inequality_sides(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the key inequality for stacks of factors F of Y and G.
 
-    F is any invertible factor of Y = F^T F, and Y, when given, is the
-    Gram matrix itself, else F^T F is formed.  The pullback G^T Y G has
-    the factor F G, so neither Gram matrix of G is ever formed.  d_n(G^T G)
+    F is any invertible factor of Y = F^T F.  The pullback G^T Y G has
+    the factor F G, so neither Gram matrix of G is ever formed: d_n(G^T G)
     and d_n(G^T Y G) come from one ``_top_symplectic`` of the stack
-    (G, F G), which at n <= 2 reads det F and det G when both are given,
-    with det(F G) = det F det G, and at n >= 3 runs one more stacked
-    ``eigvalsh``, where a broken eigenvalue pair raises ``PairingFailure``.
-    lambda_max(Y) is s_1(F)^2 in closed form at dim 2, and from one
-    ``eigvalsh`` of the Y stack from dim 4.  No SVD runs, and no ``inv``
-    at n <= 2.  Every value is computed matrix by matrix, so both sides
-    are the bits that separate calls give.  A d_n past the float range
-    raises ``OverflowError``; the lhs is at most the rhs.
+    (G, F G).  lambda_max(Y) is s_1(F)^2 in closed form at dim 2, and from
+    one ``eigvalsh`` of the F^T F stack from dim 4.  No SVD runs, and no
+    ``inv`` or LAPACK ``det`` at n <= 2.  Every value is computed matrix
+    by matrix, so both sides are the bits that separate calls give.  A
+    d_n past the float range raises ``OverflowError``, a broken eigenvalue
+    pair at n >= 3 ``PairingFailure``; the lhs is at most the rhs.
     """
-    det = None if det_F is None else np.stack((det_G, det_F * det_G))
-    d_max = _top_symplectic(np.stack((G, F @ G)), det)
+    d_max = _top_symplectic(np.stack((G, F @ G)))
     if F.shape[-1] == 2:
         s = _top_singular_2x2(F)
         lam_max = s * s
     else:
-        lam_max = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F if Y is None else Y)[..., -1]
+        lam_max = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[..., -1]
     return d_max[0] / lam_max, d_max[1]
 
 
 def _key_inequality(Y: SpdMatrix, G: DenseMatrix) -> tuple[float, float]:
     """``_key_inequality_sides`` of one Y, factored as in ``_upper_factors``
-    into R, and G, with no determinants given: at n <= 2
-    ``_top_symplectic`` takes det G and det(R G) of its scaled stack."""
-    lhs, rhs = _key_inequality_sides(_upper_factors([Y])[0], _to_numpy(G),
-                                     Y=_to_numpy(Y.matrix))
+    into R, and G: lambda_max(Y) is read off R^T R, as the sweeps read it
+    off B^T B."""
+    lhs, rhs = _key_inequality_sides(_upper_factors([Y])[0], _to_numpy(G))
     return float(lhs), float(rhs)
 
 
@@ -340,14 +349,13 @@ def _words(rng: random.Random, n: int) -> np.ndarray:
 
 
 def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
-             index: bool = False
-             ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray], np.ndarray]]:
+             index: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
     """The sweeps' samples, exactly as ``random.Random(seed)`` draws them
     one value at a time, in windows of ``_DRAW_WINDOW`` samples.
 
     A sample is one dim x dim matrix per bound b, with entries
-    ``uniform(-b, b)`` row by row, each matrix redrawn while
-    |det| <= 1e-3; then, when `index` is set, ``randrange(1, dim + 1)``.
+    ``uniform(-b, b)`` row by row, each matrix redrawn while |``_det``|
+    <= 1e-3; then, when `index` is set, ``randrange(1, dim + 1)``.
     The words are fetched in bulk and turned into values by CPython's own
     operations: ``random()`` is ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53,
     ``uniform(a, b)`` is a + (b - a) * random(), and each ``randrange``
@@ -359,10 +367,8 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
     the rejected matrix.  Each layout first tops the words up to the least
     it reads, counting two ``randrange`` tries per sample; a try walk that
     runs past them fetches the rest, and a window's unread words are the
-    next one's.  A window is one (samples, dim, dim) stack per bound, the
-    determinants of its matrices as one (samples,) array per bound, the
-    very values the redraw rule read, and the (samples,) indices, unset
-    without `index`.
+    next one's.  A window is one (samples, dim, dim) stack per bound and
+    the (samples,) indices, unset without `index`.
     """
     rng = random.Random(seed)
     fields = len(bounds)
@@ -376,7 +382,6 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
     for done in range(0, samples, _DRAW_WINDOW):
         n = min(samples - done, _DRAW_WINDOW)
         out = np.empty((n * fields, dim, dim))
-        out_det = np.empty(n * fields)
         picks = np.empty(n, dtype=int)
         i, f = 0, 0  # first sample not done, its first field not done
         while True:
@@ -415,13 +420,11 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
             u *= span
             u -= b  # the same IEEE sum as -b + u
             mats = u.reshape(m * fields, dim, dim)
-            det = np.linalg.det(mats)
-            bad = np.abs(det) <= 1e-3
+            bad = np.abs(_det(mats)) <= 1e-3
             bad[:f] = False  # fields of sample i kept by an earlier pass
             hits = np.flatnonzero(bad)
             first = int(hits[0]) if len(hits) else m * fields
             out[i * fields + f:i * fields + first] = mats[f:first]
-            out_det[i * fields + f:i * fields + first] = det[f:first]
             if index:
                 picks[i:i + first // fields] = drawn[:first // fields]
             if first == m * fields:
@@ -433,27 +436,23 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
         # caller checks the window: held through the yield, they slowed the checks
         words, s = words[s:].copy(), 0
         del w, u, mats
-        yield (list(out.reshape(n, fields, dim, dim).swapaxes(0, 1)),
-               list(out_det.reshape(n, fields).T), picks)
+        yield list(out.reshape(n, fields, dim, dim).swapaxes(0, 1)), picks
 
 
 def _key_sweep(dim: int, samples: int, seed: int
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the key inequality on ``key_inequality_sweep``'s
     samples, one window of ``_windows`` at a time, for ``_tally``.  The
-    drawn B is Y's factor, so Y is never factored, and the draw's own
-    determinants of B and G serve d_n at n <= 2, so the window makes no
-    ``det`` call of its own."""
-    for (B, G), (det_B, det_G), _ in _windows(seed, dim, samples,
-                                             (math.sqrt(10.0 / dim), 10.0)):
-        yield _key_inequality_sides(B, G, det_B, det_G)
+    drawn B is Y's factor, so Y is never factored."""
+    for (B, G), _ in _windows(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0)):
+        yield _key_inequality_sides(B, G)
 
 
 def _bhatia_sweep(dim: int, samples: int, seed: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the k = 1 inequality on ``bhatia_sweep``'s samples, one
     window of ``_windows`` at a time, for ``_tally``."""
-    for (A, B), _, i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
+    for (A, B), i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
         yield _bhatia_sides(A, B, i1)
 
 

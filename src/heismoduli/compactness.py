@@ -294,9 +294,11 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     ``_arrays._key_inequality_sides`` on stacks of one, as in
     ``key_inequality_sweep``.  At n <= 2 each d_n is s_1(F J F^T) / |det F|
     (1 / |det F| at n = 1) for F = G and F = R G, R the float factor of
-    Y, with det F taken here of F scaled by a power of two, and no
-    ``inv``; its relative error is of order eps kappa_2(F), as the SVD's
-    of the inverted factor is.  At n >= 3 it is the top eigenvalue of a
+    Y, with det F the ``_arrays._det`` of F scaled by a power of two, and
+    no ``inv`` or LAPACK ``det``; its relative error is of order
+    eps kappa_2(F), as the SVD's of the inverted factor is.
+    lambda_max(Y) is read off R^T R, as the sweep reads it off B^T B.
+    At n >= 3 it is the top eigenvalue of a
     scaled Gram matrix, within a relative 8 * 2n * eps of the SVD's top
     singular value, and a broken eigenvalue pair raises
     ``PairingFailure``.  No SVD runs.  At any n a d_n past the float
@@ -429,9 +431,9 @@ def random_symplectic_integer(n: int, seed: int, steps: int) -> DenseMatrix:
 
     The output always passes ``symplectic_similitude_check``; every draw
     is replayable from the seed.  n, seed and steps are integers
-    (``_sweep_sizes``), steps at least 0.
+    (``_sweep_sizes``), n at least 1 and steps at least 0.
     """
-    n, seed, steps = _sweep_sizes(n=(n, None), seed=(seed, None), steps=(steps, 0))
+    n, seed, steps = _sweep_sizes(n=(n, 1), seed=(seed, None), steps=(steps, 0))
     rng = random.Random(seed)
     result = identity(2 * n, RATIONAL)
     for _ in range(steps):
@@ -479,15 +481,15 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     ``random.Random(seed)`` called in order: per sample the factor B of
     the Gram matrix Y = B^T B, entries ``uniform(-b, b)`` row by row with
     b = sqrt(10 / dim), then G with entries ``uniform(-10, 10)``, each
-    matrix redrawn while |det| <= 1e-3.
+    matrix redrawn while |det| <= 1e-3, det from ``_arrays._det``.
     The sweep's own generator is read in bulk, not one call per entry, and
     B serves as Y's factor, so Y is never factored (``_arrays._key_sweep``).
     A window is checked by ``_arrays._key_inequality_sides``, as in
     ``verify_key_inequality``.  lambda_max(Y) is s_1(B)^2 in closed form
     at dim 2 and one ``eigvalsh`` of every Y from dim 4.  At dims 2 and 4
-    each d_n of every G and every B G is read off F J F^T and the draw's
-    own det B and det G, with det(B G) = det B det G, so the window runs
-    no ``inv`` and no ``det`` beyond the draw's, and at dim 2 no
+    each d_n of every F = G and F = B G is read off F J F^T and the
+    ``_arrays._det`` of F scaled by a power of two, so the window, its
+    draw included, runs no ``inv`` and no LAPACK ``det``, and at dim 2 no
     ``eigvalsh``.  From dim 6 it comes from one ``eigvalsh`` of the scaled
     Gram matrices of their skew matrices, where a broken eigenvalue pair
     raises ``PairingFailure``.  An odd dimension raises ``OddDimension``.
@@ -508,7 +510,8 @@ def bhatia_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     ``_arrays._DRAW_WINDOW`` samples, as in ``key_inequality_sweep``.
     The samples are exactly those of ``random.Random(seed)`` called in
     order: per sample A, then B, entries ``uniform(-10, 10)`` row by row,
-    each matrix redrawn while |det| <= 1e-3, then the index
+    each matrix redrawn while |det| <= 1e-3, det from ``_arrays._det``
+    (LAPACK's from dim 6 and at dims 3 and 5), then the index
     i1 = ``randrange(1, dim + 1)``.  The sweep's own generator is read in
     bulk, not one call per entry.  A window is checked by
     ``_arrays._bhatia_sides``: one ``svd`` of every A and B gives each

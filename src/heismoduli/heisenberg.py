@@ -469,8 +469,12 @@ def same_symplectic_orbit(X: SpdMatrix, Y: SpdMatrix, tol: float = 1e-8) -> bool
     """True when X and Y have the same symplectic spectrum within tol,
     a finite nonnegative relative tolerance.
 
-    Equality of all d_k characterizes congruence by a symplectic
-    similitude, so this decides orbit membership.
+    Equal d_k decide only the real orbit: X and Y are congruent by a real
+    symplectic similitude of multiplier +-1 exactly when their spectra
+    agree (Williamson's theorem).  They do not decide the moduli point,
+    which asks for an integer similitude: [[2, 0], [0, 3]] and
+    [[2, 1], [1, 7/2]] give True, yet both are Minkowski reduced and
+    they are two different points.
     """
     _tolerance(tol)
     if X.n != Y.n:

@@ -307,12 +307,13 @@ class TestRandomSymplecticCommand:
         assert out1 == out2
         assert json.loads(out1)["epsilon"] in (1, -1)
 
+    # n = dim / 2 is checked before steps, so a bad --steps too names n
     @pytest.mark.parametrize("dim", ["0", "-2"])
-    @pytest.mark.parametrize("steps", [[], ["--steps", "0"]])
+    @pytest.mark.parametrize("steps", [[], ["--steps", "0"], ["--steps", "-1"]])
     def test_empty_dim_exit_2(self, capsys, dim, steps):
         code, out, err = run(capsys, ["random-symplectic", "--dim", dim, "--seed", "1", *steps])
         assert code == 2
-        assert out == "" and err == "error: matrix must have at least one row and column\n"
+        assert out == "" and err == "error: n must be at least 1\n"
 
 
 # runs each argv in-process and records whether numpy is loaded, after the

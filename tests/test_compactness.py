@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import heismoduli as hm
 from conftest import givens_orthogonal, random_unimodular
-from heismoduli import _arrays, compactness, heisenberg
+from heismoduli import _arrays, compactness, heisenberg, linalg
 
 
 def metric_family(grams, g=Fraction(1), r=(1, 1)):
@@ -384,10 +385,10 @@ class TestCertificateTable:
 
 def _replay_invertible(rng, dim, bound=10.0):
     """The sweeps' draw, one matrix at a time: entries row by row from
-    rng.uniform, the whole matrix redrawn while |det| <= 1e-3."""
+    rng.uniform, the whole matrix redrawn while |_det| <= 1e-3."""
     while True:
         m = np.array([[rng.uniform(-bound, bound) for _ in range(dim)] for _ in range(dim)])
-        if abs(np.linalg.det(m)) > 1e-3:
+        if abs(_arrays._det(m)) > 1e-3:
             return m
 
 
@@ -412,31 +413,36 @@ def _replay_bhatia_samples(dim, samples, seed):
     return np.array(A), np.array(B), np.array(i1)
 
 
-def _drawn_with_dets(seed, dim, samples, bounds, index=False):
-    """Every window of ``_arrays._windows`` joined: one stack per bound, the
-    draw's determinants of each stack, and the indices, as the sweep draws
-    them."""
-    windows = list(_arrays._windows(seed, dim, samples, bounds, index))
-    stacks, dets = ([np.concatenate([w[part][j] for w in windows]) for j in range(len(bounds))]
-                    for part in (0, 1))
-    return stacks, dets, np.concatenate([w[2] for w in windows])
-
-
 def _drawn(seed, dim, samples, bounds, index=False):
-    """``_drawn_with_dets`` without the determinants."""
-    stacks, _, picks = _drawn_with_dets(seed, dim, samples, bounds, index)
-    return stacks, picks
+    """Every window of ``_arrays._windows`` joined: one stack per bound and
+    the indices, as the sweep draws them."""
+    windows = list(_arrays._windows(seed, dim, samples, bounds, index))
+    stacks = [np.concatenate([w[0][j] for w in windows]) for j in range(len(bounds))]
+    return stacks, np.concatenate([w[1] for w in windows])
 
 
 def _rejected(dim, samples, seed):
-    """How many matrices ``key_inequality_sweep``'s draw rejects for |det| <= 1e-3."""
+    """How many matrices ``key_inequality_sweep``'s draw rejects for |_det| <= 1e-3."""
     rng, count = random.Random(seed), 0
     for _ in range(samples):
         for bound in (math.sqrt(10.0 / dim), 10.0):
-            while abs(np.linalg.det(np.array([[rng.uniform(-bound, bound) for _ in range(dim)]
-                                              for _ in range(dim)]))) <= 1e-3:
+            while abs(_arrays._det(np.array([[rng.uniform(-bound, bound) for _ in range(dim)]
+                                             for _ in range(dim)]))) <= 1e-3:
                 count += 1
     return count
+
+
+def _counted_lapack(monkeypatch):
+    """A Counter of the ``eigvalsh``, ``svd``, ``inv`` and ``det`` calls
+    made from here on, by name."""
+    calls = Counter()
+    for name in ("eigvalsh", "svd", "inv", "det"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def _exact_top(F):
@@ -458,6 +464,69 @@ def _assert_sweep_matches(result, reports):
     assert result.total == len(reports)
     assert result.held == sum(r.holds for r in reports)
     assert result.worst_slack == pytest.approx(min(r.slack for r in reports), rel=1e-12)
+
+
+def _pythagorean_rotation(turns):
+    """The exact 4 x 4 rotation that is the product of Givens rotations
+    (i, j, a, b, c), each with cosine a / c and sine b / c, a^2 + b^2 = c^2."""
+    q = hm.identity(4)
+    for i, j, a, b, c in turns:
+        g = [[Fraction(int(r == k)) for k in range(4)] for r in range(4)]
+        g[i][i] = g[j][j] = Fraction(a, c)
+        g[i][j], g[j][i] = Fraction(b, c), Fraction(-b, c)
+        q = q @ hm.DenseMatrix.from_rows(g)
+    return q
+
+
+def _permanent(rows):
+    """The permanent of a square list of rows, summed over every permutation."""
+    return sum(math.prod(r[k] for r, k in zip(rows, p))
+               for p in itertools.permutations(range(len(rows))))
+
+
+class TestDet:
+    # against the exact determinant of the same floats, within
+    # (N + 1) eps perm(|F|): at N = 1 and 2 the permanent of |F| bounds the
+    # sum of the |terms| the product adds up; at N = 4 the elimination's
+    # multipliers are at most 1, and on these entries it stays inside the
+    # same bound (test_near_singular_factor checks it where perm(|F|) /
+    # |det F| is far above kappa_2(F)).  Entries are uniform(-10, 10), as
+    # the draws' are, raw or scaled into [1/2, 1) as _top_symplectic
+    # scales each factor.  A matrix's determinant is the same bits alone
+    # as in a stack
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 4]), st.integers(1, 5), st.integers(0, 2**32), st.booleans())
+    def test_within_the_permanent_bound(self, N, samples, seed, scaled):
+        rng = random.Random(seed)
+        F = np.array([[[rng.uniform(-10.0, 10.0) for _ in range(N)] for _ in range(N)]
+                      for _ in range(samples)])
+        if scaled:
+            F = np.ldexp(F, -np.frexp(np.abs(F).max(axis=(-2, -1)))[1][:, None, None])
+        got = _arrays._det(F)
+        assert got.shape == (samples,)
+        eps = Fraction(np.finfo(float).eps)
+        for f, d in zip(F, got):
+            rows, scales = linalg._integer_rows(hm.DenseMatrix.from_rows(f.tolist()))
+            exact = Fraction(linalg._int_determinant(rows), math.prod(scales))
+            bound = (N + 1) * eps * _permanent([[abs(Fraction(x)) for x in r] for r in f.tolist()])
+            assert abs(Fraction(float(d)) - exact) <= bound
+            assert _arrays._det(f).tobytes() == d.tobytes()
+
+    # LAPACK's det, sign exp(sum log |u_ii|), reads 3002.9999999999977 and
+    # 3.0000000000000004 here (numpy 2.4.6, x86-64)
+    def test_exact_where_lapack_is_not(self):
+        assert _arrays._det(np.diag([3.0, 7.0, 11.0, 13.0])) == 3003.0
+        assert _arrays._det(np.array([[3.0]])) == 3.0
+
+    # a column that is zero from the pivot down leaves a zero pivot: det 0,
+    # not the NaN of 0 / 0, so a factor singular in floats is refused
+    def test_zero_pivot(self):
+        assert _arrays._det(np.zeros((4, 4))) == 0.0
+        G = hm.DenseMatrix.from_rows([[1, 1, 0, 0], [1, 1 + Fraction(1, 10**20), 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert _arrays._det(_arrays._to_numpy(G)) == 0.0
+        with pytest.raises(hm.Singular):
+            hm.verify_key_inequality(hm.SpdMatrix(hm.identity(4)), G)
 
 
 class TestKeyInequality:
@@ -539,12 +608,9 @@ class TestKeyInequality:
     @example(2, 100, 174)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         B, G = _replay_key_samples(dim, samples, seed)
-        # the drawn B is Y's factor, and the draw's determinants are det's
-        det_B, det_G = np.linalg.det(B), np.linalg.det(G)
-        _, drawn_dets, _ = _drawn_with_dets(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
-        assert np.array_equal(det_B, drawn_dets[0]) and np.array_equal(det_G, drawn_dets[1])
+        # the drawn B is Y's factor
         expected = compactness.SweepResult(*_arrays._tally(
-            [_arrays._key_inequality_sides(B, G, det_B, det_G)], compactness.INEQUALITY_SLACK))
+            [_arrays._key_inequality_sides(B, G)], compactness.INEQUALITY_SLACK))
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,
@@ -562,20 +628,19 @@ class TestKeyInequality:
 
     # recorded with each d_n read by _top_symplectic (numpy 2.4.6, x86-64):
     # 1 / |det F| at dim 2 and s_1(F J F^T) / |det F| from the self-dual
-    # split at dim 4, each det F the draw's, and c sqrt(lambda_max) of the
-    # scaled Gram matrix of its skew matrix at dim 6; lambda_max(Y) is
-    # s_1(B)^2 at dim 2.  Each value is computed matrix by matrix, so a
-    # stack, or a window of one, gives the same bits.  Reading d_n without
-    # inv moved (2, 50, 3) by 16 ulp, (4, 50, 7) by 8 and (2, 1000, 13) by
-    # 32; test_top_value_matches_exact bounds the error of every sample.
+    # split at dim 4, each det F the _det of the scaled F, and
+    # c sqrt(lambda_max) of the scaled Gram matrix of its skew matrix at
+    # dim 6; lambda_max(Y) is s_1(B)^2 at dim 2.  Each value is computed
+    # matrix by matrix, so a stack, or a window of one, gives the same
+    # bits; test_top_value_matches_exact bounds the error of every sample.
     # (2, 1000, 13) spans four windows
     @pytest.mark.parametrize("args, held, worst_slack", [
-        ((2, 50, 3), 50, 0.0001663115506584079),
-        ((4, 50, 7), 50, 0.007232850957914974),
+        ((2, 50, 3), 50, 0.0001663115506584077),
+        ((4, 50, 7), 50, 0.007232850957914965),
         ((6, 50, 11), 50, 0.012414876212731477),
         ((6, 160, 612177327), 160, 0.009846757589123279),
         ((4, 160, 2**70 + 3), 160, 0.004284087011410313),
-        ((2, 1000, 13), 1000, 0.00013819975180947696),
+        ((2, 1000, 13), 1000, 0.00013819975180947783),
     ])
     def test_sweep_results_pinned(self, args, held, worst_slack):
         assert hm.key_inequality_sweep(*args) == compactness.SweepResult(args[1], held,
@@ -584,12 +649,10 @@ class TestKeyInequality:
     def test_unstacked_sides_match_stacked(self):
         # verify_key_inequality passes single matrices; each side must be
         # the one a stack of samples gives for the same matrices
-        (B, G), drawn_dets, _ = _drawn_with_dets(5, 4, 3, (math.sqrt(2.5), 10.0))
-        det_B, det_G = np.linalg.det(B), np.linalg.det(G)
-        assert np.array_equal(det_B, drawn_dets[0]) and np.array_equal(det_G, drawn_dets[1])
-        lhs, rhs = _arrays._key_inequality_sides(B, G, det_B, det_G)
+        (B, G), _ = _drawn(5, 4, 3, (math.sqrt(2.5), 10.0))
+        lhs, rhs = _arrays._key_inequality_sides(B, G)
         for j in range(3):
-            one = _arrays._key_inequality_sides(B[j], G[j], det_B[j], det_G[j])
+            one = _arrays._key_inequality_sides(B[j], G[j])
             assert one[0].shape == one[1].shape == ()
             assert (one[0], one[1]) == (lhs[j], rhs[j])
 
@@ -608,23 +671,49 @@ class TestKeyInequality:
         assert top.shape == oracle.shape == (2, samples)
         assert np.all(np.abs(top - oracle) <= 8 * dim * np.finfo(float).eps * oracle)
 
-    # at dims 2 and 4 each d_n, read off the draw's det F, against the
+    # at dims 2 and 4 each d_n, read off _det of the scaled F, against the
     # exact value.  An SVD of the skew matrix is no oracle here: it carries
-    # inv's error of order kappa_2(F) eps, and det F carries one of the same
+    # inv's error of order kappa_2(F) eps, and d_n carries one of the same
     # order, so the bound scales with kappa_2(F)
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 4]), st.integers(1, 40), SWEEP_SEEDS)
     @example(2, 100, 13)
     @example(4, 100, 38)
     def test_top_value_matches_exact(self, dim, samples, seed):
-        (B, G), (det_B, det_G), _ = _drawn_with_dets(seed, dim, samples,
-                                                      (math.sqrt(10.0 / dim), 10.0))
+        (B, G), _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
         F = np.stack((G, B @ G))
-        top = _arrays._top_symplectic(F, np.stack((det_G, det_B * det_G)))
+        top = _arrays._top_symplectic(F)
         exact = _exact_top(F)
         assert top.shape == exact.shape == (2, samples)
         bound = 8 * dim * np.finfo(float).eps * np.linalg.cond(F)
         assert np.all(np.abs(top - exact) <= bound * exact)
+
+    # G = Q_1 diag(1, 1, d, d) Q_2 for exact rotations Q_1, Q_2, so
+    # kappa_2(G) = 1 / d, and Y = 3 I, an equality case of the key
+    # inequality.  det G = d^2 while perm(|G|) is of order 1, so a
+    # determinant without pivoting, off by up to eps perm(|G|), can refuse
+    # G as singular near d = 1e-8 and parts the two sides near 1e-5.
+    # Each d_n must stay within test_top_value_matches_exact's bound, so
+    # both sides within twice that of each other: inside INEQUALITY_SLACK
+    # at d = 1e-5, not at 1e-8, as with LAPACK's det
+    @pytest.mark.parametrize("d", [Fraction(1, 10**5), Fraction(1, 10**8)])
+    def test_near_singular_factor(self, d):
+        Y = hm.SpdMatrix(hm.DenseMatrix.from_rows([[3 * int(i == j) for j in range(4)]
+                                                    for i in range(4)]))
+        D = hm.DenseMatrix.from_rows([[[1, 1, d, d][i] * int(i == j) for j in range(4)]
+                                      for i in range(4)])
+        G = (_pythagorean_rotation([(0, 1, 3, 4, 5), (1, 2, 5, 12, 13), (2, 3, 8, 15, 17),
+                                    (0, 3, 7, 24, 25), (1, 3, 20, 21, 29)]) @ D
+             @ _pythagorean_rotation([(0, 2, 12, 35, 37), (1, 3, 3, 4, 5), (0, 1, 9, 40, 41),
+                                      (2, 3, 28, 45, 53), (1, 2, 5, 12, 13)]))
+        Gf = _arrays._to_numpy(G)
+        F = np.stack((Gf, _arrays._upper_factors([Y])[0] @ Gf))
+        top, exact = _arrays._top_symplectic(F), _exact_top(F)
+        bound = 8 * 4 * np.finfo(float).eps * np.linalg.cond(F)
+        assert np.all(np.abs(top - exact) <= bound * exact)
+        rep = hm.verify_key_inequality(Y, G)
+        assert abs(rep.rhs - rep.lhs) <= 2 * bound.max() * rep.rhs
+        assert rep.holds or d < Fraction(1, 10**5)
 
     # K = Q blocks(d_1 J, d_2 J) Q^T, the skew matrix of F = Q D^(-1/2):
     # d_1 = d_2 exactly, d_1 / d_2 down to 2^-60, and scales 2^+-500.  Each
@@ -673,30 +762,23 @@ class TestKeyInequality:
 
     # per window, lambda_max(Y) is one eigvalsh from dim 4 (s_1(B)^2 at
     # dim 2), and each d_n one inv and one more eigvalsh at dim 6 only: at
-    # dims 2 and 4 it is read off the draw's determinants.  The only det
-    # calls of a sweep are the draw's, one per layout: one per window and
-    # one more per rejected matrix.  The verifier takes one det of its own
-    # stack at dim 4; at dim 2 it forms the 2 x 2 determinants by hand.  No
-    # size runs an svd.  A LAPACK call put back on the key path changes
+    # dims 2 and 4 it is read off _det, which calls det from dim 6 only.
+    # So det runs at dim 6 alone, once per layout of the draw: one per
+    # window and one more per rejected matrix; the verifier calls none.
+    # No size runs an svd.  A LAPACK call put back on the key path changes
     # these counts
-    @pytest.mark.parametrize("dim, eigvalsh, inv, verifier_det",
-                             [(2, 0, 0, 0), (4, 1, 0, 1), (6, 2, 1, 0)])
-    def test_lapack_calls_per_window(self, monkeypatch, dim, eigvalsh, inv, verifier_det):
+    @pytest.mark.parametrize("dim, eigvalsh, inv, det",
+                             [(2, 0, 0, 0), (4, 1, 0, 0), (6, 2, 1, 1)])
+    def test_lapack_calls_per_window(self, monkeypatch, dim, eigvalsh, inv, det):
         samples = 2 * _arrays._DRAW_WINDOW + 1
         layouts = 3 + _rejected(dim, samples, 3)
-        calls = Counter()
-        for name in ("eigvalsh", "svd", "inv", "det"):
-            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = _counted_lapack(monkeypatch)
         assert hm.key_inequality_sweep(dim, samples, 3).all_hold
-        assert calls == Counter(eigvalsh=3 * eigvalsh, inv=3 * inv, det=layouts)
+        assert calls == Counter(eigvalsh=3 * eigvalsh, inv=3 * inv, det=det * layouts)
         calls.clear()
         assert hm.verify_key_inequality(hm.SpdMatrix(hm.identity(dim)),
                                         hm.identity(dim)).holds
-        assert calls == Counter(eigvalsh=eigvalsh, inv=inv, det=verifier_det)
+        assert calls == Counter(eigvalsh=eigvalsh, inv=inv)
 
     def test_no_inv_at_n_le_2(self, no_lapack):
         assert hm.key_inequality_sweep(2, 40, 3).all_hold
@@ -831,6 +913,15 @@ class TestBhatiaInequality:
         (A, B), i1 = _drawn(seed, dim, samples, (10.0, 10.0), index=True)
         expected = _replay_bhatia_samples(dim, samples, seed)
         assert all(np.array_equal(x, y) for x, y in zip((A, B, i1), expected))
+
+    # per window one svd of the stack of every A and B and one eigvalsh of
+    # the products; the draw's redraw rule reads _det, which calls no det
+    # at dims 2 and 4
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_lapack_calls_per_window(self, monkeypatch, dim):
+        calls = _counted_lapack(monkeypatch)
+        assert hm.bhatia_sweep(dim, 2 * _arrays._DRAW_WINDOW + 1, 3).all_hold
+        assert calls == Counter(svd=3, eigvalsh=3)
 
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("seed", [0, 7, 174, -5])
@@ -1069,7 +1160,7 @@ class TestRandomSymplectic:
 
     @pytest.mark.parametrize("n, steps", [(0, 0), (0, 5), (-1, 0)])
     def test_empty_rejected(self, n, steps):
-        with pytest.raises(ValueError, match="at least one row and column"):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
             hm.random_symplectic_integer(n, 1, steps)
 
     def test_integer_entries(self):

@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Thirteen rules, read off the syntax trees: a module (``__init__`` aside, it
+Fourteen rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -31,7 +31,10 @@ enumeration cap is fixed where a public call begins, and the searches
 take it as an int, and in ``_arrays`` only ``_windows`` constructs a
 ``random.Random`` and no function but ``_words`` takes an ``rng``: a
 sweep owns the one generator its samples come from, so no draw has to
-leave a shared generator where the next would expect it.
+leave a shared generator where the next would expect it, and no
+function but ``_arrays._det`` names numpy's ``det``: the sweeps' redraw
+rule and d_n at n <= 2 read one determinant, formed from the entries up
+to size 4, so LAPACK's inexact one cannot come back beside it.
 """
 
 import ast
@@ -330,3 +333,31 @@ def test_one_generator_per_sweep():
     assert [fn.name for fn in functions
             if any(a.arg == "rng" for a in fn.args.posonlyargs + fn.args.args
                    + fn.args.kwonlyargs)] == [SWEEP_GENERATOR[1]]
+
+
+DETERMINANT = (ARRAYS, "_det")
+
+
+def _names_lapack_det(node: ast.AST) -> bool:
+    """Whether node is an attribute ``.det``, as in ``np.linalg.det``, called
+    or not, or ``from numpy.linalg import det``."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy.linalg" and any(a.name == "det" for a in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "det"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_one_float_determinant(module):
+    tree = TREES[module]
+    allowed = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and (module, fn.name) == DETERMINANT
+               for node in ast.walk(fn)}
+    assert [node.lineno for node in ast.walk(tree)
+            if _names_lapack_det(node) and id(node) not in allowed] == []
+
+
+def test_determinant_rule_is_not_vacuous():
+    # the rule above would pass vacuously if the helper were renamed
+    helper = next(fn for fn in TREES[ARRAYS].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == DETERMINANT[1])
+    assert any(_names_lapack_det(node) for node in ast.walk(helper))
