@@ -10,14 +10,16 @@ and ``to_numpy``.  A full spectrum from n = 3 comes from an ``svd`` of
 each skew matrix, whose absolute accuracy the small d_k need, and its
 pairs are checked by ``_paired``.  Where only a top singular
 value is read, it runs no SVD: d_n in the key inequality is read off
-F J F^T and det F at n <= 2, with no ``inv``; from n = 3 it inverts F
-and takes one ``eigvalsh`` of scaled Gram matrices of the skew matrices
-F^{-T} J F^{-1} (``_top_symplectic``).  s_1(A B) in Bhatia's comes
+F J F^T and the caller's det F at n <= 2, with no ``inv``; from n = 3 it
+inverts F and takes one ``eigvalsh`` of scaled Gram matrices of the skew
+matrices F^{-T} J F^{-1} (``_top_symplectic``).  s_1(A B) in Bhatia's comes
 from one ``eigvalsh`` (``_scaled_gram_eigenvalues``).  A spectrum past
 the float range raises ``OverflowError``, never a NaN or an infinity.
 Each sweep draws from a generator of its own, one window of
 ``_DRAW_WINDOW`` at a time (``_windows``).  One determinant, ``_det``,
-serves both the draw's redraw rule and d_n at n <= 2.
+is taken once per drawn matrix: the draw's redraw rule reads it, and the
+key sweep's d_n at n <= 2 reuse it, det(B G) as det B det G; the
+verifier takes its own of G and R G.
 No module imports this one when it loads; each public function that
 needs arrays runs ``from . import _arrays`` when it is called, so a
 command that computes no spectrum never loads numpy.  It imports only
@@ -60,8 +62,11 @@ def _det(F: np.ndarray) -> np.ndarray:
     """Determinants of a stack of N x N matrices F: F itself at N = 1,
     ad - bc at N = 2, and at N = 4 two steps of Gaussian elimination with
     partial pivoting, then ad - bc of the 2 x 2 block left, backward stable
-    as LAPACK's LU is.  Other sizes (3 and 5 only in the Bhatia draw) call
-    ``det``, whose exp(sum log |u_ii|) is inexact even on integer diagonals."""
+    as LAPACK's LU is.  Other sizes (6 in both draws, 3 and 5 only in the
+    Bhatia draw) call ``det``, whose exp(sum log |u_ii|) is inexact even on
+    integer diagonals.  Below size 6 a matrix scaled by 2^-e has its
+    determinant scaled by exactly 2^(-N e), short of leaving the normal
+    floats."""
     N = F.shape[-1]
     if N == 1:
         return F[..., 0, 0]
@@ -148,21 +153,35 @@ def _symplectic_spectra(F: np.ndarray) -> np.ndarray:
         return _finite(((hi + lo) / 2.0)[..., ::-1])
 
 
-def _top_symplectic(F: np.ndarray) -> np.ndarray:
+def _pow2_scaled(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, F / 2^e) for a stack of matrices F: e, of shape (...), is the
+    integer exponent that puts each F's largest |entry| into [1/2, 1)."""
+    e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
+    return e, np.ldexp(F, -e[..., np.newaxis, np.newaxis])
+
+
+def _top_symplectic(F: np.ndarray, det: tuple[np.ndarray, np.ndarray] | None
+                    ) -> np.ndarray:
     """d_n of Y = F^T F for a stack of 2n x 2n invertible factors F.
 
     At n <= 2 it reads d_n off F J F^T and det F, with no ``inv``: K =
     -(F J F^T)^{-1} (``_skew``) and Pf(F J F^T) = det F, so the singular
     values of S = F J F^T are s_1, s_1, s_2, s_2 with s_1 s_2 = |det F|.
-    Each F is first scaled by a power of two, its largest |entry| into
-    [1/2, 1), and det F is ``_det`` of the scaled stack, so neither det F
-    nor S leaves the float range where d_n is inside it.
+    det = (m, k) is the caller's: m the determinant of F / 2^k, for
+    integers k that broadcast against m and keep m inside the float range
+    (0 for the sweeps' draws).  No determinant is taken here, and a zero
+    m raises ``Singular``.  It is not read at n >= 3, where it may be None.
 
-    - n = 1: d_1 = 1 / |det F|.
+    - n = 1: d_1 = 1 / |det F| = 2^{-2k} / |m|.
     - n = 2: with F = [P | Q] in n-column blocks, S = P Q^T - Q P^T is
-      exactly skew, and d_2 = s_1(S) / |det F|.  so(4) = su(2) + su(2)
-      splits S / c (``_scaled``) into a self-dual and an anti-self-dual
-      part, with norms a and b (``_norm3``), and s_1(S / c) = (a + b) / 2,
+      exactly skew, and d_2 = s_1(S) / |det F|.  Each F is first scaled
+      by 2^{-e}, its largest |entry| into [1/2, 1) (``_pow2_scaled``), so
+      S does not leave the float range where d_2 is inside it, and d_2 is
+      s_1(S) / |m| times 2^{2e - 4k}, one ``ldexp`` at the end: the bits
+      ``_det`` of the scaled F would give, since a scaling by 2^{-e}
+      scales that determinant exactly.  so(4) = su(2) + su(2) splits
+      S / c (``_scaled``) into a self-dual and an anti-self-dual part,
+      with norms a and b (``_norm3``), and s_1(S / c) = (a + b) / 2,
       within a few ulp of s_1 also when d_1 = d_2.
     - n >= 3: c sqrt(lambda_max) of the skew matrix
       K (``_skew``) from one ``_scaled_gram_eigenvalues`` of the K stack,
@@ -182,22 +201,20 @@ def _top_symplectic(F: np.ndarray) -> np.ndarray:
             # eigvalsh may return a pair near 0 slightly negative
             s = c[..., np.newaxis] * np.sqrt(np.maximum(lam, 0.0))[..., ::-1]
             return _finite(_paired(s)[0][..., 0])
-        e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
-        F = np.ldexp(F, -e[..., np.newaxis, np.newaxis])
-        det = _det(F)
-        if not det.all():
+        m, k = det
+        if not m.all():
             raise Singular("factor is singular in floating point")
         if n == 1:
-            d = 1.0 / np.abs(det)
-        else:
-            X = F[..., :, :2] @ np.swapaxes(F[..., :, 2:], -1, -2)
-            c, k = _scaled(X - np.swapaxes(X, -1, -2))
-            # k is exactly skew, so k_31 = -k_13: u + v and u - v are
-            # (k01 + k23, k02 - k13, k03 + k12) and (k01 - k23, k02 + k13, k03 - k12)
-            u, v = k[..., (0, 0, 0), (1, 2, 3)], k[..., (2, 3, 1), (3, 1, 2)]
-            d = c[..., 0, 0] * ((_norm3(u + v) + _norm3(u - v)) * 0.5) / np.abs(det)
-        # F / 2^e has d_n 2^{2e} times F's
-        return _finite(np.ldexp(d, -2 * e))
+            return _finite(np.ldexp(1.0 / np.abs(m), -2 * k))
+        e, F = _pow2_scaled(F)
+        X = F[..., :, :2] @ np.swapaxes(F[..., :, 2:], -1, -2)
+        c, w = _scaled(X - np.swapaxes(X, -1, -2))
+        # w is exactly skew, so w_31 = -w_13: u + v and u - v are
+        # (w01 + w23, w02 - w13, w03 + w12) and (w01 - w23, w02 + w13, w03 - w12)
+        u, v = w[..., (0, 0, 0), (1, 2, 3)], w[..., (2, 3, 1), (3, 1, 2)]
+        d = c[..., 0, 0] * ((_norm3(u + v) + _norm3(u - v)) * 0.5) / np.abs(m)
+        # S of F / 2^e is 2^{-2e} times F's, and det F is m 2^{4k}
+        return _finite(np.ldexp(d, 2 * e - 4 * k))
 
 
 def _top_singular_2x2(M: np.ndarray) -> np.ndarray:
@@ -269,20 +286,24 @@ def _scaled_gram_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c[..., 0, 0], np.linalg.eigvalsh(np.swapaxes(K, -1, -2) @ K)
 
 
-def _key_inequality_sides(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _key_inequality_sides(F: np.ndarray, G: np.ndarray,
+                          det: tuple[np.ndarray, np.ndarray] | None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the key inequality for stacks of factors F of Y and G.
 
     F is any invertible factor of Y = F^T F.  The pullback G^T Y G has
     the factor F G, so neither Gram matrix of G is ever formed: d_n(G^T G)
     and d_n(G^T Y G) come from one ``_top_symplectic`` of the stack
-    (G, F G).  lambda_max(Y) is s_1(F)^2 in closed form at dim 2, and from
+    (G, F G), which reads the caller's determinants of that stack, det =
+    (m, k) as ``_top_symplectic`` takes it, and no determinant is taken
+    here.  lambda_max(Y) is s_1(F)^2 in closed form at dim 2, and from
     one ``eigvalsh`` of the F^T F stack from dim 4.  No SVD runs, and no
     ``inv`` or LAPACK ``det`` at n <= 2.  Every value is computed matrix
     by matrix, so both sides are the bits that separate calls give.  A
     d_n past the float range raises ``OverflowError``, a broken eigenvalue
     pair at n >= 3 ``PairingFailure``; the lhs is at most the rhs.
     """
-    d_max = _top_symplectic(np.stack((G, F @ G)))
+    d_max = _top_symplectic(np.stack((G, F @ G)), det)
     if F.shape[-1] == 2:
         s = _top_singular_2x2(F)
         lam_max = s * s
@@ -294,8 +315,18 @@ def _key_inequality_sides(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.
 def _key_inequality(Y: SpdMatrix, G: DenseMatrix) -> tuple[float, float]:
     """``_key_inequality_sides`` of one Y, factored as in ``_upper_factors``
     into R, and G: lambda_max(Y) is read off R^T R, as the sweeps read it
-    off B^T B."""
-    lhs, rhs = _key_inequality_sides(_upper_factors([Y])[0], _to_numpy(G))
+    off B^T B.  At n <= 2 its determinants are the ``_det`` of G and R G,
+    each scaled as ``_top_symplectic`` scales it (``_pow2_scaled``), so
+    neither leaves the float range where d_n is inside it, and neither is
+    a product of two rounded determinants: the bits ``_top_symplectic``
+    read when it took them itself.  From n = 3, where d_n reads no
+    determinant, none is taken."""
+    R, Gf = _upper_factors([Y])[0], _to_numpy(G)
+    det = None
+    if Y.n <= 4:
+        e, scaled = _pow2_scaled(np.stack((Gf, R @ Gf)))
+        det = _det(scaled), e
+    lhs, rhs = _key_inequality_sides(R, Gf, det)
     return float(lhs), float(rhs)
 
 
@@ -348,8 +379,8 @@ def _words(rng: random.Random, n: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
 
 
-def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
-             index: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float], index: bool = False
+             ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray], np.ndarray]]:
     """The sweeps' samples, exactly as ``random.Random(seed)`` draws them
     one value at a time, in windows of ``_DRAW_WINDOW`` samples.
 
@@ -367,8 +398,9 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
     the rejected matrix.  Each layout first tops the words up to the least
     it reads, counting two ``randrange`` tries per sample; a try walk that
     runs past them fetches the rest, and a window's unread words are the
-    next one's.  A window is one (samples, dim, dim) stack per bound and
-    the (samples,) indices, unset without `index`.
+    next one's.  A window is one (samples, dim, dim) stack per bound, the
+    (samples,) ``_det`` values the redraw rule read of each stack's
+    matrices, and the (samples,) indices, unset without `index`.
     """
     rng = random.Random(seed)
     fields = len(bounds)
@@ -382,6 +414,7 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
     for done in range(0, samples, _DRAW_WINDOW):
         n = min(samples - done, _DRAW_WINDOW)
         out = np.empty((n * fields, dim, dim))
+        out_det = np.empty(n * fields)
         picks = np.empty(n, dtype=int)
         i, f = 0, 0  # first sample not done, its first field not done
         while True:
@@ -420,11 +453,13 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
             u *= span
             u -= b  # the same IEEE sum as -b + u
             mats = u.reshape(m * fields, dim, dim)
-            bad = np.abs(_det(mats)) <= 1e-3
+            dets = _det(mats)
+            bad = np.abs(dets) <= 1e-3
             bad[:f] = False  # fields of sample i kept by an earlier pass
             hits = np.flatnonzero(bad)
             first = int(hits[0]) if len(hits) else m * fields
             out[i * fields + f:i * fields + first] = mats[f:first]
+            out_det[i * fields + f:i * fields + first] = dets[f:first]
             if index:
                 picks[i:i + first // fields] = drawn[:first // fields]
             if first == m * fields:
@@ -435,24 +470,28 @@ def _windows(seed: int, dim: int, samples: int, bounds: Sequence[float],
         # keep only the unread words, and let the layout's arrays go before the
         # caller checks the window: held through the yield, they slowed the checks
         words, s = words[s:].copy(), 0
-        del w, u, mats
-        yield list(out.reshape(n, fields, dim, dim).swapaxes(0, 1)), picks
+        del w, u, mats, dets
+        yield (list(out.reshape(n, fields, dim, dim).swapaxes(0, 1)),
+               list(out_det.reshape(n, fields).T), picks)
 
 
 def _key_sweep(dim: int, samples: int, seed: int
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the key inequality on ``key_inequality_sweep``'s
     samples, one window of ``_windows`` at a time, for ``_tally``.  The
-    drawn B is Y's factor, so Y is never factored."""
-    for (B, G), _ in _windows(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0)):
-        yield _key_inequality_sides(B, G)
+    drawn B is Y's factor, so Y is never factored, and the draw's own
+    determinants serve d_n at n <= 2: det G, and det(B G) as det B det G,
+    each with k = 0, since a drawn entry is at most 10 in size."""
+    for (B, G), (det_B, det_G), _ in _windows(seed, dim, samples,
+                                              (math.sqrt(10.0 / dim), 10.0)):
+        yield _key_inequality_sides(B, G, (np.stack((det_G, det_B * det_G)), 0))
 
 
 def _bhatia_sweep(dim: int, samples: int, seed: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the k = 1 inequality on ``bhatia_sweep``'s samples, one
     window of ``_windows`` at a time, for ``_tally``."""
-    for (A, B), i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
+    for (A, B), _, i1 in _windows(seed, dim, samples, (10.0, 10.0), index=True):
         yield _bhatia_sides(A, B, i1)
 
 

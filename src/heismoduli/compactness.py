@@ -113,7 +113,15 @@ class PrecompactnessCertificate:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Two sides of an inequality and whether lhs <= rhs holds (with slack)."""
+    """Two sides of an inequality and whether lhs <= rhs holds (with slack).
+
+    ``holds`` allows a fixed relative slack: lhs <= rhs +
+    ``INEQUALITY_SLACK`` max(1, |rhs|), with ``INEQUALITY_SLACK`` = 1e-9.
+    It does not scale with the conditioning of the inputs, while a float
+    side can carry an error of order eps kappa_2 of its factor: on an
+    equality case with kappa_2(G) near 10^8 the sides can part by 2 to 8
+    times 10^-9 relative, and ``holds`` reads False.
+    """
 
     lhs: Scalar
     rhs: Scalar
@@ -294,7 +302,8 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     ``_arrays._key_inequality_sides`` on stacks of one, as in
     ``key_inequality_sweep``.  At n <= 2 each d_n is s_1(F J F^T) / |det F|
     (1 / |det F| at n = 1) for F = G and F = R G, R the float factor of
-    Y, with det F the ``_arrays._det`` of F scaled by a power of two, and
+    Y, with det F the ``_arrays._det`` of F scaled by a power of two, so
+    no determinant leaves the float range where d_n is inside it, and
     no ``inv`` or LAPACK ``det``; its relative error is of order
     eps kappa_2(F), as the SVD's of the inverted factor is.
     lambda_max(Y) is read off R^T R, as the sweep reads it off B^T B.
@@ -302,7 +311,10 @@ def verify_key_inequality(Y: SpdMatrix, G: DenseMatrix) -> InequalityReport:
     scaled Gram matrix, within a relative 8 * 2n * eps of the SVD's top
     singular value, and a broken eigenvalue pair raises
     ``PairingFailure``.  No SVD runs.  At any n a d_n past the float
-    range (G^T G near 10^-308) raises ``OverflowError``.
+    range (G^T G near 10^-308) raises ``OverflowError``.  ``holds``
+    allows the fixed relative slack of ``InequalityReport``, which does
+    not scale with kappa_2(G): an equality case with kappa_2(G) near 10^8
+    can read ``holds = False``.
     """
     if G.rows != Y.n or not G.is_square:
         raise DimensionMismatch("G must be square of the same size as Y")
@@ -488,8 +500,9 @@ def key_inequality_sweep(dim: int, samples: int, seed: int) -> SweepResult:
     ``verify_key_inequality``.  lambda_max(Y) is s_1(B)^2 in closed form
     at dim 2 and one ``eigvalsh`` of every Y from dim 4.  At dims 2 and 4
     each d_n of every F = G and F = B G is read off F J F^T and the
-    ``_arrays._det`` of F scaled by a power of two, so the window, its
-    draw included, runs no ``inv`` and no LAPACK ``det``, and at dim 2 no
+    determinants the draw's redraw rule took, det G and det B det G, so
+    a drawn matrix's determinant is taken once, and the window, its draw
+    included, runs no ``inv`` and no LAPACK ``det``, and at dim 2 no
     ``eigvalsh``.  From dim 6 it comes from one ``eigvalsh`` of the scaled
     Gram matrices of their skew matrices, where a broken eigenvalue pair
     raises ``PairingFailure``.  An odd dimension raises ``OddDimension``.

@@ -414,34 +414,55 @@ def _replay_bhatia_samples(dim, samples, seed):
 
 
 def _drawn(seed, dim, samples, bounds, index=False):
-    """Every window of ``_arrays._windows`` joined: one stack per bound and
-    the indices, as the sweep draws them."""
+    """Every window of ``_arrays._windows`` joined: one stack per bound,
+    one stack of the ``_det`` values the draw read per bound, and the
+    indices, as the sweep draws them."""
     windows = list(_arrays._windows(seed, dim, samples, bounds, index))
-    stacks = [np.concatenate([w[0][j] for w in windows]) for j in range(len(bounds))]
-    return stacks, np.concatenate([w[1] for w in windows])
+    stacks, dets = ([np.concatenate([w[part][j] for w in windows]) for j in range(len(bounds))]
+                    for part in (0, 1))
+    return stacks, dets, np.concatenate([w[2] for w in windows])
 
 
-def _rejected(dim, samples, seed):
-    """How many matrices ``key_inequality_sweep``'s draw rejects for |_det| <= 1e-3."""
+def _sweep_det(det_B, det_G):
+    """The determinants of the (G, B G) stack as ``_arrays._key_sweep``
+    hands them over: the draw's det G and det B det G, with k = 0."""
+    return np.stack((det_G, det_B * det_G)), 0
+
+
+def _own_det(F):
+    """The determinants of a stack F as ``verify_key_inequality`` takes
+    them: each F's own ``_det``, scaled by ``_pow2_scaled``'s exponent k."""
+    k, scaled = _arrays._pow2_scaled(F)
+    return _arrays._det(scaled), k
+
+
+def _rejected(dim, samples, seed, bounds, index=False):
+    """How many matrices a sweep's draw rejects for |_det| <= 1e-3, drawn
+    as ``_replay_invertible`` draws them, per sample one matrix per bound
+    and, with `index`, one index."""
     rng, count = random.Random(seed), 0
     for _ in range(samples):
-        for bound in (math.sqrt(10.0 / dim), 10.0):
+        for bound in bounds:
             while abs(_arrays._det(np.array([[rng.uniform(-bound, bound) for _ in range(dim)]
                                              for _ in range(dim)]))) <= 1e-3:
                 count += 1
+        if index:
+            rng.randrange(1, dim + 1)
     return count
 
 
 def _counted_lapack(monkeypatch):
     """A Counter of the ``eigvalsh``, ``svd``, ``inv`` and ``det`` calls
-    made from here on, by name."""
+    made from here on, by name, and of the package's own ``_det`` calls,
+    as ``_det``."""
     calls = Counter()
-    for name in ("eigvalsh", "svd", "inv", "det"):
-        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+    targets = [(np.linalg, name) for name in ("eigvalsh", "svd", "inv", "det")]
+    for module, name in targets + [(_arrays, "_det")]:
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -528,6 +549,20 @@ class TestDet:
         with pytest.raises(hm.Singular):
             hm.verify_key_inequality(hm.SpdMatrix(hm.identity(4)), G)
 
+    # the key sweep hands _top_symplectic the draw's raw determinants, and
+    # d_n of a drawn G reads the bits _det of the G scaled by 2^-e would
+    # give only if that scaling scales _det(G) by exactly 2^(-N e).
+    # Entries are uniform(-10, 10), the draws' range, and e is the exponent
+    # _top_symplectic scales by
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 4]), st.integers(1, 5), st.integers(0, 2**32))
+    def test_scaling_by_a_power_of_two_is_exact(self, N, samples, seed):
+        rng = random.Random(seed)
+        F = np.array([[[rng.uniform(-10.0, 10.0) for _ in range(N)] for _ in range(N)]
+                      for _ in range(samples)])
+        e, scaled = _arrays._pow2_scaled(F)
+        assert _arrays._det(scaled).tobytes() == np.ldexp(_arrays._det(F), -N * e).tobytes()
+
 
 class TestKeyInequality:
     def test_identity_equality_case(self):
@@ -608,9 +643,11 @@ class TestKeyInequality:
     @example(2, 100, 174)
     def test_sweep_equals_replay_exactly(self, dim, samples, seed):
         B, G = _replay_key_samples(dim, samples, seed)
-        # the drawn B is Y's factor
+        # the drawn B is Y's factor, and the determinants are the ones the
+        # draw's redraw rule reads, each matrix's own _det
+        det = _sweep_det(*(np.array([_arrays._det(m) for m in X]) for X in (B, G)))
         expected = compactness.SweepResult(*_arrays._tally(
-            [_arrays._key_inequality_sides(B, G)], compactness.INEQUALITY_SLACK))
+            [_arrays._key_inequality_sides(B, G, det)], compactness.INEQUALITY_SLACK))
         assert hm.key_inequality_sweep(dim, samples, seed) == expected
 
     # a wrong sample that is not the worst leaves the SweepResult unchanged,
@@ -622,25 +659,28 @@ class TestKeyInequality:
         (2, 13, 100), (4, 38, 100), (6, 4, 100), (2, 174, 100), (6, -5, 100),
         (4, 2**70 + 3, 100), (2, 13, 1000), (4, 38, 600), (6, 4, 600)])
     def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
-        (B, G), _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
+        (B, G), dets, _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
         expected = _replay_key_samples(dim, samples, seed)
         assert np.array_equal(B, expected[0]) and np.array_equal(G, expected[1])
+        # each kept matrix's determinant is the one the redraw rule read
+        assert all(d.tobytes() == _arrays._det(X).tobytes() for X, d in zip((B, G), dets))
 
     # recorded with each d_n read by _top_symplectic (numpy 2.4.6, x86-64):
     # 1 / |det F| at dim 2 and s_1(F J F^T) / |det F| from the self-dual
-    # split at dim 4, each det F the _det of the scaled F, and
-    # c sqrt(lambda_max) of the scaled Gram matrix of its skew matrix at
+    # split at dim 4, each det F the draw's _det, det(B G) as det B det G,
+    # and c sqrt(lambda_max) of the scaled Gram matrix of its skew matrix at
     # dim 6; lambda_max(Y) is s_1(B)^2 at dim 2.  Each value is computed
     # matrix by matrix, so a stack, or a window of one, gives the same
     # bits; test_top_value_matches_exact bounds the error of every sample.
-    # (2, 1000, 13) spans four windows
+    # With _det of each scaled B G the dims 2 and 4 slacks read +8, -2, +4
+    # and +16 ulp from these.  (2, 1000, 13) spans four windows
     @pytest.mark.parametrize("args, held, worst_slack", [
-        ((2, 50, 3), 50, 0.0001663115506584077),
-        ((4, 50, 7), 50, 0.007232850957914965),
+        ((2, 50, 3), 50, 0.00016631155065840748),
+        ((4, 50, 7), 50, 0.007232850957914967),
         ((6, 50, 11), 50, 0.012414876212731477),
         ((6, 160, 612177327), 160, 0.009846757589123279),
-        ((4, 160, 2**70 + 3), 160, 0.004284087011410313),
-        ((2, 1000, 13), 1000, 0.00013819975180947783),
+        ((4, 160, 2**70 + 3), 160, 0.004284087011410309),
+        ((2, 1000, 13), 1000, 0.0001381997518094774),
     ])
     def test_sweep_results_pinned(self, args, held, worst_slack):
         assert hm.key_inequality_sweep(*args) == compactness.SweepResult(args[1], held,
@@ -649,10 +689,10 @@ class TestKeyInequality:
     def test_unstacked_sides_match_stacked(self):
         # verify_key_inequality passes single matrices; each side must be
         # the one a stack of samples gives for the same matrices
-        (B, G), _ = _drawn(5, 4, 3, (math.sqrt(2.5), 10.0))
-        lhs, rhs = _arrays._key_inequality_sides(B, G)
+        (B, G), (det_B, det_G), _ = _drawn(5, 4, 3, (math.sqrt(2.5), 10.0))
+        lhs, rhs = _arrays._key_inequality_sides(B, G, _sweep_det(det_B, det_G))
         for j in range(3):
-            one = _arrays._key_inequality_sides(B[j], G[j])
+            one = _arrays._key_inequality_sides(B[j], G[j], _sweep_det(det_B[j], det_G[j]))
             assert one[0].shape == one[1].shape == ()
             assert (one[0], one[1]) == (lhs[j], rhs[j])
 
@@ -664,25 +704,26 @@ class TestKeyInequality:
     @example(6, 160, 612177327)
     @example(6, 160, 3993805642)
     def test_top_value_matches_svd(self, dim, samples, seed):
-        (B, G), _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
+        (B, G), dets, _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
         F = np.stack((G, B @ G))
-        top = _arrays._top_symplectic(F)
+        top = _arrays._top_symplectic(F, _sweep_det(*dets))
         oracle = _arrays._symplectic_spectra(F)[..., -1]
         assert top.shape == oracle.shape == (2, samples)
         assert np.all(np.abs(top - oracle) <= 8 * dim * np.finfo(float).eps * oracle)
 
-    # at dims 2 and 4 each d_n, read off _det of the scaled F, against the
-    # exact value.  An SVD of the skew matrix is no oracle here: it carries
-    # inv's error of order kappa_2(F) eps, and d_n carries one of the same
-    # order, so the bound scales with kappa_2(F)
+    # at dims 2 and 4 each d_n, read off the draw's determinants as the
+    # sweep reads it (det(B G) as det B det G), against the exact value.  An
+    # SVD of the skew matrix is no oracle here: it carries inv's error of
+    # order kappa_2(F) eps, and d_n carries one of the same order, so the
+    # bound scales with kappa_2(F)
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 4]), st.integers(1, 40), SWEEP_SEEDS)
     @example(2, 100, 13)
     @example(4, 100, 38)
     def test_top_value_matches_exact(self, dim, samples, seed):
-        (B, G), _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
+        (B, G), dets, _ = _drawn(seed, dim, samples, (math.sqrt(10.0 / dim), 10.0))
         F = np.stack((G, B @ G))
-        top = _arrays._top_symplectic(F)
+        top = _arrays._top_symplectic(F, _sweep_det(*dets))
         exact = _exact_top(F)
         assert top.shape == exact.shape == (2, samples)
         bound = 8 * dim * np.finfo(float).eps * np.linalg.cond(F)
@@ -708,7 +749,7 @@ class TestKeyInequality:
                                       (2, 3, 28, 45, 53), (1, 2, 5, 12, 13)]))
         Gf = _arrays._to_numpy(G)
         F = np.stack((Gf, _arrays._upper_factors([Y])[0] @ Gf))
-        top, exact = _arrays._top_symplectic(F), _exact_top(F)
+        top, exact = _arrays._top_symplectic(F, _own_det(F)), _exact_top(F)
         bound = 8 * 4 * np.finfo(float).eps * np.linalg.cond(F)
         assert np.all(np.abs(top - exact) <= bound * exact)
         rep = hm.verify_key_inequality(Y, G)
@@ -732,7 +773,7 @@ class TestKeyInequality:
         d = np.ldexp(np.array([math.ldexp(mantissa, ratio), 1.0][:n]), scale)
         F = np.array([givens_orthogonal(rng, 2 * n).to_numpy() * np.tile(d ** -0.5, 2)
                       for _ in range(samples)])
-        top = _arrays._top_symplectic(F)
+        top = _arrays._top_symplectic(F, _own_det(F))
         exact = _exact_top(F)
         assert np.all(np.isfinite(top))
         bound = 8 * 2 * n * np.finfo(float).eps * np.linalg.cond(F)
@@ -762,23 +803,25 @@ class TestKeyInequality:
 
     # per window, lambda_max(Y) is one eigvalsh from dim 4 (s_1(B)^2 at
     # dim 2), and each d_n one inv and one more eigvalsh at dim 6 only: at
-    # dims 2 and 4 it is read off _det, which calls det from dim 6 only.
-    # So det runs at dim 6 alone, once per layout of the draw: one per
-    # window and one more per rejected matrix; the verifier calls none.
-    # No size runs an svd.  A LAPACK call put back on the key path changes
-    # these counts
+    # dims 2 and 4 it is read off the draw's determinants.  _det runs once
+    # per layout of the draw, one per window and one more per rejected
+    # matrix, and nowhere else on the sweep path; it calls det from dim 6
+    # only.  The verifier takes one _det at dims 2 and 4, of its own
+    # (G, R G) stack, and none at dim 6.  No size runs an svd.  A LAPACK
+    # call or a determinant put back on the key path changes these counts
     @pytest.mark.parametrize("dim, eigvalsh, inv, det",
                              [(2, 0, 0, 0), (4, 1, 0, 0), (6, 2, 1, 1)])
     def test_lapack_calls_per_window(self, monkeypatch, dim, eigvalsh, inv, det):
         samples = 2 * _arrays._DRAW_WINDOW + 1
-        layouts = 3 + _rejected(dim, samples, 3)
+        layouts = 3 + _rejected(dim, samples, 3, (math.sqrt(10.0 / dim), 10.0))
         calls = _counted_lapack(monkeypatch)
         assert hm.key_inequality_sweep(dim, samples, 3).all_hold
-        assert calls == Counter(eigvalsh=3 * eigvalsh, inv=3 * inv, det=det * layouts)
+        assert calls == Counter(eigvalsh=3 * eigvalsh, inv=3 * inv, det=det * layouts,
+                                _det=layouts)
         calls.clear()
         assert hm.verify_key_inequality(hm.SpdMatrix(hm.identity(dim)),
                                         hm.identity(dim)).holds
-        assert calls == Counter(eigvalsh=eigvalsh, inv=inv)
+        assert calls == Counter(eigvalsh=eigvalsh, inv=inv, _det=int(dim <= 4))
 
     def test_no_inv_at_n_le_2(self, no_lapack):
         assert hm.key_inequality_sweep(2, 40, 3).all_hold
@@ -796,6 +839,28 @@ class TestKeyInequality:
         assert hm.key_inequality_sweep(6, 40, 3).all_hold
         assert hm.verify_key_inequality(hm.SpdMatrix(hm.identity(4)),
                                         hm.counterexample_family(2).matrix).holds
+
+    # Y = y I and G = g I whose float determinants (up to 10^+-600) leave
+    # the float range while both sides are inside it.  Recorded when
+    # _top_symplectic took _det of each scaled factor itself (numpy 2.4.6,
+    # x86-64); the verifier still passes those determinants, bit for bit.
+    # A product of the raw float determinants refused the second, fourth and
+    # fifth as Singular and read a side of 0.0 for the first and third; a
+    # product of the scaled det R and det G read the fifth rhs 1 ulp high
+    @pytest.mark.parametrize("n, y, g, lhs, rhs", [
+        (4, 1e300, 1.0, 1.0000000000000002e-300, 1.0000000000000002e-300),
+        (4, 1e-300, 1.0, 1.0000000000000002e+300, 1e+300),
+        (4, 1.0, 1e150, 1.0000000000000002e-300, 1.0000000000000002e-300),
+        (4, 1.0, 1e-150, 1e+300, 1e+300),
+        (4, 1e200, 1e-100, 1.0, 1.0),
+        (2, 1e300, 1.0, 1e-300, 1e-300),
+    ])
+    def test_verifier_range_pinned(self, n, y, g, lhs, rhs):
+        def scalar(c):
+            return hm.DenseMatrix.from_rows([[c * (i == j) for j in range(n)] for i in range(n)])
+
+        rep = hm.verify_key_inequality(hm.SpdMatrix(scalar(y)), scalar(g))
+        assert (rep.lhs, rep.rhs, rep.holds) == (lhs, rhs, True)
 
     def test_pullback_past_the_float_range_refused(self):
         # G^T G = 1e-310 I: the skew matrix of G overflows, which gave
@@ -910,23 +975,25 @@ class TestBhatiaInequality:
         (5, 2**70 + 3, 100), (1, 5, 1), (1, 0, 600), (2, 174, 600), (2, 372, 600),
         (6, 2**70 + 3, 600)])
     def test_draw_equals_replay_sample_for_sample(self, dim, seed, samples):
-        (A, B), i1 = _drawn(seed, dim, samples, (10.0, 10.0), index=True)
+        (A, B), _, i1 = _drawn(seed, dim, samples, (10.0, 10.0), index=True)
         expected = _replay_bhatia_samples(dim, samples, seed)
         assert all(np.array_equal(x, y) for x, y in zip((A, B, i1), expected))
 
     # per window one svd of the stack of every A and B and one eigvalsh of
-    # the products; the draw's redraw rule reads _det, which calls no det
-    # at dims 2 and 4
+    # the products; the draw's redraw rule reads _det once per layout,
+    # which calls no det at dims 2 and 4
     @pytest.mark.parametrize("dim", [2, 4])
     def test_lapack_calls_per_window(self, monkeypatch, dim):
+        samples = 2 * _arrays._DRAW_WINDOW + 1
+        layouts = 3 + _rejected(dim, samples, 3, (10.0, 10.0), index=True)
         calls = _counted_lapack(monkeypatch)
-        assert hm.bhatia_sweep(dim, 2 * _arrays._DRAW_WINDOW + 1, 3).all_hold
-        assert calls == Counter(svd=3, eigvalsh=3)
+        assert hm.bhatia_sweep(dim, samples, 3).all_hold
+        assert calls == Counter(svd=3, eigvalsh=3, _det=layouts)
 
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("seed", [0, 7, 174, -5])
     def test_lhs_is_the_per_matrix_svd_product(self, dim, seed):
-        (A, B), i1 = _drawn(seed, dim, 60, (10.0, 10.0), index=True)
+        (A, B), _, i1 = _drawn(seed, dim, 60, (10.0, 10.0), index=True)
         lhs, _ = _arrays._bhatia_sides(A, B, i1)
         for a, b, i, got in zip(A, B, i1, lhs):
             sa = np.linalg.svd(a, compute_uv=False)

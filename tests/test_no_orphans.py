@@ -1,7 +1,7 @@
 """Orphans a deletion leaves behind in ``src/heismoduli``, and one
 factorization and one scalar-mode rule that must not come back.
 
-Fourteen rules, read off the syntax trees: a module (``__init__`` aside, it
+Fifteen rules, read off the syntax trees: a module (``__init__`` aside, it
 re-exports) uses every name it imports, every module-level ``_private``
 function is referenced somewhere in the package outside its own body,
 every module-level UPPER_CASE constant is read somewhere in the package
@@ -34,7 +34,11 @@ sweep owns the one generator its samples come from, so no draw has to
 leave a shared generator where the next would expect it, and no
 function but ``_arrays._det`` names numpy's ``det``: the sweeps' redraw
 rule and d_n at n <= 2 read one determinant, formed from the entries up
-to size 4, so LAPACK's inexact one cannot come back beside it.
+to size 4, so LAPACK's inexact one cannot come back beside it, and no
+function but ``_arrays._windows`` and ``_arrays._key_inequality`` calls
+``_det``: a drawn matrix's determinant is taken once, by the redraw rule,
+and the key sweep's d_n reuse it, so ``_top_symplectic`` and
+``_key_inequality_sides`` read determinants their callers took.
 """
 
 import ast
@@ -361,3 +365,26 @@ def test_determinant_rule_is_not_vacuous():
     helper = next(fn for fn in TREES[ARRAYS].body
                   if isinstance(fn, ast.FunctionDef) and fn.name == DETERMINANT[1])
     assert any(_names_lapack_det(node) for node in ast.walk(helper))
+
+
+DETERMINANT_CALLERS = {"_windows", "_key_inequality"}
+
+
+def _det_callers(tree: ast.Module) -> set[str]:
+    """Names of the functions, nested ones too, whose body calls ``_det``,
+    bare or as an attribute."""
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            == DETERMINANT[1]}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_determinant_taken_by_the_draw_and_the_verifier(module):
+    assert _det_callers(TREES[module]) <= DETERMINANT_CALLERS
+
+
+def test_determinant_callers_rule_is_not_vacuous():
+    # the rule above would pass vacuously if the helper were renamed or
+    # its callers stopped calling it by name
+    assert _det_callers(TREES[ARRAYS]) == DETERMINANT_CALLERS
